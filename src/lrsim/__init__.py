@@ -11,8 +11,6 @@ and account for what each would cost to field.
 
 from .genmodel import (
     CaseBatch,
-    CaseRecord,
-    CaseStream,
     ConfigError,
     Hypothesis,
     NoiseModel,
@@ -20,7 +18,6 @@ from .genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
-    generate_case,
     generate_cases,
     load_world,
     with_population,
@@ -87,8 +84,6 @@ __all__ = [
     "AnchorKind",
     "CalibrationReport",
     "CaseBatch",
-    "CaseRecord",
-    "CaseStream",
     "CaseView",
     "ConfigError",
     "DemandProfile",
@@ -121,7 +116,6 @@ __all__ = [
     "discrete_profile_lr",
     "evaluate",
     "feasibility_rank",
-    "generate_case",
     "generate_cases",
     "honesty_check",
     "ill_conditioning_experiment",

@@ -520,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
+    if not 0 <= args.seed < 2**64:
+        print("error: --seed must lie in [0, 2**64)", file=sys.stderr)
         return 2
     out = _Outputs(Path(args.out), args.force)
     try:

@@ -326,7 +326,7 @@ def tail_bound_check(
 
     def own_log10(batch):
         theta = batch.theta_r if system in SPECIFIC_SOURCE else None
-        return log_lr_batch(system, batch.x_mean, batch.y_mean, w,
+        return log_lr_batch(system, batch.x, batch.y, w,
                             theta_r=theta) * LOG10_E
 
     log10_h2 = own_log10(batch_h2)

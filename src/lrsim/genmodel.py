@@ -6,43 +6,34 @@ defence hypothesis H2 the suspect source comes from popD and the trace was
 left by an unknown source from popT. Source means are Normal(mu, tau^2) and
 every measurement of a source adds Normal(0, sigma^2) noise.
 
-One case consists of n_trace measurements x of the trace source and n_ref
-reference measurements y of the suspect source, plus the truth label. Cases
-are generated from per-case counter streams keyed by (master seed, case
-index), so case i is the same no matter how many cases are generated or in
-which order.
+One case consists of the mean x of n_trace measurements of the trace source,
+the mean y of n_ref reference measurements of the suspect source, and the
+truth label. Cases are drawn from counter-based Philox streams keyed by the
+master seed, so case i is the same no matter how many cases are generated or
+in which order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-from .kernels import CASE_FIRST_NORMAL_WORD, CASE_SLOT_TRUTH, stream_key, stream_keys
-
 __all__ = [
     "CaseBatch",
-    "CaseRecord",
-    "CaseStream",
     "ConfigError",
     "Hypothesis",
     "NoiseModel",
     "PopulationModel",
     "ScenarioKind",
     "ScoreKind",
-    "SourceParams",
     "WorldConfig",
-    "generate_case",
     "generate_cases",
     "load_world",
-    "sample_measurement",
-    "sample_source",
     "world_from_json_dict",
     "world_to_json_dict",
 ]
@@ -91,13 +82,6 @@ class PopulationModel:
 
 
 @dataclass(frozen=True)
-class SourceParams:
-    """Parameters of one concrete source: its mean."""
-
-    theta: float
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Measurement noise is Normal(0, sigma^2); sigma must be positive."""
 
@@ -134,7 +118,7 @@ class WorldConfig:
         if not isinstance(self.score_kind, ScoreKind):
             raise ConfigError(f"unknown score_kind {self.score_kind!r}")
         for name, value in (("n_trace", self.n_trace), ("n_ref", self.n_ref)):
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if self.scenario is ScenarioKind.TraceCrimeRelevant and self.pop_c != self.pop_t:
             raise ConfigError("TraceCrimeRelevant requires popC == popT")
@@ -155,113 +139,45 @@ class WorldConfig:
         return self.noise.sigma**2 / self.n_ref
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One simulated case. truth == H1 implies trace_source == r."""
-
-    truth: Hypothesis
-    r: SourceParams
-    trace_source: SourceParams
-    x: list[float]
-    y: list[float]
-
-    @property
-    def x_mean(self) -> float:
-        return float(np.mean(self.x))
-
-    @property
-    def y_mean(self) -> float:
-        return float(np.mean(self.y))
-
-
 @dataclass
 class CaseBatch:
-    """Column-oriented collection of cases sharing one WorldConfig."""
+    """Column-oriented collection of cases sharing one WorldConfig.
+
+    x and y are the means of the n_trace trace and n_ref reference
+    measurements. Under the Gaussian model the mean is sufficient for the
+    source mean, so single measurements are never drawn.
+    """
 
     world: WorldConfig
     truth_h1: np.ndarray      # uint8, 1 where H1 holds
     theta_r: np.ndarray       # suspect source mean
     theta_trace: np.ndarray   # actual trace source mean (== theta_r under H1)
-    x: np.ndarray             # (n, n_trace)
-    y: np.ndarray             # (n, n_ref)
-    x_mean: np.ndarray = field(init=False)
-    y_mean: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.x_mean = self.x.mean(axis=1)
-        self.y_mean = self.y.mean(axis=1)
+    x: np.ndarray             # trace measurement mean, shape (n,)
+    y: np.ndarray             # reference measurement mean, shape (n,)
 
     def __len__(self) -> int:
         return int(self.truth_h1.shape[0])
 
-    def record(self, i: int) -> CaseRecord:
-        return CaseRecord(
-            truth=Hypothesis.H1 if self.truth_h1[i] else Hypothesis.H2,
-            r=SourceParams(float(self.theta_r[i])),
-            trace_source=SourceParams(float(self.theta_trace[i])),
-            x=[float(v) for v in self.x[i]],
-            y=[float(v) for v in self.y[i]],
-        )
+
+# Each column of draws has its own Philox counter space, [0, column, chunk, 0]
+# for chunks of _CHUNK cases, so case i depends only on (seed, i) and no
+# column's draws depend on another's.
+_CHUNK = 1 << 16
+_TRUTH, _SUSPECT, _ALTERNATIVE, _TRACE_MEAN, _REF_MEAN = range(5)
 
 
-class CaseStream:
-    """Sequential view of one counter stream: consume uniforms and normals.
-
-    Draw j of a stream is a pure function of (key, j). The cursor only
-    provides the familiar rng.normal() call style; two streams with the same
-    key always replay the same values.
-    """
-
-    def __init__(self, key: np.uint64, cursor: int = 0) -> None:
-        self.key = np.uint64(key)
-        self.cursor = int(cursor)
-
-    @classmethod
-    def for_case(cls, master_seed: int, index: int) -> "CaseStream":
-        return cls(stream_key(master_seed, index))
-
-    def uniform(self) -> float:
-        v = kernels.active.uniforms(self.key, self.cursor, 1)[0]
-        self.cursor += 1
-        return float(v)
-
-    def normal(self) -> float:
-        v = kernels.active.normals(self.key, self.cursor, 1)[0]
-        self.cursor += 2
-        return float(v)
-
-
-def sample_source(pop: PopulationModel, rng: CaseStream) -> SourceParams:
-    """Draw one source mean from a population."""
-    return SourceParams(pop.mu + pop.tau * rng.normal())
-
-
-def sample_measurement(src: SourceParams, noise: NoiseModel, rng: CaseStream) -> float:
-    """Measure a source once."""
-    return src.theta + noise.sigma * rng.normal()
-
-
-def generate_case(world: WorldConfig, rng: CaseStream) -> CaseRecord:
-    """Generate a single case from a fresh case stream.
-
-    The stream layout is fixed: truth uniform, suspect-source normal,
-    alternative-source normal (consumed even under H1 so the layout does not
-    depend on the truth draw), n_trace trace normals, n_ref reference
-    normals. generate_cases produces bitwise identical values for the same
-    (master seed, case index).
-    """
-    u = rng.uniform()
-    truth = Hypothesis.H1 if u < world.prior_h1 else Hypothesis.H2
-    if truth is Hypothesis.H1:
-        r = sample_source(world.pop_c, rng)
-        alt = sample_source(world.pop_t, rng)  # discarded, keeps layout fixed
-        trace_source = r
-    else:
-        r = sample_source(world.pop_d, rng)
-        trace_source = sample_source(world.pop_t, rng)
-    x = [sample_measurement(trace_source, world.noise, rng) for _ in range(world.n_trace)]
-    y = [sample_measurement(r, world.noise, rng) for _ in range(world.n_ref)]
-    return CaseRecord(truth=truth, r=r, trace_source=trace_source, x=x, y=y)
+def _column(seed: int, column: int, n: int, uniform: bool = False) -> np.ndarray:
+    """Draws of one column for cases 0..n-1: [0, 1) uniforms or normals."""
+    out = np.empty(n, dtype=np.float64)
+    for chunk, start in enumerate(range(0, n, _CHUNK)):
+        gen = np.random.Generator(
+            np.random.Philox(key=seed, counter=[0, column, chunk, 0]))
+        part = out[start:start + _CHUNK]
+        if uniform:
+            gen.random(out=part)
+        else:
+            gen.standard_normal(out=part)
+    return out
 
 
 def generate_cases(
@@ -272,27 +188,31 @@ def generate_cases(
 ) -> CaseBatch:
     """Generate n_cases cases; case i only depends on (master_seed, i).
 
-    force_truth pins every case to one hypothesis (the truth uniform is still
-    consumed so records keep the same values they would have in a mixed run).
+    force_truth pins every case to one hypothesis; every other value of a
+    case is the one it has in a mixed run with the same truth.
     """
     if n_cases < 1:
         raise ConfigError(f"n_cases must be >= 1, got {n_cases}")
-    keys = stream_keys(master_seed, np.arange(n_cases, dtype=np.uint64))
+    n = int(n_cases)
     if force_truth is None:
-        force = -1
-    elif force_truth is Hypothesis.H1:
-        force = 1
-    elif force_truth is Hypothesis.H2:
-        force = 0
+        truth_h1 = (_column(master_seed, _TRUTH, n, uniform=True)
+                    < world.prior_h1).astype(np.uint8)
+    elif isinstance(force_truth, Hypothesis):
+        truth_h1 = np.full(n, force_truth is Hypothesis.H1, dtype=np.uint8)
     else:
         raise ConfigError(
             f"force_truth must be a Hypothesis or None, got {force_truth!r}")
-    truth_h1, theta_r, theta_trace, x, y = kernels.active.case_batch(
-        keys, world.n_trace, world.n_ref,
-        world.pop_c.mu, world.pop_c.tau,
-        world.pop_d.mu, world.pop_d.tau,
-        world.pop_t.mu, world.pop_t.tau,
-        world.noise.sigma, world.prior_h1, force)
+    is_h1 = truth_h1.astype(bool)
+    pop_c, pop_d, pop_t = world.pop_c, world.pop_d, world.pop_t
+    z = _column(master_seed, _SUSPECT, n)
+    theta_r = np.where(is_h1, pop_c.mu + pop_c.tau * z, pop_d.mu + pop_d.tau * z)
+    theta_alt = pop_t.mu + pop_t.tau * _column(master_seed, _ALTERNATIVE, n)
+    theta_trace = np.where(is_h1, theta_r, theta_alt)
+    sigma = world.noise.sigma
+    x = theta_trace + sigma / math.sqrt(world.n_trace) * _column(
+        master_seed, _TRACE_MEAN, n)
+    y = theta_r + sigma / math.sqrt(world.n_ref) * _column(
+        master_seed, _REF_MEAN, n)
     return CaseBatch(world=world, truth_h1=truth_h1, theta_r=theta_r,
                      theta_trace=theta_trace, x=x, y=y)
 
@@ -352,8 +272,8 @@ def world_from_json_dict(doc: dict, path: str = "world") -> WorldConfig:
         prior_h1=float(doc["prior_h1"]),
         scenario=scenario,
         score_kind=score_kind,
-        n_trace=int(doc.get("n_trace", 1)),
-        n_ref=int(doc.get("n_ref", 1)),
+        n_trace=doc.get("n_trace", 1),
+        n_ref=doc.get("n_ref", 1),
     )
     return world.validate()
 

@@ -106,7 +106,6 @@ class ExperimentConfig:
     rule: ScoringRule = ScoringRule.Logarithmic
     n_cases: int = 20_000
     master_seed: int = 0
-    oracle_check: bool = False
 
     def validate(self) -> "ExperimentConfig":
         self.world.validate()
@@ -173,12 +172,12 @@ def system_posteriors(
     clamps: dict[SystemId, int] = {}
     for system in systems:
         theta = batch.theta_r if system in SPECIFIC_SOURCE else None
-        own = log_lr_batch(system, batch.x_mean, batch.y_mean, w, theta_r=theta) * LOG10_E
+        own = log_lr_batch(system, batch.x, batch.y, w, theta_r=theta) * LOG10_E
         total = own
         if system is SystemId.CSYASLR:
-            total = own + anchor_log_lr_batch(batch.y_mean, AnchorKind.Y, w) * LOG10_E
+            total = own + anchor_log_lr_batch(batch.y, AnchorKind.Y, w) * LOG10_E
         elif system is SystemId.CSXASLR:
-            total = own + anchor_log_lr_batch(batch.x_mean, AnchorKind.X, w) * LOG10_E
+            total = own + anchor_log_lr_batch(batch.x, AnchorKind.X, w) * LOG10_E
         clamped, n_clamped = clamp_log10_lr(total)
         own_log10[system] = own
         posteriors[system] = posterior_from_log10_lr(clamped, prior)
@@ -268,8 +267,8 @@ def run_experiment(
         "case_id": np.arange(cfg.n_cases, dtype=np.int64),
         "truth": np.where(is_h1, "H1", "H2"),
         "r_theta": batch.theta_r,
-        "x": batch.x_mean,
-        "y": batch.y_mean,
+        "x": batch.x,
+        "y": batch.y,
     }
     for system in cfg.systems:
         with np.errstate(over="ignore"):
@@ -337,10 +336,10 @@ def ill_conditioning_experiment(
     is_h1 = batch.truth_h1.astype(bool)
     prior = world.prior_h1
 
-    naive = log_lr_batch(SystemId.CSXASLR, batch.x_mean, batch.y_mean, world) * LOG10_E
-    anchor = anchor_log_lr_batch(batch.x_mean, AnchorKind.X, world) * LOG10_E
+    naive = log_lr_batch(SystemId.CSXASLR, batch.x, batch.y, world) * LOG10_E
+    anchor = anchor_log_lr_batch(batch.x, AnchorKind.X, world) * LOG10_E
     proper = naive + anchor
-    joint = log_lr_batch(SystemId.CSFLR, batch.x_mean, batch.y_mean, world) * LOG10_E
+    joint = log_lr_batch(SystemId.CSFLR, batch.x, batch.y, world) * LOG10_E
     rel_err = np.abs(np.expm1((proper - joint) / LOG10_E))
     max_rel_err = float(rel_err.max())
 
@@ -407,8 +406,8 @@ def cs_update_ss_prior_experiment(
                   - _norm_logpdf(batch.theta_r, world.pop_d.mu, world.pop_d.tau**2)
                   ) * LOG10_E
 
-    csflr = log_lr_batch(SystemId.CSFLR, batch.x_mean, batch.y_mean, world) * LOG10_E
-    csslr = log_lr_batch(SystemId.CSSLR, batch.x_mean, batch.y_mean, world) * LOG10_E
+    csflr = log_lr_batch(SystemId.CSFLR, batch.x, batch.y, world) * LOG10_E
+    csslr = log_lr_batch(SystemId.CSSLR, batch.x, batch.y, world) * LOG10_E
 
     def scored(total_log10: np.ndarray) -> np.ndarray:
         p = posterior_from_log10_lr(clamp_log10_lr(total_log10)[0], prior)
@@ -463,9 +462,9 @@ def total_expectation_check(
     prior = world.prior_h1
 
     p_joint = posterior_from_log10_lr(clamp_log10_lr(
-        log_lr_batch(SystemId.CSFLR, batch.x_mean, batch.y_mean, world) * LOG10_E)[0], prior)
+        log_lr_batch(SystemId.CSFLR, batch.x, batch.y, world) * LOG10_E)[0], prior)
     p_delta = posterior_from_log10_lr(clamp_log10_lr(
-        log_lr_batch(SystemId.CSSLR, batch.x_mean, batch.y_mean, world) * LOG10_E)[0], prior)
+        log_lr_batch(SystemId.CSSLR, batch.x, batch.y, world) * LOG10_E)[0], prior)
 
     lhs = scores_batch(rule, p_delta, is_h1)
     all_h1 = np.ones(n_samples, dtype=bool)

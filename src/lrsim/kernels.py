@@ -1,46 +1,26 @@
-"""Counter-based random number kernels with two interchangeable backends.
+"""Counter-based SplitMix64 streams for the sampling oracle.
 
-Every random draw in this package is addressed, not sequenced: a draw is a
-pure function of (stream key, slot index). Stream keys are derived from a
-master seed plus a stream index with SplitMix64 mixing, so any case, path or
-bootstrap replicate can be regenerated in isolation and generation order is
-irrelevant.
-
-Two implementations of the hot kernels exist: a numba-jitted loop version and
-a vectorised pure-numpy version. The active one is picked at import time from
-the LRSIM_BACKEND environment variable ("numba" or "numpy"; default is numba
-when importable). Within a backend results are bit-reproducible; across
-backends they agree to ~1e-15 because the transcendental libraries differ in
-the last ulp.
+Every draw here is addressed, not sequenced: a draw is a pure function of
+(stream key, slot index). Stream keys are derived from a master seed plus a
+stream index with SplitMix64 mixing, so any path set or bootstrap replicate
+can be regenerated in isolation and generation order is irrelevant. Case
+generation draws from numpy's Philox instead (see lrsim.genmodel).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "ACTIVE_BACKEND",
-    "HAS_NUMBA",
-    "active",
-    "available_backends",
-    "get_impl",
-    "stream_key",
-    "stream_keys",
-]
+__all__ = ["ACTIVE_BACKEND", "normals", "stream_key"]
+
+# Recorded in the benchmark's run metadata by perfbench/probe.py.
+ACTIVE_BACKEND = "numpy"
 
 _GOLD = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD6E8FEB86659FD93
 _U64 = (1 << 64) - 1
-
-# Word layout of one case stream. Slot 0 holds the truth uniform; normal j
-# consumes words 1 + 2j and 2 + 2j. Normals are ordered: suspect source,
-# alternative trace source, trace measurements, reference measurements.
-CASE_SLOT_TRUTH = 0
-CASE_FIRST_NORMAL_WORD = 1
 
 
 def _mix64_int(z: int) -> int:
@@ -51,22 +31,6 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream_key(master_seed: int, index: int) -> np.uint64:
-    """Derive the 64-bit key of stream `index` under `master_seed`."""
-    a = _mix64_int((int(master_seed) + _GOLD) & _U64)
-    b = _mix64_int((int(index) + _STREAM_SALT) & _U64)
-    return np.uint64(_mix64_int(a ^ b))
-
-
-def stream_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vector version of stream_key for an array of stream indices."""
-    a = np.uint64(_mix64_int((int(master_seed) + _GOLD) & _U64))
-    idx = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        b = _mix_u64(idx + np.uint64(_STREAM_SALT))
-        return _mix_u64(a ^ b)
-
-
 def _mix_u64(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -74,245 +38,22 @@ def _mix_u64(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
+def stream_key(master_seed: int, index: int) -> np.uint64:
+    """Derive the 64-bit key of stream `index` under `master_seed`."""
+    a = _mix64_int((int(master_seed) + _GOLD) & _U64)
+    b = _mix64_int((int(index) + _STREAM_SALT) & _U64)
+    return np.uint64(_mix64_int(a ^ b))
 
 
-class NumpyImpl:
-    """Vectorised pure-numpy implementation of the hot kernels."""
-
-    name = "numpy"
-
-    @staticmethod
-    def words(key: np.uint64, start: int, n: int) -> np.ndarray:
-        """Raw 64-bit words at slots start .. start+n-1 of the stream."""
-        idx = np.arange(int(start) + 1, int(start) + 1 + int(n), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix_u64(np.uint64(key) + idx * np.uint64(_GOLD))
-
-    @staticmethod
-    def uniforms(key: np.uint64, start: int, n: int) -> np.ndarray:
-        """Open-interval (0, 1) uniforms, one word per value."""
-        w = NumpyImpl.words(key, start, n)
-        return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-    @staticmethod
-    def normals(key: np.uint64, start: int, n: int) -> np.ndarray:
-        """Standard normals; normal j consumes words start+2j and start+2j+1."""
-        w = NumpyImpl.words(key, start, 2 * int(n))
-        u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        u2 = ((w[1::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-    @staticmethod
-    def case_batch(
-        keys: np.ndarray,
-        n_trace: int,
-        n_ref: int,
-        mu_c: float,
-        tau_c: float,
-        mu_d: float,
-        tau_d: float,
-        mu_t: float,
-        tau_t: float,
-        sigma: float,
-        prior_h1: float,
-        force_truth: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Generate one case per key. force_truth: -1 random, 0 all H2, 1 all H1.
-
-        Returns (truth_h1, theta_r, theta_trace, x, y). theta_trace is the
-        source mean the trace measurements were drawn from (equals theta_r
-        under H1). The alternative-source normal is consumed under both
-        hypotheses so the word layout never depends on the truth draw.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = keys.shape[0]
-
-        def word(slot: int) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                return _mix_u64(keys + np.uint64((slot + 1) * _GOLD & _U64))
-
-        def unit(w: np.ndarray) -> np.ndarray:
-            return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-        def normal(j: int) -> np.ndarray:
-            base = CASE_FIRST_NORMAL_WORD + 2 * j
-            u1 = unit(word(base))
-            u2 = unit(word(base + 1))
-            return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-        u_truth = unit(word(CASE_SLOT_TRUTH))
-        if force_truth == 1:
-            truth_h1 = np.ones(n, dtype=np.uint8)
-        elif force_truth == 0:
-            truth_h1 = np.zeros(n, dtype=np.uint8)
-        else:
-            truth_h1 = (u_truth < prior_h1).astype(np.uint8)
-        is_h1 = truth_h1.astype(bool)
-
-        z_r = normal(0)
-        z_alt = normal(1)
-        theta_r = np.where(is_h1, mu_c + tau_c * z_r, mu_d + tau_d * z_r)
-        theta_alt = mu_t + tau_t * z_alt
-        theta_trace = np.where(is_h1, theta_r, theta_alt)
-
-        x = np.empty((n, n_trace), dtype=np.float64)
-        for j in range(n_trace):
-            x[:, j] = theta_trace + sigma * normal(2 + j)
-        y = np.empty((n, n_ref), dtype=np.float64)
-        for j in range(n_ref):
-            y[:, j] = theta_r + sigma * normal(2 + n_trace + j)
-        return truth_h1, theta_r, theta_trace, x, y
+def _unit(w: np.ndarray) -> np.ndarray:
+    """Open-interval (0, 1) uniforms from the top 53 bits of each word."""
+    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-
-HAS_NUMBA = False
-NumbaImpl = None
-
-if os.environ.get("LRSIM_BACKEND", "").lower() != "numpy":
-    try:
-        import numba
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_mix(z):
-        z = (z ^ (z >> numba.uint64(30))) * numba.uint64(_MIX1)
-        z = (z ^ (z >> numba.uint64(27))) * numba.uint64(_MIX2)
-        return z ^ (z >> numba.uint64(31))
-
-    @njit(cache=True)
-    def _nb_word(key, slot):
-        return _nb_mix(key + numba.uint64(slot + 1) * numba.uint64(_GOLD))
-
-    @njit(cache=True)
-    def _nb_unit(w):
-        return (np.float64(w >> numba.uint64(11)) + 0.5) * 2.0**-53
-
-    @njit(cache=True)
-    def _nb_normal(key, word_base):
-        u1 = _nb_unit(_nb_word(key, word_base))
-        u2 = _nb_unit(_nb_word(key, word_base + 1))
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-    @njit(cache=True)
-    def _nb_words(key, start, n):
-        out = np.empty(n, dtype=np.uint64)
-        for i in range(n):
-            out[i] = _nb_word(key, start + i)
-        return out
-
-    @njit(cache=True)
-    def _nb_uniforms(key, start, n):
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = _nb_unit(_nb_word(key, start + i))
-        return out
-
-    @njit(cache=True)
-    def _nb_normals(key, start, n):
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = _nb_normal(key, start + 2 * i)
-        return out
-
-    @njit(cache=True)
-    def _nb_case_batch(keys, n_trace, n_ref, mu_c, tau_c, mu_d, tau_d,
-                       mu_t, tau_t, sigma, prior_h1, force_truth):
-        n = keys.shape[0]
-        truth_h1 = np.empty(n, dtype=np.uint8)
-        theta_r = np.empty(n, dtype=np.float64)
-        theta_trace = np.empty(n, dtype=np.float64)
-        x = np.empty((n, n_trace), dtype=np.float64)
-        y = np.empty((n, n_ref), dtype=np.float64)
-        for i in range(n):
-            key = keys[i]
-            u = _nb_unit(_nb_word(key, CASE_SLOT_TRUTH))
-            if force_truth == 1:
-                h1 = True
-            elif force_truth == 0:
-                h1 = False
-            else:
-                h1 = u < prior_h1
-            truth_h1[i] = 1 if h1 else 0
-            z_r = _nb_normal(key, CASE_FIRST_NORMAL_WORD)
-            z_alt = _nb_normal(key, CASE_FIRST_NORMAL_WORD + 2)
-            if h1:
-                th_r = mu_c + tau_c * z_r
-            else:
-                th_r = mu_d + tau_d * z_r
-            th_alt = mu_t + tau_t * z_alt
-            th_tr = th_r if h1 else th_alt
-            theta_r[i] = th_r
-            theta_trace[i] = th_tr
-            for j in range(n_trace):
-                x[i, j] = th_tr + sigma * _nb_normal(
-                    key, CASE_FIRST_NORMAL_WORD + 2 * (2 + j))
-            for j in range(n_ref):
-                y[i, j] = th_r + sigma * _nb_normal(
-                    key, CASE_FIRST_NORMAL_WORD + 2 * (2 + n_trace + j))
-        return truth_h1, theta_r, theta_trace, x, y
-
-    class NumbaImpl:  # noqa: F811
-        """numba-jitted implementation of the hot kernels."""
-
-        name = "numba"
-
-        @staticmethod
-        def words(key, start, n):
-            return _nb_words(np.uint64(key), int(start), int(n))
-
-        @staticmethod
-        def uniforms(key, start, n):
-            return _nb_uniforms(np.uint64(key), int(start), int(n))
-
-        @staticmethod
-        def normals(key, start, n):
-            return _nb_normals(np.uint64(key), int(start), int(n))
-
-        @staticmethod
-        def case_batch(keys, n_trace, n_ref, mu_c, tau_c, mu_d, tau_d,
-                       mu_t, tau_t, sigma, prior_h1, force_truth):
-            return _nb_case_batch(
-                np.asarray(keys, dtype=np.uint64), int(n_trace), int(n_ref),
-                float(mu_c), float(tau_c), float(mu_d), float(tau_d),
-                float(mu_t), float(tau_t), float(sigma), float(prior_h1),
-                int(force_truth))
-
-
-def available_backends() -> dict[str, object]:
-    out: dict[str, object] = {"numpy": NumpyImpl}
-    if HAS_NUMBA:
-        out["numba"] = NumbaImpl
-    return out
-
-
-def get_impl(name: str):
-    """Fetch a backend by name, raising on unknown or unavailable ones."""
-    backends = available_backends()
-    if name not in backends:
-        raise ValueError(
-            f"backend {name!r} not available; choose from {sorted(backends)}")
-    return backends[name]
-
-
-_requested = os.environ.get("LRSIM_BACKEND", "").lower()
-if _requested in ("", "auto"):
-    ACTIVE_BACKEND = "numba" if HAS_NUMBA else "numpy"
-elif _requested in ("numba", "numpy"):
-    if _requested == "numba" and not HAS_NUMBA:
-        raise ImportError("LRSIM_BACKEND=numba but numba could not be imported")
-    ACTIVE_BACKEND = _requested
-else:
-    raise ValueError(
-        f"unrecognised LRSIM_BACKEND={_requested!r}; use 'numba' or 'numpy'")
-
-active = get_impl(ACTIVE_BACKEND)
+def normals(key: np.uint64, start: int, n: int) -> np.ndarray:
+    """Box-Muller standard normals; normal j consumes the 64-bit words at
+    slots start+2j and start+2j+1 of the stream."""
+    idx = np.arange(int(start) + 1, int(start) + 1 + 2 * int(n), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        w = _mix_u64(np.uint64(key) + idx * np.uint64(_GOLD))
+    return np.sqrt(-2.0 * np.log(_unit(w[0::2]))) * np.cos(2.0 * np.pi * _unit(w[1::2]))

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .genmodel import CaseRecord, ConfigError, ScoreKind, WorldConfig
+from .genmodel import ConfigError, ScoreKind, WorldConfig
 
 __all__ = [
     "AnchorKind",
@@ -42,12 +42,10 @@ __all__ = [
     "SystemId",
     "anchor_log_lr_batch",
     "anchor_lr",
-    "case_view",
     "clamp_log10_lr",
     "compute_score",
     "discrete_profile_lr",
     "evaluate",
-    "joint_feature_log_lr",
     "log_lr_batch",
     "posterior_from_log10_lr",
     "posterior_from_lr",
@@ -137,15 +135,6 @@ def compute_score(x_mean: float, y_mean: float, kind: ScoreKind) -> Score:
     if kind is ScoreKind.AbsoluteDifference:
         d = abs(d)
     return Score(kind=kind, delta=d)
-
-
-def case_view(case: CaseRecord, known_source: bool) -> CaseView:
-    """Project a CaseRecord onto what an evaluator is allowed to see."""
-    return CaseView(
-        x_mean=case.x_mean,
-        y_mean=case.y_mean,
-        theta_r=case.r.theta if known_source else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +279,15 @@ def log_lr_batch(
     return fn(xb, yb, th, world)
 
 
-def _as_view(case: CaseRecord | CaseView, known_source: bool) -> CaseView:
-    if isinstance(case, CaseView):
-        return case
-    return case_view(case, known_source=known_source)
-
-
 def _result(system: SystemId, log_lr: float) -> LrResult:
     ll = float(log_lr)
     return LrResult(system=system, lr=math.exp(ll), log10_lr=ll * LOG10_E)
 
 
-def evaluate(system: SystemId, case: CaseRecord | CaseView, world: WorldConfig) -> LrResult:
+def evaluate(system: SystemId, view: CaseView, world: WorldConfig) -> LrResult:
     """Scalar LR of one system on one case."""
     if system is SystemId.PriorOnly:
         return LrResult(system=system, lr=1.0, log10_lr=0.0)
-    view = _as_view(case, known_source=system in SPECIFIC_SOURCE)
     th = None
     if system in SPECIFIC_SOURCE:
         if view.theta_r is None:
@@ -318,18 +300,8 @@ def evaluate(system: SystemId, case: CaseRecord | CaseView, world: WorldConfig) 
     return _result(system, ll)
 
 
-def ssflr(case, world): return evaluate(SystemId.SSFLR, case, world)
-def csflr(case, world): return evaluate(SystemId.CSFLR, case, world)
-def ssslr(case, world): return evaluate(SystemId.SSSLR, case, world)
-def csslr(case, world): return evaluate(SystemId.CSSLR, case, world)
-def ssyaslr(case, world): return evaluate(SystemId.SSYASLR, case, world)
-def csyaslr(case, world): return evaluate(SystemId.CSYASLR, case, world)
-def ssxaslr(case, world): return evaluate(SystemId.SSXASLR, case, world)
-def csxaslr(case, world): return evaluate(SystemId.CSXASLR, case, world)
-
-
 # ---------------------------------------------------------------------------
-# anchors, joints, posteriors
+# anchors and posteriors
 
 def anchor_log_lr_batch(values: np.ndarray, kind: AnchorKind, world: WorldConfig) -> np.ndarray:
     """Log LR carried by the anchor observation itself.
@@ -352,11 +324,6 @@ def anchor_log_lr_batch(values: np.ndarray, kind: AnchorKind, world: WorldConfig
 
 def anchor_lr(anchor_value: float, kind: AnchorKind, world: WorldConfig) -> float:
     return float(np.exp(anchor_log_lr_batch(np.float64(anchor_value), kind, world)))
-
-
-def joint_feature_log_lr(x_mean, y_mean, world: WorldConfig) -> np.ndarray:
-    """Log LR of the full evidence pair; the common-source joint closed form."""
-    return log_lr_batch(SystemId.CSFLR, x_mean, y_mean, world)
 
 
 def posterior_from_lr(lr: float, prior_h1: float) -> float:

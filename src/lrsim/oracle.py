@@ -27,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .genmodel import CaseRecord, ScoreKind, WorldConfig
+from .genmodel import ScoreKind, WorldConfig
 from .kernels import stream_key
 from .lrsystems import (
     CaseView,
     PathOracleConfig,
     SystemId,
-    case_view,
     evaluate,
     SPECIFIC_SOURCE,
 )
@@ -80,7 +79,7 @@ class OracleComparison:
 
 def _normal_fields(key: np.uint64, n: int, k: int) -> list[np.ndarray]:
     """k independent arrays of n standard normals from one stream."""
-    return [kernels.active.normals(key, 2 * n * i, n) for i in range(k)]
+    return [kernels.normals(key, 2 * n * i, n) for i in range(k)]
 
 
 def _term_samples(system: SystemId, term: str, view: CaseView,
@@ -257,15 +256,13 @@ def _estimate_term(system, term, view, world, cfg, key) -> _TermEstimate:
 
 def path_oracle(
     system: SystemId,
-    case: CaseRecord | CaseView,
+    view: CaseView,
     world: WorldConfig,
     cfg: PathOracleConfig | None = None,
     seed: int = 0,
 ) -> OracleEstimate:
     """Monte Carlo estimate of one system's LR on one case, with SE."""
     cfg = (cfg or PathOracleConfig()).validate()
-    view = case if isinstance(case, CaseView) else case_view(
-        case, known_source=system in SPECIFIC_SOURCE)
     if system in SPECIFIC_SOURCE and view.theta_r is None:
         raise ValueError(f"{system.value} oracle requires theta_r in the view")
     if system is SystemId.PriorOnly:
@@ -296,9 +293,9 @@ def path_oracle(
         accepted_den=den.accepted)
 
 
-def path_oracle_lr(system, case, world, cfg=None, seed: int = 0) -> float:
+def path_oracle_lr(system, view, world, cfg=None, seed: int = 0) -> float:
     """Plain LR value from the sampling-path oracle."""
-    return path_oracle(system, case, world, cfg, seed).lr
+    return path_oracle(system, view, world, cfg, seed).lr
 
 
 def compare_closed_vs_oracle(

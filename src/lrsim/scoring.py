@@ -57,7 +57,7 @@ IMPROPER_TABLE = {
 def scores_batch(rule: ScoringRule, stated_p: np.ndarray, is_h1: np.ndarray) -> np.ndarray:
     """Score arrays of stated P(H1) against realised hypotheses."""
     p = np.asarray(stated_p, dtype=np.float64)
-    if np.any((p < 0.0) | (p > 1.0)):
+    if np.any(~((p >= 0.0) & (p <= 1.0))):  # also catches NaN
         raise ConfigError("stated probabilities must lie in [0, 1]")
     h1 = np.asarray(is_h1, dtype=bool)
     q = np.where(h1, p, 1.0 - p)  # probability assigned to what happened

@@ -29,6 +29,10 @@ def make_world(**overrides) -> WorldConfig:
     return WorldConfig(**base).validate()
 
 
+def case_columns(batch) -> tuple:
+    return (batch.truth_h1, batch.theta_r, batch.theta_trace, batch.x, batch.y)
+
+
 def packaged_world(name: str) -> WorldConfig:
     doc = json.loads(resources.files("lrsim.data").joinpath(name).read_text())
     return world_from_json_dict(doc)

@@ -60,7 +60,7 @@ def test_ranking_claims_hold_across_seeds_and_rules():
 def test_trace_anchored_ss_system_is_unit():
     world = default_world()
     batch = generate_cases(world, 0, 10_000)
-    loglr = log_lr_batch(SystemId.SSXASLR, batch.x_mean, batch.y_mean, world,
+    loglr = log_lr_batch(SystemId.SSXASLR, batch.x, batch.y, world,
                          theta_r=batch.theta_r)
     exact = bool(np.all(loglr == 0.0))
     view = default_evidence_grid(SystemId.SSXASLR, world)[4]
@@ -95,12 +95,12 @@ def test_closed_forms_match_sampling_oracle():
 def test_anchored_lr_times_anchor_lr_is_joint_lr():
     world = packaged_world("illcond_world.json")
     batch = generate_cases(world, 3, 100)
-    joint = log_lr_batch(SystemId.CSFLR, batch.x_mean, batch.y_mean, world)
+    joint = log_lr_batch(SystemId.CSFLR, batch.x, batch.y, world)
     worst = 0.0
     for system, kind, obs in (
-            (SystemId.CSYASLR, AnchorKind.Y, batch.y_mean),
-            (SystemId.CSXASLR, AnchorKind.X, batch.x_mean)):
-        own = log_lr_batch(system, batch.x_mean, batch.y_mean, world)
+            (SystemId.CSYASLR, AnchorKind.Y, batch.y),
+            (SystemId.CSXASLR, AnchorKind.X, batch.x)):
+        own = log_lr_batch(system, batch.x, batch.y, world)
         anchor = anchor_log_lr_batch(obs, kind, world)
         worst = max(worst, float(np.max(np.abs(np.expm1(own + anchor - joint)))))
     rep = ill_conditioning_experiment(world, n_cases=20_000, master_seed=0)

@@ -74,6 +74,25 @@ def test_negative_seed_rejected(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_seed_beyond_64_bits_rejected(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "rank", "--seed", str(2**64), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [("n_trace", 1.7), ("n_ref", True),
+                                         ("n_trace", "2")])
+def test_measurement_counts_must_be_json_integers(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, dict(DEFAULT_WORLD_DOC, **{field: value}))
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "rank", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
 def test_bad_demand_range_is_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "demand", "--lr-min", "2.0",
                        "--out", str(tmp_path / "o"))

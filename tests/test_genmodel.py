@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lrsim.genmodel import (
-    CaseStream,
     ConfigError,
     Hypothesis,
     NoiseModel,
@@ -12,14 +11,13 @@ from lrsim.genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
-    generate_case,
     generate_cases,
     load_world,
     with_population,
     world_from_json_dict,
     world_to_json_dict,
 )
-from tests.conftest import make_world
+from tests.conftest import case_columns, make_world
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +70,16 @@ def test_mean_variances():
 # ---------------------------------------------------------------------------
 # generation
 
-def test_batch_matches_single_case_exactly():
-    w = make_world(n_trace=2, n_ref=3)
-    batch = generate_cases(w, master_seed=7, n_cases=10)
-    for i in (0, 3, 9):
-        rec = generate_case(w, CaseStream.for_case(7, i))
-        got = batch.record(i)
-        assert got.truth == rec.truth
-        assert got.r.theta == rec.r.theta
-        assert got.trace_source.theta == rec.trace_source.theta
-        assert got.x == rec.x
-        assert got.y == rec.y
-
-
 def test_case_independent_of_batch_size():
+    # cases are drawn in chunks of 2^16; the runs below end in the first
+    # chunk, just past the boundary, and further into the second chunk
     w = make_world()
-    small = generate_cases(w, master_seed=1, n_cases=5)
-    large = generate_cases(w, master_seed=1, n_cases=500)
-    np.testing.assert_array_equal(small.x_mean, large.x_mean[:5])
-    np.testing.assert_array_equal(small.truth_h1, large.truth_h1[:5])
+    small = case_columns(generate_cases(w, master_seed=1, n_cases=5))
+    mid = case_columns(generate_cases(w, master_seed=1, n_cases=2**16 + 3))
+    large = case_columns(generate_cases(w, master_seed=1, n_cases=2**16 + 500))
+    for s, m, g in zip(small, mid, large):
+        np.testing.assert_array_equal(s, g[:5])
+        np.testing.assert_array_equal(m, g[:2**16 + 3])
 
 
 def test_truth_fraction_tracks_prior():
@@ -103,7 +92,7 @@ def test_h1_difference_variance():
     w = make_world()
     batch = generate_cases(w, master_seed=3, n_cases=100_000,
                            force_truth=Hypothesis.H1)
-    d = batch.x_mean - batch.y_mean
+    d = batch.x - batch.y
     assert abs(d.mean()) < 0.01
     assert abs(d.var() - 0.5) < 0.01   # sigma^2/n_trace + sigma^2/n_ref
 
@@ -112,8 +101,22 @@ def test_h2_trace_marginal():
     w = make_world()
     batch = generate_cases(w, master_seed=3, n_cases=100_000,
                            force_truth=Hypothesis.H2)
-    assert abs(batch.x_mean.mean() - 1.0) < 0.02
-    assert abs(batch.x_mean.var() - 1.25) < 0.02  # tau_T^2 + sigma^2
+    assert abs(batch.x.mean() - 1.0) < 0.02
+    assert abs(batch.x.var() - 1.25) < 0.02  # tau_T^2 + sigma^2
+
+
+def test_measurement_means_have_reduced_variance():
+    w = make_world(n_trace=4, n_ref=16)
+    batch = generate_cases(w, master_seed=2, n_cases=200_000)
+    sigma2 = w.noise.sigma**2
+    assert abs((batch.x - batch.theta_trace).var() / (sigma2 / 4) - 1.0) < 0.01
+    assert abs((batch.y - batch.theta_r).var() / (sigma2 / 16) - 1.0) < 0.01
+
+
+def test_memory_does_not_grow_with_measurement_counts():
+    batch = generate_cases(make_world(n_ref=10**6), master_seed=0, n_cases=1000)
+    for column in case_columns(batch):
+        assert column.shape == (1000,)
 
 
 def test_force_truth_rejects_raw_ints():

@@ -1,24 +1,8 @@
 import numpy as np
-import pytest
 
-from lrsim import kernels
-from lrsim.kernels import (
-    NumpyImpl,
-    available_backends,
-    get_impl,
-    stream_key,
-    stream_keys,
-)
-
-BACKENDS = sorted(available_backends())
-NEEDS_NUMBA = pytest.mark.skipif("numba" not in BACKENDS,
-                                 reason="numba backend not importable")
-
-
-def _case_args(n, n_trace=1, n_ref=1, prior=0.5, force=-1):
-    keys = stream_keys(0, np.arange(n, dtype=np.uint64))
-    return (keys, n_trace, n_ref, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.5,
-            prior, force)
+from lrsim.genmodel import Hypothesis, generate_cases
+from lrsim.kernels import normals, stream_key
+from tests.conftest import case_columns, make_world
 
 
 def test_stream_key_depends_on_seed_and_index():
@@ -27,16 +11,9 @@ def test_stream_key_depends_on_seed_and_index():
     assert stream_key(8, 3) != stream_key(7, 3)
 
 
-def test_stream_keys_matches_scalar():
-    idx = np.arange(100, dtype=np.uint64)
-    vec = stream_keys(42, idx)
-    for i in (0, 1, 57, 99):
-        assert vec[i] == stream_key(42, i)
-
-
 def test_stream_keys_spread():
     # a counter RNG must not leave obvious structure between adjacent keys
-    keys = stream_keys(0, np.arange(10_000, dtype=np.uint64))
+    keys = np.array([stream_key(0, i) for i in range(10_000)], dtype=np.uint64)
     assert len(np.unique(keys)) == 10_000
     top_byte = (keys >> np.uint64(56)).astype(np.int64)
     counts = np.bincount(top_byte, minlength=256)
@@ -44,24 +21,16 @@ def test_stream_keys_spread():
 
 
 def test_words_are_slot_addressable():
+    # normal j of a call at word slot s is normal j + s/2 of a call at 0
     key = stream_key(3, 11)
-    whole = NumpyImpl.words(key, 0, 16)
-    part = NumpyImpl.words(key, 5, 3)
+    whole = normals(key, 0, 16)
+    part = normals(key, 10, 3)
     np.testing.assert_array_equal(part, whole[5:8])
-
-
-def test_uniforms_open_interval_and_moments():
-    key = stream_key(1, 0)
-    u = NumpyImpl.uniforms(key, 0, 200_000)
-    assert u.min() > 0.0
-    assert u.max() < 1.0
-    assert abs(u.mean() - 0.5) < 0.005
-    assert abs(u.var() - 1.0 / 12.0) < 0.002
 
 
 def test_normals_moments():
     key = stream_key(9, 0)
-    z = NumpyImpl.normals(key, 0, 200_000)
+    z = normals(key, 0, 200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.02
     assert abs(np.mean(z**3)) < 0.03            # symmetry
@@ -69,16 +38,17 @@ def test_normals_moments():
 
 
 def test_case_batch_truth_prior():
-    truth, *_ = NumpyImpl.case_batch(*_case_args(100_000, prior=0.3))
-    assert abs(truth.mean() - 0.3) < 0.01
+    batch = generate_cases(make_world(prior_h1=0.3), 0, 100_000)
+    assert abs(batch.truth_h1.mean() - 0.3) < 0.01
 
 
 def test_case_batch_forced_truth_rows_match_random_run():
-    # forcing a hypothesis must not shift any downstream draw: rows whose
-    # random truth already equals the forced one are bitwise unchanged
-    rand = NumpyImpl.case_batch(*_case_args(5_000, force=-1))
-    h1 = NumpyImpl.case_batch(*_case_args(5_000, force=1))
-    h2 = NumpyImpl.case_batch(*_case_args(5_000, force=0))
+    # forcing a hypothesis must not shift any other draw: rows whose random
+    # truth already equals the forced one are bitwise unchanged
+    w = make_world()
+    rand = case_columns(generate_cases(w, 0, 5_000))
+    h1 = case_columns(generate_cases(w, 0, 5_000, force_truth=Hypothesis.H1))
+    h2 = case_columns(generate_cases(w, 0, 5_000, force_truth=Hypothesis.H2))
     assert h1[0].all() and not h2[0].any()
     mask1 = rand[0] == 1
     for field in range(1, 5):
@@ -87,44 +57,12 @@ def test_case_batch_forced_truth_rows_match_random_run():
 
 
 def test_case_batch_h1_means():
-    truth, theta_r, theta_t, x, y = NumpyImpl.case_batch(
-        *_case_args(200_000, n_trace=2, n_ref=3))
-    is_h1 = truth.astype(bool)
+    batch = generate_cases(make_world(n_trace=2, n_ref=3), 0, 200_000)
+    is_h1 = batch.truth_h1.astype(bool)
     # under H1 the trace really comes from the suspect source
-    np.testing.assert_array_equal(theta_t[is_h1], theta_r[is_h1])
-    assert abs(x[is_h1].mean(axis=1).mean() - theta_r[is_h1].mean()) < 0.01
+    np.testing.assert_array_equal(batch.theta_trace[is_h1], batch.theta_r[is_h1])
+    assert abs(batch.x[is_h1].mean() - batch.theta_r[is_h1].mean()) < 0.01
     # under H2 the trace population is distinct (mu 1 here)
-    assert abs(x[~is_h1].mean() - 1.0) < 0.01
-    assert abs(theta_r.std() - 1.0) < 0.01
-    assert x.shape == (200_000, 2)
-    assert y.shape == (200_000, 3)
-
-
-@NEEDS_NUMBA
-def test_backends_agree():
-    args = _case_args(20_000, n_trace=2, n_ref=2)
-    a = get_impl("numpy").case_batch(*args)
-    b = get_impl("numba").case_batch(*args)
-    np.testing.assert_array_equal(a[0], b[0])
-    for field in range(1, 5):
-        np.testing.assert_allclose(a[field], b[field], rtol=0, atol=1e-12)
-
-
-@NEEDS_NUMBA
-def test_backend_scalar_streams_agree():
-    key = stream_key(5, 123)
-    nb = get_impl("numba")
-    np.testing.assert_array_equal(NumpyImpl.words(key, 0, 64),
-                                  nb.words(key, 0, 64))
-    np.testing.assert_allclose(NumpyImpl.normals(key, 1, 63),
-                               nb.normals(key, 1, 63), rtol=0, atol=1e-13)
-
-
-def test_get_impl_rejects_unknown():
-    with pytest.raises(ValueError):
-        get_impl("fortran")
-
-
-def test_numpy_backend_always_available():
-    assert "numpy" in available_backends()
-    assert kernels.ACTIVE_BACKEND in available_backends()
+    assert abs(batch.x[~is_h1].mean() - 1.0) < 0.01
+    assert abs(batch.theta_r.std() - 1.0) < 0.01
+    assert batch.x.shape == batch.y.shape == (200_000,)

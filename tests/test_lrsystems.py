@@ -23,7 +23,6 @@ from lrsim.lrsystems import (
     SystemId,
     anchor_log_lr_batch,
     anchor_lr,
-    case_view,
     clamp_log10_lr,
     compute_score,
     discrete_profile_lr,
@@ -37,7 +36,7 @@ from tests.conftest import make_world
 
 def _views(world, n, seed=0):
     batch = generate_cases(world, seed, n)
-    return batch.x_mean, batch.y_mean, batch.theta_r
+    return batch.x, batch.y, batch.theta_r
 
 
 def _log10(system, x, y, world, theta=None):
@@ -186,8 +185,8 @@ def test_reference_anchored_cs_approaches_ss_with_many_reference_measurements():
     for n_ref in (2_500, 250_000):
         w = make_world(n_ref=n_ref)
         batch = generate_cases(w, 5, 200)
-        cs = _log10(SystemId.CSYASLR, batch.x_mean, batch.y_mean, w)
-        ss = _log10(SystemId.SSYASLR, batch.x_mean, batch.y_mean, w,
+        cs = _log10(SystemId.CSYASLR, batch.x, batch.y, w)
+        ss = _log10(SystemId.SSYASLR, batch.x, batch.y, w,
                     batch.theta_r)
         gaps.append(np.abs(cs - ss).max())
     assert gaps[0] < 0.2
@@ -228,17 +227,14 @@ def test_prior_only_is_unit_lr():
     assert np.all(log_lr_batch(SystemId.PriorOnly, x, y, w) == 0.0)
 
 
-def test_evaluate_on_case_record():
+def test_evaluate_on_case_view():
     w = make_world()
     batch = generate_cases(w, 8, 3)
-    rec = batch.record(1)
-    res = evaluate(SystemId.CSFLR, rec, w)
-    want = _log10(SystemId.CSFLR, np.array([rec.x_mean]),
-                  np.array([rec.y_mean]), w)[0]
+    view = CaseView(x_mean=float(batch.x[1]), y_mean=float(batch.y[1]))
+    res = evaluate(SystemId.CSFLR, view, w)
+    want = _log10(SystemId.CSFLR, batch.x[1:2], batch.y[1:2], w)[0]
     assert res.log10_lr == pytest.approx(want, rel=1e-12)
     assert res.lr == pytest.approx(10.0 ** want, rel=1e-12)
-    view = case_view(rec, known_source=False)
-    assert view.theta_r is None
     with pytest.raises(ConfigError):
         evaluate(SystemId.SSFLR, view, w)
 

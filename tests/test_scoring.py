@@ -83,6 +83,12 @@ def test_scores_batch_rejects_out_of_range():
         scores_batch(ScoringRule.Brier, np.array([-0.1]), np.array([True]))
 
 
+@pytest.mark.parametrize("rule", [ScoringRule.Logarithmic, ScoringRule.Brier])
+def test_scores_batch_rejects_nan(rule):
+    with pytest.raises(ConfigError):
+        scores_batch(rule, np.array([0.5, np.nan]), np.array([True, False]))
+
+
 # ---------------------------------------------------------------------------
 # honesty
 
