@@ -43,6 +43,7 @@ from .oracle import (
     InsufficientPathsError,
     OracleComparison,
     OracleEstimate,
+    PathBank,
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,
@@ -96,6 +97,7 @@ __all__ = [
     "NoiseModel",
     "OracleComparison",
     "OracleEstimate",
+    "PathBank",
     "PathOracleConfig",
     "PopulationModel",
     "ProfileMode",

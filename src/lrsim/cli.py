@@ -48,7 +48,7 @@ from .harness import (
     total_expectation_check,
 )
 from .lrsystems import NONTRIVIAL, PathOracleConfig, SystemId
-from .oracle import compare_closed_vs_oracle, default_evidence_grid
+from .oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid
 from .scoring import ScoringRule
 
 _RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}
@@ -66,6 +66,13 @@ def default_world() -> WorldConfig:
     doc = json.loads(
         resources.files("lrsim.data").joinpath("default_world.json").read_text())
     return world_from_json_dict(doc)
+
+
+def _n_cases(args, settings: dict) -> int:
+    """--cases if given, else the config's n_cases, else the default."""
+    if args.cases is not None:
+        return args.cases
+    return settings.get("n_cases", _CASE_DEFAULTS[args.command])
 
 
 def _load_config(path: str | None) -> tuple[WorldConfig, dict]:
@@ -93,7 +100,9 @@ def _load_config(path: str | None) -> tuple[WorldConfig, dict]:
     world = world_from_json_dict(doc["world"], path=f"{path}: world")
     settings = {}
     if "n_cases" in doc:
-        if not isinstance(doc["n_cases"], int) or doc["n_cases"] < 1:
+        n_cases = doc["n_cases"]
+        if (isinstance(n_cases, bool) or not isinstance(n_cases, int)
+                or n_cases < 1):
             raise ConfigError(f"{path}: n_cases must be a positive integer")
         settings["n_cases"] = doc["n_cases"]
     if "rule" in doc:
@@ -241,7 +250,7 @@ def _cmd_rank(args, out: _Outputs) -> int:
         systems=settings.get("systems", ALL_SYSTEMS),
         rule=_RULES[args.rule] if args.rule else settings.get(
             "rule", ScoringRule.Logarithmic),
-        n_cases=args.cases or settings.get("n_cases", _CASE_DEFAULTS["rank"]),
+        n_cases=_n_cases(args, settings),
         master_seed=args.seed,
     )
     report = run_experiment(cfg)
@@ -268,7 +277,7 @@ def _cmd_illcond(args, out: _Outputs) -> int:
     world, settings = _load_config(args.config)
     rule = _RULES[args.rule] if args.rule else settings.get(
         "rule", ScoringRule.Logarithmic)
-    n = args.cases or settings.get("n_cases", _CASE_DEFAULTS["illcond"])
+    n = _n_cases(args, settings)
     rep = ill_conditioning_experiment(world, n_cases=n,
                                       master_seed=args.seed, rule=rule)
     doc = {
@@ -303,7 +312,7 @@ def _cmd_csprior(args, out: _Outputs) -> int:
     world, settings = _load_config(args.config)
     rule = _RULES[args.rule] if args.rule else settings.get(
         "rule", ScoringRule.Logarithmic)
-    n = args.cases or settings.get("n_cases", _CASE_DEFAULTS["csprior"])
+    n = _n_cases(args, settings)
     rep = cs_update_ss_prior_experiment(world, n_cases=n,
                                         master_seed=args.seed, rule=rule)
     doc = {
@@ -339,7 +348,7 @@ def _cmd_csprior(args, out: _Outputs) -> int:
 
 def _cmd_tailbound(args, out: _Outputs) -> int:
     world, settings = _load_config(args.config)
-    n = args.cases or settings.get("n_cases", _CASE_DEFAULTS["tailbound"])
+    n = _n_cases(args, settings)
     systems = settings.get("systems", tuple(
         s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly))
     rows = []
@@ -408,8 +417,7 @@ def _cmd_calibrate(args, out: _Outputs) -> int:
         systems=settings.get("systems", ALL_SYSTEMS),
         rule=_RULES[args.rule] if args.rule else settings.get(
             "rule", ScoringRule.Logarithmic),
-        n_cases=args.cases or settings.get(
-            "n_cases", _CASE_DEFAULTS["calibrate"]),
+        n_cases=_n_cases(args, settings),
         master_seed=args.seed,
     )
     report = run_experiment(cfg)
@@ -441,13 +449,15 @@ def _cmd_calibrate(args, out: _Outputs) -> int:
 def _cmd_oracle_check(args, out: _Outputs) -> int:
     world, _ = _load_config(args.config)
     cfg = PathOracleConfig(n_paths=args.paths)
+    # every point reads the same paths: the grid draws each recipe once
+    bank = PathBank(world, args.seed, cfg.n_paths)
     rows = []
     all_ok = True
     for system in NONTRIVIAL:
         grid = default_evidence_grid(system, world)
         for i, view in enumerate(grid):
             comp = compare_closed_vs_oracle(system, view, world, cfg,
-                                            seed=args.seed + i)
+                                            seed=args.seed, bank=bank)
             all_ok &= comp.within_3se
             rows.append({
                 "system": system.value, "grid_index": i,
@@ -522,6 +532,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not 0 <= args.seed < 2**64:
         print("error: --seed must lie in [0, 2**64)", file=sys.stderr)
+        return 2
+    if getattr(args, "cases", None) is not None and args.cases < 1:
+        print("error: --cases must be an integer >= 1", file=sys.stderr)
         return 2
     out = _Outputs(Path(args.out), args.force)
     try:

@@ -236,11 +236,23 @@ def _check_keys(doc: dict, allowed: set[str], required: set[str], path: str) -> 
         raise ConfigError(f"missing key(s) {sorted(missing)} in {path}")
 
 
+def _number(doc: dict, key: str, path: str) -> float:
+    """doc[key] as a float; only a JSON number (not a bool or a string)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}.{key} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}.{key} is out of range: {value!r}") from None
+
+
 def _pop_from_dict(doc: dict, path: str) -> PopulationModel:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object with mu and tau")
     _check_keys(doc, _POP_KEYS, _POP_KEYS, path)
-    return PopulationModel(mu=float(doc["mu"]), tau=float(doc["tau"]))
+    return PopulationModel(mu=_number(doc, "mu", path),
+                           tau=_number(doc, "tau", path))
 
 
 def world_from_json_dict(doc: dict, path: str = "world") -> WorldConfig:
@@ -268,8 +280,8 @@ def world_from_json_dict(doc: dict, path: str = "world") -> WorldConfig:
         pop_c=_pop_from_dict(doc["popC"], f"{path}.popC"),
         pop_d=_pop_from_dict(doc["popD"], f"{path}.popD"),
         pop_t=_pop_from_dict(doc["popT"], f"{path}.popT"),
-        noise=NoiseModel(sigma=float(noise_doc["sigma"])),
-        prior_h1=float(doc["prior_h1"]),
+        noise=NoiseModel(sigma=_number(noise_doc, "sigma", f"{path}.noise")),
+        prior_h1=_number(doc, "prior_h1", path),
         scenario=scenario,
         score_kind=score_kind,
         n_trace=doc.get("n_trace", 1),

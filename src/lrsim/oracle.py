@@ -17,6 +17,10 @@ The ratio of the two density estimates is the oracle LR. It shares no code
 with the closed forms in lrsim.lrsystems, which is the point: the two
 routes validate each other. A block bootstrap over contiguous path blocks
 supplies the standard error of log10(LR).
+
+The paths come from a PathBank, which draws each of five recipes once per
+(world, seed, n_paths) and serves every system and evidence point from
+those draws (common random numbers).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .genmodel import ScoreKind, WorldConfig
 from .kernels import stream_key
 from .lrsystems import (
@@ -41,11 +44,18 @@ __all__ = [
     "InsufficientPathsError",
     "OracleComparison",
     "OracleEstimate",
+    "PathBank",
+    "RECIPES",
     "compare_closed_vs_oracle",
     "default_evidence_grid",
     "path_oracle",
     "path_oracle_lr",
 ]
+
+# The path recipes a PathBank draws; a recipe's stream index is its position.
+RECIPES = ("ss_num", "cs_num", "trace", "ss_ref", "cs_ref")
+_BOOTSTRAP_STREAM = 0xB007
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class InsufficientPathsError(RuntimeError):
@@ -77,94 +87,141 @@ class OracleComparison:
         return self.abs_diff_log10 < 3.0 * self.se_log10
 
 
-def _normal_fields(key: np.uint64, n: int, k: int) -> list[np.ndarray]:
-    """k independent arrays of n standard normals from one stream."""
-    return [kernels.normals(key, 2 * n * i, n) for i in range(k)]
+class PathBank:
+    """Simulated evidence paths of one (world, seed, n_paths).
+
+    Each recipe is drawn on first use from its own stream,
+    Philox(key=stream_key(seed, RECIPES.index(recipe))), source first and
+    measurement noise after, and is kept as read-only summed columns:
+
+    * ss_num: trace and reference offsets st*z, sr*z around a known theta_r;
+    * cs_num: x = r + st*z and y = r + sr*z around one source r = mc + tc*z;
+    * trace:  (mt + tt*z) + st*z, a trace mean from a popT source;
+    * ss_ref: sr*z, a reference offset around a known theta_r;
+    * cs_ref: (md + td*z) + sr*z, a reference mean from a popD source.
+
+    Within one system the numerator and the denominator read disjoint
+    recipes, so the two terms stay independent. Evidence points that share
+    a bank share their paths: each point's estimate and SE are valid alone,
+    but estimates of different points are correlated and must not be pooled
+    as independent.
+    """
+
+    def __init__(self, world: WorldConfig, seed: int, n_paths: int):
+        self.world = world
+        self.seed = int(seed)
+        self.n_paths = int(n_paths)
+        self._columns: dict[str, tuple[np.ndarray, ...]] = {}
+
+    def columns(self, recipe: str) -> tuple[np.ndarray, ...]:
+        """The recipe's columns, drawn the first time they are asked for."""
+        cols = self._columns.get(recipe)
+        if cols is None:
+            cols = self._columns[recipe] = self._draw(recipe)
+            for c in cols:
+                c.flags.writeable = False
+        return cols
+
+    def _draw(self, recipe: str) -> tuple[np.ndarray, ...]:
+        w, n = self.world, self.n_paths
+        gen = np.random.Generator(np.random.Philox(
+            key=int(stream_key(self.seed, RECIPES.index(recipe)))))
+
+        def normal(scale: float, loc: float = 0.0) -> np.ndarray:
+            z = gen.standard_normal(n)
+            z *= scale
+            z += loc
+            return z
+
+        st = w.noise.sigma / math.sqrt(w.n_trace)
+        sr = w.noise.sigma / math.sqrt(w.n_ref)
+        if recipe == "ss_num":
+            return normal(st), normal(sr)
+        if recipe == "cs_num":
+            r = normal(w.pop_c.tau, w.pop_c.mu)
+            x = normal(st)
+            x += r
+            y = normal(sr)
+            y += r
+            return x, y
+        if recipe == "ss_ref":
+            return (normal(sr),)
+        if recipe == "trace":
+            col = normal(w.pop_t.tau, w.pop_t.mu)
+            col += normal(st)
+        else:  # cs_ref
+            col = normal(w.pop_d.tau, w.pop_d.mu)
+            col += normal(sr)
+        return (col,)
+
+
+def _near(col: np.ndarray, centre: float, half_width: float) -> np.ndarray:
+    """Mask of the paths whose value lies within half_width of centre."""
+    inside = col >= centre - half_width
+    inside &= col <= centre + half_width
+    return inside
 
 
 def _term_samples(system: SystemId, term: str, view: CaseView,
-                  world: WorldConfig, cfg: PathOracleConfig, key: np.uint64):
-    """Run the generation recipe of one term.
+                  cfg: PathOracleConfig, bank: PathBank):
+    """Read one term's simulated evidence from the bank.
 
-    Returns ("xy", xb, yb) for feature systems or ("delta", deltas, accept)
-    where accept is a boolean mask (None when the recipe has no anchor
-    window).
+    Returns ("bin", inside) for feature systems, where inside marks the
+    paths in the evidence bin, or ("kde", deltas, accept) for score systems,
+    where deltas is a fresh array of simulated scores. For anchored
+    recipes accept is the anchor-window mask over all paths and deltas
+    holds the scores of the accepted paths only, in path order; otherwise
+    accept is None and deltas covers every path.
     """
-    n = cfg.n_paths
-    mc, tc = world.pop_c.mu, world.pop_c.tau
-    md, td = world.pop_d.mu, world.pop_d.tau
-    mt, tt = world.pop_t.mu, world.pop_t.tau
-    st = world.noise.sigma / math.sqrt(world.n_trace)
-    sr = world.noise.sigma / math.sqrt(world.n_ref)
     th = view.theta_r
     num = term == "num"
 
-    if system is SystemId.SSFLR or system is SystemId.SSSLR:
+    if system in (SystemId.SSFLR, SystemId.SSSLR,
+                  SystemId.CSFLR, SystemId.CSSLR):
+        specific = system in SPECIFIC_SOURCE
         if num:
-            z1, z2 = _normal_fields(key, n, 2)
-            xb = th + st * z1
-            yb = th + sr * z2
+            xb, yb = bank.columns("ss_num" if specific else "cs_num")
         else:
-            z0, z1, z2 = _normal_fields(key, n, 3)
-            xb = (mt + tt * z0) + st * z1
-            yb = th + sr * z2
-        if system is SystemId.SSFLR:
-            return "xy", xb, yb
-        return "delta", xb - yb, None
-
-    if system is SystemId.CSFLR or system is SystemId.CSSLR:
-        if num:
-            z0, z1, z2 = _normal_fields(key, n, 3)
-            r = mc + tc * z0
-            xb = r + st * z1
-            yb = r + sr * z2
-        else:
-            z0, z0b, z1, z2 = _normal_fields(key, n, 4)
-            xb = (mt + tt * z0) + st * z1
-            yb = (md + td * z0b) + sr * z2
-        if system is SystemId.CSFLR:
-            return "xy", xb, yb
-        return "delta", xb - yb, None
+            (xb,) = bank.columns("trace")
+            (yb,) = bank.columns("ss_ref" if specific else "cs_ref")
+        # the specific-source recipes other than trace are offsets around
+        # theta_r: compare them with the observed offsets
+        xs = th if specific and num else 0.0
+        ys = th if specific else 0.0
+        if system in (SystemId.SSFLR, SystemId.CSFLR):
+            half = cfg.bin_width / 2.0
+            return "bin", (_near(xb, view.x_mean - xs, half)
+                           & _near(yb, view.y_mean - ys, half))
+        deltas = xb - yb
+        deltas += xs - ys
+        return "kde", deltas, None
 
     if system is SystemId.SSYASLR:
-        if num:
-            (z1,) = _normal_fields(key, n, 1)
-            xb = th + st * z1
-        else:
-            z0, z1 = _normal_fields(key, n, 2)
-            xb = (mt + tt * z0) + st * z1
-        return "delta", xb - view.y_mean, None
+        xb, xs = ((bank.columns("ss_num")[0], th) if num
+                  else (bank.columns("trace")[0], 0.0))
+        return "kde", xb + (xs - view.y_mean), None
 
     if system is SystemId.CSYASLR:
         if num:
-            z0, z1, z2 = _normal_fields(key, n, 3)
-            r = mc + tc * z0
-            xb = r + st * z1
-            yb = r + sr * z2
-            accept = np.abs(yb - view.y_mean) <= cfg.anchor_tolerance
-            return "delta", xb - view.y_mean, accept
-        z0, z1 = _normal_fields(key, n, 2)
-        xb = (mt + tt * z0) + st * z1
-        return "delta", xb - view.y_mean, None
+            xb, yb = bank.columns("cs_num")
+            accept = _near(yb, view.y_mean, cfg.anchor_tolerance)
+            return "kde", xb[accept] - view.y_mean, accept
+        (xb,) = bank.columns("trace")
+        return "kde", xb - view.y_mean, None
 
     if system is SystemId.CSXASLR:
         if num:
-            z0, z1, z2 = _normal_fields(key, n, 3)
-            r = mc + tc * z0
-            xb = r + st * z1
-            yb = r + sr * z2
-            accept = np.abs(xb - view.x_mean) <= cfg.anchor_tolerance
-            return "delta", view.x_mean - yb, accept
-        z0, z2 = _normal_fields(key, n, 2)
-        yb = (md + td * z0) + sr * z2
-        return "delta", view.x_mean - yb, None
+            xb, yb = bank.columns("cs_num")
+            accept = _near(xb, view.x_mean, cfg.anchor_tolerance)
+            return "kde", view.x_mean - yb[accept], accept
+        (yb,) = bank.columns("cs_ref")
+        return "kde", view.x_mean - yb, None
 
     if system is SystemId.SSXASLR:
-        # numerator and denominator paths are the same recipe; only the
-        # stream key differs, so the ratio hovers at one
-        (z2,) = _normal_fields(key, n, 1)
-        yb = th + sr * z2
-        return "delta", view.x_mean - yb, None
+        # numerator and denominator paths follow the same recipe from
+        # different streams, so the ratio hovers at one
+        yb = bank.columns("ss_num")[1] if num else bank.columns("ss_ref")[0]
+        return "kde", (view.x_mean - th) - yb, None
 
     raise ValueError(f"no sampling recipe for {system!r}")
 
@@ -182,6 +239,19 @@ def _silverman(samples: np.ndarray, factor: float | None) -> float:
     return h
 
 
+def _kernel(target: float, deltas: np.ndarray, h: float,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian kernel of bandwidth h at target for each score in deltas;
+    out may be deltas itself."""
+    k = np.subtract(target, deltas, out=out)
+    k /= h
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= _INV_SQRT_2PI
+    return k
+
+
 @dataclass
 class _TermEstimate:
     """Contributions and normalisers per bootstrap block, plus the scale."""
@@ -196,62 +266,72 @@ class _TermEstimate:
         return float(self.block_contrib.sum()
                      / (self.block_norm.sum() * self.scale))
 
+    def replicate_densities(self, idx: np.ndarray) -> np.ndarray:
+        """Density of each bootstrap replicate; row b of idx lists the
+        blocks replicate b resamples."""
+        return (self.block_contrib[idx].sum(axis=1)
+                / (self.block_norm[idx].sum(axis=1) * self.scale))
+
 
 def _block_edges(n: int, n_blocks: int) -> np.ndarray:
     n_blocks = max(1, min(n_blocks, n))
     return (np.arange(n_blocks, dtype=np.int64) * n) // n_blocks
 
 
-def _estimate_term(system, term, view, world, cfg, key) -> _TermEstimate:
-    kind, *data = _term_samples(system, term, view, world, cfg, key)
+def _estimate_term(system, term, view, world, cfg, bank) -> _TermEstimate:
+    kind, *data = _term_samples(system, term, view, cfg, bank)
     n = cfg.n_paths
     edges = _block_edges(n, cfg.n_blocks)
-    ones = np.ones(n, dtype=np.float64)
+    block_sizes = np.diff(edges, append=n).astype(np.float64)
 
-    if kind == "xy":
-        xb, yb = data
-        half = cfg.bin_width / 2.0
-        inside = ((np.abs(xb - view.x_mean) <= half)
-                  & (np.abs(yb - view.y_mean) <= half))
+    if kind == "bin":
+        (inside,) = data
         count = int(np.count_nonzero(inside))
         if count < cfg.min_accepted:
             raise InsufficientPathsError(
                 f"{system.value} {term}: only {count} paths inside the "
                 f"evidence bin (need {cfg.min_accepted}); widen bin_width or "
                 f"raise n_paths")
-        contrib = np.add.reduceat(inside.astype(np.float64), edges)
-        norm = np.add.reduceat(ones, edges)
-        return _TermEstimate(contrib, norm, cfg.bin_width**2, count)
+        contrib = np.add.reduceat(inside, edges, dtype=np.float64)
+        return _TermEstimate(contrib, block_sizes, cfg.bin_width**2, count)
 
     deltas, accept = data
     target = view.x_mean - view.y_mean
     reflect = world.score_kind is ScoreKind.AbsoluteDifference
     if reflect:
-        deltas = np.abs(deltas)
+        np.abs(deltas, out=deltas)
         target = abs(target)
-    if accept is None:
-        kept = deltas
-        accepted = n
-        weights = ones
-    else:
-        kept = deltas[accept]
-        accepted = int(kept.shape[0])
-        if accepted < cfg.min_accepted:
-            raise InsufficientPathsError(
-                f"{system.value} {term}: only {accepted} paths accepted in "
-                f"the anchor window (need {cfg.min_accepted}); widen "
-                f"anchor_tolerance or raise n_paths")
-        weights = accept.astype(np.float64)
-    h = _silverman(kept, cfg.bandwidth_factor)
-    z = (target - deltas) / h
-    k = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    accepted = deltas.shape[0]
+    if accept is not None and accepted < cfg.min_accepted:
+        raise InsufficientPathsError(
+            f"{system.value} {term}: only {accepted} paths accepted in "
+            f"the anchor window (need {cfg.min_accepted}); widen "
+            f"anchor_tolerance or raise n_paths")
+    h = _silverman(deltas, cfg.bandwidth_factor)
+    # deltas is this term's own array, so the last kernel overwrites it
+    k = _kernel(target, deltas, h, out=None if reflect else deltas)
     if reflect:
-        z2 = (target + deltas) / h
-        k = k + np.exp(-0.5 * z2 * z2) / math.sqrt(2.0 * math.pi)
-    k = k * weights  # zero out rejected paths without reindexing blocks
-    contrib = np.add.reduceat(k, edges)
-    norm = np.add.reduceat(weights, edges)
-    return _TermEstimate(contrib, norm, h, accepted)
+        k += _kernel(-target, deltas, h, out=deltas)
+    if accept is None:
+        return _TermEstimate(np.add.reduceat(k, edges), block_sizes, h, n)
+    # k holds the accepted paths only, in path order
+    counts = np.add.reduceat(accept, edges)
+    blocks = np.repeat(np.arange(edges.shape[0]), counts)
+    contrib = np.bincount(blocks, weights=k, minlength=edges.shape[0])
+    return _TermEstimate(contrib, counts.astype(np.float64), h, accepted)
+
+
+def _bootstrap_se(system: SystemId, num: _TermEstimate, den: _TermEstimate,
+                  i: np.ndarray, j: np.ndarray) -> float:
+    """SE of log10(LR) over the replicates whose row b resamples the
+    numerator's blocks i[b] and the denominator's blocks j[b]."""
+    dn = num.replicate_densities(i)
+    dd = den.replicate_densities(j)
+    if not (np.all(dn > 0) and np.all(dd > 0)):
+        raise InsufficientPathsError(
+            f"{system.value}: a bootstrap replicate saw no matching "
+            f"paths; raise n_paths")
+    return float(np.std(np.log10(dn) - np.log10(dd), ddof=1))
 
 
 def path_oracle(
@@ -260,32 +340,34 @@ def path_oracle(
     world: WorldConfig,
     cfg: PathOracleConfig | None = None,
     seed: int = 0,
+    bank: PathBank | None = None,
 ) -> OracleEstimate:
-    """Monte Carlo estimate of one system's LR on one case, with SE."""
+    """Monte Carlo estimate of one system's LR on one case, with SE.
+
+    Paths are read from bank, which must have been drawn for the same
+    world, seed and n_paths; without one, a private bank is drawn.
+    """
     cfg = (cfg or PathOracleConfig()).validate()
     if system in SPECIFIC_SOURCE and view.theta_r is None:
         raise ValueError(f"{system.value} oracle requires theta_r in the view")
     if system is SystemId.PriorOnly:
         return OracleEstimate(system, 1.0, 0.0, 0.0, cfg.n_paths, 0, 0)
+    if bank is None:
+        bank = PathBank(world, seed, cfg.n_paths)
+    elif (bank.world, bank.seed, bank.n_paths) != (world, seed, cfg.n_paths):
+        raise ValueError("the path bank was drawn for another world, seed "
+                         "or n_paths")
 
-    num = _estimate_term(system, "num", view, world, cfg, stream_key(seed, 0))
-    den = _estimate_term(system, "den", view, world, cfg, stream_key(seed, 1))
+    num = _estimate_term(system, "num", view, world, cfg, bank)
+    den = _estimate_term(system, "den", view, world, cfg, bank)
     lr = num.density / den.density
 
-    rng = np.random.default_rng(int(stream_key(seed, 0xB007)))
-    n_blocks = num.block_contrib.shape[0]
-    reps = np.empty(cfg.n_boot, dtype=np.float64)
-    for b in range(cfg.n_boot):
-        i = rng.integers(0, n_blocks, n_blocks)
-        j = rng.integers(0, n_blocks, n_blocks)
-        dn = num.block_contrib[i].sum() / (num.block_norm[i].sum() * num.scale)
-        dd = den.block_contrib[j].sum() / (den.block_norm[j].sum() * den.scale)
-        if dn <= 0 or dd <= 0:
-            raise InsufficientPathsError(
-                f"{system.value}: a bootstrap replicate saw no matching "
-                f"paths; raise n_paths")
-        reps[b] = math.log10(dn) - math.log10(dd)
-    se = float(np.std(reps, ddof=1))
+    gen = np.random.Generator(np.random.Philox(
+        key=int(stream_key(seed, _BOOTSTRAP_STREAM))))
+    shape = (cfg.n_boot, num.block_contrib.shape[0])
+    i = gen.integers(0, shape[1], shape)
+    j = gen.integers(0, shape[1], shape)
+    se = _bootstrap_se(system, num, den, i, j)
 
     return OracleEstimate(
         system=system, lr=lr, log10_lr=math.log10(lr), se_log10=se,
@@ -304,9 +386,10 @@ def compare_closed_vs_oracle(
     world: WorldConfig,
     cfg: PathOracleConfig | None = None,
     seed: int = 0,
+    bank: PathBank | None = None,
 ) -> OracleComparison:
     """Closed-form LR against the oracle on one evidence point."""
-    est = path_oracle(system, view, world, cfg, seed)
+    est = path_oracle(system, view, world, cfg, seed, bank)
     closed = evaluate(system, view, world)
     return OracleComparison(
         system=system, view=view,

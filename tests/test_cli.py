@@ -3,7 +3,9 @@ from importlib import resources
 
 import pytest
 
+import lrsim.cli as cli
 from lrsim.cli import main
+from lrsim.oracle import RECIPES, PathBank
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -90,6 +92,45 @@ def test_measurement_counts_must_be_json_integers(tmp_path, capsys, field, value
     code, _, err = run(capsys, "rank", "--config", cfg, "--out", str(out))
     assert code == 2
     assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where,value", [
+    (("noise", "sigma"), True), (("popC", "mu"), "0.0"),
+    (("prior_h1",), "0.5"), (("popD", "tau"), None), (("popT", "mu"), 10**400),
+])
+def test_world_numbers_must_be_json_numbers(tmp_path, capsys, where, value):
+    doc = json.loads(json.dumps(DEFAULT_WORLD_DOC))
+    (doc[where[0]] if len(where) == 2 else doc)[where[-1]] = value
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "calibrate", "--config",
+                       write_config(tmp_path, doc), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and where[-1] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "illcond", "csprior",
+                                     "tailbound", "calibrate"])
+def test_cases_below_one_rejected(tmp_path, capsys, command):
+    for cases in ("0", "-5"):
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, command, "--cases", cases,
+                                "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "--cases" in err
+        assert stdout == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n_cases", [True, 2000.0, 0])
+def test_config_n_cases_must_be_a_positive_integer(tmp_path, capsys, n_cases):
+    cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC,
+                                  "n_cases": n_cases})
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "rank", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "n_cases" in err
     assert not out.exists()
 
 
@@ -276,3 +317,29 @@ def test_oracle_check_command(tmp_path, capsys):
     doc = json.loads((out / "report.json").read_text())
     assert doc["all_within_3se"] is True
     assert len(doc["rows"]) == 63   # 7 informative systems x 9 grid points
+
+
+def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
+    # every grid point reads the same paths, drawn once per recipe, at
+    # --seed itself: no point borrows the streams of another seed
+    calls, draws = [], []
+    compare, draw = cli.compare_closed_vs_oracle, PathBank._draw
+
+    def recording_compare(*args, seed, bank):
+        calls.append((seed, bank))
+        return compare(*args, seed=seed, bank=bank)
+
+    def counting_draw(bank, recipe):
+        draws.append(recipe)
+        return draw(bank, recipe)
+
+    monkeypatch.setattr(cli, "compare_closed_vs_oracle", recording_compare)
+    monkeypatch.setattr(PathBank, "_draw", counting_draw)
+    seed = 2**64 - 1
+    code, _, _ = run(capsys, "oracle-check", "--seed", str(seed),
+                     "--format", "json", "--out", str(tmp_path / "o"))
+    assert code in (0, 1)
+    assert len(calls) == 63
+    assert {s for s, _ in calls} == {seed}
+    assert len({id(b) for _, b in calls}) == 1
+    assert sorted(draws) == sorted(RECIPES)

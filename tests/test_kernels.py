@@ -1,7 +1,7 @@
 import numpy as np
 
 from lrsim.genmodel import Hypothesis, generate_cases
-from lrsim.kernels import normals, stream_key
+from lrsim.kernels import stream_key
 from tests.conftest import case_columns, make_world
 
 
@@ -18,23 +18,6 @@ def test_stream_keys_spread():
     top_byte = (keys >> np.uint64(56)).astype(np.int64)
     counts = np.bincount(top_byte, minlength=256)
     assert counts.min() > 0
-
-
-def test_words_are_slot_addressable():
-    # normal j of a call at word slot s is normal j + s/2 of a call at 0
-    key = stream_key(3, 11)
-    whole = normals(key, 0, 16)
-    part = normals(key, 10, 3)
-    np.testing.assert_array_equal(part, whole[5:8])
-
-
-def test_normals_moments():
-    key = stream_key(9, 0)
-    z = normals(key, 0, 200_000)
-    assert abs(z.mean()) < 0.01
-    assert abs(z.var() - 1.0) < 0.02
-    assert abs(np.mean(z**3)) < 0.03            # symmetry
-    assert abs(np.mean(z**4) - 3.0) < 0.15      # gaussian tails
 
 
 def test_case_batch_truth_prior():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from lrsim.lrsystems import (
     log_lr_batch,
 )
 from lrsim.oracle import (
+    RECIPES,
     InsufficientPathsError,
+    PathBank,
+    _TermEstimate,
+    _bootstrap_se,
+    _estimate_term,
+    _silverman,
+    _term_samples,
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,
@@ -145,3 +154,112 @@ def test_oracle_config_validation():
         PathOracleConfig(anchor_tolerance=-1.0).validate()
     with pytest.raises(ConfigError):
         PathOracleConfig(bandwidth_factor=0.0).validate()
+
+
+def test_bank_columns_have_their_recipe_moments():
+    w = make_world(n_trace=2, n_ref=3)
+    bank = PathBank(w, 9, 200_000)
+    st2, sr2 = w.var_trace_mean, w.var_ref_mean
+    (dx, dy), (x, y) = bank.columns("ss_num"), bank.columns("cs_num")
+    expected = [  # (column, mean, variance) of each recipe's columns
+        (dx, 0.0, st2), (dy, 0.0, sr2),
+        (x, w.pop_c.mu, w.pop_c.tau**2 + st2),
+        (y, w.pop_c.mu, w.pop_c.tau**2 + sr2),
+        (bank.columns("trace")[0], w.pop_t.mu, w.pop_t.tau**2 + st2),
+        (bank.columns("ss_ref")[0], 0.0, sr2),
+        (bank.columns("cs_ref")[0], w.pop_d.mu, w.pop_d.tau**2 + sr2),
+    ]
+    for col, mean, var in expected:
+        z = (col - mean) / math.sqrt(var)
+        assert abs(z.mean()) < 0.01
+        assert abs(z.var() - 1.0) < 0.02
+        assert abs(np.mean(z**3)) < 0.03            # symmetry
+        assert abs(np.mean(z**4) - 3.0) < 0.15      # gaussian tails
+    # x and y of cs_num share their source: covariance tau_c^2
+    assert np.cov(x, y)[0, 1] == pytest.approx(w.pop_c.tau**2, abs=0.01)
+    assert abs(np.corrcoef(dx, dy)[0, 1]) < 0.01
+
+
+def test_bank_draws_each_recipe_once_and_read_only():
+    bank = PathBank(make_world(), 0, 1_000)
+    for recipe in RECIPES:
+        first = bank.columns(recipe)
+        assert bank.columns(recipe) is first
+        assert not any(c.flags.writeable for c in first)
+    with pytest.raises(ValueError):
+        bank.columns("nope")
+
+
+class _RecordingBank(PathBank):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read: set[str] = set()
+
+    def columns(self, recipe):
+        self.read.add(recipe)
+        return super().columns(recipe)
+
+
+@pytest.mark.parametrize("system", sorted(set(NONTRIVIAL) | {SystemId.SSXASLR},
+                                          key=lambda s: s.value))
+def test_numerator_and_denominator_read_disjoint_recipes(system):
+    world = make_world()
+    view = default_evidence_grid(system, world)[4]
+    cfg = PathOracleConfig(n_paths=1_000)
+    read = {}
+    for term in ("num", "den"):
+        bank = _RecordingBank(world, 0, cfg.n_paths)
+        _term_samples(system, term, view, cfg, bank)
+        read[term] = bank.read
+    assert read["num"] and read["den"]
+    assert not read["num"] & read["den"]
+
+
+def test_vectorised_bootstrap_matches_a_loop():
+    world = make_world()
+    system = SystemId.CSYASLR
+    view = default_evidence_grid(system, world)[4]
+    cfg = PathOracleConfig(n_paths=20_000, n_blocks=50, n_boot=100)
+    bank = PathBank(world, 3, cfg.n_paths)
+    num = _estimate_term(system, "num", view, world, cfg, bank)
+    den = _estimate_term(system, "den", view, world, cfg, bank)
+    rng = np.random.default_rng(1)
+    i = rng.integers(0, 50, (100, 50))
+    j = rng.integers(0, 50, (100, 50))
+    reps = []
+    for b in range(100):
+        dn = num.block_contrib[i[b]].sum() / (num.block_norm[i[b]].sum()
+                                              * num.scale)
+        dd = den.block_contrib[j[b]].sum() / (den.block_norm[j[b]].sum()
+                                              * den.scale)
+        reps.append(math.log10(dn) - math.log10(dd))
+    # same sums; only log10 (numpy against libm) may differ in the last bit
+    assert _bootstrap_se(system, num, den, i, j) == pytest.approx(
+        float(np.std(reps, ddof=1)), rel=1e-12)
+
+
+def test_empty_bootstrap_replicate_raises():
+    # block 0 holds no matching path; a replicate of only block 0 is empty
+    term = _TermEstimate(np.array([0.0, 2.0]), np.array([5.0, 5.0]), 0.1, 2)
+    whole = np.array([[0, 1], [1, 0]])
+    assert _bootstrap_se(SystemId.CSFLR, term, term, whole, whole) == 0.0
+    with pytest.raises(InsufficientPathsError):
+        _bootstrap_se(SystemId.CSFLR, term, term, np.zeros((2, 2), int), whole)
+
+
+def test_zero_spread_has_no_bandwidth():
+    with pytest.raises(InsufficientPathsError):
+        _silverman(np.zeros(100), None)
+
+
+def test_bank_must_match_world_seed_and_paths():
+    world = make_world()
+    view = default_evidence_grid(SystemId.CSSLR, world)[4]
+    bank = PathBank(world, 1, FAST.n_paths)
+    shared = path_oracle(SystemId.CSSLR, view, world, FAST, seed=1, bank=bank)
+    private = path_oracle(SystemId.CSSLR, view, world, FAST, seed=1)
+    assert shared == private
+    for seed, n_paths in ((2, FAST.n_paths), (1, FAST.n_paths + 1)):
+        with pytest.raises(ValueError):
+            path_oracle(SystemId.CSSLR, view, world,
+                        PathOracleConfig(n_paths=n_paths), seed=seed, bank=bank)
