@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    lrsim <command> [--config FILE] [--seed N] [--out DIR]
-                    [--format json|csv|both] [--cases N] [--rule log|brier]
+    lrsim <command> [--out DIR] [--format json|csv|both] [--force] [flags]
 
 Commands:
     rank          score all systems on shared cases, judge the ranking claims
@@ -12,10 +11,13 @@ Commands:
     calibrate     reliability of every system's stated posteriors
     oracle-check  closed-form LRs against the sampling oracle on a grid
 
+Each command takes only the flags its outputs depend on (see _COMMANDS).
+
 Every output byte is a pure function of (command, config, seed, flags):
 reports carry no timestamps and dict keys are sorted. Exit status: 0 when
 all checks pass, 1 when a verdict or diagnostic fails, 2 for bad input.
-Existing output files are not overwritten unless --force is given.
+Existing output files are not overwritten unless --force is given, and a
+run that fails leaves --out as it found it.
 """
 
 from __future__ import annotations
@@ -23,20 +25,24 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import shutil
 import sys
+import tempfile
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .costmodel import (
     demand_csv_rows,
     demand_table,
-    feasibility_rank,
     tail_bound_check,
     tradeoff_csv_rows,
 )
-from .genmodel import ConfigError, WorldConfig, load_world, world_from_json_dict, world_to_json_dict
+from .genmodel import ConfigError, WorldConfig, world_from_json_dict, world_to_json_dict
 from .harness import (
     ALL_SYSTEMS,
     EvalReport,
@@ -45,7 +51,6 @@ from .harness import (
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
     run_experiment,
-    total_expectation_check,
 )
 from .lrsystems import NONTRIVIAL, PathOracleConfig, SystemId
 from .oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid
@@ -53,26 +58,11 @@ from .scoring import ScoringRule
 
 _RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}
 
-_CASE_DEFAULTS = {
-    "rank": 20_000,
-    "illcond": 20_000,
-    "csprior": 20_000,
-    "tailbound": 100_000,
-    "calibrate": 100_000,
-}
-
 
 def default_world() -> WorldConfig:
     doc = json.loads(
         resources.files("lrsim.data").joinpath("default_world.json").read_text())
     return world_from_json_dict(doc)
-
-
-def _n_cases(args, settings: dict) -> int:
-    """--cases if given, else the config's n_cases, else the default."""
-    if args.cases is not None:
-        return args.cases
-    return settings.get("n_cases", _CASE_DEFAULTS[args.command])
 
 
 def _load_config(path: str | None) -> tuple[WorldConfig, dict]:
@@ -111,10 +101,18 @@ def _load_config(path: str | None) -> tuple[WorldConfig, dict]:
                 f"{path}: rule must be one of {sorted(_RULES)}, got {doc['rule']!r}")
         settings["rule"] = _RULES[doc["rule"]]
     if "systems" in doc:
+        # a bare string would iterate letter by letter, and an empty list
+        # leaves nothing to score or tabulate
+        if not isinstance(doc["systems"], list) or not doc["systems"]:
+            raise ConfigError(
+                f"{path}: systems must be a non-empty list of system names")
         try:
-            settings["systems"] = tuple(SystemId(s) for s in doc["systems"])
+            systems = tuple(SystemId(s) for s in doc["systems"])
         except ValueError as e:
             raise ConfigError(f"{path}: systems: {e}") from e
+        if len(set(systems)) != len(systems):
+            raise ConfigError(f"{path}: systems must not repeat a name")
+        settings["systems"] = systems
     return world, settings
 
 
@@ -129,54 +127,77 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _claim_outputs(report: EvalReport) -> tuple[list[dict], dict[str, int]]:
-    verdict_rows = []
-    counts = {v.value: 0 for v in Verdict}
-    for v in report.ranking_verdicts:
-        counts[v.verdict.value] += 1
-        verdict_rows.append({
-            "claim": v.claim_id,
-            "better": v.better.value,
-            "worse": v.worse.value,
-            "mean_diff": v.mean_diff,
-            "se_diff": v.se_diff,
-            "margin_in_se": v.margin_in_se,
-            "verdict": v.verdict.value,
-        })
-    return verdict_rows, counts
+class _Outputs:
+    """Collects (filename, payload) pairs, then refuses or writes them all.
+
+    flush() streams every file into a scratch directory inside out_dir and
+    moves them into place with os.replace, a rename within one file system,
+    only when all are written. On a failure the scratch directory is
+    removed, and so is every directory the flush created, so a failed write
+    leaves out_dir as it was found.
+    """
+
+    def __init__(self, out_dir: Path, force: bool):
+        self.out_dir = out_dir
+        self.force = force
+        self.planned: list[tuple[str, object]] = []
+        self.written: list[str] = []
+
+    def add(self, name: str, payload) -> None:
+        self.planned.append((name, payload))
+
+    def flush(self) -> None:
+        if not self.force:
+            clashes = [n for n, _ in self.planned
+                       if (self.out_dir / n).exists()]
+            if clashes:
+                raise ConfigError(
+                    f"refusing to overwrite {', '.join(sorted(clashes))} in "
+                    f"{self.out_dir} (pass --force to allow)")
+        created = next((d for d in reversed((self.out_dir, *self.out_dir.parents))
+                        if not d.exists()), None)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        scratch = Path(tempfile.mkdtemp(prefix=".lrsim-", dir=self.out_dir))
+        try:
+            for name, payload in self.planned:
+                if name.endswith(".json"):
+                    (scratch / name).write_text(_json_dumps(payload))
+                else:
+                    _write_csv(scratch / name, payload)
+            for name, _ in self.planned:
+                os.replace(scratch / name, self.out_dir / name)
+        except BaseException:
+            shutil.rmtree(created or scratch, ignore_errors=True)
+            raise
+        scratch.rmdir()
+        self.written = [str(self.out_dir / n) for n, _ in self.planned]
 
 
-def _report_dict(report: EvalReport, seed: int) -> dict:
-    verdict_rows, counts = _claim_outputs(report)
+# ---------------------------------------------------------------------------
+# commands: each computes (report body, CSV tables, summary lines, pass flag)
+
+def _rule(args, settings: dict) -> ScoringRule:
+    """--rule if the command takes it and it was given, else the config's."""
+    rule = getattr(args, "rule", None)
+    return _RULES[rule] if rule else settings.get("rule", ScoringRule.Logarithmic)
+
+
+def _experiment(args, world: WorldConfig, settings: dict, n: int) -> EvalReport:
+    return run_experiment(ExperimentConfig(
+        world=world,
+        systems=settings.get("systems", ALL_SYSTEMS),
+        rule=_rule(args, settings),
+        n_cases=n,
+        master_seed=args.seed,
+    ))
+
+
+def _calibration_summary(report: EvalReport) -> dict:
     return {
-        "command": "rank",
-        "world": world_to_json_dict(report.config.world),
-        "n_cases": report.config.n_cases,
-        "seed": seed,
-        "rule": report.config.rule.value,
-        "per_system": {
-            s.value: {"mean": ms.mean, "se": ms.se, "n": ms.n,
-                      "n_neg_inf": ms.n_neg_inf}
-            for s, ms in report.per_system.items()},
-        "clamp_counts": {s.value: c for s, c in report.clamp_counts.items()},
-        "paired_diffs": {
-            cid: {"mean_diff": d.mean_diff, "se_diff": d.se_diff, "n": d.n}
-            for cid, d in report.paired_diffs.items()},
-        "verdicts": verdict_rows,
-        "verdict_counts": counts,
-        "calibration": {
-            s.value: {"max_abs_gap": rep.max_abs_gap,
-                      "qualifying_bins": int(np.sum(rep.qualifying)),
-                      "passes": rep.passes()}
-            for s, rep in report.calibration.items()},
-    }
-
-
-def _cases_rows(report: EvalReport) -> list[dict]:
-    table = report.case_table
-    cols = list(table.keys())
-    n = len(table["case_id"])
-    return [{c: table[c][i] for c in cols} for i in range(n)]
+        s.value: {"max_abs_gap": rep.max_abs_gap,
+                  "qualifying_bins": int(np.sum(rep.qualifying)),
+                  "passes": rep.passes()}
+        for s, rep in report.calibration.items()}
 
 
 def _calibration_rows(report: EvalReport) -> list[dict]:
@@ -197,94 +218,58 @@ def _calibration_rows(report: EvalReport) -> list[dict]:
     return rows
 
 
-def _scores_rows(report: EvalReport) -> list[dict]:
-    return [
-        {"system": s.value, "rule": report.config.rule.value,
-         "mean_score": ms.mean, "se": ms.se, "n": ms.n,
-         "n_clamped": report.clamp_counts[s]}
-        for s, ms in report.per_system.items()
-    ]
+def _rank(args, world, settings, n):
+    report = _experiment(args, world, settings, n)
+    rule = report.config.rule.value
+    verdict_rows = [{
+        "claim": v.claim_id,
+        "better": v.better.value,
+        "worse": v.worse.value,
+        "mean_diff": v.mean_diff,
+        "se_diff": v.se_diff,
+        "margin_in_se": v.margin_in_se,
+        "verdict": v.verdict.value,
+    } for v in report.ranking_verdicts]
+    counts = {v.value: sum(r["verdict"] == v.value for r in verdict_rows)
+              for v in Verdict}
+    body = {
+        "rule": rule,
+        "per_system": {
+            s.value: {"mean": ms.mean, "se": ms.se, "n": ms.n,
+                      "n_neg_inf": ms.n_neg_inf}
+            for s, ms in report.per_system.items()},
+        "clamp_counts": {s.value: c for s, c in report.clamp_counts.items()},
+        "paired_diffs": {
+            cid: {"mean_diff": d.mean_diff, "se_diff": d.se_diff, "n": d.n}
+            for cid, d in report.paired_diffs.items()},
+        "verdicts": verdict_rows,
+        "verdict_counts": counts,
+        "calibration": _calibration_summary(report),
+    }
+    table = report.case_table
+    cols = list(table.keys())
+    tables = {
+        "cases.csv": lambda doc: [{c: table[c][i] for c in cols}
+                                  for i in range(len(table["case_id"]))],
+        "calibration.csv": lambda doc: _calibration_rows(report),
+        "scores.csv": lambda doc: [
+            {"system": s.value, "rule": rule,
+             "mean_score": ms.mean, "se": ms.se, "n": ms.n,
+             "n_clamped": report.clamp_counts[s]}
+            for s, ms in report.per_system.items()],
+    }
+    summary = [f"rank: {n} cases, seed {args.seed}, rule {rule}"]
+    summary += [f"  {s.value:10s} {ms.mean:+.4f} +/- {ms.se:.4f}"
+                for s, ms in report.per_system.items()]
+    summary.append(f"claims: {counts['Confirmed']} Confirmed, "
+                   f"{counts['Tie']} Tie, {counts['Violated']} Violated")
+    return body, tables, summary, counts["Violated"] == 0
 
 
-class _Outputs:
-    """Collects (filename, writer) pairs, then refuses or writes atomically."""
-
-    def __init__(self, out_dir: Path, force: bool):
-        self.out_dir = out_dir
-        self.force = force
-        self.planned: list[tuple[str, object]] = []
-        self.written: list[str] = []
-
-    def add(self, name: str, payload) -> None:
-        self.planned.append((name, payload))
-
-    def flush(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        if not self.force:
-            clashes = [n for n, _ in self.planned
-                       if (self.out_dir / n).exists()]
-            if clashes:
-                raise ConfigError(
-                    f"refusing to overwrite {', '.join(sorted(clashes))} in "
-                    f"{self.out_dir} (pass --force to allow)")
-        for name, payload in self.planned:
-            path = self.out_dir / name
-            if name.endswith(".json"):
-                path.write_text(_json_dumps(payload))
-            else:
-                _write_csv(path, payload)
-            self.written.append(str(path))
-
-
-def _formats(fmt: str) -> tuple[bool, bool]:
-    return fmt in ("json", "both"), fmt in ("csv", "both")
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-def _cmd_rank(args, out: _Outputs) -> int:
-    world, settings = _load_config(args.config)
-    cfg = ExperimentConfig(
-        world=world,
-        systems=settings.get("systems", ALL_SYSTEMS),
-        rule=_RULES[args.rule] if args.rule else settings.get(
-            "rule", ScoringRule.Logarithmic),
-        n_cases=_n_cases(args, settings),
-        master_seed=args.seed,
-    )
-    report = run_experiment(cfg)
-    _, counts = _claim_outputs(report)
-    want_json, want_csv = _formats(args.format)
-    if want_json:
-        out.add("report.json", _report_dict(report, args.seed))
-    if want_csv:
-        out.add("cases.csv", _cases_rows(report))
-        out.add("calibration.csv", _calibration_rows(report))
-        out.add("scores.csv", _scores_rows(report))
-    out.flush()
-
-    print(f"rank: {cfg.n_cases} cases, seed {args.seed}, "
-          f"rule {cfg.rule.value}")
-    for s, ms in report.per_system.items():
-        print(f"  {s.value:10s} {ms.mean:+.4f} +/- {ms.se:.4f}")
-    print(f"claims: {counts['Confirmed']} Confirmed, {counts['Tie']} Tie, "
-          f"{counts['Violated']} Violated")
-    return 0 if counts["Violated"] == 0 else 1
-
-
-def _cmd_illcond(args, out: _Outputs) -> int:
-    world, settings = _load_config(args.config)
-    rule = _RULES[args.rule] if args.rule else settings.get(
-        "rule", ScoringRule.Logarithmic)
-    n = _n_cases(args, settings)
-    rep = ill_conditioning_experiment(world, n_cases=n,
-                                      master_seed=args.seed, rule=rule)
-    doc = {
-        "command": "illcond",
-        "world": world_to_json_dict(world),
-        "n_cases": rep.n_cases,
-        "seed": args.seed,
+def _illcond(args, world, settings, n):
+    rep = ill_conditioning_experiment(world, n_cases=n, master_seed=args.seed,
+                                      rule=_rule(args, settings))
+    body = {
         "rule": rep.rule.value,
         "identity_max_rel_err": rep.identity_max_rel_err,
         "identity_ok": rep.identity_ok,
@@ -295,31 +280,19 @@ def _cmd_illcond(args, out: _Outputs) -> int:
         "margin_in_se": rep.margin_in_se,
         "proper_beats_naive": rep.proper_beats_naive,
     }
-    want_json, want_csv = _formats(args.format)
-    if want_json:
-        out.add("report.json", doc)
-    if want_csv:
-        out.add("illcond.csv", [doc])
-    out.flush()
-    print(f"illcond: identity max rel err {rep.identity_max_rel_err:.2e} "
-          f"({'ok' if rep.identity_ok else 'FAIL'})")
-    print(f"  naive {rep.mean_naive:+.4f}  proper {rep.mean_proper:+.4f}  "
-          f"gap {rep.gap:+.4f} ({rep.margin_in_se:+.1f} SE)")
-    return 0 if (rep.identity_ok and rep.proper_beats_naive) else 1
+    summary = [
+        f"illcond: identity max rel err {rep.identity_max_rel_err:.2e} "
+        f"({'ok' if rep.identity_ok else 'FAIL'})",
+        f"  naive {rep.mean_naive:+.4f}  proper {rep.mean_proper:+.4f}  "
+        f"gap {rep.gap:+.4f} ({rep.margin_in_se:+.1f} SE)"]
+    return (body, {"illcond.csv": lambda doc: [doc]}, summary,
+            rep.identity_ok and rep.proper_beats_naive)
 
 
-def _cmd_csprior(args, out: _Outputs) -> int:
-    world, settings = _load_config(args.config)
-    rule = _RULES[args.rule] if args.rule else settings.get(
-        "rule", ScoringRule.Logarithmic)
-    n = _n_cases(args, settings)
-    rep = cs_update_ss_prior_experiment(world, n_cases=n,
-                                        master_seed=args.seed, rule=rule)
-    doc = {
-        "command": "csprior",
-        "world": world_to_json_dict(world),
-        "n_cases": rep.n_cases,
-        "seed": args.seed,
+def _csprior(args, world, settings, n):
+    rep = cs_update_ss_prior_experiment(world, n_cases=n, master_seed=args.seed,
+                                        rule=_rule(args, settings))
+    body = {
         "rule": rep.rule.value,
         "populations_match": rep.populations_match,
         "mean_baseline": rep.mean_baseline,
@@ -332,130 +305,73 @@ def _cmd_csprior(args, out: _Outputs) -> int:
         "gap_csslr_se": rep.gap_csslr_se,
         "ok": rep.ok,
     }
-    want_json, want_csv = _formats(args.format)
-    if want_json:
-        out.add("report.json", doc)
-    if want_csv:
-        out.add("csprior.csv", [doc])
-    out.flush()
     verdict = ("descriptive" if rep.ok is None
                else "ok" if rep.ok else "FAIL")
-    print(f"csprior: baseline {rep.mean_baseline:+.4f}  "
-          f"+CSFLR {rep.mean_updated_csflr:+.4f} "
-          f"({rep.margin_csflr_in_se:+.1f} SE)  [{verdict}]")
-    return 0 if rep.ok is not False else 1
+    summary = [f"csprior: baseline {rep.mean_baseline:+.4f}  "
+               f"+CSFLR {rep.mean_updated_csflr:+.4f} "
+               f"({rep.margin_csflr_in_se:+.1f} SE)  [{verdict}]"]
+    return body, {"csprior.csv": lambda doc: [doc]}, summary, rep.ok is not False
 
 
-def _cmd_tailbound(args, out: _Outputs) -> int:
-    world, settings = _load_config(args.config)
-    n = _n_cases(args, settings)
+def _tailbound(args, world, settings, n):
     systems = settings.get("systems", tuple(
         s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly))
     rows = []
-    all_pass = True
     for system in systems:
         for r in tail_bound_check(system, world, n_cases=n, seed=args.seed):
-            all_pass &= r.passed
             rows.append({
                 "system": system.value, "k": r.k, "side": r.side,
                 "empirical_exceedance": r.empirical_exceedance,
                 "bound": r.bound, "passed": str(r.passed).lower(),
             })
-    doc = {
-        "command": "tailbound",
-        "world": world_to_json_dict(world),
-        "n_cases": n,
-        "seed": args.seed,
-        "rows": rows,
-        "all_pass": all_pass,
-    }
-    want_json, want_csv = _formats(args.format)
-    if want_json:
-        out.add("report.json", doc)
-    if want_csv:
-        out.add("tailbound.csv", rows)
-    out.flush()
     n_fail = sum(1 for r in rows if r["passed"] == "false")
-    print(f"tailbound: {len(rows)} checks over {len(systems)} systems, "
-          f"{n_fail} failures")
-    return 0 if all_pass else 1
+    summary = [f"tailbound: {len(rows)} checks over {len(systems)} systems, "
+               f"{n_fail} failures"]
+    return ({"rows": rows, "all_pass": n_fail == 0},
+            {"tailbound.csv": lambda doc: rows}, summary, n_fail == 0)
 
 
-def _cmd_demand(args, out: _Outputs) -> int:
-    profiles = demand_table(args.lr_min, args.lr_max)
-    d_rows = demand_csv_rows(profiles)
+def _demand(args, world, settings, n):
+    d_rows = demand_csv_rows(demand_table(args.lr_min, args.lr_max))
     t_rows = tradeoff_csv_rows()
-    doc = {
-        "command": "demand",
+    body = {
         "target_lr_min": args.lr_min,
         "target_lr_max": args.lr_max,
         "profiles": d_rows,
         "tradeoff": t_rows,
     }
-    want_json, want_csv = _formats(args.format)
-    if want_json:
-        out.add("report.json", doc)
-    if want_csv:
-        out.add("demand.csv", d_rows)
-        out.add("tradeoff.csv", t_rows)
-    out.flush()
-    print(f"demand: range [{args.lr_min:g}, {args.lr_max:g}] -> "
-          f"{d_rows[0]['required_h1_scores']} H1 / "
-          f"{d_rows[0]['required_h2_scores']} H2 scores")
-    for r in tradeoff_csv_rows():
+    summary = [f"demand: range [{args.lr_min:g}, {args.lr_max:g}] -> "
+               f"{d_rows[0]['required_h1_scores']} H1 / "
+               f"{d_rows[0]['required_h2_scores']} H2 scores"]
+    for r in t_rows:
         flags = ("infeasible" if r["infeasible"] == "true"
                  else "favourable" if r["favourable"] == "true" else "")
-        print(f"  {r['system']:10s} perf {r['performance_rank']} "
-              f"demand {r['demand_rank']} {flags}")
-    return 0
+        summary.append(f"  {r['system']:10s} perf {r['performance_rank']} "
+                       f"demand {r['demand_rank']} {flags}")
+    tables = {"demand.csv": lambda doc: d_rows,
+              "tradeoff.csv": lambda doc: t_rows}
+    return body, tables, summary, True
 
 
-def _cmd_calibrate(args, out: _Outputs) -> int:
-    world, settings = _load_config(args.config)
-    cfg = ExperimentConfig(
-        world=world,
-        systems=settings.get("systems", ALL_SYSTEMS),
-        rule=_RULES[args.rule] if args.rule else settings.get(
-            "rule", ScoringRule.Logarithmic),
-        n_cases=_n_cases(args, settings),
-        master_seed=args.seed,
-    )
-    report = run_experiment(cfg)
+def _calibrate(args, world, settings, n):
+    report = _experiment(args, world, settings, n)
     all_pass = all(rep.passes() for rep in report.calibration.values())
-    doc = {
-        "command": "calibrate",
-        "world": world_to_json_dict(world),
-        "n_cases": cfg.n_cases,
-        "seed": args.seed,
-        "per_system": {
-            s.value: {"max_abs_gap": rep.max_abs_gap,
-                      "qualifying_bins": int(np.sum(rep.qualifying)),
-                      "passes": rep.passes()}
-            for s, rep in report.calibration.items()},
-        "all_pass": all_pass,
-    }
-    want_json, want_csv = _formats(args.format)
-    if want_json:
-        out.add("report.json", doc)
-    if want_csv:
-        out.add("calibration.csv", _calibration_rows(report))
-    out.flush()
-    for s, rep in report.calibration.items():
-        print(f"  {s.value:10s} max gap {rep.max_abs_gap:.4f} "
-              f"{'ok' if rep.passes() else 'FAIL'}")
-    return 0 if all_pass else 1
+    summary = [f"  {s.value:10s} max gap {rep.max_abs_gap:.4f} "
+               f"{'ok' if rep.passes() else 'FAIL'}"
+               for s, rep in report.calibration.items()]
+    tables = {"calibration.csv": lambda doc: _calibration_rows(report)}
+    return ({"per_system": _calibration_summary(report), "all_pass": all_pass},
+            tables, summary, all_pass)
 
 
-def _cmd_oracle_check(args, out: _Outputs) -> int:
-    world, _ = _load_config(args.config)
-    cfg = PathOracleConfig(n_paths=args.paths)
+def _oracle_check(args, world, settings, n_paths):
     # every point reads the same paths: the grid draws each recipe once
+    cfg = PathOracleConfig(n_paths=n_paths)
     bank = PathBank(world, args.seed, cfg.n_paths)
     rows = []
     all_ok = True
     for system in NONTRIVIAL:
-        grid = default_evidence_grid(system, world)
-        for i, view in enumerate(grid):
+        for i, view in enumerate(default_evidence_grid(system, world)):
             comp = compare_closed_vs_oracle(system, view, world, cfg,
                                             seed=args.seed, bank=bank)
             all_ok &= comp.within_3se
@@ -467,38 +383,85 @@ def _cmd_oracle_check(args, out: _Outputs) -> int:
                 "abs_diff_log10": comp.abs_diff_log10,
                 "within_3se": str(comp.within_3se).lower(),
             })
-    doc = {
-        "command": "oracle-check",
-        "world": world_to_json_dict(world),
-        "n_paths": args.paths,
-        "seed": args.seed,
-        "rows": rows,
-        "all_within_3se": all_ok,
-    }
-    want_json, want_csv = _formats(args.format)
-    if want_json:
-        out.add("report.json", doc)
-    if want_csv:
-        out.add("oracle.csv", rows)
-    out.flush()
     worst = max(rows, key=lambda r: r["abs_diff_log10"] / r["se_log10"]
                 if r["se_log10"] > 0 else 0.0)
-    print(f"oracle-check: {len(rows)} grid points at {args.paths} paths, "
-          f"{'all within 3 SE' if all_ok else 'DISAGREEMENT'}")
-    print(f"  worst: {worst['system']} point {worst['grid_index']} "
-          f"diff {worst['abs_diff_log10']:.4f} vs SE {worst['se_log10']:.4f}")
-    return 0 if all_ok else 1
+    summary = [
+        f"oracle-check: {len(rows)} grid points at {n_paths} paths, "
+        f"{'all within 3 SE' if all_ok else 'DISAGREEMENT'}",
+        f"  worst: {worst['system']} point {worst['grid_index']} "
+        f"diff {worst['abs_diff_log10']:.4f} vs SE {worst['se_log10']:.4f}"]
+    return ({"rows": rows, "all_within_3se": all_ok},
+            {"oracle.csv": lambda doc: rows}, summary, all_ok)
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One command. run(args, world, settings, size) returns the report body,
+    the CSV tables by file name, the summary lines and the pass flag. A table
+    is a function from the finished report to its rows, called only when CSV
+    is written. size is the report key of the run size and the dest of its
+    flag (--cases or --paths); a command without one reads no world, so it
+    takes no --config or --seed."""
+
+    run: Callable
+    flags: tuple[str, ...]  # the command's own flags; see _FLAGS
+    size: str | None = None
+    cases: int = 0  # default case count, when the config gives none
 
 
 _COMMANDS = {
-    "rank": _cmd_rank,
-    "illcond": _cmd_illcond,
-    "csprior": _cmd_csprior,
-    "tailbound": _cmd_tailbound,
-    "demand": _cmd_demand,
-    "calibrate": _cmd_calibrate,
-    "oracle-check": _cmd_oracle_check,
+    "rank": _Spec(_rank, ("--cases", "--rule"), "n_cases", 20_000),
+    "illcond": _Spec(_illcond, ("--cases", "--rule"), "n_cases", 20_000),
+    "csprior": _Spec(_csprior, ("--cases", "--rule"), "n_cases", 20_000),
+    "tailbound": _Spec(_tailbound, ("--cases",), "n_cases", 100_000),
+    "demand": _Spec(_demand, ("--lr-min", "--lr-max")),
+    "calibrate": _Spec(_calibrate, ("--cases",), "n_cases", 100_000),
+    "oracle-check": _Spec(_oracle_check, ("--paths",), "n_paths"),
 }
+
+_FLAGS = {
+    "--config": dict(help="world or experiment JSON "
+                     "(default: the packaged world)"),
+    "--seed": dict(type=int, default=0),
+    "--cases": dict(type=int, default=None, dest="n_cases"),
+    "--rule": dict(choices=sorted(_RULES), default=None),
+    "--lr-min": dict(type=float, default=1.0 / 100.0),
+    "--lr-max": dict(type=float, default=1000.0),
+    "--paths": dict(type=int, default=300_000, dest="n_paths"),
+    "--out": dict(default="lrsim-out",
+                  help="output directory (default: lrsim-out)"),
+    "--format": dict(choices=("json", "csv", "both"), default="both"),
+    "--force": dict(action="store_true",
+                    help="overwrite existing output files"),
+}
+
+
+def _run(args, out: _Outputs) -> int:
+    """Run one command: header, compute, write the chosen formats, summarise.
+
+    The header keys come first because the one-row CSVs take their column
+    order from the report's key order.
+    """
+    spec = _COMMANDS[args.command]
+    doc = {"command": args.command}
+    world, settings, size = None, {}, None
+    if spec.size is not None:
+        world, settings = _load_config(args.config)
+        size = getattr(args, spec.size)  # --cases or --paths
+        if size is None:  # no --cases: the config's n_cases, else the default
+            size = settings.get("n_cases", spec.cases)
+        doc.update({"world": world_to_json_dict(world), spec.size: size,
+                    "seed": args.seed})
+    body, tables, summary, ok = spec.run(args, world, settings, size)
+    doc.update(body)
+    if args.format in ("json", "both"):
+        out.add("report.json", doc)
+    if args.format in ("csv", "both"):
+        for name, rows in tables.items():
+            out.add(name, rows(doc))
+    out.flush()
+    print("\n".join(summary))
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,39 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lrsim",
         description="simulate and evaluate source-level LR systems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, spec in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="world or experiment JSON "
-                       "(default: the packaged world)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="lrsim-out",
-                       help="output directory (default: lrsim-out)")
-        p.add_argument("--format", choices=("json", "csv", "both"),
-                       default="both")
-        p.add_argument("--force", action="store_true",
-                       help="overwrite existing output files")
-        if name not in ("demand", "oracle-check"):
-            p.add_argument("--cases", type=int, default=None)
-            p.add_argument("--rule", choices=sorted(_RULES), default=None)
-        if name == "demand":
-            p.add_argument("--lr-min", type=float, default=1.0 / 100.0)
-            p.add_argument("--lr-max", type=float, default=1000.0)
-        if name == "oracle-check":
-            p.add_argument("--paths", type=int, default=300_000)
+        world_flags = ("--config", "--seed") if spec.size is not None else ()
+        for flag in (*world_flags, "--out", "--format", "--force", *spec.flags):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0 <= args.seed < 2**64:
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
         print("error: --seed must lie in [0, 2**64)", file=sys.stderr)
         return 2
-    if getattr(args, "cases", None) is not None and args.cases < 1:
+    if getattr(args, "n_cases", None) is not None and args.n_cases < 1:
         print("error: --cases must be an integer >= 1", file=sys.stderr)
         return 2
     out = _Outputs(Path(args.out), args.force)
     try:
-        status = _COMMANDS[args.command](args, out)
+        status = _run(args, out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

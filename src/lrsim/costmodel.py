@@ -107,10 +107,12 @@ def demand_table(target_lr_min: float = 1.0 / 100.0,
     SSXASLR is omitted: its LR is constant, so there is nothing to model
     and no experiment to size.
     """
-    if not (0.0 < target_lr_min < 1.0 < target_lr_max):
+    # the score counts are ceil(1/min) and ceil(max): both must be finite
+    if not (0.0 < target_lr_min < 1.0 < target_lr_max < math.inf
+            and 1.0 / target_lr_min < math.inf):
         raise ConfigError(
-            f"need 0 < target_lr_min < 1 < target_lr_max, got "
-            f"[{target_lr_min}, {target_lr_max}]")
+            f"need 0 < target_lr_min < 1 < target_lr_max, both giving "
+            f"finite score counts, got [{target_lr_min}, {target_lr_max}]")
     n_h1 = math.ceil(1.0 / target_lr_min)
     n_h2 = math.ceil(target_lr_max)
     default_range = (n_h1, n_h2) == (100, 1000)

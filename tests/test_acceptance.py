@@ -30,7 +30,7 @@ from lrsim.lrsystems import (
     discrete_profile_lr,
     log_lr_batch,
 )
-from lrsim.oracle import compare_closed_vs_oracle, default_evidence_grid, path_oracle_lr
+from lrsim.oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid, path_oracle_lr
 from lrsim.scoring import IMPROPER_TABLE, ScoringRule, expected_score, honesty_check
 from tests.conftest import make_world, packaged_world
 
@@ -77,9 +77,14 @@ def test_closed_forms_match_sampling_oracle():
     worst_at = ""
     n_points = 0
     ok = True
-    for system in sorted(NONTRIVIAL, key=lambda s: s.value):
-        for i, view in enumerate(default_evidence_grid(system, world)):
-            comp = compare_closed_vs_oracle(system, view, world, cfg, seed=i)
+    grids = {system: default_evidence_grid(system, world)
+             for system in sorted(NONTRIVIAL, key=lambda s: s.value)}
+    # point i runs at seed i, so the points of one seed share one bank
+    for i in range(9):  # every grid is 3x3
+        bank = PathBank(world, i, cfg.n_paths)
+        for system, grid in grids.items():
+            comp = compare_closed_vs_oracle(system, grid[i], world, cfg,
+                                            seed=i, bank=bank)
             n_points += 1
             ratio = (comp.abs_diff_log10 / comp.se_log10
                      if comp.se_log10 > 0 else np.inf)

@@ -70,7 +70,7 @@ def test_unknown_system_name_rejected(tmp_path, capsys):
 
 
 def test_negative_seed_rejected(tmp_path, capsys):
-    code, _, err = run(capsys, "demand", "--seed", "-1",
+    code, _, err = run(capsys, "rank", "--seed", "-1",
                        "--out", str(tmp_path / "o"))
     assert code == 2
     assert "seed" in err
@@ -135,9 +135,42 @@ def test_config_n_cases_must_be_a_positive_integer(tmp_path, capsys, n_cases):
 
 
 def test_bad_demand_range_is_exit_2(tmp_path, capsys):
-    code, _, err = run(capsys, "demand", "--lr-min", "2.0",
-                       "--out", str(tmp_path / "o"))
-    assert code == 2
+    # a bound whose score count would be infinite is out of range too
+    for flag, value in (("--lr-min", "2.0"), ("--lr-max", "inf"),
+                        ("--lr-max", "1e400"), ("--lr-min", "5e-324")):
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "demand", flag, value, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("systems", [[], 5, ["CSFLR", "CSFLR"], "CSFLR"])
+def test_config_systems_must_be_distinct_system_names(tmp_path, capsys,
+                                                      systems):
+    cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC,
+                                  "systems": systems})
+    out = tmp_path / "o"
+    for command in ("rank", "illcond", "csprior", "tailbound", "calibrate",
+                    "oracle-check"):
+        code, stdout, err = run(capsys, command, "--config", cfg,
+                                "--out", str(out))
+        assert code == 2, command
+        assert err.startswith("error:") and "systems" in err
+        assert stdout == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("demand", "--seed", "1"), ("demand", "--config", "world.json"),
+    ("calibrate", "--rule", "brier"), ("tailbound", "--rule", "brier"),
+])
+def test_commands_take_only_the_flags_they_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +185,74 @@ def test_refuses_to_overwrite_then_force(tmp_path, capsys):
     assert "--force" in err
     code, _, _ = run(capsys, "demand", "--out", out, "--force")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# one driver, all-or-nothing outputs
+
+SMALL_ARGS = {
+    "rank": ("--cases", "2000"),
+    "illcond": ("--cases", "2000"),
+    "csprior": ("--cases", "2000"),
+    "tailbound": ("--cases", "2000"),
+    "demand": (),
+    "calibrate": ("--cases", "2000"),
+    "oracle-check": ("--paths", "150000"),
+}
+
+CSV_FILES = {
+    "rank": {"cases.csv", "calibration.csv", "scores.csv"},
+    "illcond": {"illcond.csv"},
+    "csprior": {"csprior.csv"},
+    "tailbound": {"tailbound.csv"},
+    "demand": {"demand.csv", "tradeoff.csv"},
+    "calibrate": {"calibration.csv"},
+    "oracle-check": {"oracle.csv"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_ARGS))
+def test_every_command_writes_exactly_its_files(tmp_path, capsys, command):
+    for fmt, files in (("json", {"report.json"}), ("csv", CSV_FILES[command]),
+                       ("both", {"report.json"} | CSV_FILES[command])):
+        runs = []
+        for rerun in ("a", "b"):
+            out = tmp_path / f"{fmt}-{rerun}"
+            code, stdout, err = run(capsys, command, *SMALL_ARGS[command],
+                                    "--format", fmt, "--out", str(out))
+            assert code in (0, 1) and err == "", (fmt, err)
+            # only the chosen files: no other format, no scratch directory
+            assert {p.name for p in out.iterdir()} == files, fmt
+            summary = [ln for ln in stdout.splitlines()
+                       if not ln.startswith("wrote:")]
+            runs.append((code, summary,
+                         {n: (out / n).read_bytes() for n in files}))
+        assert runs[0] == runs[1], fmt
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_flush_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
+                                           existing):
+    out = tmp_path / "new" / "o"
+    before = {}
+    if existing:
+        assert run(capsys, "rank", "--cases", "1000", "--out", str(out))[0] == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_write(path, rows):  # report.json is in; cases.csv breaks
+        path.write_text("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_csv", failing_write)
+    code, stdout, err = run(capsys, "rank", "--cases", "2000", "--seed", "1",
+                            "--force", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "disk full" in err
+    assert stdout == ""
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert not (tmp_path / "new").exists()
 
 
 # ---------------------------------------------------------------------------
