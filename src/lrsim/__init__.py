@@ -31,13 +31,11 @@ from .lrsystems import (
     PathOracleConfig,
     ProfileMode,
     SystemId,
-    anchor_lr,
     clamp_log10_lr,
     discrete_profile_lr,
     evaluate,
     log_lr_batch,
     posterior_from_log10_lr,
-    posterior_from_lr,
 )
 from .oracle import (
     InsufficientPathsError,
@@ -47,7 +45,6 @@ from .oracle import (
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,
-    path_oracle_lr,
 )
 from .scoring import (
     CalibrationReport,
@@ -108,7 +105,6 @@ __all__ = [
     "SystemId",
     "Verdict",
     "WorldConfig",
-    "anchor_lr",
     "calibration_report",
     "clamp_log10_lr",
     "compare_closed_vs_oracle",
@@ -125,9 +121,7 @@ __all__ = [
     "log_lr_batch",
     "mean_score",
     "path_oracle",
-    "path_oracle_lr",
     "posterior_from_log10_lr",
-    "posterior_from_lr",
     "run_experiment",
     "score",
     "scores_batch",

@@ -29,7 +29,8 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -266,51 +267,41 @@ def _rank(args, world, settings, n):
     return body, tables, summary, counts["Violated"] == 0
 
 
+def _fields(report) -> dict:
+    """A focused report's fields in order, enums written as their values."""
+    return {k: v.value if isinstance(v, Enum) else v for k, v in asdict(report).items()}
+
+
+def _one_row(doc: dict) -> list[dict]:
+    """The whole report as one CSV row, the world as JSON and the booleans
+    as true/false like every other CSV."""
+    row = {k: str(v).lower() if isinstance(v, bool) else v
+           for k, v in doc.items()}
+    row["world"] = json.dumps(doc["world"], sort_keys=True)
+    return [row]
+
+
 def _illcond(args, world, settings, n):
     rep = ill_conditioning_experiment(world, n_cases=n, master_seed=args.seed,
                                       rule=_rule(args, settings))
-    body = {
-        "rule": rep.rule.value,
-        "identity_max_rel_err": rep.identity_max_rel_err,
-        "identity_ok": rep.identity_ok,
-        "mean_naive": rep.mean_naive,
-        "mean_proper": rep.mean_proper,
-        "gap": rep.gap,
-        "gap_se": rep.gap_se,
-        "margin_in_se": rep.margin_in_se,
-        "proper_beats_naive": rep.proper_beats_naive,
-    }
     summary = [
         f"illcond: identity max rel err {rep.identity_max_rel_err:.2e} "
         f"({'ok' if rep.identity_ok else 'FAIL'})",
         f"  naive {rep.mean_naive:+.4f}  proper {rep.mean_proper:+.4f}  "
         f"gap {rep.gap:+.4f} ({rep.margin_in_se:+.1f} SE)"]
-    return (body, {"illcond.csv": lambda doc: [doc]}, summary,
+    return (_fields(rep), {"illcond.csv": _one_row}, summary,
             rep.identity_ok and rep.proper_beats_naive)
 
 
 def _csprior(args, world, settings, n):
     rep = cs_update_ss_prior_experiment(world, n_cases=n, master_seed=args.seed,
                                         rule=_rule(args, settings))
-    body = {
-        "rule": rep.rule.value,
-        "populations_match": rep.populations_match,
-        "mean_baseline": rep.mean_baseline,
-        "mean_updated_csflr": rep.mean_updated_csflr,
-        "mean_updated_csslr": rep.mean_updated_csslr,
-        "gap_csflr": rep.gap_csflr,
-        "gap_csflr_se": rep.gap_csflr_se,
-        "margin_csflr_in_se": rep.margin_csflr_in_se,
-        "gap_csslr": rep.gap_csslr,
-        "gap_csslr_se": rep.gap_csslr_se,
-        "ok": rep.ok,
-    }
     verdict = ("descriptive" if rep.ok is None
                else "ok" if rep.ok else "FAIL")
     summary = [f"csprior: baseline {rep.mean_baseline:+.4f}  "
                f"+CSFLR {rep.mean_updated_csflr:+.4f} "
                f"({rep.margin_csflr_in_se:+.1f} SE)  [{verdict}]"]
-    return body, {"csprior.csv": lambda doc: [doc]}, summary, rep.ok is not False
+    return _fields(rep), {"csprior.csv": _one_row}, summary, rep.ok is not False
 
 
 def _tailbound(args, world, settings, n):

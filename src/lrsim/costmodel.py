@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genmodel import ConfigError, Hypothesis, WorldConfig, generate_cases
-from .lrsystems import LOG10_E, SPECIFIC_SOURCE, SystemId, log_lr_batch
+from .harness import _own_log10
+from .lrsystems import SystemId
 
 __all__ = [
     "ANCHOR_CATEGORIES",
@@ -314,37 +315,30 @@ def tail_bound_check(
 
     Simulates n_cases under each hypothesis, evaluates the system's own
     LR, and accepts an exceedance up to 1/k + 3 binomial standard errors.
-    Passing believed_world makes the evaluator use densities that differ
-    from the generating world; genuine LRs satisfy the bound, mis-believed
-    ones generally break it.
+    Both batches are drawn from seed: each check is valid alone, and the two
+    share their random numbers. Passing believed_world makes the evaluator
+    use densities that differ from the generating world; genuine LRs satisfy
+    the bound, mis-believed ones generally break it.
     """
     world.validate()
     for k in k_values:
         if k < 1.0:
             raise ConfigError(f"k values must be >= 1, got {k}")
     w = believed_world or world
-    batch_h2 = generate_cases(world, seed, n_cases, force_truth=Hypothesis.H2)
-    batch_h1 = generate_cases(world, seed + 1, n_cases, force_truth=Hypothesis.H1)
-
-    def own_log10(batch):
-        theta = batch.theta_r if system in SPECIFIC_SOURCE else None
-        return log_lr_batch(system, batch.x, batch.y, w,
-                            theta_r=theta) * LOG10_E
-
-    log10_h2 = own_log10(batch_h2)
-    log10_h1 = own_log10(batch_h1)
+    log10_h2 = _own_log10(system, generate_cases(
+        world, seed, n_cases, force_truth=Hypothesis.H2), w)
+    log10_h1 = _own_log10(system, generate_cases(
+        world, seed, n_cases, force_truth=Hypothesis.H1), w)
 
     rows = []
     for k in k_values:
         p = 1.0 / k
         bound = p + 3.0 * math.sqrt(p * (1.0 - p) / n_cases)
         log10_k = math.log10(k)
-        exc_h2 = float(np.mean(log10_h2 > log10_k))
-        exc_h1 = float(np.mean(log10_h1 < -log10_k))
-        rows.append(TailBoundRow(k=k, side="H2", empirical_exceedance=exc_h2,
-                                 bound=bound, passed=exc_h2 <= bound))
-        rows.append(TailBoundRow(k=k, side="H1", empirical_exceedance=exc_h1,
-                                 bound=bound, passed=exc_h1 <= bound))
+        for side, beyond in (("H2", log10_h2 > log10_k), ("H1", log10_h1 < -log10_k)):
+            exc = float(np.mean(beyond))
+            rows.append(TailBoundRow(k=k, side=side, empirical_exceedance=exc,
+                                     bound=bound, passed=exc <= bound))
     return rows
 
 
@@ -374,9 +368,7 @@ def demand_csv_rows(profiles: list[DemandProfile]) -> list[dict[str, object]]:
     ]
 
 
-def tradeoff_csv_rows(rows: list[TradeoffRow] | None = None) -> list[dict[str, object]]:
-    if rows is None:
-        rows = feasibility_rank()
+def tradeoff_csv_rows() -> list[dict[str, object]]:
     return [
         {
             "system": r.system.value,
@@ -387,5 +379,5 @@ def tradeoff_csv_rows(rows: list[TradeoffRow] | None = None) -> list[dict[str, o
             "favourable": str(r.favourable).lower(),
             "notes": r.note,
         }
-        for r in rows
+        for r in feasibility_rank()
     ]

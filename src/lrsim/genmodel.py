@@ -120,6 +120,17 @@ class WorldConfig:
         for name, value in (("n_trace", self.n_trace), ("n_ref", self.n_ref)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        # the engines divide by these variances and take their logarithms, so
+        # each must be a finite float and the noise ones must not underflow
+        try:
+            noise = (self.noise.sigma**2, self.var_trace_mean, self.var_ref_mean)
+            spread = tuple(p.tau**2 for p in (self.pop_c, self.pop_d, self.pop_t))
+        except OverflowError:  # a float or an int too large for a float
+            noise, spread = (math.inf,), ()
+        if not all(0.0 < v < math.inf for v in noise) or math.inf in spread:
+            raise ConfigError(
+                "tau**2, sigma**2, sigma**2/n_trace and sigma**2/n_ref must be "
+                "finite floats, and the sigma terms > 0")
         if self.scenario is ScenarioKind.TraceCrimeRelevant and self.pop_c != self.pop_t:
             raise ConfigError("TraceCrimeRelevant requires popC == popT")
         if self.scenario is ScenarioKind.ReferenceCrimeRelevant and self.pop_c != self.pop_d:

@@ -42,6 +42,7 @@ from .lrsystems import (
     SPECIFIC_SOURCE,
     AnchorKind,
     SystemId,
+    _norm_logpdf,
     anchor_log_lr_batch,
     clamp_log10_lr,
     log_lr_batch,
@@ -127,6 +128,14 @@ class PairedDiff:
     se_diff: float
     n: int
 
+    @property
+    def margin_in_se(self) -> float:
+        """mean_diff in SEs; with no positive SE, 0 inside TIE_ATOL, else +/-inf."""
+        if self.se_diff > 0:
+            return self.mean_diff / self.se_diff
+        return 0.0 if abs(self.mean_diff) <= TIE_ATOL else math.copysign(
+            math.inf, self.mean_diff)
+
 
 @dataclass(frozen=True)
 class RankingVerdict:
@@ -154,6 +163,32 @@ class EvalReport:
         return sum(1 for v in self.ranking_verdicts if v.verdict is Verdict.Violated)
 
 
+# ---------------------------------------------------------------------------
+# the pipeline: own LR, anchor term, clamp, posterior, paired margin
+
+def _own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
+    """A system's own log10 LR on a batch; only SS systems see theta_r."""
+    theta = batch.theta_r if system in SPECIFIC_SOURCE else None
+    return log_lr_batch(system, batch.x, batch.y, world, theta_r=theta) * LOG10_E
+
+
+def _stated_log10(system: SystemId, own: np.ndarray, batch: CaseBatch,
+                  world: WorldConfig) -> np.ndarray:
+    """own plus the log10 LR the anchor observation carries, which only the
+    common-source anchored systems leave out of their own LR."""
+    if system is SystemId.CSYASLR:
+        return own + anchor_log_lr_batch(batch.y, AnchorKind.Y, world) * LOG10_E
+    if system is SystemId.CSXASLR:
+        return own + anchor_log_lr_batch(batch.x, AnchorKind.X, world) * LOG10_E
+    return own
+
+
+def _posterior(log10_lr: np.ndarray, prior_h1: float) -> tuple[np.ndarray, int]:
+    """Stated posterior from a log10 LR clamped to +/-12, and the clamp count."""
+    clamped, n_clamped = clamp_log10_lr(log10_lr)
+    return posterior_from_log10_lr(clamped, prior_h1), n_clamped
+
+
 def system_posteriors(
     batch: CaseBatch,
     systems: tuple[SystemId, ...],
@@ -166,33 +201,20 @@ def system_posteriors(
     both coincide.
     """
     w = believed_world or batch.world
-    prior = batch.world.prior_h1
     own_log10: dict[SystemId, np.ndarray] = {}
     posteriors: dict[SystemId, np.ndarray] = {}
     clamps: dict[SystemId, int] = {}
     for system in systems:
-        theta = batch.theta_r if system in SPECIFIC_SOURCE else None
-        own = log_lr_batch(system, batch.x, batch.y, w, theta_r=theta) * LOG10_E
-        total = own
-        if system is SystemId.CSYASLR:
-            total = own + anchor_log_lr_batch(batch.y, AnchorKind.Y, w) * LOG10_E
-        elif system is SystemId.CSXASLR:
-            total = own + anchor_log_lr_batch(batch.x, AnchorKind.X, w) * LOG10_E
-        clamped, n_clamped = clamp_log10_lr(total)
-        own_log10[system] = own
-        posteriors[system] = posterior_from_log10_lr(clamped, prior)
-        clamps[system] = n_clamped
+        own_log10[system] = _own_log10(system, batch, w)
+        posteriors[system], clamps[system] = _posterior(
+            _stated_log10(system, own_log10[system], batch, w),
+            batch.world.prior_h1)
     return own_log10, posteriors, clamps
 
 
 def _verdict(claim_id: str, better: SystemId, worse: SystemId,
              diff: PairedDiff) -> RankingVerdict:
     band = 2.0 * diff.se_diff
-    if diff.se_diff > 0:
-        margin = diff.mean_diff / diff.se_diff
-    else:
-        margin = 0.0 if abs(diff.mean_diff) <= TIE_ATOL else math.copysign(
-            math.inf, diff.mean_diff)
     if diff.mean_diff > band and diff.mean_diff > TIE_ATOL:
         verdict = Verdict.Confirmed
     elif diff.mean_diff < -band and diff.mean_diff < -TIE_ATOL:
@@ -201,29 +223,14 @@ def _verdict(claim_id: str, better: SystemId, worse: SystemId,
         verdict = Verdict.Tie
     return RankingVerdict(claim_id=claim_id, better=better, worse=worse,
                           mean_diff=diff.mean_diff, se_diff=diff.se_diff,
-                          margin_in_se=margin, verdict=verdict)
+                          margin_in_se=diff.margin_in_se, verdict=verdict)
 
 
-def verify_ranking(
-    paired_diffs: dict[str, PairedDiff] | EvalReport,
-    require_all: bool = True,
-) -> list[RankingVerdict]:
-    """Judge every expected-performance claim from paired differences.
-
-    With require_all, a claim whose systems were not part of the run is an
-    error; otherwise such claims are skipped (useful for subset runs).
-    """
-    diffs = (paired_diffs.paired_diffs
-             if isinstance(paired_diffs, EvalReport) else paired_diffs)
-    verdicts = []
-    for claim_id, better, worse in RANKING_CLAIMS:
-        if claim_id not in diffs:
-            if require_all:
-                raise ConfigError(
-                    f"claim {claim_id} needs systems missing from the report")
-            continue
-        verdicts.append(_verdict(claim_id, better, worse, diffs[claim_id]))
-    return verdicts
+def verify_ranking(paired_diffs: dict[str, PairedDiff]) -> list[RankingVerdict]:
+    """Judge each claim whose two systems were both run, from paired differences."""
+    return [_verdict(claim_id, better, worse, paired_diffs[claim_id])
+            for claim_id, better, worse in RANKING_CLAIMS
+            if claim_id in paired_diffs]
 
 
 def _paired_diff(a: np.ndarray, b: np.ndarray) -> PairedDiff:
@@ -281,7 +288,7 @@ def run_experiment(
         per_system=per_system,
         paired_diffs=paired,
         calibration=calibration,
-        ranking_verdicts=verify_ranking(paired, require_all=False),
+        ranking_verdicts=verify_ranking(paired),
         clamp_counts=clamps,
         case_table=case_table,
     )
@@ -297,19 +304,13 @@ class IllCondReport:
     n_cases: int
     rule: ScoringRule
     identity_max_rel_err: float
+    identity_ok: bool
     mean_naive: float
     mean_proper: float
     gap: float
     gap_se: float
     margin_in_se: float
-
-    @property
-    def identity_ok(self) -> bool:
-        return self.identity_max_rel_err < 1e-9
-
-    @property
-    def proper_beats_naive(self) -> bool:
-        return self.gap > 2.0 * self.gap_se
+    proper_beats_naive: bool
 
 
 def ill_conditioning_experiment(
@@ -334,26 +335,21 @@ def ill_conditioning_experiment(
             "popC != popT, otherwise the trace anchor carries no LR")
     batch = generate_cases(world, master_seed, n_cases)
     is_h1 = batch.truth_h1.astype(bool)
-    prior = world.prior_h1
 
-    naive = log_lr_batch(SystemId.CSXASLR, batch.x, batch.y, world) * LOG10_E
-    anchor = anchor_log_lr_batch(batch.x, AnchorKind.X, world) * LOG10_E
-    proper = naive + anchor
-    joint = log_lr_batch(SystemId.CSFLR, batch.x, batch.y, world) * LOG10_E
-    rel_err = np.abs(np.expm1((proper - joint) / LOG10_E))
-    max_rel_err = float(rel_err.max())
+    naive = _own_log10(SystemId.CSXASLR, batch, world)
+    proper = _stated_log10(SystemId.CSXASLR, naive, batch, world)
+    joint = _own_log10(SystemId.CSFLR, batch, world)
+    max_rel_err = float(np.abs(np.expm1((proper - joint) / LOG10_E)).max())
 
-    s_naive = scores_batch(rule, posterior_from_log10_lr(
-        clamp_log10_lr(naive)[0], prior), is_h1)
-    s_proper = scores_batch(rule, posterior_from_log10_lr(
-        clamp_log10_lr(proper)[0], prior), is_h1)
+    s_naive = scores_batch(rule, _posterior(naive, world.prior_h1)[0], is_h1)
+    s_proper = scores_batch(rule, _posterior(proper, world.prior_h1)[0], is_h1)
     diff = _paired_diff(s_proper, s_naive)
-    margin = diff.mean_diff / diff.se_diff if diff.se_diff > 0 else 0.0
-
     return IllCondReport(
         n_cases=n_cases, rule=rule, identity_max_rel_err=max_rel_err,
+        identity_ok=max_rel_err < 1e-9,
         mean_naive=float(s_naive.mean()), mean_proper=float(s_proper.mean()),
-        gap=diff.mean_diff, gap_se=diff.se_diff, margin_in_se=margin)
+        gap=diff.mean_diff, gap_se=diff.se_diff, margin_in_se=diff.margin_in_se,
+        proper_beats_naive=diff.mean_diff > 2.0 * diff.se_diff)
 
 
 @dataclass(frozen=True)
@@ -396,40 +392,31 @@ def cs_update_ss_prior_experiment(
             "evaluate the source-conditioned prior")
     batch = generate_cases(world, master_seed, n_cases)
     is_h1 = batch.truth_h1.astype(bool)
-    prior = world.prior_h1
 
     if matched:
         r_term = np.zeros(n_cases)
-    else:
-        from .lrsystems import _norm_logpdf  # density of the suspect source itself
+    else:  # the density of the suspect source itself
         r_term = (_norm_logpdf(batch.theta_r, world.pop_c.mu, world.pop_c.tau**2)
                   - _norm_logpdf(batch.theta_r, world.pop_d.mu, world.pop_d.tau**2)
                   ) * LOG10_E
 
-    csflr = log_lr_batch(SystemId.CSFLR, batch.x, batch.y, world) * LOG10_E
-    csslr = log_lr_batch(SystemId.CSSLR, batch.x, batch.y, world) * LOG10_E
-
     def scored(total_log10: np.ndarray) -> np.ndarray:
-        p = posterior_from_log10_lr(clamp_log10_lr(total_log10)[0], prior)
-        return scores_batch(rule, p, is_h1)
+        return scores_batch(rule, _posterior(total_log10, world.prior_h1)[0], is_h1)
 
     s_base = scored(r_term)
-    s_flr = scored(r_term + csflr)
-    s_slr = scored(r_term + csslr)
+    s_flr = scored(r_term + _own_log10(SystemId.CSFLR, batch, world))
+    s_slr = scored(r_term + _own_log10(SystemId.CSSLR, batch, world))
     d_flr = _paired_diff(s_flr, s_base)
     d_slr = _paired_diff(s_slr, s_base)
-    margin = d_flr.mean_diff / d_flr.se_diff if d_flr.se_diff > 0 else 0.0
-    ok = (d_flr.mean_diff > 2.0 * d_flr.se_diff) if matched else None
-
     return CsPriorReport(
         n_cases=n_cases, rule=rule, populations_match=matched,
         mean_baseline=float(s_base.mean()),
         mean_updated_csflr=float(s_flr.mean()),
         mean_updated_csslr=float(s_slr.mean()),
         gap_csflr=d_flr.mean_diff, gap_csflr_se=d_flr.se_diff,
-        margin_csflr_in_se=margin,
+        margin_csflr_in_se=d_flr.margin_in_se,
         gap_csslr=d_slr.mean_diff, gap_csslr_se=d_slr.se_diff,
-        ok=ok)
+        ok=(d_flr.mean_diff > 2.0 * d_flr.se_diff) if matched else None)
 
 
 @dataclass(frozen=True)
@@ -459,20 +446,15 @@ def total_expectation_check(
     world.validate()
     batch = generate_cases(world, master_seed, n_samples)
     is_h1 = batch.truth_h1.astype(bool)
-    prior = world.prior_h1
-
-    p_joint = posterior_from_log10_lr(clamp_log10_lr(
-        log_lr_batch(SystemId.CSFLR, batch.x, batch.y, world) * LOG10_E)[0], prior)
-    p_delta = posterior_from_log10_lr(clamp_log10_lr(
-        log_lr_batch(SystemId.CSSLR, batch.x, batch.y, world) * LOG10_E)[0], prior)
+    _, p, _ = system_posteriors(batch, (SystemId.CSFLR, SystemId.CSSLR))
+    p_joint, p_delta = p[SystemId.CSFLR], p[SystemId.CSSLR]
 
     lhs = scores_batch(rule, p_delta, is_h1)
     all_h1 = np.ones(n_samples, dtype=bool)
     rhs = (p_joint * scores_batch(rule, p_delta, all_h1)
            + (1.0 - p_joint) * scores_batch(rule, p_delta, ~all_h1))
     diff = _paired_diff(lhs, rhs)
-    gap_in_se = diff.mean_diff / diff.se_diff if diff.se_diff > 0 else 0.0
     return TotalExpectationReport(
         lhs_mean=float(lhs.mean()), rhs_mean=float(rhs.mean()),
-        gap=diff.mean_diff, gap_se=diff.se_diff, gap_in_se=gap_in_se,
+        gap=diff.mean_diff, gap_se=diff.se_diff, gap_in_se=diff.margin_in_se,
         n_samples=n_samples)

@@ -38,17 +38,13 @@ __all__ = [
     "LrResult",
     "PathOracleConfig",
     "ProfileLr",
-    "Score",
     "SystemId",
     "anchor_log_lr_batch",
-    "anchor_lr",
     "clamp_log10_lr",
-    "compute_score",
     "discrete_profile_lr",
     "evaluate",
     "log_lr_batch",
     "posterior_from_log10_lr",
-    "posterior_from_lr",
 ]
 
 LOG10_E = math.log10(math.e)
@@ -71,8 +67,6 @@ class SystemId(str, Enum):
 
 SPECIFIC_SOURCE = frozenset(
     {SystemId.SSFLR, SystemId.SSSLR, SystemId.SSYASLR, SystemId.SSXASLR})
-ANCHORED = frozenset(
-    {SystemId.SSYASLR, SystemId.CSYASLR, SystemId.SSXASLR, SystemId.CSXASLR})
 NONTRIVIAL = tuple(s for s in SystemId
                    if s not in (SystemId.SSXASLR, SystemId.PriorOnly))
 
@@ -80,12 +74,6 @@ NONTRIVIAL = tuple(s for s in SystemId
 class AnchorKind(str, Enum):
     X = "X"   # anchored on the trace measurement mean
     Y = "Y"   # anchored on the reference measurement mean
-
-
-@dataclass(frozen=True)
-class Score:
-    kind: ScoreKind
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -128,13 +116,6 @@ class PathOracleConfig:
             raise ConfigError(
                 f"bandwidth_factor must be > 0, got {self.bandwidth_factor}")
         return self
-
-
-def compute_score(x_mean: float, y_mean: float, kind: ScoreKind) -> Score:
-    d = x_mean - y_mean
-    if kind is ScoreKind.AbsoluteDifference:
-        d = abs(d)
-    return Score(kind=kind, delta=d)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +260,11 @@ def log_lr_batch(
     return fn(xb, yb, th, world)
 
 
-def _result(system: SystemId, log_lr: float) -> LrResult:
-    ll = float(log_lr)
-    return LrResult(system=system, lr=math.exp(ll), log10_lr=ll * LOG10_E)
-
-
 def evaluate(system: SystemId, view: CaseView, world: WorldConfig) -> LrResult:
     """Scalar LR of one system on one case."""
-    if system is SystemId.PriorOnly:
-        return LrResult(system=system, lr=1.0, log10_lr=0.0)
-    th = None
-    if system in SPECIFIC_SOURCE:
-        if view.theta_r is None:
-            raise ConfigError(f"{system.value} requires a view carrying theta_r")
-        th = np.float64(view.theta_r)
-    if system is SystemId.SSXASLR:
-        return LrResult(system=system, lr=1.0, log10_lr=0.0)
-    ll = log_lr_batch(system, np.float64(view.x_mean), np.float64(view.y_mean),
-                      world, theta_r=th)
-    return _result(system, ll)
+    th = view.theta_r if system in SPECIFIC_SOURCE else None
+    ll = float(log_lr_batch(system, view.x_mean, view.y_mean, world, theta_r=th))
+    return LrResult(system=system, lr=math.exp(ll), log10_lr=ll * LOG10_E)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +287,6 @@ def anchor_log_lr_batch(values: np.ndarray, kind: AnchorKind, world: WorldConfig
         num = _norm_logpdf(a, world.pop_c.mu, v + world.pop_c.tau**2)
         den = _norm_logpdf(a, world.pop_t.mu, v + world.pop_t.tau**2)
     return num - den
-
-
-def anchor_lr(anchor_value: float, kind: AnchorKind, world: WorldConfig) -> float:
-    return float(np.exp(anchor_log_lr_batch(np.float64(anchor_value), kind, world)))
-
-
-def posterior_from_lr(lr: float, prior_h1: float) -> float:
-    """Posterior P(H1 | evidence) from an LR and a prior in (0, 1)."""
-    if not (0.0 < prior_h1 < 1.0):
-        raise ConfigError(f"prior_h1 must be in (0, 1), got {prior_h1!r}")
-    if not lr >= 0.0:
-        raise ConfigError(f"lr must be >= 0, got {lr!r}")
-    num = lr * prior_h1
-    return num / (num + (1.0 - prior_h1))
 
 
 def posterior_from_log10_lr(log10_lr: np.ndarray, prior_h1: float) -> np.ndarray:

@@ -49,7 +49,6 @@ __all__ = [
     "compare_closed_vs_oracle",
     "default_evidence_grid",
     "path_oracle",
-    "path_oracle_lr",
 ]
 
 # The path recipes a PathBank draws; a recipe's stream index is its position.
@@ -373,11 +372,6 @@ def path_oracle(
         system=system, lr=lr, log10_lr=math.log10(lr), se_log10=se,
         n_paths=cfg.n_paths, accepted_num=num.accepted,
         accepted_den=den.accepted)
-
-
-def path_oracle_lr(system, view, world, cfg=None, seed: int = 0) -> float:
-    """Plain LR value from the sampling-path oracle."""
-    return path_oracle(system, view, world, cfg, seed).lr
 
 
 def compare_closed_vs_oracle(

@@ -30,7 +30,7 @@ from lrsim.lrsystems import (
     discrete_profile_lr,
     log_lr_batch,
 )
-from lrsim.oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid, path_oracle_lr
+from lrsim.oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid, path_oracle
 from lrsim.scoring import IMPROPER_TABLE, ScoringRule, expected_score, honesty_check
 from tests.conftest import make_world, packaged_world
 
@@ -64,8 +64,8 @@ def test_trace_anchored_ss_system_is_unit():
                          theta_r=batch.theta_r)
     exact = bool(np.all(loglr == 0.0))
     view = default_evidence_grid(SystemId.SSXASLR, world)[4]
-    est = path_oracle_lr(SystemId.SSXASLR, view, world,
-                         PathOracleConfig(n_paths=100_000), seed=0)
+    est = path_oracle(SystemId.SSXASLR, view, world,
+                      PathOracleConfig(n_paths=100_000), seed=0).lr
     _line("unit-lr", exact and 0.8 <= est <= 1.25,
           f"exact on 10^4 cases, oracle estimate {est:.4f} in [0.8, 1.25]")
 

@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 
@@ -108,6 +109,28 @@ def test_world_numbers_must_be_json_numbers(tmp_path, capsys, where, value):
     assert code == 2
     assert err.startswith("error:") and where[-1] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "tailbound"])
+@pytest.mark.parametrize("where,value", [
+    (("noise", "sigma"), 1e200), (("popT", "tau"), 1e200),
+    (("n_trace",), 10**400), (("noise", "sigma"), 1e-200),
+])
+def test_variances_that_overflow_or_underflow_are_rejected(
+        tmp_path, capsys, command, where, value):
+    # sigma**2 and tau**2 overflowed (exit 1), sigma**2 underflowed to 0.0
+    # (tailbound passed on NaN LRs with exit 0)
+    doc = json.loads(json.dumps(DEFAULT_WORLD_DOC))
+    (doc[where[0]] if len(where) == 2 else doc)[where[-1]] = value
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    code, _, err = run(capsys, command, "--config", write_config(tmp_path, doc),
+                       "--cases", "2000", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "sigma**2" in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"
 
 
 @pytest.mark.parametrize("command", ["rank", "illcond", "csprior",
@@ -363,6 +386,25 @@ def test_csprior_command(tmp_path, capsys):
     doc = json.loads((out / "report.json").read_text())
     assert doc["ok"] is True
     assert doc["populations_match"] is True
+
+
+@pytest.mark.parametrize("command,flag", [("illcond", "identity_ok"),
+                                          ("csprior", "ok")])
+def test_one_row_csv_writes_json_world_and_lowercase_bools(tmp_path, capsys,
+                                                          command, flag):
+    cfg = write_config(tmp_path, resources.files("lrsim.data").joinpath(
+        "illcond_world.json").read_text())
+    out = tmp_path / "o"
+    code, _, _ = run(capsys, command, "--config", cfg, "--cases", "5000",
+                     "--out", str(out))
+    assert code == 0
+    doc = json.loads((out / "report.json").read_text())
+    with (out / f"{command}.csv").open(newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert list(row)[:5] == ["command", "world", "n_cases", "seed", "rule"]
+    assert json.loads(row["world"]) == doc["world"]
+    assert row[flag] == "true"
+    assert "True" not in row.values() and "False" not in row.values()
 
 
 def test_tailbound_command(tmp_path, capsys):

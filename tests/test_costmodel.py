@@ -1,5 +1,6 @@
 import pytest
 
+import lrsim.costmodel as costmodel
 from lrsim.costmodel import (
     demand_csv_rows,
     demand_table,
@@ -149,6 +150,21 @@ def test_wrong_beliefs_break_the_bound():
                             believed_world=believed)
     h2_rows = [r for r in rows if r.side == "H2"]
     assert any(not r.passed for r in h2_rows)
+
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_tail_bound_draws_both_hypotheses_from_its_seed(monkeypatch, seed):
+    # drawing H1 from seed + 1 would reuse the H2 draws of the next seed
+    seen = []
+    generate = costmodel.generate_cases
+
+    def recording(world, master_seed, n_cases, force_truth=None):
+        seen.append((master_seed, force_truth.value))
+        return generate(world, master_seed, n_cases, force_truth=force_truth)
+
+    monkeypatch.setattr(costmodel, "generate_cases", recording)
+    tail_bound_check(SystemId.CSSLR, make_world(), n_cases=2_000, seed=seed)
+    assert sorted(seen) == [(seed, "H1"), (seed, "H2")]
 
 
 def test_prior_only_never_exceeds():

@@ -131,13 +131,12 @@ def test_case_table_columns():
     assert len(rep.case_table["case_id"]) == 2_000
 
 
-def test_verify_ranking_requires_all_claims():
+def test_verify_ranking_skips_claims_of_absent_systems():
     rep = _quiet_run(_small_cfg(make_world(),
                                 systems=(SystemId.CSFLR, SystemId.CSYASLR)))
-    partial = verify_ranking(rep.paired_diffs, require_all=False)
+    partial = verify_ranking(rep.paired_diffs)
     assert [v.claim_id for v in partial] == ["CSFLR>=CSYASLR"]
-    with pytest.raises(ConfigError):
-        verify_ranking(rep.paired_diffs, require_all=True)
+    assert [v.claim_id for v in rep.ranking_verdicts] == ["CSFLR>=CSYASLR"]
 
 
 def test_verdict_noise_floor_forces_tie():

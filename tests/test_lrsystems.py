@@ -22,14 +22,11 @@ from lrsim.lrsystems import (
     ProfileMode,
     SystemId,
     anchor_log_lr_batch,
-    anchor_lr,
     clamp_log10_lr,
-    compute_score,
     discrete_profile_lr,
     evaluate,
     log_lr_batch,
     posterior_from_log10_lr,
-    posterior_from_lr,
 )
 from tests.conftest import make_world
 
@@ -96,11 +93,13 @@ def test_anchor_lr_matches_direct_densities():
     sr2 = w.var_ref_mean
     want = (stats.norm.pdf(a, 0.0, math.sqrt(sr2 + 1.0))
             / stats.norm.pdf(a, 0.0, math.sqrt(sr2 + 1.0)))
-    assert anchor_lr(a, AnchorKind.Y, w) == pytest.approx(want, rel=1e-12)
+    got = np.exp(anchor_log_lr_batch(np.array([a]), AnchorKind.Y, w))[0]
+    assert got == pytest.approx(want, rel=1e-12)
     st2 = w.var_trace_mean
     want_x = (stats.norm.pdf(a, 0.0, math.sqrt(st2 + 1.0))
               / stats.norm.pdf(a, 1.0, math.sqrt(st2 + 1.0)))
-    assert anchor_lr(a, AnchorKind.X, w) == pytest.approx(want_x, rel=1e-12)
+    got_x = np.exp(anchor_log_lr_batch(np.array([a]), AnchorKind.X, w))[0]
+    assert got_x == pytest.approx(want_x, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +242,15 @@ def test_evaluate_on_case_view():
 # posterior plumbing
 
 def test_posterior_algebra():
-    assert posterior_from_lr(1.0, 0.3) == pytest.approx(0.3, rel=1e-14)
-    assert posterior_from_lr(4.0, 0.5) == pytest.approx(0.8, rel=1e-14)
+    unit = posterior_from_log10_lr(np.array([0.0]), 0.3)[0]
+    assert unit == pytest.approx(0.3, rel=1e-14)
+    four = posterior_from_log10_lr(np.array([math.log10(4.0)]), 0.5)[0]
+    assert four == pytest.approx(0.8, rel=1e-14)
     rng = np.random.default_rng(0)
     for _ in range(50):
         lr = float(rng.lognormal(0, 2))
         pr = float(rng.uniform(0.05, 0.95))
         want = lr * pr / (lr * pr + 1.0 - pr)
-        assert posterior_from_lr(lr, pr) == pytest.approx(want, rel=1e-12)
         got = posterior_from_log10_lr(np.array([math.log10(lr)]), pr)[0]
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -263,10 +263,9 @@ def test_posterior_is_stable_at_extremes():
 
 
 def test_posterior_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        posterior_from_lr(-1.0, 0.5)
-    with pytest.raises(ConfigError):
-        posterior_from_lr(1.0, 1.0)
+    for prior in (0.0, 1.0, -0.5):
+        with pytest.raises(ConfigError):
+            posterior_from_log10_lr(np.array([0.0]), prior)
 
 
 def test_clamp_counts_and_bounds():
@@ -279,12 +278,7 @@ def test_clamp_counts_and_bounds():
 
 
 # ---------------------------------------------------------------------------
-# score projection and the discrete illustration
-
-def test_compute_score_kinds():
-    assert compute_score(1.0, 0.25, ScoreKind.SignedDifference).delta == 0.75
-    assert compute_score(0.25, 1.0, ScoreKind.AbsoluteDifference).delta == 0.75
-
+# the discrete illustration
 
 @pytest.mark.parametrize("gamma", [0.5, 0.1, 0.01])
 def test_discrete_profile_lr_decompositions(gamma):

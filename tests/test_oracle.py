@@ -25,7 +25,6 @@ from lrsim.oracle import (
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,
-    path_oracle_lr,
 )
 from tests.conftest import make_world
 
@@ -115,10 +114,10 @@ def test_insufficient_accepted_paths_raises():
         path_oracle(SystemId.CSYASLR, view, world, cfg, seed=0)
 
 
-def test_path_oracle_lr_wrapper():
+def test_path_oracle_lr_matches_closed_form():
     world = make_world()
     view = CaseView(x_mean=0.3, y_mean=0.1)
-    lr = path_oracle_lr(SystemId.CSSLR, view, world, FAST, seed=6)
+    lr = path_oracle(SystemId.CSSLR, view, world, FAST, seed=6).lr
     closed = 10.0 ** _closed_log10(SystemId.CSSLR, view, world)
     assert lr == pytest.approx(closed, rel=0.15)
 
