@@ -27,13 +27,11 @@ from .genmodel import (
 from .lrsystems import (
     AnchorKind,
     CaseView,
-    LrResult,
     PathOracleConfig,
     ProfileMode,
     SystemId,
     clamp_log10_lr,
     discrete_profile_lr,
-    evaluate,
     log_lr_batch,
     posterior_from_log10_lr,
 )
@@ -53,7 +51,6 @@ from .scoring import (
     calibration_report,
     honesty_check,
     mean_score,
-    score,
     scores_batch,
 )
 from .harness import (
@@ -89,7 +86,6 @@ __all__ = [
     "ExperimentConfig",
     "Hypothesis",
     "InsufficientPathsError",
-    "LrResult",
     "MeanScore",
     "NoiseModel",
     "OracleComparison",
@@ -112,7 +108,6 @@ __all__ = [
     "default_evidence_grid",
     "demand_table",
     "discrete_profile_lr",
-    "evaluate",
     "feasibility_rank",
     "generate_cases",
     "honesty_check",
@@ -123,7 +118,6 @@ __all__ = [
     "path_oracle",
     "posterior_from_log10_lr",
     "run_experiment",
-    "score",
     "scores_batch",
     "tail_bound_check",
     "total_expectation_check",

@@ -121,11 +121,40 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+_CSV_BLOCK = 2**14  # rows formatted at a time, so a long table streams
+
+
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return value  # csv writes None as an empty cell
+
+
+def _cells(column) -> list:
+    if isinstance(column, np.ndarray) and column.dtype != np.bool_:
+        return column.tolist()  # numbers and strings: csv writes them as is
+    return [_cell(v) for v in column]
+
+
+def _write_csv(path: Path, table: dict) -> None:
+    """Write a table, a dict of equal-length columns (numpy arrays or lists),
+    under a header of its keys, one block of rows at a time. This is the
+    only code that decides the CSV cell format: booleans are true/false,
+    None is empty and a dict is JSON."""
+    names = list(table)
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for lo in range(0, len(table[names[0]]), _CSV_BLOCK):
+            writer.writerows(zip(*(_cells(table[name][lo:lo + _CSV_BLOCK])
+                                   for name in names)))
+
+
+def _columns(rows: list[dict]) -> dict:
+    """Rows of one shape as a table of columns."""
+    return {k: [row[k] for row in rows] for k in rows[0]}
 
 
 class _Outputs:
@@ -201,22 +230,19 @@ def _calibration_summary(report: EvalReport) -> dict:
         for s, rep in report.calibration.items()}
 
 
-def _calibration_rows(report: EvalReport) -> list[dict]:
-    rows = []
-    for system, rep in report.calibration.items():
-        for b in range(len(rep.bin_counts)):
-            rows.append({
-                "system": system.value,
-                "bin_lo": rep.bin_edges[b],
-                "bin_hi": rep.bin_edges[b + 1],
-                "count": int(rep.bin_counts[b]),
-                "mean_stated_p": rep.mean_stated_p[b],
-                "empirical_freq": rep.empirical_freq[b],
-                "gap": rep.gaps[b],
-                "binomial_se": rep.binomial_se[b],
-                "qualifying": str(bool(rep.qualifying[b])).lower(),
-            })
-    return rows
+def _calibration_table(report: EvalReport) -> dict:
+    parts = [{
+        "system": np.full(len(rep.bin_counts), system.value),
+        "bin_lo": rep.bin_edges[:-1],
+        "bin_hi": rep.bin_edges[1:],
+        "count": rep.bin_counts,
+        "mean_stated_p": rep.mean_stated_p,
+        "empirical_freq": rep.empirical_freq,
+        "gap": rep.gaps,
+        "binomial_se": rep.binomial_se,
+        "qualifying": rep.qualifying,
+    } for system, rep in report.calibration.items()]
+    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
 def _rank(args, world, settings, n):
@@ -247,17 +273,14 @@ def _rank(args, world, settings, n):
         "verdict_counts": counts,
         "calibration": _calibration_summary(report),
     }
-    table = report.case_table
-    cols = list(table.keys())
     tables = {
-        "cases.csv": lambda doc: [{c: table[c][i] for c in cols}
-                                  for i in range(len(table["case_id"]))],
-        "calibration.csv": lambda doc: _calibration_rows(report),
-        "scores.csv": lambda doc: [
+        "cases.csv": lambda doc: report.case_table,
+        "calibration.csv": lambda doc: _calibration_table(report),
+        "scores.csv": lambda doc: _columns([
             {"system": s.value, "rule": rule,
              "mean_score": ms.mean, "se": ms.se, "n": ms.n,
              "n_clamped": report.clamp_counts[s]}
-            for s, ms in report.per_system.items()],
+            for s, ms in report.per_system.items()]),
     }
     summary = [f"rank: {n} cases, seed {args.seed}, rule {rule}"]
     summary += [f"  {s.value:10s} {ms.mean:+.4f} +/- {ms.se:.4f}"
@@ -272,15 +295,6 @@ def _fields(report) -> dict:
     return {k: v.value if isinstance(v, Enum) else v for k, v in asdict(report).items()}
 
 
-def _one_row(doc: dict) -> list[dict]:
-    """The whole report as one CSV row, the world as JSON and the booleans
-    as true/false like every other CSV."""
-    row = {k: str(v).lower() if isinstance(v, bool) else v
-           for k, v in doc.items()}
-    row["world"] = json.dumps(doc["world"], sort_keys=True)
-    return [row]
-
-
 def _illcond(args, world, settings, n):
     rep = ill_conditioning_experiment(world, n_cases=n, master_seed=args.seed,
                                       rule=_rule(args, settings))
@@ -289,8 +303,8 @@ def _illcond(args, world, settings, n):
         f"({'ok' if rep.identity_ok else 'FAIL'})",
         f"  naive {rep.mean_naive:+.4f}  proper {rep.mean_proper:+.4f}  "
         f"gap {rep.gap:+.4f} ({rep.margin_in_se:+.1f} SE)"]
-    return (_fields(rep), {"illcond.csv": _one_row}, summary,
-            rep.identity_ok and rep.proper_beats_naive)
+    return (_fields(rep), {"illcond.csv": lambda doc: _columns([doc])},
+            summary, rep.identity_ok and rep.proper_beats_naive)
 
 
 def _csprior(args, world, settings, n):
@@ -301,7 +315,8 @@ def _csprior(args, world, settings, n):
     summary = [f"csprior: baseline {rep.mean_baseline:+.4f}  "
                f"+CSFLR {rep.mean_updated_csflr:+.4f} "
                f"({rep.margin_csflr_in_se:+.1f} SE)  [{verdict}]"]
-    return _fields(rep), {"csprior.csv": _one_row}, summary, rep.ok is not False
+    return (_fields(rep), {"csprior.csv": lambda doc: _columns([doc])},
+            summary, rep.ok is not False)
 
 
 def _tailbound(args, world, settings, n):
@@ -313,13 +328,13 @@ def _tailbound(args, world, settings, n):
             rows.append({
                 "system": system.value, "k": r.k, "side": r.side,
                 "empirical_exceedance": r.empirical_exceedance,
-                "bound": r.bound, "passed": str(r.passed).lower(),
+                "bound": r.bound, "passed": r.passed,
             })
-    n_fail = sum(1 for r in rows if r["passed"] == "false")
+    n_fail = sum(not r["passed"] for r in rows)
     summary = [f"tailbound: {len(rows)} checks over {len(systems)} systems, "
                f"{n_fail} failures"]
     return ({"rows": rows, "all_pass": n_fail == 0},
-            {"tailbound.csv": lambda doc: rows}, summary, n_fail == 0)
+            {"tailbound.csv": lambda doc: _columns(rows)}, summary, n_fail == 0)
 
 
 def _demand(args, world, settings, n):
@@ -335,12 +350,12 @@ def _demand(args, world, settings, n):
                f"{d_rows[0]['required_h1_scores']} H1 / "
                f"{d_rows[0]['required_h2_scores']} H2 scores"]
     for r in t_rows:
-        flags = ("infeasible" if r["infeasible"] == "true"
-                 else "favourable" if r["favourable"] == "true" else "")
+        flags = ("infeasible" if r["infeasible"]
+                 else "favourable" if r["favourable"] else "")
         summary.append(f"  {r['system']:10s} perf {r['performance_rank']} "
                        f"demand {r['demand_rank']} {flags}")
-    tables = {"demand.csv": lambda doc: d_rows,
-              "tradeoff.csv": lambda doc: t_rows}
+    tables = {"demand.csv": lambda doc: _columns(d_rows),
+              "tradeoff.csv": lambda doc: _columns(t_rows)}
     return body, tables, summary, True
 
 
@@ -350,7 +365,7 @@ def _calibrate(args, world, settings, n):
     summary = [f"  {s.value:10s} max gap {rep.max_abs_gap:.4f} "
                f"{'ok' if rep.passes() else 'FAIL'}"
                for s, rep in report.calibration.items()]
-    tables = {"calibration.csv": lambda doc: _calibration_rows(report)}
+    tables = {"calibration.csv": lambda doc: _calibration_table(report)}
     return ({"per_system": _calibration_summary(report), "all_pass": all_pass},
             tables, summary, all_pass)
 
@@ -372,7 +387,7 @@ def _oracle_check(args, world, settings, n_paths):
                 "oracle_log10": comp.oracle_log10,
                 "se_log10": comp.se_log10,
                 "abs_diff_log10": comp.abs_diff_log10,
-                "within_3se": str(comp.within_3se).lower(),
+                "within_3se": comp.within_3se,
             })
     worst = max(rows, key=lambda r: r["abs_diff_log10"] / r["se_log10"]
                 if r["se_log10"] > 0 else 0.0)
@@ -382,17 +397,17 @@ def _oracle_check(args, world, settings, n_paths):
         f"  worst: {worst['system']} point {worst['grid_index']} "
         f"diff {worst['abs_diff_log10']:.4f} vs SE {worst['se_log10']:.4f}"]
     return ({"rows": rows, "all_within_3se": all_ok},
-            {"oracle.csv": lambda doc: rows}, summary, all_ok)
+            {"oracle.csv": lambda doc: _columns(rows)}, summary, all_ok)
 
 
 @dataclass(frozen=True)
 class _Spec:
     """One command. run(args, world, settings, size) returns the report body,
     the CSV tables by file name, the summary lines and the pass flag. A table
-    is a function from the finished report to its rows, called only when CSV
-    is written. size is the report key of the run size and the dest of its
-    flag (--cases or --paths); a command without one reads no world, so it
-    takes no --config or --seed."""
+    is a function from the finished report to its columns (see _write_csv),
+    called only when CSV is written. size is the report key of the run size
+    and the dest of its flag (--cases or --paths); a command without one
+    reads no world, so it takes no --config or --seed."""
 
     run: Callable
     flags: tuple[str, ...]  # the command's own flags; see _FLAGS

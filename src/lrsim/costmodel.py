@@ -343,25 +343,23 @@ def tail_bound_check(
 
 
 # ---------------------------------------------------------------------------
-# flat rows for CSV emission
+# flat rows for the report and its CSV tables
 
 def demand_csv_rows(profiles: list[DemandProfile]) -> list[dict[str, object]]:
-    def fmt(v):
-        return "" if v is None else v
     return [
         {
             "system": p.system.value,
             "per_case_source_measurements": p.per_case_source_measurements,
             "per_case_trace_measurements": p.per_case_trace_measurements,
             "reusable_background_measurements": p.reusable_background_measurements,
-            "reusable": str(p.reusable).lower(),
+            "reusable": p.reusable,
             "info_loss_dims": "+".join(sorted(p.info_loss_dims)) or "none",
             "required_h1_scores": p.required_h1_scores,
             "required_h2_scores": p.required_h2_scores,
-            "h1_scores": fmt(p.h1_scores),
-            "h2_scores": fmt(p.h2_scores),
-            "shortcut_h1_comparisons": fmt(p.shortcut_h1_comparisons),
-            "shortcut_h2_comparisons": fmt(p.shortcut_h2_comparisons),
+            "h1_scores": p.h1_scores,
+            "h2_scores": p.h2_scores,
+            "shortcut_h1_comparisons": p.shortcut_h1_comparisons,
+            "shortcut_h2_comparisons": p.shortcut_h2_comparisons,
             "notes": p.feasibility_note,
         }
         for p in profiles
@@ -375,8 +373,8 @@ def tradeoff_csv_rows() -> list[dict[str, object]]:
             "performance_rank": r.performance_rank,
             "demand_rank": r.demand_rank,
             "info_loss_dims": "+".join(sorted(r.info_loss_dims)) or "none",
-            "infeasible": str(r.infeasible).lower(),
-            "favourable": str(r.favourable).lower(),
+            "infeasible": r.infeasible,
+            "favourable": r.favourable,
             "notes": r.note,
         }
         for r in feasibility_rank()

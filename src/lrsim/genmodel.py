@@ -131,6 +131,12 @@ class WorldConfig:
             raise ConfigError(
                 "tau**2, sigma**2, sigma**2/n_trace and sigma**2/n_ref must be "
                 "finite floats, and the sigma terms > 0")
+        for label, pop, var in zip(("popC", "popD", "popT"),
+                                   (self.pop_c, self.pop_d, self.pop_t), spread):
+            if pop.tau > 0 and not var > 0:
+                raise ConfigError(
+                    f"{label}.tau must be 0 or large enough that tau**2 > 0, "
+                    f"got {pop.tau!r}")
         if self.scenario is ScenarioKind.TraceCrimeRelevant and self.pop_c != self.pop_t:
             raise ConfigError("TraceCrimeRelevant requires popC == popT")
         if self.scenario is ScenarioKind.ReferenceCrimeRelevant and self.pop_c != self.pop_d:

@@ -35,14 +35,12 @@ __all__ = [
     "AnchorKind",
     "CaseView",
     "LR_CLAMP_LOG10",
-    "LrResult",
     "PathOracleConfig",
     "ProfileLr",
     "SystemId",
     "anchor_log_lr_batch",
     "clamp_log10_lr",
     "discrete_profile_lr",
-    "evaluate",
     "log_lr_batch",
     "posterior_from_log10_lr",
 ]
@@ -83,13 +81,6 @@ class CaseView:
     x_mean: float
     y_mean: float
     theta_r: float | None = None
-
-
-@dataclass(frozen=True)
-class LrResult:
-    system: SystemId
-    lr: float
-    log10_lr: float
 
 
 @dataclass(frozen=True)
@@ -258,13 +249,6 @@ def log_lr_batch(
     fn = _ENGINES[system]
     th = None if theta_r is None else np.asarray(theta_r, dtype=np.float64)
     return fn(xb, yb, th, world)
-
-
-def evaluate(system: SystemId, view: CaseView, world: WorldConfig) -> LrResult:
-    """Scalar LR of one system on one case."""
-    th = view.theta_r if system in SPECIFIC_SOURCE else None
-    ll = float(log_lr_batch(system, view.x_mean, view.y_mean, world, theta_r=th))
-    return LrResult(system=system, lr=math.exp(ll), log10_lr=ll * LOG10_E)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ import numpy as np
 from .genmodel import ScoreKind, WorldConfig
 from .kernels import stream_key
 from .lrsystems import (
+    LOG10_E,
+    SPECIFIC_SOURCE,
     CaseView,
     PathOracleConfig,
     SystemId,
-    evaluate,
-    SPECIFIC_SOURCE,
+    log_lr_batch,
 )
 
 __all__ = [
@@ -384,12 +385,13 @@ def compare_closed_vs_oracle(
 ) -> OracleComparison:
     """Closed-form LR against the oracle on one evidence point."""
     est = path_oracle(system, view, world, cfg, seed, bank)
-    closed = evaluate(system, view, world)
+    theta = view.theta_r if system in SPECIFIC_SOURCE else None
+    closed = float(log_lr_batch(system, view.x_mean, view.y_mean, world,
+                                theta_r=theta)) * LOG10_E
     return OracleComparison(
         system=system, view=view,
-        closed_log10=closed.log10_lr, oracle_log10=est.log10_lr,
-        se_log10=est.se_log10,
-        abs_diff_log10=abs(closed.log10_lr - est.log10_lr))
+        closed_log10=closed, oracle_log10=est.log10_lr,
+        se_log10=est.se_log10, abs_diff_log10=abs(closed - est.log10_lr))
 
 
 def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView]:

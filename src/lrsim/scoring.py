@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .genmodel import ConfigError, Hypothesis
+from .genmodel import ConfigError
 
 __all__ = [
     "CalibrationReport",
@@ -32,7 +32,6 @@ __all__ = [
     "expected_score",
     "honesty_check",
     "mean_score",
-    "score",
     "scores_batch",
 ]
 
@@ -73,11 +72,6 @@ def scores_batch(rule: ScoringRule, stated_p: np.ndarray, is_h1: np.ndarray) -> 
     raise ConfigError(f"unknown scoring rule {rule!r}")
 
 
-def score(rule: ScoringRule, stated_p: float, realized: Hypothesis) -> float:
-    return float(scores_batch(rule, np.float64(stated_p),
-                              np.asarray(realized is Hypothesis.H1)))
-
-
 def expected_score(rule: ScoringRule, stated_p: float, believed_p: float) -> float:
     """Expected reward of stating stated_p while believing believed_p.
 
@@ -86,11 +80,12 @@ def expected_score(rule: ScoringRule, stated_p: float, believed_p: float) -> flo
     """
     if not (0.0 <= believed_p <= 1.0):
         raise ConfigError(f"believed_p must lie in [0, 1], got {believed_p!r}")
+    if_h1, if_h2 = scores_batch(rule, np.full(2, stated_p), np.array([True, False]))
     total = 0.0
     if believed_p > 0.0:
-        total += believed_p * score(rule, stated_p, Hypothesis.H1)
+        total += believed_p * float(if_h1)
     if believed_p < 1.0:
-        total += (1.0 - believed_p) * score(rule, stated_p, Hypothesis.H2)
+        total += (1.0 - believed_p) * float(if_h2)
     return total
 
 

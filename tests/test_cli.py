@@ -2,10 +2,13 @@ import csv
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import lrsim.cli as cli
 from lrsim.cli import main
+from lrsim.genmodel import world_from_json_dict
+from lrsim.harness import ExperimentConfig, run_experiment
 from lrsim.oracle import RECIPES, PathBank
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -115,11 +118,13 @@ def test_world_numbers_must_be_json_numbers(tmp_path, capsys, where, value):
 @pytest.mark.parametrize("where,value", [
     (("noise", "sigma"), 1e200), (("popT", "tau"), 1e200),
     (("n_trace",), 10**400), (("noise", "sigma"), 1e-200),
+    (("popT", "tau"), 1e-200),
 ])
 def test_variances_that_overflow_or_underflow_are_rejected(
         tmp_path, capsys, command, where, value):
     # sigma**2 and tau**2 overflowed (exit 1), sigma**2 underflowed to 0.0
-    # (tailbound passed on NaN LRs with exit 0)
+    # (tailbound passed on NaN LRs with exit 0), and a tau > 0 whose tau**2
+    # underflows to 0.0 is a population of zero spread in disguise
     doc = json.loads(json.dumps(DEFAULT_WORLD_DOC))
     (doc[where[0]] if len(where) == 2 else doc)[where[-1]] = value
     out = tmp_path / "o"
@@ -128,7 +133,9 @@ def test_variances_that_overflow_or_underflow_are_rejected(
     code, _, err = run(capsys, command, "--config", write_config(tmp_path, doc),
                        "--cases", "2000", "--out", str(out))
     assert code == 2
-    assert err.startswith("error:") and "sigma**2" in err
+    tiny_tau = where[-1] == "tau" and value < 1
+    assert err.startswith("error:")
+    assert ("popT.tau" if tiny_tau else "sigma**2") in err
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
     assert (out / "keep.txt").read_text() == "kept"
 
@@ -279,6 +286,92 @@ def test_failed_flush_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# one CSV writer
+
+def test_write_csv_formats_every_cell_in_one_place(tmp_path):
+    n = cli._CSV_BLOCK + 3  # more rows than one block
+    floats = np.linspace(-1.0, 1.0, n)
+    floats[:3] = (np.nan, np.inf, 1e-300)
+    mixed = [None, True, False, {"b": 1, "a": [0.5]}, 'say "x, y"', 2.5]
+    mixed += [None] * (n - len(mixed))
+    table = {
+        "f": floats,
+        "i": np.arange(n, dtype=np.int64),
+        "s": np.where(np.arange(n) % 2 == 0, "H1", "H2"),
+        "b": np.arange(n) % 3 == 0,
+        "mixed": mixed,
+    }
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, table)
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(table)
+    want_mixed = ["", "true", "false", '{"a": [0.5], "b": 1}', 'say "x, y"',
+                  "2.5"] + [""] * (n - 6)
+    want = [[repr(float(floats[k])), str(k), "H1" if k % 2 == 0 else "H2",
+             "true" if k % 3 == 0 else "false", want_mixed[k]]
+            for k in range(n)]
+    assert rows[1:] == want
+    assert rows[1][0] == "nan" and rows[2][0] == "inf"
+
+
+def test_cases_csv_round_trips_every_float_exactly(tmp_path, capsys):
+    # sigma 0.01 puts LR cells at the +/-300 exponent clip and clamps
+    # posteriors, so the extremes are written too
+    doc = dict(DEFAULT_WORLD_DOC, noise={"sigma": 0.01})
+    out = tmp_path / "o"
+    code, _, _ = run(capsys, "rank", "--config", write_config(tmp_path, doc),
+                     "--cases", "2000", "--out", str(out))
+    assert code == 0
+    report = run_experiment(ExperimentConfig(
+        world=world_from_json_dict(doc), n_cases=2000, master_seed=0))
+    table = report.case_table
+    lr = np.concatenate([v for k, v in table.items() if k.endswith("_lr")])
+    assert np.isin(lr, (1e-300, 1e300)).sum() > 0
+    assert sum(report.clamp_counts.values()) > 0
+    with (out / "cases.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == list(table)
+    for name, cells in zip(header, zip(*rows)):
+        col = table[name]
+        if col.dtype.kind == "f":
+            got = np.array([float(c) for c in cells])
+            assert np.array_equal(got.view(np.uint64), col.view(np.uint64)), name
+        else:
+            assert list(cells) == [str(v) for v in col.tolist()], name
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("tailbound", [("rows", "passed")]),
+    ("oracle-check", [("rows", "within_3se")]),
+    ("demand", [("profiles", "reusable"), ("tradeoff", "infeasible"),
+                ("tradeoff", "favourable")]),
+])
+def test_reports_hold_json_booleans_and_null(tmp_path, capsys, command, flags):
+    out = tmp_path / "o"
+    code, _, _ = run(capsys, command, *SMALL_ARGS[command], "--format", "json",
+                     "--out", str(out))
+    assert code in (0, 1)
+    doc = json.loads((out / "report.json").read_text())
+
+    def leaves(key, v):  # (key, value) of every scalar in the report
+        if isinstance(v, dict):
+            return [x for k, item in v.items() for x in leaves(k, item)]
+        if isinstance(v, list):
+            return [x for item in v for x in leaves(key, item)]
+        return [(key, v)]
+
+    # an empty tradeoff note is free text, not a missing value
+    strings = {v for k, v in leaves(None, doc)
+               if isinstance(v, str) and k != "notes"}
+    assert not {"true", "false", ""} & strings
+    for table, key in flags:
+        assert all(isinstance(row[key], bool) for row in doc[table]), key
+    if command == "demand":  # CSFLR models densities: no score counts
+        assert doc["profiles"][1]["h1_scores"] is None
+
+
+# ---------------------------------------------------------------------------
 # deterministic output
 
 def test_rank_reruns_are_byte_identical(tmp_path, capsys):
@@ -386,6 +479,21 @@ def test_csprior_command(tmp_path, capsys):
     doc = json.loads((out / "report.json").read_text())
     assert doc["ok"] is True
     assert doc["populations_match"] is True
+
+
+def test_csprior_rejects_a_tau_whose_square_underflows(tmp_path, capsys):
+    # popD.tau = 1e-200 is > 0, but tau**2 underflowed to 0.0 and csprior
+    # failed on NaN posteriors ("stated probabilities must lie in [0, 1]")
+    doc = dict(DEFAULT_WORLD_DOC, popT=DEFAULT_WORLD_DOC["popC"],
+               popD={"mu": 0.5, "tau": 1e-200}, scenario="TraceCrimeRelevant")
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, "csprior", "--config",
+                            write_config(tmp_path, doc), "--cases", "2000",
+                            "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "popD.tau" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [("illcond", "identity_ok"),

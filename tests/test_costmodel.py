@@ -182,7 +182,9 @@ def test_demand_csv_rows():
     assert by_sys["SSSLR"]["shortcut_h1_comparisons"] == 190
     assert by_sys["SSFLR"]["info_loss_dims"] == "none"
     assert by_sys["CSSLR"]["info_loss_dims"] == "R+X+Y"
-    assert by_sys["CSFLR"]["h1_scores"] == ""
+    assert by_sys["CSFLR"]["h1_scores"] is None
+    assert by_sys["CSSLR"]["reusable"] is True
+    assert by_sys["SSSLR"]["reusable"] is False
     assert all(r["notes"] for r in rows)
 
 
@@ -190,5 +192,6 @@ def test_tradeoff_csv_rows():
     rows = tradeoff_csv_rows()
     assert len(rows) == 7
     assert rows[0]["system"] == "CSSLR"
-    assert rows[0]["infeasible"] == "false"
-    assert {r["system"] for r in rows if r["favourable"] == "true"} == {"CSFLR"}
+    assert rows[0]["infeasible"] is False
+    assert {r["system"] for r in rows if r["favourable"] is True} == {"CSFLR"}
+    assert {r["system"] for r in rows if r["infeasible"] is True} == {"SSFLR"}

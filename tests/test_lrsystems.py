@@ -24,7 +24,6 @@ from lrsim.lrsystems import (
     anchor_log_lr_batch,
     clamp_log10_lr,
     discrete_profile_lr,
-    evaluate,
     log_lr_batch,
     posterior_from_log10_lr,
 )
@@ -226,16 +225,16 @@ def test_prior_only_is_unit_lr():
     assert np.all(log_lr_batch(SystemId.PriorOnly, x, y, w) == 0.0)
 
 
-def test_evaluate_on_case_view():
+def test_log_lr_batch_on_one_case():
+    # one case as scalars, the way the oracle comparison reads a CaseView
     w = make_world()
     batch = generate_cases(w, 8, 3)
     view = CaseView(x_mean=float(batch.x[1]), y_mean=float(batch.y[1]))
-    res = evaluate(SystemId.CSFLR, view, w)
+    got = float(_log10(SystemId.CSFLR, view.x_mean, view.y_mean, w))
     want = _log10(SystemId.CSFLR, batch.x[1:2], batch.y[1:2], w)[0]
-    assert res.log10_lr == pytest.approx(want, rel=1e-12)
-    assert res.lr == pytest.approx(10.0 ** want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(ConfigError):
-        evaluate(SystemId.SSFLR, view, w)
+        log_lr_batch(SystemId.SSFLR, view.x_mean, view.y_mean, w)
 
 
 # ---------------------------------------------------------------------------

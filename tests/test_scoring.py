@@ -4,7 +4,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 import pytest
 
-from lrsim.genmodel import ConfigError, Hypothesis
+from lrsim.genmodel import ConfigError
 from lrsim.scoring import (
     IMPROPER_TABLE,
     CalibrationReport,
@@ -13,7 +13,6 @@ from lrsim.scoring import (
     expected_score,
     honesty_check,
     mean_score,
-    score,
     scores_batch,
 )
 
@@ -21,22 +20,26 @@ from lrsim.scoring import (
 # ---------------------------------------------------------------------------
 # pointwise values
 
+def score(rule, stated_p, h1):
+    """One case, scored on length-1 arrays."""
+    (got,) = scores_batch(rule, np.array([stated_p]), np.array([h1]))
+    return got
+
+
 def test_log_rule_values():
-    assert score(ScoringRule.Logarithmic, 1.0, Hypothesis.H1) == 0.0
-    assert score(ScoringRule.Logarithmic, 0.5, Hypothesis.H1) == -1.0
-    assert score(ScoringRule.Logarithmic, 0.5, Hypothesis.H2) == -1.0
-    assert score(ScoringRule.Logarithmic, 0.25, Hypothesis.H1) == -2.0
-    assert score(ScoringRule.Logarithmic, 0.0, Hypothesis.H1) == -math.inf
-    assert score(ScoringRule.Logarithmic, 0.0, Hypothesis.H2) == 0.0
+    assert score(ScoringRule.Logarithmic, 1.0, True) == 0.0
+    assert score(ScoringRule.Logarithmic, 0.5, True) == -1.0
+    assert score(ScoringRule.Logarithmic, 0.5, False) == -1.0
+    assert score(ScoringRule.Logarithmic, 0.25, True) == -2.0
+    assert score(ScoringRule.Logarithmic, 0.0, True) == -math.inf
+    assert score(ScoringRule.Logarithmic, 0.0, False) == 0.0
 
 
 def test_brier_rule_values():
-    assert score(ScoringRule.Brier, 1.0, Hypothesis.H1) == 0.0
-    assert score(ScoringRule.Brier, 0.0, Hypothesis.H1) == -2.0
-    assert score(ScoringRule.Brier, 0.7, Hypothesis.H1) == pytest.approx(
-        -2 * 0.3**2)
-    assert score(ScoringRule.Brier, 0.7, Hypothesis.H2) == pytest.approx(
-        -2 * 0.7**2)
+    assert score(ScoringRule.Brier, 1.0, True) == 0.0
+    assert score(ScoringRule.Brier, 0.0, True) == -2.0
+    assert score(ScoringRule.Brier, 0.7, True) == pytest.approx(-2 * 0.3**2)
+    assert score(ScoringRule.Brier, 0.7, False) == pytest.approx(-2 * 0.7**2)
 
 
 def test_table_rule_is_symmetric_lookup():
@@ -44,10 +47,10 @@ def test_table_rule_is_symmetric_lookup():
     h2 = IMPROPER_TABLE["if_h2"]
     assert len(h1) == len(h2) == 11
     np.testing.assert_array_equal(h1, h2[::-1])
-    assert score(ScoringRule.ImproperTable3, 0.0, Hypothesis.H1) == 0.0
-    assert score(ScoringRule.ImproperTable3, 1.0, Hypothesis.H1) == 3.0
-    assert score(ScoringRule.ImproperTable3, 0.1, Hypothesis.H1) == 1.0
-    assert score(ScoringRule.ImproperTable3, 0.1, Hypothesis.H2) == 1.95
+    assert score(ScoringRule.ImproperTable3, 0.0, True) == 0.0
+    assert score(ScoringRule.ImproperTable3, 1.0, True) == 3.0
+    assert score(ScoringRule.ImproperTable3, 0.1, True) == 1.0
+    assert score(ScoringRule.ImproperTable3, 0.1, False) == 1.95
 
 
 def test_table_rule_worked_expectations():
@@ -71,8 +74,7 @@ def test_scores_batch_matches_scalar():
     is_h1 = np.array([True, False, True])
     for rule in ScoringRule:
         got = scores_batch(rule, p, is_h1)
-        want = [score(rule, pi, Hypothesis.H1 if h else Hypothesis.H2)
-                for pi, h in zip(p, is_h1)]
+        want = [score(rule, pi, h) for pi, h in zip(p, is_h1)]
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
