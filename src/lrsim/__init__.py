@@ -27,7 +27,6 @@ from .genmodel import (
 from .lrsystems import (
     AnchorKind,
     CaseView,
-    PathOracleConfig,
     ProfileMode,
     SystemId,
     clamp_log10_lr,
@@ -40,6 +39,7 @@ from .oracle import (
     OracleComparison,
     OracleEstimate,
     PathBank,
+    PathOracleConfig,
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,

@@ -53,8 +53,8 @@ from .harness import (
     ill_conditioning_experiment,
     run_experiment,
 )
-from .lrsystems import NONTRIVIAL, PathOracleConfig, SystemId
-from .oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid
+from .lrsystems import NONTRIVIAL, SystemId
+from .oracle import PathBank, PathOracleConfig, compare_closed_vs_oracle, default_evidence_grid
 from .scoring import ScoringRule
 
 _RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}

@@ -23,6 +23,7 @@ floating point residue with arbitrarily small paired SE.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,13 +37,14 @@ from .genmodel import (
     ScenarioKind,
     WorldConfig,
     generate_cases,
+    world_to_json_dict,
 )
 from .lrsystems import (
     LOG10_E,
     SPECIFIC_SOURCE,
     AnchorKind,
     SystemId,
-    _norm_logpdf,
+    _log_ratio,
     anchor_log_lr_batch,
     clamp_log10_lr,
     log_lr_batch,
@@ -167,9 +169,16 @@ class EvalReport:
 # the pipeline: own LR, anchor term, clamp, posterior, paired margin
 
 def _own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
-    """A system's own log10 LR on a batch; only SS systems see theta_r."""
+    """A system's own log10 LR on a batch; only SS systems see theta_r. A NaN
+    cannot be scored, so it is bad input; +/-inf is legal, the clamp bounds it."""
     theta = batch.theta_r if system in SPECIFIC_SOURCE else None
-    return log_lr_batch(system, batch.x, batch.y, world, theta_r=theta) * LOG10_E
+    own = log_lr_batch(system, batch.x, batch.y, world, theta_r=theta) * LOG10_E
+    n_nan = int(np.count_nonzero(np.isnan(own)))
+    if n_nan:
+        raise ConfigError(
+            f"{system.value} gave {n_nan} NaN log LRs of {own.shape[0]} on "
+            f"the world {json.dumps(world_to_json_dict(world), sort_keys=True)}")
+    return own
 
 
 def _stated_log10(system: SystemId, own: np.ndarray, batch: CaseBatch,
@@ -396,9 +405,8 @@ def cs_update_ss_prior_experiment(
     if matched:
         r_term = np.zeros(n_cases)
     else:  # the density of the suspect source itself
-        r_term = (_norm_logpdf(batch.theta_r, world.pop_c.mu, world.pop_c.tau**2)
-                  - _norm_logpdf(batch.theta_r, world.pop_d.mu, world.pop_d.tau**2)
-                  ) * LOG10_E
+        r_term = _log_ratio(batch.theta_r, (world.pop_c.mu, world.pop_c.tau**2),
+                            (world.pop_d.mu, world.pop_d.tau**2)) * LOG10_E
 
     def scored(total_log10: np.ndarray) -> np.ndarray:
         return scores_batch(rule, _posterior(total_log10, world.prior_h1)[0], is_h1)

@@ -16,6 +16,8 @@ sufficient statistic for a Gaussian source mean, and the within-source
 residual factor of the full-data density cancels between numerator and
 denominator. PriorOnly and SSXASLR both have LR identically one; SSXASLR
 because its numerator and denominator describe the same generation path.
+Every other engine is a sum of univariate normal (or folded normal)
+log-density ratios.
 
 Common-source evaluators never receive theta_r; the asymmetry is structural
 in the batch API (a CaseView without theta_r) rather than a convention.
@@ -29,13 +31,12 @@ from enum import Enum
 
 import numpy as np
 
-from .genmodel import ConfigError, ScoreKind, WorldConfig
+from .genmodel import ConfigError, PopulationModel, ScoreKind, WorldConfig
 
 __all__ = [
     "AnchorKind",
     "CaseView",
     "LR_CLAMP_LOG10",
-    "PathOracleConfig",
     "ProfileLr",
     "SystemId",
     "anchor_log_lr_batch",
@@ -83,145 +84,36 @@ class CaseView:
     theta_r: float | None = None
 
 
-@dataclass(frozen=True)
-class PathOracleConfig:
-    """Tuning of the sampling-path oracle (see lrsim.oracle)."""
-
-    n_paths: int = 10**6
-    bin_width: float = 0.1
-    anchor_tolerance: float = 0.05
-    bandwidth_factor: float | None = None  # None means Silverman's rule as is
-    n_blocks: int = 200
-    n_boot: int = 400
-    min_accepted: int = 50
-
-    def validate(self) -> "PathOracleConfig":
-        if self.n_paths < 10**3:
-            raise ConfigError(f"n_paths must be >= 1000, got {self.n_paths}")
-        if not self.bin_width > 0:
-            raise ConfigError(f"bin_width must be > 0, got {self.bin_width}")
-        if not self.anchor_tolerance > 0:
-            raise ConfigError(
-                f"anchor_tolerance must be > 0, got {self.anchor_tolerance}")
-        if self.bandwidth_factor is not None and not self.bandwidth_factor > 0:
-            raise ConfigError(
-                f"bandwidth_factor must be > 0, got {self.bandwidth_factor}")
-        return self
-
-
 # ---------------------------------------------------------------------------
-# density helpers (log domain throughout)
+# the engines: every LR is a ratio of univariate normal densities
 
 def _norm_logpdf(x, mean, var):
     return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
 
 
-def _folded_logpdf(d, mean, var):
-    """Density of |Z| at d >= 0 for Z ~ Normal(mean, var)."""
-    return np.logaddexp(_norm_logpdf(d, mean, var), _norm_logpdf(d, -mean, var))
+def _log_ratio(v, num, den, folded=False):
+    """log p_num(v) - log p_den(v) for two (mean, var) normal laws; folded
+    takes the laws of |Z| instead, for v >= 0."""
+    def logpdf(mean, var):
+        if folded:
+            return np.logaddexp(_norm_logpdf(v, mean, var),
+                                _norm_logpdf(v, -mean, var))
+        return _norm_logpdf(v, mean, var)
+    return logpdf(*num) - logpdf(*den)
 
 
-def _score_logpdf(d, mean, var, kind: ScoreKind):
-    if kind is ScoreKind.AbsoluteDifference:
-        return _folded_logpdf(d, mean, var)
-    return _norm_logpdf(d, mean, var)
+def _mean_law(pop: PopulationModel, var_mean: float):
+    """(mean, var) of a measurement mean of variance var_mean taken on a
+    source drawn from pop."""
+    return pop.mu, var_mean + pop.tau**2
 
 
-def _bvn_logpdf(x, y, mx, my, vx, vy, cov):
-    det = vx * vy - cov * cov
-    dx = x - mx
-    dy = y - my
-    quad = (vy * dx * dx - 2.0 * cov * dx * dy + vx * dy * dy) / det
-    return -0.5 * (np.log(4.0 * np.pi * np.pi * det) + quad)
-
-
-def _posterior_given_obs(obs, mu0, tau_sq, obs_var):
-    """Normal posterior of a source mean given one observed mean of it."""
-    denom = tau_sq + obs_var
-    m = (tau_sq * obs + obs_var * mu0) / denom
-    v = tau_sq * obs_var / denom
-    return m, v
-
-
-# ---------------------------------------------------------------------------
-# the eight engines, vectorised
-
-def _ll_ssflr(xb, yb, th, w: WorldConfig):
-    # reference factor is shared by both hypotheses and cancels
-    st = w.var_trace_mean
-    num = _norm_logpdf(xb, th, st)
-    den = _norm_logpdf(xb, w.pop_t.mu, st + w.pop_t.tau**2)
-    return num - den
-
-
-def _ll_csflr(xb, yb, th, w: WorldConfig):
-    st, sr = w.var_trace_mean, w.var_ref_mean
-    tc2 = w.pop_c.tau**2
-    num = _bvn_logpdf(xb, yb, w.pop_c.mu, w.pop_c.mu, st + tc2, sr + tc2, tc2)
-    den = (_norm_logpdf(xb, w.pop_t.mu, st + w.pop_t.tau**2)
-           + _norm_logpdf(yb, w.pop_d.mu, sr + w.pop_d.tau**2))
-    return num - den
-
-
-def _ll_ssslr(xb, yb, th, w: WorldConfig):
-    st, sr = w.var_trace_mean, w.var_ref_mean
-    d = _delta(xb, yb, w)
-    num = _score_logpdf(d, 0.0, st + sr, w.score_kind)
-    den = _score_logpdf(d, w.pop_t.mu - th, st + sr + w.pop_t.tau**2, w.score_kind)
-    return num - den
-
-
-def _ll_csslr(xb, yb, th, w: WorldConfig):
-    st, sr = w.var_trace_mean, w.var_ref_mean
-    d = _delta(xb, yb, w)
-    num = _score_logpdf(d, 0.0, st + sr, w.score_kind)
-    den = _score_logpdf(d, w.pop_t.mu - w.pop_d.mu,
-                        st + sr + w.pop_t.tau**2 + w.pop_d.tau**2, w.score_kind)
-    return num - den
-
-
-def _ll_ssyaslr(xb, yb, th, w: WorldConfig):
-    st = w.var_trace_mean
-    d = _delta(xb, yb, w)
-    num = _score_logpdf(d, th - yb, st, w.score_kind)
-    den = _score_logpdf(d, w.pop_t.mu - yb, st + w.pop_t.tau**2, w.score_kind)
-    return num - den
-
-
-def _ll_csyaslr(xb, yb, th, w: WorldConfig):
-    st, sr = w.var_trace_mean, w.var_ref_mean
-    d = _delta(xb, yb, w)
-    m, v = _posterior_given_obs(yb, w.pop_c.mu, w.pop_c.tau**2, sr)
-    num = _score_logpdf(d, m - yb, st + v, w.score_kind)
-    den = _score_logpdf(d, w.pop_t.mu - yb, st + w.pop_t.tau**2, w.score_kind)
-    return num - den
-
-
-def _ll_csxaslr(xb, yb, th, w: WorldConfig):
-    st, sr = w.var_trace_mean, w.var_ref_mean
-    d = _delta(xb, yb, w)
-    m, v = _posterior_given_obs(xb, w.pop_c.mu, w.pop_c.tau**2, st)
-    num = _score_logpdf(d, xb - m, sr + v, w.score_kind)
-    den = _score_logpdf(d, xb - w.pop_d.mu, sr + w.pop_d.tau**2, w.score_kind)
-    return num - den
-
-
-def _delta(xb, yb, w: WorldConfig):
-    d = xb - yb
-    if w.score_kind is ScoreKind.AbsoluteDifference:
-        d = np.abs(d)
-    return d
-
-
-_ENGINES = {
-    SystemId.SSFLR: _ll_ssflr,
-    SystemId.CSFLR: _ll_csflr,
-    SystemId.SSSLR: _ll_ssslr,
-    SystemId.CSSLR: _ll_csslr,
-    SystemId.SSYASLR: _ll_ssyaslr,
-    SystemId.CSYASLR: _ll_csyaslr,
-    SystemId.CSXASLR: _ll_csxaslr,
-}
+def _source_law(obs, pop: PopulationModel, var_obs: float):
+    """(mean, var) of a source mean from pop given one observed mean of it
+    with measurement variance var_obs."""
+    tau_sq = pop.tau**2
+    denom = tau_sq + var_obs
+    return (tau_sq * obs + var_obs * pop.mu) / denom, tau_sq * var_obs / denom
 
 
 def log_lr_batch(
@@ -246,9 +138,42 @@ def log_lr_batch(
         raise ConfigError(f"{system.value} must not be given theta_r")
     if system in (SystemId.PriorOnly, SystemId.SSXASLR):
         return np.zeros(np.broadcast(xb, yb).shape, dtype=np.float64)
-    fn = _ENGINES[system]
     th = None if theta_r is None else np.asarray(theta_r, dtype=np.float64)
-    return fn(xb, yb, th, world)
+    st, sr = world.var_trace_mean, world.var_ref_mean
+    c, d, t = world.pop_c, world.pop_d, world.pop_t
+
+    # feature systems: the reference factor of SSFLR is shared by both
+    # hypotheses and cancels; CSFLR is p(x) p(y | x), the trace-anchor
+    # factor times the reference given the trace, a form in which nothing
+    # cancels when sigma**2 << tau**2 (the bivariate determinant does)
+    if system is SystemId.SSFLR:
+        return _log_ratio(xb, (th, st), _mean_law(t, st))
+    if system is SystemId.CSFLR:
+        m, v = _source_law(xb, c, st)
+        lr = _log_ratio(yb, (m, sr + v), _mean_law(d, sr))
+        del m  # hold one full-length array fewer while the anchor runs
+        lr += anchor_log_lr_batch(xb, AnchorKind.X, world)
+        return lr
+
+    # score systems: laws of delta = x - y, conditioned on the anchor if any
+    folded = world.score_kind is ScoreKind.AbsoluteDifference
+    delta = np.abs(xb - yb) if folded else xb - yb
+    if system is SystemId.SSSLR:
+        num, den = (0.0, st + sr), (t.mu - th, st + sr + t.tau**2)
+    elif system is SystemId.CSSLR:
+        num = (0.0, st + sr)
+        den = (t.mu - d.mu, st + sr + t.tau**2 + d.tau**2)
+    elif system is SystemId.SSYASLR:
+        num, den = (th - yb, st), (t.mu - yb, st + t.tau**2)
+    elif system is SystemId.CSYASLR:
+        m, v = _source_law(yb, c, sr)
+        m -= yb  # m becomes the numerator mean: no third full-length array
+        num, den = (m, st + v), (t.mu - yb, st + t.tau**2)
+    else:  # CSXASLR
+        m, v = _source_law(xb, c, st)
+        m = xb - m  # likewise
+        num, den = (m, sr + v), (xb - d.mu, sr + d.tau**2)
+    return _log_ratio(delta, num, den, folded)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +188,10 @@ def anchor_log_lr_batch(values: np.ndarray, kind: AnchorKind, world: WorldConfig
     """
     a = np.asarray(values, dtype=np.float64)
     if kind is AnchorKind.Y:
-        v = world.var_ref_mean
-        num = _norm_logpdf(a, world.pop_c.mu, v + world.pop_c.tau**2)
-        den = _norm_logpdf(a, world.pop_d.mu, v + world.pop_d.tau**2)
+        v, other = world.var_ref_mean, world.pop_d
     else:
-        v = world.var_trace_mean
-        num = _norm_logpdf(a, world.pop_c.mu, v + world.pop_c.tau**2)
-        den = _norm_logpdf(a, world.pop_t.mu, v + world.pop_t.tau**2)
-    return num - den
+        v, other = world.var_trace_mean, world.pop_t
+    return _log_ratio(a, _mean_law(world.pop_c, v), _mean_law(other, v))
 
 
 def posterior_from_log10_lr(log10_lr: np.ndarray, prior_h1: float) -> np.ndarray:

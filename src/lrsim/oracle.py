@@ -13,10 +13,12 @@ observed case:
   within a hard tolerance window of the observed anchor, then apply the
   kernel density to the surviving scores.
 
-The ratio of the two density estimates is the oracle LR. It shares no code
-with the closed forms in lrsim.lrsystems, which is the point: the two
-routes validate each other. A block bootstrap over contiguous path blocks
-supplies the standard error of log10(LR).
+The ratio of the two density estimates is the oracle LR. Its estimates
+share no code with the closed forms in lrsim.lrsystems, which is the
+point: the two routes validate each other (default_evidence_grid only
+reads the source posterior there, to place its points). A block
+bootstrap over contiguous path blocks supplies the standard error of
+log10(LR).
 
 The paths come from a PathBank, which draws each of five recipes once per
 (world, seed, n_paths) and serves every system and evidence point from
@@ -30,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import ScoreKind, WorldConfig
+from .genmodel import ConfigError, ScoreKind, WorldConfig
 from .kernels import stream_key
 from .lrsystems import (
     LOG10_E,
     SPECIFIC_SOURCE,
     CaseView,
-    PathOracleConfig,
     SystemId,
+    _source_law,
     log_lr_batch,
 )
 
@@ -46,6 +48,7 @@ __all__ = [
     "OracleComparison",
     "OracleEstimate",
     "PathBank",
+    "PathOracleConfig",
     "RECIPES",
     "compare_closed_vs_oracle",
     "default_evidence_grid",
@@ -60,6 +63,28 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class InsufficientPathsError(RuntimeError):
     """Too few paths matched the observed evidence to estimate a density."""
+
+
+@dataclass(frozen=True)
+class PathOracleConfig:
+    """Tuning of the sampling-path oracle (see path_oracle)."""
+
+    n_paths: int = 10**6
+    bin_width: float = 0.1
+    anchor_tolerance: float = 0.05
+    n_blocks: int = 200
+    n_boot: int = 400
+    min_accepted: int = 50
+
+    def validate(self) -> "PathOracleConfig":
+        if self.n_paths < 10**3:
+            raise ConfigError(f"n_paths must be >= 1000, got {self.n_paths}")
+        if not self.bin_width > 0:
+            raise ConfigError(f"bin_width must be > 0, got {self.bin_width}")
+        if not self.anchor_tolerance > 0:
+            raise ConfigError(
+                f"anchor_tolerance must be > 0, got {self.anchor_tolerance}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -226,13 +251,11 @@ def _term_samples(system: SystemId, term: str, view: CaseView,
     raise ValueError(f"no sampling recipe for {system!r}")
 
 
-def _silverman(samples: np.ndarray, factor: float | None) -> float:
+def _silverman(samples: np.ndarray) -> float:
     sd = float(np.std(samples))
     q75, q25 = np.percentile(samples, [75.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.349) or sd
     h = 0.9 * spread * samples.shape[0] ** (-0.2)
-    if factor is not None:
-        h *= factor
     if not h > 0:
         raise InsufficientPathsError(
             "degenerate sample spread, kernel bandwidth would be zero")
@@ -307,7 +330,7 @@ def _estimate_term(system, term, view, world, cfg, bank) -> _TermEstimate:
             f"{system.value} {term}: only {accepted} paths accepted in "
             f"the anchor window (need {cfg.min_accepted}); widen "
             f"anchor_tolerance or raise n_paths")
-    h = _silverman(deltas, cfg.bandwidth_factor)
+    h = _silverman(deltas)
     # deltas is this term's own array, so the last kernel overwrites it
     k = _kernel(target, deltas, h, out=None if reflect else deltas)
     if reflect:
@@ -404,7 +427,6 @@ def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView
     th = world.pop_c.mu + 0.4 * max(world.pop_c.tau, world.noise.sigma)
     st2 = world.var_trace_mean
     sr2 = world.var_ref_mean
-    tc2 = world.pop_c.tau**2
     absolute = world.score_kind is ScoreKind.AbsoluteDifference
 
     def offsets(scale: float) -> np.ndarray:
@@ -438,8 +460,7 @@ def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView
         return views
     if system is SystemId.CSYASLR:
         for a in anchors:
-            m = (tc2 * a + sr2 * world.pop_c.mu) / (tc2 + sr2)
-            v = tc2 * sr2 / (tc2 + sr2)
+            m, v = _source_law(a, world.pop_c, sr2)
             centre = m - a
             for d in centre + offsets(0.8 * math.sqrt(st2 + v)):
                 views.append(CaseView(float(a + d), float(a), None))
@@ -447,8 +468,7 @@ def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView
     if system in (SystemId.CSXASLR, SystemId.SSXASLR):
         for a in anchors:
             if system is SystemId.CSXASLR:
-                m = (tc2 * a + st2 * world.pop_c.mu) / (tc2 + st2)
-                v = tc2 * st2 / (tc2 + st2)
+                m, v = _source_law(a, world.pop_c, st2)
                 centre = a - m
                 spread = 0.8 * math.sqrt(sr2 + v)
             else:

@@ -23,14 +23,19 @@ from lrsim.lrsystems import (
     LOG10_E,
     NONTRIVIAL,
     AnchorKind,
-    PathOracleConfig,
     ProfileMode,
     SystemId,
     anchor_log_lr_batch,
     discrete_profile_lr,
     log_lr_batch,
 )
-from lrsim.oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid, path_oracle
+from lrsim.oracle import (
+    PathBank,
+    PathOracleConfig,
+    compare_closed_vs_oracle,
+    default_evidence_grid,
+    path_oracle,
+)
 from lrsim.scoring import IMPROPER_TABLE, ScoringRule, expected_score, honesty_check
 from tests.conftest import make_world, packaged_world
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -138,6 +140,42 @@ def test_variances_that_overflow_or_underflow_are_rejected(
     assert ("popT.tau" if tiny_tau else "sigma**2") in err
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
     assert (out / "keep.txt").read_text() == "kept"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["rank", "illcond", "tailbound"])
+def test_nan_lrs_are_bad_input_not_scores(tmp_path, capsys, command):
+    # a valid world whose populations sit at opposite ends of the float range:
+    # x - y overflows to inf and inf - inf is NaN. rank and illcond failed on
+    # "stated probabilities must lie in [0, 1]", and tailbound passed with
+    # "0 failures" because every comparison with NaN is false
+    doc = dict(DEFAULT_WORLD_DOC, popC={"mu": -1e308, "tau": 1.0},
+               popD={"mu": -1e308, "tau": 1.0}, popT={"mu": 1e308, "tau": 1.0})
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    code, stdout, err = run(capsys, command, "--config",
+                            write_config(tmp_path, doc), "--cases", "2000",
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert re.search(r"[A-Z]+LR gave \d+ NaN log LRs of 2000 on the world ", err)
+    assert '"mu": 1e+308' in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"
+
+
+def test_tiny_measurement_noise_ranks(tmp_path, capsys):
+    # sigma**2 = 1e-16 next to tau**2 = 1: the common-source feature LR once
+    # took the log of a bivariate determinant that cancelled to 0 or below
+    doc = dict(DEFAULT_WORLD_DOC, noise={"sigma": 1e-8})
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "rank", "--config", write_config(tmp_path, doc),
+                       "--cases", "2000", "--out", str(out))
+    assert code == 0, err
+    report = json.loads((out / "report.json").read_text())
+    assert all(math.isfinite(v["mean"]) for v in report["per_system"].values())
 
 
 @pytest.mark.parametrize("command", ["rank", "illcond", "csprior",

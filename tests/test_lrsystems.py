@@ -1,12 +1,17 @@
+import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from lrsim.genmodel import (
     ConfigError,
     Hypothesis,
+    NoiseModel,
     PopulationModel,
     ScenarioKind,
     ScoreKind,
@@ -139,6 +144,73 @@ def test_anchored_times_anchor_equals_joint(system, kind, use_x):
     joint = _log10(SystemId.CSFLR, x, y, w)
     rel_err = np.abs(np.expm1((anchored + anchor - joint) / LOG10_E))
     assert rel_err.max() < 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(log10_sigma=st.floats(-12.0, 12.0),
+       u=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+       k=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       scenario=st.sampled_from(ScenarioKind),
+       score_kind=st.sampled_from(ScoreKind),
+       n=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2**32))
+def test_lrs_are_finite_and_factor_at_any_noise_to_spread_ratio(
+        log10_sigma, u, k, scenario, score_kind, n, seed):
+    # each population's tau is sigma * 10**u and its mean k spreads from 0;
+    # the scenario then ties the populations it requires to be equal
+    sigma = 10.0**log10_sigma
+    pop_c, pop_d, pop_t = (
+        PopulationModel(ki * math.hypot(sigma, sigma * 10.0**ui),
+                        sigma * 10.0**ui) for ui, ki in zip(u, k))
+    if scenario is not ScenarioKind.TraceCrimeRelevant:
+        pop_d = pop_c
+    if scenario is not ScenarioKind.ReferenceCrimeRelevant:
+        pop_t = pop_c
+    w = make_world(pop_c=pop_c, pop_d=pop_d, pop_t=pop_t,
+                   noise=NoiseModel(sigma), scenario=scenario,
+                   score_kind=score_kind, n_trace=n[0], n_ref=n[1])
+    x, y, th = _views(w, 200, seed=seed)
+    lr = {s: log_lr_batch(s, x, y, w, th if s in SPECIFIC_SOURCE else None)
+          for s in SystemId}
+    for system, v in lr.items():
+        assert np.all(np.isfinite(v)), system
+    if score_kind is ScoreKind.SignedDifference:
+        joint = lr[SystemId.CSFLR]
+        bound = 1e-9 * np.maximum(1.0, np.abs(joint))
+        via_y = lr[SystemId.CSYASLR] + anchor_log_lr_batch(y, AnchorKind.Y, w)
+        via_x = lr[SystemId.CSXASLR] + anchor_log_lr_batch(x, AnchorKind.X, w)
+        assert np.all(np.abs(via_y - joint) <= bound)
+        assert np.all(np.abs(via_x - joint) <= bound)
+
+
+def _csflr_reference(x: float, y: float, w) -> float:
+    """CSFLR's log LR from the bivariate normal density of (x, y), in 50
+    significant digits; the 2*pi factors cancel between the hypotheses."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=50)):
+        st_, sr = D(w.var_trace_mean), D(w.var_ref_mean)
+        tc, tt, td = (D(p.tau) ** 2 for p in (w.pop_c, w.pop_t, w.pop_d))
+        vx, vy = st_ + tc, sr + tc
+        det = vx * vy - tc * tc
+        dx, dy = D(x) - D(w.pop_c.mu), D(y) - D(w.pop_c.mu)
+        quad = (vy * dx * dx - 2 * tc * dx * dy + vx * dy * dy) / det
+        vt, vd = st_ + tt, sr + td
+        ex, ey = D(x) - D(w.pop_t.mu), D(y) - D(w.pop_d.mu)
+        return float((vt.ln() + ex * ex / vt + vd.ln() + ey * ey / vd
+                      - det.ln() - quad) / 2)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-12])
+def test_csflr_matches_a_50_digit_bivariate_density(default_world, sigma):
+    # the bivariate form's determinant cancels when sigma**2 << tau**2;
+    # the engine's p(x) p(y | x) has no term that does
+    w = dataclasses.replace(default_world, noise=NoiseModel(sigma)).validate()
+    x, y, _ = _views(w, 200, seed=0)
+    got = log_lr_batch(SystemId.CSFLR, x, y, w)
+    want = np.array([_csflr_reference(a, b, w) for a, b in zip(x, y)])
+    moderate = np.abs(want) <= 30.0
+    assert moderate.sum() >= 50
+    np.testing.assert_array_less(np.abs(got - want)[moderate], 1e-7)
 
 
 def test_csslr_depends_only_on_delta():

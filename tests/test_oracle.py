@@ -9,7 +9,6 @@ from lrsim.lrsystems import (
     NONTRIVIAL,
     SPECIFIC_SOURCE,
     CaseView,
-    PathOracleConfig,
     SystemId,
     log_lr_batch,
 )
@@ -17,6 +16,7 @@ from lrsim.oracle import (
     RECIPES,
     InsufficientPathsError,
     PathBank,
+    PathOracleConfig,
     _TermEstimate,
     _bootstrap_se,
     _estimate_term,
@@ -151,8 +151,6 @@ def test_oracle_config_validation():
         PathOracleConfig(bin_width=0.0).validate()
     with pytest.raises(ConfigError):
         PathOracleConfig(anchor_tolerance=-1.0).validate()
-    with pytest.raises(ConfigError):
-        PathOracleConfig(bandwidth_factor=0.0).validate()
 
 
 def test_bank_columns_have_their_recipe_moments():
@@ -248,7 +246,7 @@ def test_empty_bootstrap_replicate_raises():
 
 def test_zero_spread_has_no_bandwidth():
     with pytest.raises(InsufficientPathsError):
-        _silverman(np.zeros(100), None)
+        _silverman(np.zeros(100))
 
 
 def test_bank_must_match_world_seed_and_paths():
