@@ -29,7 +29,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -37,12 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costmodel import (
-    demand_csv_rows,
-    demand_table,
-    tail_bound_check,
-    tradeoff_csv_rows,
-)
+from .costmodel import demand_table, feasibility_rank, tail_bound_check
 from .genmodel import ConfigError, WorldConfig, world_from_json_dict, world_to_json_dict
 from .harness import (
     ALL_SYSTEMS,
@@ -157,6 +152,21 @@ def _columns(rows: list[dict]) -> dict:
     return {k: [row[k] for row in rows] for k in rows[0]}
 
 
+def _fields(record) -> dict:
+    """A result record as a row: its fields, in order, are the report keys
+    and CSV columns. An enum is written as its value, and a set of
+    averaged-out evidence dimensions as R+X+Y (none when empty)."""
+    row = {}
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if isinstance(v, Enum):
+            v = v.value
+        elif isinstance(v, frozenset):
+            v = "+".join(sorted(v)) or "none"
+        row[f.name] = v
+    return row
+
+
 class _Outputs:
     """Collects (filename, payload) pairs, then refuses or writes them all.
 
@@ -248,28 +258,16 @@ def _calibration_table(report: EvalReport) -> dict:
 def _rank(args, world, settings, n):
     report = _experiment(args, world, settings, n)
     rule = report.config.rule.value
-    verdict_rows = [{
-        "claim": v.claim_id,
-        "better": v.better.value,
-        "worse": v.worse.value,
-        "mean_diff": v.mean_diff,
-        "se_diff": v.se_diff,
-        "margin_in_se": v.margin_in_se,
-        "verdict": v.verdict.value,
-    } for v in report.ranking_verdicts]
-    counts = {v.value: sum(r["verdict"] == v.value for r in verdict_rows)
+    counts = {v.value: sum(r.verdict is v for r in report.ranking_verdicts)
               for v in Verdict}
     body = {
         "rule": rule,
-        "per_system": {
-            s.value: {"mean": ms.mean, "se": ms.se, "n": ms.n,
-                      "n_neg_inf": ms.n_neg_inf}
-            for s, ms in report.per_system.items()},
+        "per_system": {s.value: _fields(ms)
+                       for s, ms in report.per_system.items()},
         "clamp_counts": {s.value: c for s, c in report.clamp_counts.items()},
-        "paired_diffs": {
-            cid: {"mean_diff": d.mean_diff, "se_diff": d.se_diff, "n": d.n}
-            for cid, d in report.paired_diffs.items()},
-        "verdicts": verdict_rows,
+        "paired_diffs": {claim: _fields(d)
+                         for claim, d in report.paired_diffs.items()},
+        "verdicts": [_fields(v) for v in report.ranking_verdicts],
         "verdict_counts": counts,
         "calibration": _calibration_summary(report),
     }
@@ -288,11 +286,6 @@ def _rank(args, world, settings, n):
     summary.append(f"claims: {counts['Confirmed']} Confirmed, "
                    f"{counts['Tie']} Tie, {counts['Violated']} Violated")
     return body, tables, summary, counts["Violated"] == 0
-
-
-def _fields(report) -> dict:
-    """A focused report's fields in order, enums written as their values."""
-    return {k: v.value if isinstance(v, Enum) else v for k, v in asdict(report).items()}
 
 
 def _illcond(args, world, settings, n):
@@ -322,40 +315,35 @@ def _csprior(args, world, settings, n):
 def _tailbound(args, world, settings, n):
     systems = settings.get("systems", tuple(
         s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly))
-    rows = []
-    for system in systems:
-        for r in tail_bound_check(system, world, n_cases=n, seed=args.seed):
-            rows.append({
-                "system": system.value, "k": r.k, "side": r.side,
-                "empirical_exceedance": r.empirical_exceedance,
-                "bound": r.bound, "passed": r.passed,
-            })
-    n_fail = sum(not r["passed"] for r in rows)
+    rows = [r for system in systems
+            for r in tail_bound_check(system, world, n_cases=n, seed=args.seed)]
+    n_fail = sum(not r.passed for r in rows)
     summary = [f"tailbound: {len(rows)} checks over {len(systems)} systems, "
                f"{n_fail} failures"]
-    return ({"rows": rows, "all_pass": n_fail == 0},
-            {"tailbound.csv": lambda doc: _columns(rows)}, summary, n_fail == 0)
+    return ({"rows": [_fields(r) for r in rows], "all_pass": n_fail == 0},
+            {"tailbound.csv": lambda doc: _columns(doc["rows"])},
+            summary, n_fail == 0)
 
 
 def _demand(args, world, settings, n):
-    d_rows = demand_csv_rows(demand_table(args.lr_min, args.lr_max))
-    t_rows = tradeoff_csv_rows()
+    profiles = demand_table(args.lr_min, args.lr_max)
+    tradeoff = feasibility_rank()
     body = {
         "target_lr_min": args.lr_min,
         "target_lr_max": args.lr_max,
-        "profiles": d_rows,
-        "tradeoff": t_rows,
+        "profiles": [_fields(p) for p in profiles],
+        "tradeoff": [_fields(r) for r in tradeoff],
     }
     summary = [f"demand: range [{args.lr_min:g}, {args.lr_max:g}] -> "
-               f"{d_rows[0]['required_h1_scores']} H1 / "
-               f"{d_rows[0]['required_h2_scores']} H2 scores"]
-    for r in t_rows:
-        flags = ("infeasible" if r["infeasible"]
-                 else "favourable" if r["favourable"] else "")
-        summary.append(f"  {r['system']:10s} perf {r['performance_rank']} "
-                       f"demand {r['demand_rank']} {flags}")
-    tables = {"demand.csv": lambda doc: _columns(d_rows),
-              "tradeoff.csv": lambda doc: _columns(t_rows)}
+               f"{profiles[0].required_h1_scores} H1 / "
+               f"{profiles[0].required_h2_scores} H2 scores"]
+    for r in tradeoff:
+        flags = ("infeasible" if r.infeasible
+                 else "favourable" if r.favourable else "")
+        summary.append(f"  {r.system.value:10s} perf {r.performance_rank} "
+                       f"demand {r.demand_rank} {flags}")
+    tables = {"demand.csv": lambda doc: _columns(doc["profiles"]),
+              "tradeoff.csv": lambda doc: _columns(doc["tradeoff"])}
     return body, tables, summary, True
 
 

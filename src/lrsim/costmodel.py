@@ -36,11 +36,9 @@ __all__ = [
     "DemandProfile",
     "TailBoundRow",
     "TradeoffRow",
-    "demand_csv_rows",
     "demand_table",
     "feasibility_rank",
     "tail_bound_check",
-    "tradeoff_csv_rows",
 ]
 
 # Conventional sizes carried through the table.
@@ -62,7 +60,8 @@ class DemandProfile:
     counts the construction yields (None for feature-based systems, which
     model densities rather than score distributions). The shortcut fields
     are only populated for the default target range, where the documented
-    cross-comparison numbers apply.
+    cross-comparison numbers apply. The fields, in order, are the columns
+    of demand.csv.
     """
 
     system: SystemId
@@ -71,33 +70,29 @@ class DemandProfile:
     reusable_background_measurements: Count
     reusable: bool
     info_loss_dims: frozenset[str]
-    feasibility_note: str
     required_h1_scores: int
     required_h2_scores: int
-    h1_scores: int | None = None
-    h2_scores: int | None = None
-    shortcut_h1_comparisons: int | None = None
-    shortcut_h2_comparisons: int | None = None
+    h1_scores: int | None
+    h2_scores: int | None
+    shortcut_h1_comparisons: int | None
+    shortcut_h2_comparisons: int | None
+    notes: str
 
 
-_INFO_LOSS: dict[SystemId, frozenset[str]] = {
-    SystemId.SSFLR: frozenset(),
-    SystemId.SSYASLR: frozenset({"X"}),
-    SystemId.SSSLR: frozenset({"X", "Y"}),
-    SystemId.CSFLR: frozenset({"R"}),
-    SystemId.CSYASLR: frozenset({"R", "X"}),
-    SystemId.CSXASLR: frozenset({"R", "Y"}),
-    SystemId.CSSLR: frozenset({"R", "X", "Y"}),
-}
-
-_DEMAND_RANK: dict[SystemId, int] = {
-    SystemId.CSSLR: 1,
-    SystemId.CSFLR: 2,
-    SystemId.CSYASLR: 3,
-    SystemId.CSXASLR: 3,
-    SystemId.SSSLR: 4,
-    SystemId.SSYASLR: 5,
-    SystemId.SSFLR: 6,
+# Per informative system, in trade-off order (demand rank, then name): the
+# demand rank (1 = least experimental effort), the evidence dimensions it
+# averages out and its trade-off note.
+_SYSTEMS: dict[SystemId, tuple[int, frozenset[str], str]] = {
+    SystemId.CSSLR: (1, frozenset({"R", "X", "Y"}),
+                     "cheapest to field; averages over every dimension"),
+    SystemId.CSFLR: (2, frozenset({"R"}),
+                     "near-top performance at a one-time, reusable cost"),
+    SystemId.CSXASLR: (3, frozenset({"R", "Y"}), ""),
+    SystemId.CSYASLR: (3, frozenset({"R", "X"}), ""),
+    SystemId.SSSLR: (4, frozenset({"X", "Y"}), ""),
+    SystemId.SSYASLR: (5, frozenset({"X"}), ""),
+    SystemId.SSFLR: (6, frozenset(), "best performance; infeasible when "
+                     "measurements are noisy and features exceed one"),
 }
 
 
@@ -118,146 +113,85 @@ def demand_table(target_lr_min: float = 1.0 / 100.0,
     n_h2 = math.ceil(target_lr_max)
     default_range = (n_h1, n_h2) == (100, 1000)
 
-    profiles = [
-        DemandProfile(
-            system=SystemId.CSSLR,
-            per_case_source_measurements=1,
-            per_case_trace_measurements=1,
-            reusable_background_measurements=2 * n_h1 + BACKGROUND_OBJECTS,
-            reusable=True,
-            info_loss_dims=_INFO_LOSS[SystemId.CSSLR],
-            feasibility_note=(
-                f"least demanding: {2 * n_h1} same-population objects pair "
-                f"into {n_h1} i.i.d. H1 scores; crossing them with "
-                f"{BACKGROUND_OBJECTS} background objects gives "
-                f"{2 * n_h1 * BACKGROUND_OBJECTS} (dependent) H2 scores; "
-                f"everything reusable across cases"),
-            required_h1_scores=n_h1,
-            required_h2_scores=n_h2,
-            h1_scores=n_h1,
-            h2_scores=2 * n_h1 * BACKGROUND_OBJECTS,
-        ),
-        DemandProfile(
-            system=SystemId.CSFLR,
-            per_case_source_measurements=CSFLR_REPEATS,
-            per_case_trace_measurements=CSFLR_REPEATS,
-            reusable_background_measurements=BACKGROUND_OBJECTS,
-            reusable=True,
-            info_loss_dims=_INFO_LOSS[SystemId.CSFLR],
-            feasibility_note=(
-                f"favourable trade-off: roughly {CSFLR_REPEATS} repeats per "
-                f"case plus a one-time collection of ~{BACKGROUND_OBJECTS} "
-                f"background references; only the source identity is "
-                f"averaged out"),
-            required_h1_scores=n_h1,
-            required_h2_scores=n_h2,
-        ),
-        DemandProfile(
-            system=SystemId.CSYASLR,
-            per_case_source_measurements=1,
-            per_case_trace_measurements=1,
-            reusable_background_measurements=ANCHOR_CATEGORIES * n_h1,
-            reusable=True,
-            info_loss_dims=_INFO_LOSS[SystemId.CSYASLR],
-            feasibility_note=(
-                f"conditioning on {ANCHOR_CATEGORIES} reference-anchor "
-                f"categories needs {ANCHOR_CATEGORIES * n_h1} sources (plus "
-                f"as many trace measurements, and the same again from the "
-                f"suspect-side population when it differs) to keep {n_h1} "
-                f"relevant H1 pairs; {BACKGROUND_OBJECTS} background "
-                f"sources give {BACKGROUND_OBJECTS * n_h1} anchored H2 "
-                f"scores; reusable but bulky"),
-            required_h1_scores=n_h1,
-            required_h2_scores=n_h2,
-            h1_scores=n_h1,
-            h2_scores=BACKGROUND_OBJECTS * n_h1,
-        ),
-        DemandProfile(
-            system=SystemId.CSXASLR,
-            per_case_source_measurements=1,
-            per_case_trace_measurements=1,
-            reusable_background_measurements=ANCHOR_CATEGORIES * n_h1,
-            reusable=True,
-            info_loss_dims=_INFO_LOSS[SystemId.CSXASLR],
-            feasibility_note=(
-                "same accounting as the reference-anchored variant, with "
-                "the H2 side selected from the trace background population "
-                "by closeness to the trace anchor"),
-            required_h1_scores=n_h1,
-            required_h2_scores=n_h2,
-            h1_scores=n_h1,
-            h2_scores=BACKGROUND_OBJECTS * n_h1,
-        ),
-        DemandProfile(
-            system=SystemId.SSSLR,
-            per_case_source_measurements=n_h1,
-            per_case_trace_measurements=n_h1,
-            reusable_background_measurements=BACKGROUND_OBJECTS,
-            reusable=False,
-            info_loss_dims=_INFO_LOSS[SystemId.SSSLR],
-            feasibility_note=(
-                f"per case, {n_h1} reference and {n_h1} trace objects from "
-                f"the suspect source give {n_h1} i.i.d. H1 scores; "
-                f"{BACKGROUND_OBJECTS} reusable background traces give "
-                f"{BACKGROUND_OBJECTS * n_h1} (dependent) H2 scores; a "
-                f"cross-comparison shortcut trades i.i.d.-ness for far "
-                f"fewer objects"),
-            required_h1_scores=n_h1,
-            required_h2_scores=n_h2,
-            h1_scores=n_h1,
-            h2_scores=n_h2,
-            shortcut_h1_comparisons=(
-                SHORTCUT_OBJECTS * (SHORTCUT_OBJECTS - 1) // 2
-                if default_range else None),
-            shortcut_h2_comparisons=(
-                SHORTCUT_OBJECTS * SHORTCUT_BACKGROUND
-                if default_range else None),
-        ),
-        DemandProfile(
-            system=SystemId.SSYASLR,
-            per_case_source_measurements=n_h1,
-            per_case_trace_measurements=1,
-            reusable_background_measurements=n_h2,
-            reusable=False,
-            info_loss_dims=_INFO_LOSS[SystemId.SSYASLR],
-            feasibility_note=(
-                f"per case, {n_h1} objects from the suspect source scored "
-                f"against the fixed reference give the H1 side; {n_h2} "
-                f"background trace measurements (reusable) give the H2 "
-                f"side"),
-            required_h1_scores=n_h1,
-            required_h2_scores=n_h2,
-            h1_scores=n_h1,
-            h2_scores=n_h2,
-        ),
-        DemandProfile(
-            system=SystemId.SSFLR,
-            per_case_source_measurements="1 (exact measurement) or impractically many",
-            per_case_trace_measurements=1,
-            reusable_background_measurements=0,
-            reusable=False,
-            info_loss_dims=_INFO_LOSS[SystemId.SSFLR],
-            feasibility_note=(
-                "no information loss, but the suspect-source density must "
-                "be pinned down per case from reference measurements "
-                "alone; with measurement randomness and more than one "
-                "feature this is infeasible in practice"),
-            required_h1_scores=n_h1,
-            required_h2_scores=n_h2,
-        ),
+    def profile(system, source, trace, background, reusable, notes,
+                h1_scores=None, h2_scores=None, shortcut=(None, None)):
+        return DemandProfile(system, source, trace, background, reusable,
+                             _SYSTEMS[system][1], n_h1, n_h2,
+                             h1_scores, h2_scores, *shortcut, notes)
+
+    return [
+        profile(
+            SystemId.CSSLR, 1, 1, 2 * n_h1 + BACKGROUND_OBJECTS, True,
+            f"least demanding: {2 * n_h1} same-population objects pair "
+            f"into {n_h1} i.i.d. H1 scores; crossing them with "
+            f"{BACKGROUND_OBJECTS} background objects gives "
+            f"{2 * n_h1 * BACKGROUND_OBJECTS} (dependent) H2 scores; "
+            f"everything reusable across cases",
+            h1_scores=n_h1, h2_scores=2 * n_h1 * BACKGROUND_OBJECTS),
+        profile(
+            SystemId.CSFLR, CSFLR_REPEATS, CSFLR_REPEATS, BACKGROUND_OBJECTS,
+            True,
+            f"favourable trade-off: roughly {CSFLR_REPEATS} repeats per "
+            f"case plus a one-time collection of ~{BACKGROUND_OBJECTS} "
+            f"background references; only the source identity is "
+            f"averaged out"),
+        profile(
+            SystemId.CSYASLR, 1, 1, ANCHOR_CATEGORIES * n_h1, True,
+            f"conditioning on {ANCHOR_CATEGORIES} reference-anchor "
+            f"categories needs {ANCHOR_CATEGORIES * n_h1} sources (plus "
+            f"as many trace measurements, and the same again from the "
+            f"suspect-side population when it differs) to keep {n_h1} "
+            f"relevant H1 pairs; {BACKGROUND_OBJECTS} background "
+            f"sources give {BACKGROUND_OBJECTS * n_h1} anchored H2 "
+            f"scores; reusable but bulky",
+            h1_scores=n_h1, h2_scores=BACKGROUND_OBJECTS * n_h1),
+        profile(
+            SystemId.CSXASLR, 1, 1, ANCHOR_CATEGORIES * n_h1, True,
+            "same accounting as the reference-anchored variant, with "
+            "the H2 side selected from the trace background population "
+            "by closeness to the trace anchor",
+            h1_scores=n_h1, h2_scores=BACKGROUND_OBJECTS * n_h1),
+        profile(
+            SystemId.SSSLR, n_h1, n_h1, BACKGROUND_OBJECTS, False,
+            f"per case, {n_h1} reference and {n_h1} trace objects from "
+            f"the suspect source give {n_h1} i.i.d. H1 scores; "
+            f"{BACKGROUND_OBJECTS} reusable background traces give "
+            f"{BACKGROUND_OBJECTS * n_h1} (dependent) H2 scores; a "
+            f"cross-comparison shortcut trades i.i.d.-ness for far "
+            f"fewer objects",
+            h1_scores=n_h1, h2_scores=n_h2,
+            shortcut=((SHORTCUT_OBJECTS * (SHORTCUT_OBJECTS - 1) // 2,
+                       SHORTCUT_OBJECTS * SHORTCUT_BACKGROUND)
+                      if default_range else (None, None))),
+        profile(
+            SystemId.SSYASLR, n_h1, 1, n_h2, False,
+            f"per case, {n_h1} objects from the suspect source scored "
+            f"against the fixed reference give the H1 side; {n_h2} "
+            f"background trace measurements (reusable) give the H2 "
+            f"side",
+            h1_scores=n_h1, h2_scores=n_h2),
+        profile(
+            SystemId.SSFLR, "1 (exact measurement) or impractically many", 1,
+            0, False,
+            "no information loss, but the suspect-source density must "
+            "be pinned down per case from reference measurements "
+            "alone; with measurement randomness and more than one "
+            "feature this is infeasible in practice"),
     ]
-    return profiles
 
 
 @dataclass(frozen=True)
 class TradeoffRow:
+    """One system's performance against its effort; the fields, in order,
+    are the columns of tradeoff.csv."""
+
     system: SystemId
     performance_rank: int   # 1 + number of dimensions averaged out
     demand_rank: int        # 1 = least experimental effort
+    info_loss_dims: frozenset[str]
     infeasible: bool
     favourable: bool
-    info_loss_dims: frozenset[str]
-    note: str
+    notes: str
 
 
 def feasibility_rank() -> list[TradeoffRow]:
@@ -267,35 +201,18 @@ def feasibility_rank() -> list[TradeoffRow]:
     averages over, which reproduces the empirical score ordering. Ties in
     either rank are genuine ties.
     """
-    rows = []
-    for system, demand in sorted(_DEMAND_RANK.items(),
-                                 key=lambda kv: (kv[1], kv[0].value)):
-        dims = _INFO_LOSS[system]
-        infeasible = system is SystemId.SSFLR
-        favourable = system is SystemId.CSFLR
-        if infeasible:
-            note = ("best performance; infeasible when measurements are "
-                    "noisy and features exceed one")
-        elif favourable:
-            note = "near-top performance at a one-time, reusable cost"
-        elif system is SystemId.CSSLR:
-            note = "cheapest to field; averages over every dimension"
-        else:
-            note = ""
-        rows.append(TradeoffRow(
-            system=system,
-            performance_rank=1 + len(dims),
-            demand_rank=demand,
-            infeasible=infeasible,
-            favourable=favourable,
-            info_loss_dims=dims,
-            note=note,
-        ))
-    return rows
+    return [TradeoffRow(system=system, performance_rank=1 + len(dims),
+                        demand_rank=demand, info_loss_dims=dims,
+                        infeasible=system is SystemId.SSFLR,
+                        favourable=system is SystemId.CSFLR, notes=notes)
+            for system, (demand, dims, notes) in _SYSTEMS.items()]
 
 
 @dataclass(frozen=True)
 class TailBoundRow:
+    """One tail check; the fields, in order, are the columns of tailbound.csv."""
+
+    system: SystemId
     k: float
     side: str                   # "H2" (large LR) or "H1" (small LR)
     empirical_exceedance: float
@@ -337,45 +254,8 @@ def tail_bound_check(
         log10_k = math.log10(k)
         for side, beyond in (("H2", log10_h2 > log10_k), ("H1", log10_h1 < -log10_k)):
             exc = float(np.mean(beyond))
-            rows.append(TailBoundRow(k=k, side=side, empirical_exceedance=exc,
-                                     bound=bound, passed=exc <= bound))
+            rows.append(TailBoundRow(system=system, k=k, side=side,
+                                     empirical_exceedance=exc, bound=bound,
+                                     passed=exc <= bound))
     return rows
 
-
-# ---------------------------------------------------------------------------
-# flat rows for the report and its CSV tables
-
-def demand_csv_rows(profiles: list[DemandProfile]) -> list[dict[str, object]]:
-    return [
-        {
-            "system": p.system.value,
-            "per_case_source_measurements": p.per_case_source_measurements,
-            "per_case_trace_measurements": p.per_case_trace_measurements,
-            "reusable_background_measurements": p.reusable_background_measurements,
-            "reusable": p.reusable,
-            "info_loss_dims": "+".join(sorted(p.info_loss_dims)) or "none",
-            "required_h1_scores": p.required_h1_scores,
-            "required_h2_scores": p.required_h2_scores,
-            "h1_scores": p.h1_scores,
-            "h2_scores": p.h2_scores,
-            "shortcut_h1_comparisons": p.shortcut_h1_comparisons,
-            "shortcut_h2_comparisons": p.shortcut_h2_comparisons,
-            "notes": p.feasibility_note,
-        }
-        for p in profiles
-    ]
-
-
-def tradeoff_csv_rows() -> list[dict[str, object]]:
-    return [
-        {
-            "system": r.system.value,
-            "performance_rank": r.performance_rank,
-            "demand_rank": r.demand_rank,
-            "info_loss_dims": "+".join(sorted(r.info_loss_dims)) or "none",
-            "infeasible": r.infeasible,
-            "favourable": r.favourable,
-            "notes": r.note,
-        }
-        for r in feasibility_rank()
-    ]

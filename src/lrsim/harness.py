@@ -141,7 +141,7 @@ class PairedDiff:
 
 @dataclass(frozen=True)
 class RankingVerdict:
-    claim_id: str
+    claim: str
     better: SystemId
     worse: SystemId
     mean_diff: float
@@ -168,17 +168,21 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # the pipeline: own LR, anchor term, clamp, posterior, paired margin
 
-def _own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
-    """A system's own log10 LR on a batch; only SS systems see theta_r. A NaN
-    cannot be scored, so it is bad input; +/-inf is legal, the clamp bounds it."""
+def _own_ln(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
+    """A system's own natural-log LR on a batch; only SS systems see theta_r. A
+    NaN cannot be scored, so it is bad input; +/-inf is legal, the clamp bounds it."""
     theta = batch.theta_r if system in SPECIFIC_SOURCE else None
-    own = log_lr_batch(system, batch.x, batch.y, world, theta_r=theta) * LOG10_E
+    own = log_lr_batch(system, batch.x, batch.y, world, theta_r=theta)
     n_nan = int(np.count_nonzero(np.isnan(own)))
     if n_nan:
         raise ConfigError(
             f"{system.value} gave {n_nan} NaN log LRs of {own.shape[0]} on "
             f"the world {json.dumps(world_to_json_dict(world), sort_keys=True)}")
     return own
+
+
+def _own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
+    return _own_ln(system, batch, world) * LOG10_E
 
 
 def _stated_log10(system: SystemId, own: np.ndarray, batch: CaseBatch,
@@ -221,7 +225,7 @@ def system_posteriors(
     return own_log10, posteriors, clamps
 
 
-def _verdict(claim_id: str, better: SystemId, worse: SystemId,
+def _verdict(claim: str, better: SystemId, worse: SystemId,
              diff: PairedDiff) -> RankingVerdict:
     band = 2.0 * diff.se_diff
     if diff.mean_diff > band and diff.mean_diff > TIE_ATOL:
@@ -230,22 +234,25 @@ def _verdict(claim_id: str, better: SystemId, worse: SystemId,
         verdict = Verdict.Violated
     else:
         verdict = Verdict.Tie
-    return RankingVerdict(claim_id=claim_id, better=better, worse=worse,
+    return RankingVerdict(claim=claim, better=better, worse=worse,
                           mean_diff=diff.mean_diff, se_diff=diff.se_diff,
                           margin_in_se=diff.margin_in_se, verdict=verdict)
 
 
 def verify_ranking(paired_diffs: dict[str, PairedDiff]) -> list[RankingVerdict]:
     """Judge each claim whose two systems were both run, from paired differences."""
-    return [_verdict(claim_id, better, worse, paired_diffs[claim_id])
-            for claim_id, better, worse in RANKING_CLAIMS
-            if claim_id in paired_diffs]
+    return [_verdict(claim, better, worse, paired_diffs[claim])
+            for claim, better, worse in RANKING_CLAIMS
+            if claim in paired_diffs]
 
 
 def _paired_diff(a: np.ndarray, b: np.ndarray) -> PairedDiff:
     d = a - b
     n = int(d.shape[0])
-    se = float(np.std(d, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    if n < 2:  # one case has no standard error
+        raise ConfigError(
+            f"a paired difference needs at least 2 cases, got {n}")
+    se = float(np.std(d, ddof=1) / math.sqrt(n))
     return PairedDiff(mean_diff=float(d.mean()), se_diff=se, n=n)
 
 
@@ -275,9 +282,9 @@ def run_experiment(
         calibration[system] = calibration_report(posteriors[system], is_h1)
 
     paired: dict[str, PairedDiff] = {}
-    for claim_id, better, worse in RANKING_CLAIMS:
+    for claim, better, worse in RANKING_CLAIMS:
         if better in scores and worse in scores:
-            paired[claim_id] = _paired_diff(scores[better], scores[worse])
+            paired[claim] = _paired_diff(scores[better], scores[worse])
 
     case_table = {
         "case_id": np.arange(cfg.n_cases, dtype=np.int64),
@@ -333,8 +340,9 @@ def ill_conditioning_experiment(
     Three posterior constructions are compared on shared cases: (a) the
     anchored LR alone times prior odds, (b) the anchored LR times the
     trace-anchor LR times prior odds, (c) the joint closed form times prior
-    odds. (b) and (c) must agree to floating point; the mean score of (b)
-    minus (a) is the price of ill-conditioning.
+    odds. (b) and (c) must agree to floating point, compared in natural log
+    where the LRs are computed; the mean score of (b) minus (a) is the price
+    of ill-conditioning.
     """
     world.validate()
     if world.scenario is not ScenarioKind.ReferenceCrimeRelevant or (
@@ -345,10 +353,12 @@ def ill_conditioning_experiment(
     batch = generate_cases(world, master_seed, n_cases)
     is_h1 = batch.truth_h1.astype(bool)
 
-    naive = _own_log10(SystemId.CSXASLR, batch, world)
-    proper = _stated_log10(SystemId.CSXASLR, naive, batch, world)
-    joint = _own_log10(SystemId.CSFLR, batch, world)
-    max_rel_err = float(np.abs(np.expm1((proper - joint) / LOG10_E)).max())
+    naive_ln = _own_ln(SystemId.CSXASLR, batch, world)
+    anchor_ln = anchor_log_lr_batch(batch.x, AnchorKind.X, world)
+    joint_ln = _own_ln(SystemId.CSFLR, batch, world)
+    max_rel_err = float(np.abs(np.expm1(naive_ln + anchor_ln - joint_ln)).max())
+    naive = naive_ln * LOG10_E
+    proper = naive + anchor_ln * LOG10_E
 
     s_naive = scores_batch(rule, _posterior(naive, world.prior_h1)[0], is_h1)
     s_proper = scores_batch(rule, _posterior(proper, world.prior_h1)[0], is_h1)

@@ -49,6 +49,7 @@ __all__ = [
     "OracleEstimate",
     "PathBank",
     "PathOracleConfig",
+    "MIN_ACCEPTED",
     "RECIPES",
     "compare_closed_vs_oracle",
     "default_evidence_grid",
@@ -58,6 +59,7 @@ __all__ = [
 # The path recipes a PathBank draws; a recipe's stream index is its position.
 RECIPES = ("ss_num", "cs_num", "trace", "ss_ref", "cs_ref")
 _BOOTSTRAP_STREAM = 0xB007
+MIN_ACCEPTED = 50  # fewest paths a density estimate is made from
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -74,7 +76,6 @@ class PathOracleConfig:
     anchor_tolerance: float = 0.05
     n_blocks: int = 200
     n_boot: int = 400
-    min_accepted: int = 50
 
     def validate(self) -> "PathOracleConfig":
         if self.n_paths < 10**3:
@@ -310,10 +311,10 @@ def _estimate_term(system, term, view, world, cfg, bank) -> _TermEstimate:
     if kind == "bin":
         (inside,) = data
         count = int(np.count_nonzero(inside))
-        if count < cfg.min_accepted:
+        if count < MIN_ACCEPTED:
             raise InsufficientPathsError(
                 f"{system.value} {term}: only {count} paths inside the "
-                f"evidence bin (need {cfg.min_accepted}); widen bin_width or "
+                f"evidence bin (need {MIN_ACCEPTED}); widen bin_width or "
                 f"raise n_paths")
         contrib = np.add.reduceat(inside, edges, dtype=np.float64)
         return _TermEstimate(contrib, block_sizes, cfg.bin_width**2, count)
@@ -325,10 +326,10 @@ def _estimate_term(system, term, view, world, cfg, bank) -> _TermEstimate:
         np.abs(deltas, out=deltas)
         target = abs(target)
     accepted = deltas.shape[0]
-    if accept is not None and accepted < cfg.min_accepted:
+    if accept is not None and accepted < MIN_ACCEPTED:
         raise InsufficientPathsError(
             f"{system.value} {term}: only {accepted} paths accepted in "
-            f"the anchor window (need {cfg.min_accepted}); widen "
+            f"the anchor window (need {MIN_ACCEPTED}); widen "
             f"anchor_tolerance or raise n_paths")
     h = _silverman(deltas)
     # deltas is this term's own array, so the last kernel overwrites it

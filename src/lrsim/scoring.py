@@ -180,12 +180,12 @@ class CalibrationReport:
             return math.nan
         return float(self.gaps[q].max())
 
-    def passes(self, se_mult: float = 3.0) -> bool:
-        """Every qualifying bin's gap must stay under se_mult binomial SEs."""
+    def passes(self) -> bool:
+        """Every qualifying bin's gap must stay under 3 binomial SEs."""
         q = self.qualifying
         if not q.any():
             return True
-        return bool(np.all(self.gaps[q] < se_mult * self.binomial_se[q]))
+        return bool(np.all(self.gaps[q] < 3.0 * self.binomial_se[q]))
 
 
 def calibration_report(

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -9,8 +11,9 @@ import pytest
 
 import lrsim.cli as cli
 from lrsim.cli import main
+from lrsim.costmodel import DemandProfile, TailBoundRow, TradeoffRow
 from lrsim.genmodel import world_from_json_dict
-from lrsim.harness import ExperimentConfig, run_experiment
+from lrsim.harness import ExperimentConfig, RankingVerdict, run_experiment
 from lrsim.oracle import RECIPES, PathBank
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -181,12 +184,17 @@ def test_tiny_measurement_noise_ranks(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["rank", "illcond", "csprior",
                                      "tailbound", "calibrate"])
 def test_cases_below_one_rejected(tmp_path, capsys, command):
-    for cases in ("0", "-5"):
+    # one case has no paired standard error: illcond and csprior once wrote
+    # NaN and Infinity into report.json and exited 1
+    expected = {"0": "--cases", "-5": "--cases"}
+    if command in ("illcond", "csprior"):
+        expected["1"] = "at least 2 cases, got 1"
+    for cases, message in expected.items():
         out = tmp_path / "o"
         code, stdout, err = run(capsys, command, "--cases", cases,
                                 "--out", str(out))
         assert code == 2
-        assert err.startswith("error:") and "--cases" in err
+        assert err.startswith("error:") and message in err
         assert stdout == ""
         assert not out.exists()
 
@@ -498,6 +506,23 @@ def test_illcond_command(tmp_path, capsys):
     assert (out / "illcond.csv").exists()
 
 
+def test_illcond_identity_holds_at_tiny_noise(tmp_path, capsys):
+    # |log LR| reaches ~1e16 here; comparing the two sides in log10 once
+    # reported "identity max rel err 1.00e+04 (FAIL)" and exited 1
+    doc = json.loads(resources.files("lrsim.data").joinpath(
+        "illcond_world.json").read_text())
+    doc["noise"] = {"sigma": 1e-8}
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, "illcond", "--config",
+                            write_config(tmp_path, doc), "--cases", "2000",
+                            "--format", "json", "--out", str(out))
+    assert code == 0, err
+    assert "(ok)" in stdout
+    report = json.loads((out / "report.json").read_text())
+    assert report["identity_ok"] is True
+    assert report["identity_max_rel_err"] < 1e-9
+
+
 def test_illcond_rejects_flat_world(tmp_path, capsys):
     flat = dict(DEFAULT_WORLD_DOC, popT={"mu": 0.0, "tau": 1.0},
                 scenario="DistinctionIrrelevant")
@@ -585,6 +610,79 @@ def test_demand_scaled_range(tmp_path, capsys):
                           "--lr-max", "10", "--out", str(out))
     assert code == 0
     assert "10 H1 / 10 H2" in stdout
+
+
+def test_demand_report_profiles(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(capsys, "demand", "--format", "json", "--out", str(out))[0] == 0
+    rows = json.loads((out / "report.json").read_text())["profiles"]
+    by_sys = {r["system"]: r for r in rows}
+    assert by_sys["SSSLR"]["shortcut_h1_comparisons"] == 190
+    assert by_sys["SSFLR"]["info_loss_dims"] == "none"
+    assert by_sys["CSSLR"]["info_loss_dims"] == "R+X+Y"
+    assert by_sys["CSFLR"]["h1_scores"] is None
+    assert by_sys["CSSLR"]["reusable"] is True
+    assert by_sys["SSSLR"]["reusable"] is False
+    assert all(r["notes"] for r in rows)
+
+
+def test_demand_report_tradeoff(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(capsys, "demand", "--format", "json", "--out", str(out))[0] == 0
+    rows = json.loads((out / "report.json").read_text())["tradeoff"]
+    assert len(rows) == 7
+    assert rows[0]["system"] == "CSSLR"
+    assert rows[0]["infeasible"] is False
+    assert {r["system"] for r in rows if r["favourable"] is True} == {"CSFLR"}
+    assert {r["system"] for r in rows if r["infeasible"] is True} == {"SSFLR"}
+
+
+_TRADEOFF_SHA256 = \
+    "e3e9bd8badab6ba7329bd8e69a935e6d7bbf233a12138e66877de6caeb0a1df0"
+
+
+@pytest.mark.parametrize("flags,digests", [
+    ((), {
+        "demand.csv":
+            "a01c325fef20a336cbea2714629c2318309d03d53d0f2d038777801043e4f09c",
+        "report.json":
+            "84433656ef3964da1d5dde3c575b3a2a06bd76ef91099368332f6bc202fa0b1f",
+        "tradeoff.csv": _TRADEOFF_SHA256}),
+    (("--lr-min", "0.1", "--lr-max", "10"), {
+        "demand.csv":
+            "fcb9ff8319869bc800fddc3c1959038c2fca15267c494277f1dcea64aa85cc18",
+        "report.json":
+            "de784de4a30a2ea7b9fc43eecacacea3a44cd955bfc164541389e63322a2f576",
+        "tradeoff.csv": _TRADEOFF_SHA256}),
+])
+def test_demand_bytes_are_pinned(tmp_path, capsys, flags, digests):
+    # demand reads no world and draws nothing: its bytes never move
+    out = tmp_path / "o"
+    assert run(capsys, "demand", *flags, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
+def test_records_are_their_columns(tmp_path, capsys):
+    # each record's fields, in order, are its CSV header and report keys
+    def names(record):
+        return [f.name for f in dataclasses.fields(record)]
+
+    def header(path):
+        with path.open(newline="") as fh:
+            return next(csv.reader(fh))
+
+    out = tmp_path / "o"
+    assert run(capsys, "tailbound", "--cases", "2000", "--out",
+               str(out / "t"))[0] == 0
+    assert header(out / "t" / "tailbound.csv") == names(TailBoundRow)
+    assert run(capsys, "demand", "--out", str(out / "d"))[0] == 0
+    assert header(out / "d" / "demand.csv") == names(DemandProfile)
+    assert header(out / "d" / "tradeoff.csv") == names(TradeoffRow)
+    assert run(capsys, "rank", "--cases", "2000", "--format", "json",
+               "--out", str(out / "r"))[0] == 0
+    verdicts = json.loads((out / "r" / "report.json").read_text())["verdicts"]
+    assert all(sorted(v) == sorted(names(RankingVerdict)) for v in verdicts)
 
 
 def test_calibrate_command(tmp_path, capsys):

@@ -1,13 +1,7 @@
 import pytest
 
 import lrsim.costmodel as costmodel
-from lrsim.costmodel import (
-    demand_csv_rows,
-    demand_table,
-    feasibility_rank,
-    tail_bound_check,
-    tradeoff_csv_rows,
-)
+from lrsim.costmodel import demand_table, feasibility_rank, tail_bound_check
 from lrsim.genmodel import ConfigError, PopulationModel
 from lrsim.harness import ALL_SYSTEMS, RANKING_CLAIMS
 from lrsim.lrsystems import SystemId
@@ -172,26 +166,3 @@ def test_prior_only_never_exceeds():
                             k_values=(3.0, 100.0))
     assert all(r.empirical_exceedance == 0.0 for r in rows)
 
-
-# ---------------------------------------------------------------------------
-# CSV flattening
-
-def test_demand_csv_rows():
-    rows = demand_csv_rows(demand_table())
-    by_sys = {r["system"]: r for r in rows}
-    assert by_sys["SSSLR"]["shortcut_h1_comparisons"] == 190
-    assert by_sys["SSFLR"]["info_loss_dims"] == "none"
-    assert by_sys["CSSLR"]["info_loss_dims"] == "R+X+Y"
-    assert by_sys["CSFLR"]["h1_scores"] is None
-    assert by_sys["CSSLR"]["reusable"] is True
-    assert by_sys["SSSLR"]["reusable"] is False
-    assert all(r["notes"] for r in rows)
-
-
-def test_tradeoff_csv_rows():
-    rows = tradeoff_csv_rows()
-    assert len(rows) == 7
-    assert rows[0]["system"] == "CSSLR"
-    assert rows[0]["infeasible"] is False
-    assert {r["system"] for r in rows if r["favourable"] is True} == {"CSFLR"}
-    assert {r["system"] for r in rows if r["infeasible"] is True} == {"SSFLR"}

@@ -106,7 +106,7 @@ def test_run_is_deterministic_and_order_invariant():
 def test_default_world_has_no_violations():
     rep = _quiet_run(_small_cfg(make_world(), n=10_000))
     assert rep.n_violated == 0
-    verdicts = {v.claim_id: v.verdict for v in rep.ranking_verdicts}
+    verdicts = {v.claim: v.verdict for v in rep.ranking_verdicts}
     # analytically identical pairs must come out as exact ties
     assert verdicts["SSFLR>=SSYASLR"] is Verdict.Tie
     assert verdicts["CSFLR>=CSYASLR"] is Verdict.Tie
@@ -135,8 +135,8 @@ def test_verify_ranking_skips_claims_of_absent_systems():
     rep = _quiet_run(_small_cfg(make_world(),
                                 systems=(SystemId.CSFLR, SystemId.CSYASLR)))
     partial = verify_ranking(rep.paired_diffs)
-    assert [v.claim_id for v in partial] == ["CSFLR>=CSYASLR"]
-    assert [v.claim_id for v in rep.ranking_verdicts] == ["CSFLR>=CSYASLR"]
+    assert [v.claim for v in partial] == ["CSFLR>=CSYASLR"]
+    assert [v.claim for v in rep.ranking_verdicts] == ["CSFLR>=CSYASLR"]
 
 
 def test_verdict_noise_floor_forces_tie():
@@ -160,7 +160,7 @@ def test_sabotaged_beliefs_are_caught():
     world = make_world()
     believed = make_world(pop_t=PopulationModel(4.0, 1.0))
     rep = _quiet_run(_small_cfg(world, n=20_000), believed_world=believed)
-    verdicts = {v.claim_id: v.verdict for v in rep.ranking_verdicts}
+    verdicts = {v.claim: v.verdict for v in rep.ranking_verdicts}
     assert verdicts["CSSLR>=PriorOnly"] is Verdict.Violated
     assert rep.n_violated > 0
 
