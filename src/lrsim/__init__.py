@@ -39,7 +39,6 @@ from .oracle import (
     OracleComparison,
     OracleEstimate,
     PathBank,
-    PathOracleConfig,
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,
@@ -91,7 +90,6 @@ __all__ = [
     "OracleComparison",
     "OracleEstimate",
     "PathBank",
-    "PathOracleConfig",
     "PopulationModel",
     "ProfileMode",
     "RANKING_CLAIMS",

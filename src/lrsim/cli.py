@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .costmodel import demand_table, feasibility_rank, tail_bound_check
-from .genmodel import ConfigError, WorldConfig, world_from_json_dict, world_to_json_dict
+from .genmodel import ConfigError, WorldConfig, read_json, world_from_json_dict, world_to_json_dict
 from .harness import (
     ALL_SYSTEMS,
     EvalReport,
@@ -49,7 +49,7 @@ from .harness import (
     run_experiment,
 )
 from .lrsystems import NONTRIVIAL, SystemId
-from .oracle import PathBank, PathOracleConfig, compare_closed_vs_oracle, default_evidence_grid
+from .oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid
 from .scoring import ScoringRule
 
 _RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}
@@ -69,13 +69,7 @@ def _load_config(path: str | None) -> tuple[WorldConfig, dict]:
     """
     if path is None:
         return default_world(), {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config not found: {path}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     if "world" not in doc:
@@ -178,6 +172,10 @@ class _Outputs:
     """
 
     def __init__(self, out_dir: Path, force: bool):
+        # refused before any work: the nearest existing path must be a directory
+        near = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+        if not near.is_dir():
+            raise ConfigError(f"--out {out_dir}: {near} is not a directory")
         self.out_dir = out_dir
         self.force = force
         self.planned: list[tuple[str, object]] = []
@@ -359,16 +357,12 @@ def _calibrate(args, world, settings, n):
 
 
 def _oracle_check(args, world, settings, n_paths):
-    # every point reads the same paths: the grid draws each recipe once
-    cfg = PathOracleConfig(n_paths=n_paths)
-    bank = PathBank(world, args.seed, cfg.n_paths)
+    # every point reads the same paths and bootstrap resamples, drawn once
+    bank = PathBank(world, args.seed, n_paths)
     rows = []
-    all_ok = True
     for system in NONTRIVIAL:
         for i, view in enumerate(default_evidence_grid(system, world)):
-            comp = compare_closed_vs_oracle(system, view, world, cfg,
-                                            seed=args.seed, bank=bank)
-            all_ok &= comp.within_3se
+            comp = compare_closed_vs_oracle(system, view, bank)
             rows.append({
                 "system": system.value, "grid_index": i,
                 "closed_log10": comp.closed_log10,
@@ -377,6 +371,7 @@ def _oracle_check(args, world, settings, n_paths):
                 "abs_diff_log10": comp.abs_diff_log10,
                 "within_3se": comp.within_3se,
             })
+    all_ok = all(r["within_3se"] for r in rows)
     worst = max(rows, key=lambda r: r["abs_diff_log10"] / r["se_log10"]
                 if r["se_log10"] > 0 else 0.0)
     summary = [
@@ -479,8 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "n_cases", None) is not None and args.n_cases < 1:
         print("error: --cases must be an integer >= 1", file=sys.stderr)
         return 2
-    out = _Outputs(Path(args.out), args.force)
     try:
+        out = _Outputs(Path(args.out), args.force)
         status = _run(args, out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

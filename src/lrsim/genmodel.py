@@ -34,6 +34,7 @@ __all__ = [
     "WorldConfig",
     "generate_cases",
     "load_world",
+    "read_json",
     "world_from_json_dict",
     "world_to_json_dict",
 ]
@@ -321,14 +322,23 @@ def world_to_json_dict(world: WorldConfig) -> dict:
     }
 
 
-def load_world(path: str | Path) -> WorldConfig:
-    """Load a WorldConfig from a JSON file, with line-anchored parse errors."""
-    text = Path(path).read_text()
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file; one that is not is bad input (ConfigError)."""
     try:
-        doc = json.loads(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    return world_from_json_dict(doc, path=str(path))
+
+
+def load_world(path: str | Path) -> WorldConfig:
+    """Load a WorldConfig from a JSON file (see read_json)."""
+    return world_from_json_dict(read_json(path), path=str(path))
 
 
 def with_population(world: WorldConfig, **pops: PopulationModel) -> WorldConfig:

@@ -35,6 +35,7 @@ from .genmodel import (
     CaseBatch,
     ConfigError,
     ScenarioKind,
+    ScoreKind,
     WorldConfig,
     generate_cases,
     world_to_json_dict,
@@ -138,6 +139,13 @@ class PairedDiff:
         return 0.0 if abs(self.mean_diff) <= TIE_ATOL else math.copysign(
             math.inf, self.mean_diff)
 
+    @property
+    def sign(self) -> int:
+        """The one margin rule: +1 (-1) when the first side scores better
+        (worse) by more than 2 SE and by more than TIE_ATOL, else 0."""
+        band = max(2.0 * self.se_diff, TIE_ATOL)
+        return int(self.mean_diff > band) - int(self.mean_diff < -band)
+
 
 @dataclass(frozen=True)
 class RankingVerdict:
@@ -227,13 +235,7 @@ def system_posteriors(
 
 def _verdict(claim: str, better: SystemId, worse: SystemId,
              diff: PairedDiff) -> RankingVerdict:
-    band = 2.0 * diff.se_diff
-    if diff.mean_diff > band and diff.mean_diff > TIE_ATOL:
-        verdict = Verdict.Confirmed
-    elif diff.mean_diff < -band and diff.mean_diff < -TIE_ATOL:
-        verdict = Verdict.Violated
-    else:
-        verdict = Verdict.Tie
+    verdict = {1: Verdict.Confirmed, -1: Verdict.Violated}.get(diff.sign, Verdict.Tie)
     return RankingVerdict(claim=claim, better=better, worse=worse,
                           mean_diff=diff.mean_diff, se_diff=diff.se_diff,
                           margin_in_se=diff.margin_in_se, verdict=verdict)
@@ -345,11 +347,13 @@ def ill_conditioning_experiment(
     of ill-conditioning.
     """
     world.validate()
-    if world.scenario is not ScenarioKind.ReferenceCrimeRelevant or (
-            world.pop_c == world.pop_t):
+    if (world.scenario is not ScenarioKind.ReferenceCrimeRelevant
+            or world.pop_c == world.pop_t
+            or world.score_kind is not ScoreKind.SignedDifference):
         raise ConfigError(
             "ill-conditioning experiment needs ReferenceCrimeRelevant with "
-            "popC != popT, otherwise the trace anchor carries no LR")
+            "popC != popT (else the trace anchor carries no LR) and "
+            "SignedDifference scores (else CSXASLR + anchor X is not CSFLR)")
     batch = generate_cases(world, master_seed, n_cases)
     is_h1 = batch.truth_h1.astype(bool)
 
@@ -368,7 +372,7 @@ def ill_conditioning_experiment(
         identity_ok=max_rel_err < 1e-9,
         mean_naive=float(s_naive.mean()), mean_proper=float(s_proper.mean()),
         gap=diff.mean_diff, gap_se=diff.se_diff, margin_in_se=diff.margin_in_se,
-        proper_beats_naive=diff.mean_diff > 2.0 * diff.se_diff)
+        proper_beats_naive=diff.sign > 0)
 
 
 @dataclass(frozen=True)
@@ -434,7 +438,7 @@ def cs_update_ss_prior_experiment(
         gap_csflr=d_flr.mean_diff, gap_csflr_se=d_flr.se_diff,
         margin_csflr_in_se=d_flr.margin_in_se,
         gap_csslr=d_slr.mean_diff, gap_csslr_se=d_slr.se_diff,
-        ok=(d_flr.mean_diff > 2.0 * d_flr.se_diff) if matched else None)
+        ok=d_flr.sign > 0 if matched else None)
 
 
 @dataclass(frozen=True)

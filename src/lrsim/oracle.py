@@ -20,9 +20,10 @@ reads the source posterior there, to place its points). A block
 bootstrap over contiguous path blocks supplies the standard error of
 log10(LR).
 
-The paths come from a PathBank, which draws each of five recipes once per
-(world, seed, n_paths) and serves every system and evidence point from
-those draws (common random numbers).
+A PathBank is the oracle's whole context: the world, the seed, the path
+count and tolerances, the five recipes' paths, the bootstrap blocks and the
+bootstrap resamples. Each is drawn or computed once per bank, and every
+system and evidence point reads them (common random numbers).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genmodel import ConfigError, ScoreKind, WorldConfig
-from .kernels import stream_key
 from .lrsystems import (
     LOG10_E,
     SPECIFIC_SOURCE,
@@ -48,44 +48,48 @@ __all__ = [
     "OracleComparison",
     "OracleEstimate",
     "PathBank",
-    "PathOracleConfig",
     "MIN_ACCEPTED",
+    "N_BLOCKS",
+    "N_BOOT",
     "RECIPES",
     "compare_closed_vs_oracle",
     "default_evidence_grid",
     "path_oracle",
+    "stream_key",
 ]
 
 # The path recipes a PathBank draws; a recipe's stream index is its position.
 RECIPES = ("ss_num", "cs_num", "trace", "ss_ref", "cs_ref")
 _BOOTSTRAP_STREAM = 0xB007
 MIN_ACCEPTED = 50  # fewest paths a density estimate is made from
+N_BLOCKS = 200  # contiguous path blocks the bootstrap resamples
+N_BOOT = 400  # bootstrap replicates
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_GOLD = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_STREAM_SALT = 0xD6E8FEB86659FD93
+_U64 = (1 << 64) - 1
+
+
+def _mix64_int(z: int) -> int:
+    """SplitMix64 finalizer on plain python integers."""
+    z &= _U64
+    z = ((z ^ (z >> 30)) * _MIX1) & _U64
+    z = ((z ^ (z >> 27)) * _MIX2) & _U64
+    return z ^ (z >> 31)
+
+
+def stream_key(master_seed: int, index: int) -> np.uint64:
+    """Philox key of stream `index` under `master_seed`; a pure function."""
+    a = _mix64_int((int(master_seed) + _GOLD) & _U64)
+    b = _mix64_int((int(index) + _STREAM_SALT) & _U64)
+    return np.uint64(_mix64_int(a ^ b))
 
 
 class InsufficientPathsError(RuntimeError):
     """Too few paths matched the observed evidence to estimate a density."""
-
-
-@dataclass(frozen=True)
-class PathOracleConfig:
-    """Tuning of the sampling-path oracle (see path_oracle)."""
-
-    n_paths: int = 10**6
-    bin_width: float = 0.1
-    anchor_tolerance: float = 0.05
-    n_blocks: int = 200
-    n_boot: int = 400
-
-    def validate(self) -> "PathOracleConfig":
-        if self.n_paths < 10**3:
-            raise ConfigError(f"n_paths must be >= 1000, got {self.n_paths}")
-        if not self.bin_width > 0:
-            raise ConfigError(f"bin_width must be > 0, got {self.bin_width}")
-        if not self.anchor_tolerance > 0:
-            raise ConfigError(
-                f"anchor_tolerance must be > 0, got {self.anchor_tolerance}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,8 @@ class OracleComparison:
 
 
 class PathBank:
-    """Simulated evidence paths of one (world, seed, n_paths).
+    """The oracle's context: the paths of one (world, seed, n_paths), the
+    tolerances that match them to a case, and the bootstrap blocks and draws.
 
     Each recipe is drawn on first use from its own stream,
     Philox(key=stream_key(seed, RECIPES.index(recipe))), source first and
@@ -133,11 +138,39 @@ class PathBank:
     as independent.
     """
 
-    def __init__(self, world: WorldConfig, seed: int, n_paths: int):
+    def __init__(self, world: WorldConfig, seed: int, n_paths: int = 10**6,
+                 bin_width: float = 0.1, anchor_tolerance: float = 0.05):
+        if n_paths < 10**3:
+            raise ConfigError(f"n_paths must be >= 1000, got {n_paths}")
+        if not bin_width > 0:
+            raise ConfigError(f"bin_width must be > 0, got {bin_width}")
+        if not anchor_tolerance > 0:
+            raise ConfigError(
+                f"anchor_tolerance must be > 0, got {anchor_tolerance}")
         self.world = world
         self.seed = int(seed)
-        self.n_paths = int(n_paths)
+        self.n_paths = n = int(n_paths)
+        self.bin_width = bin_width
+        self.anchor_tolerance = anchor_tolerance
+        # the first path of each of the N_BLOCKS bootstrap blocks, and sizes
+        self.edges = np.arange(N_BLOCKS, dtype=np.int64) * n // N_BLOCKS
+        self.block_sizes = np.diff(self.edges, append=n).astype(np.float64)
         self._columns: dict[str, tuple[np.ndarray, ...]] = {}
+        self._resamples: np.ndarray | None = None
+
+    def resamples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Intp copies of the bank's one draw of bootstrap block indices:
+        replicate b resamples the numerator's i[b], the denominator's j[b]."""
+        if self._resamples is None:
+            gen = np.random.Generator(np.random.Philox(
+                key=int(stream_key(self.seed, _BOOTSTRAP_STREAM))))
+            # uint8, made before the int64 draws, copied out per call: other
+            # layouts raised oracle-grid's peak RSS by 4% through heap holes
+            self._resamples = np.empty((2, N_BOOT, N_BLOCKS), dtype=np.uint8)
+            for r in self._resamples:  # i, then j
+                r[...] = gen.integers(0, N_BLOCKS, (N_BOOT, N_BLOCKS))
+        i, j = self._resamples
+        return i.astype(np.intp), j.astype(np.intp)
 
     def columns(self, recipe: str) -> tuple[np.ndarray, ...]:
         """The recipe's columns, drawn the first time they are asked for."""
@@ -188,8 +221,7 @@ def _near(col: np.ndarray, centre: float, half_width: float) -> np.ndarray:
     return inside
 
 
-def _term_samples(system: SystemId, term: str, view: CaseView,
-                  cfg: PathOracleConfig, bank: PathBank):
+def _term_samples(system: SystemId, term: str, view: CaseView, bank: PathBank):
     """Read one term's simulated evidence from the bank.
 
     Returns ("bin", inside) for feature systems, where inside marks the
@@ -215,7 +247,7 @@ def _term_samples(system: SystemId, term: str, view: CaseView,
         xs = th if specific and num else 0.0
         ys = th if specific else 0.0
         if system in (SystemId.SSFLR, SystemId.CSFLR):
-            half = cfg.bin_width / 2.0
+            half = bank.bin_width / 2.0
             return "bin", (_near(xb, view.x_mean - xs, half)
                            & _near(yb, view.y_mean - ys, half))
         deltas = xb - yb
@@ -230,7 +262,7 @@ def _term_samples(system: SystemId, term: str, view: CaseView,
     if system is SystemId.CSYASLR:
         if num:
             xb, yb = bank.columns("cs_num")
-            accept = _near(yb, view.y_mean, cfg.anchor_tolerance)
+            accept = _near(yb, view.y_mean, bank.anchor_tolerance)
             return "kde", xb[accept] - view.y_mean, accept
         (xb,) = bank.columns("trace")
         return "kde", xb - view.y_mean, None
@@ -238,7 +270,7 @@ def _term_samples(system: SystemId, term: str, view: CaseView,
     if system is SystemId.CSXASLR:
         if num:
             xb, yb = bank.columns("cs_num")
-            accept = _near(xb, view.x_mean, cfg.anchor_tolerance)
+            accept = _near(xb, view.x_mean, bank.anchor_tolerance)
             return "kde", view.x_mean - yb[accept], accept
         (yb,) = bank.columns("cs_ref")
         return "kde", view.x_mean - yb, None
@@ -297,16 +329,9 @@ class _TermEstimate:
                 / (self.block_norm[idx].sum(axis=1) * self.scale))
 
 
-def _block_edges(n: int, n_blocks: int) -> np.ndarray:
-    n_blocks = max(1, min(n_blocks, n))
-    return (np.arange(n_blocks, dtype=np.int64) * n) // n_blocks
-
-
-def _estimate_term(system, term, view, world, cfg, bank) -> _TermEstimate:
-    kind, *data = _term_samples(system, term, view, cfg, bank)
-    n = cfg.n_paths
-    edges = _block_edges(n, cfg.n_blocks)
-    block_sizes = np.diff(edges, append=n).astype(np.float64)
+def _estimate_term(system, term, view, bank) -> _TermEstimate:
+    kind, *data = _term_samples(system, term, view, bank)
+    n, edges, block_sizes = bank.n_paths, bank.edges, bank.block_sizes
 
     if kind == "bin":
         (inside,) = data
@@ -317,11 +342,11 @@ def _estimate_term(system, term, view, world, cfg, bank) -> _TermEstimate:
                 f"evidence bin (need {MIN_ACCEPTED}); widen bin_width or "
                 f"raise n_paths")
         contrib = np.add.reduceat(inside, edges, dtype=np.float64)
-        return _TermEstimate(contrib, block_sizes, cfg.bin_width**2, count)
+        return _TermEstimate(contrib, block_sizes, bank.bin_width**2, count)
 
     deltas, accept = data
     target = view.x_mean - view.y_mean
-    reflect = world.score_kind is ScoreKind.AbsoluteDifference
+    reflect = bank.world.score_kind is ScoreKind.AbsoluteDifference
     if reflect:
         np.abs(deltas, out=deltas)
         target = abs(target)
@@ -340,15 +365,14 @@ def _estimate_term(system, term, view, world, cfg, bank) -> _TermEstimate:
         return _TermEstimate(np.add.reduceat(k, edges), block_sizes, h, n)
     # k holds the accepted paths only, in path order
     counts = np.add.reduceat(accept, edges)
-    blocks = np.repeat(np.arange(edges.shape[0]), counts)
-    contrib = np.bincount(blocks, weights=k, minlength=edges.shape[0])
+    blocks = np.repeat(np.arange(N_BLOCKS), counts)
+    contrib = np.bincount(blocks, weights=k, minlength=N_BLOCKS)
     return _TermEstimate(contrib, counts.astype(np.float64), h, accepted)
 
 
 def _bootstrap_se(system: SystemId, num: _TermEstimate, den: _TermEstimate,
                   i: np.ndarray, j: np.ndarray) -> float:
-    """SE of log10(LR) over the replicates whose row b resamples the
-    numerator's blocks i[b] and the denominator's blocks j[b]."""
+    """SE of log10(LR) over the bootstrap replicates (i, j); see resamples."""
     dn = num.replicate_densities(i)
     dd = den.replicate_densities(j)
     if not (np.all(dn > 0) and np.all(dd > 0)):
@@ -358,59 +382,30 @@ def _bootstrap_se(system: SystemId, num: _TermEstimate, den: _TermEstimate,
     return float(np.std(np.log10(dn) - np.log10(dd), ddof=1))
 
 
-def path_oracle(
-    system: SystemId,
-    view: CaseView,
-    world: WorldConfig,
-    cfg: PathOracleConfig | None = None,
-    seed: int = 0,
-    bank: PathBank | None = None,
-) -> OracleEstimate:
-    """Monte Carlo estimate of one system's LR on one case, with SE.
-
-    Paths are read from bank, which must have been drawn for the same
-    world, seed and n_paths; without one, a private bank is drawn.
-    """
-    cfg = (cfg or PathOracleConfig()).validate()
+def path_oracle(system: SystemId, view: CaseView,
+                bank: PathBank) -> OracleEstimate:
+    """Monte Carlo estimate of one system's LR on one case, with SE, from
+    the bank's paths and bootstrap resamples."""
     if system in SPECIFIC_SOURCE and view.theta_r is None:
         raise ValueError(f"{system.value} oracle requires theta_r in the view")
     if system is SystemId.PriorOnly:
-        return OracleEstimate(system, 1.0, 0.0, 0.0, cfg.n_paths, 0, 0)
-    if bank is None:
-        bank = PathBank(world, seed, cfg.n_paths)
-    elif (bank.world, bank.seed, bank.n_paths) != (world, seed, cfg.n_paths):
-        raise ValueError("the path bank was drawn for another world, seed "
-                         "or n_paths")
-
-    num = _estimate_term(system, "num", view, world, cfg, bank)
-    den = _estimate_term(system, "den", view, world, cfg, bank)
+        return OracleEstimate(system, 1.0, 0.0, 0.0, bank.n_paths, 0, 0)
+    num = _estimate_term(system, "num", view, bank)
+    den = _estimate_term(system, "den", view, bank)
     lr = num.density / den.density
-
-    gen = np.random.Generator(np.random.Philox(
-        key=int(stream_key(seed, _BOOTSTRAP_STREAM))))
-    shape = (cfg.n_boot, num.block_contrib.shape[0])
-    i = gen.integers(0, shape[1], shape)
-    j = gen.integers(0, shape[1], shape)
-    se = _bootstrap_se(system, num, den, i, j)
-
+    se = _bootstrap_se(system, num, den, *bank.resamples())
     return OracleEstimate(
         system=system, lr=lr, log10_lr=math.log10(lr), se_log10=se,
-        n_paths=cfg.n_paths, accepted_num=num.accepted,
+        n_paths=bank.n_paths, accepted_num=num.accepted,
         accepted_den=den.accepted)
 
 
-def compare_closed_vs_oracle(
-    system: SystemId,
-    view: CaseView,
-    world: WorldConfig,
-    cfg: PathOracleConfig | None = None,
-    seed: int = 0,
-    bank: PathBank | None = None,
-) -> OracleComparison:
+def compare_closed_vs_oracle(system: SystemId, view: CaseView,
+                             bank: PathBank) -> OracleComparison:
     """Closed-form LR against the oracle on one evidence point."""
-    est = path_oracle(system, view, world, cfg, seed, bank)
+    est = path_oracle(system, view, bank)
     theta = view.theta_r if system in SPECIFIC_SOURCE else None
-    closed = float(log_lr_batch(system, view.x_mean, view.y_mean, world,
+    closed = float(log_lr_batch(system, view.x_mean, view.y_mean, bank.world,
                                 theta_r=theta)) * LOG10_E
     return OracleComparison(
         system=system, view=view,

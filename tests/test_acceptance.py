@@ -31,7 +31,6 @@ from lrsim.lrsystems import (
 )
 from lrsim.oracle import (
     PathBank,
-    PathOracleConfig,
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,
@@ -69,15 +68,13 @@ def test_trace_anchored_ss_system_is_unit():
                          theta_r=batch.theta_r)
     exact = bool(np.all(loglr == 0.0))
     view = default_evidence_grid(SystemId.SSXASLR, world)[4]
-    est = path_oracle(SystemId.SSXASLR, view, world,
-                      PathOracleConfig(n_paths=100_000), seed=0).lr
+    est = path_oracle(SystemId.SSXASLR, view, PathBank(world, 0, 100_000)).lr
     _line("unit-lr", exact and 0.8 <= est <= 1.25,
           f"exact on 10^4 cases, oracle estimate {est:.4f} in [0.8, 1.25]")
 
 
 def test_closed_forms_match_sampling_oracle():
     world = default_world()
-    cfg = PathOracleConfig(n_paths=1_000_000)
     worst_ratio = 0.0
     worst_at = ""
     n_points = 0
@@ -86,10 +83,9 @@ def test_closed_forms_match_sampling_oracle():
              for system in sorted(NONTRIVIAL, key=lambda s: s.value)}
     # point i runs at seed i, so the points of one seed share one bank
     for i in range(9):  # every grid is 3x3
-        bank = PathBank(world, i, cfg.n_paths)
+        bank = PathBank(world, i, 1_000_000)
         for system, grid in grids.items():
-            comp = compare_closed_vs_oracle(system, grid[i], world, cfg,
-                                            seed=i, bank=bank)
+            comp = compare_closed_vs_oracle(system, grid[i], bank)
             n_points += 1
             ratio = (comp.abs_diff_log10 / comp.se_log10
                      if comp.se_log10 > 0 else np.inf)

@@ -48,10 +48,15 @@ DEFAULT_WORLD_DOC = {
 # input validation
 
 def test_missing_config_is_exit_2(tmp_path, capsys):
-    code, _, err = run(capsys, "rank", "--config", str(tmp_path / "nope.json"),
-                       "--out", str(tmp_path / "o"))
-    assert code == 2
-    assert "config not found" in err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    for path, message in ((tmp_path / "nope.json", "config not found"),
+                          (tmp_path, "cannot read config"),  # a directory
+                          (latin, "cannot read config")):  # not UTF-8
+        code, stdout, err = run(capsys, "rank", "--config", str(path),
+                                "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert message in err and stdout == ""
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
@@ -251,6 +256,26 @@ def test_commands_take_only_the_flags_they_read(tmp_path, capsys, argv):
 
 # ---------------------------------------------------------------------------
 # overwrite policy
+
+@pytest.mark.parametrize("argv,out", [
+    (("demand",), "file"),
+    (("rank", "--cases", "2000"), "file/sub"),
+])
+def test_out_under_a_file_is_refused_before_any_work(tmp_path, capsys,
+                                                     monkeypatch, argv, out):
+    (tmp_path / "file").write_text("kept\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "demand_table", no_work)
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / out))
+    assert code == 2
+    assert stdout == "" and "is not a directory" in err
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
 
 def test_refuses_to_overwrite_then_force(tmp_path, capsys):
     out = str(tmp_path / "o")
@@ -523,14 +548,22 @@ def test_illcond_identity_holds_at_tiny_noise(tmp_path, capsys):
     assert report["identity_max_rel_err"] < 1e-9
 
 
+_ILLCOND_DOC = json.loads(resources.files("lrsim.data").joinpath(
+    "illcond_world.json").read_text())
+
+
 def test_illcond_rejects_flat_world(tmp_path, capsys):
     flat = dict(DEFAULT_WORLD_DOC, popT={"mu": 0.0, "tau": 1.0},
                 scenario="DistinctionIrrelevant")
-    cfg = write_config(tmp_path, flat)
-    code, _, err = run(capsys, "illcond", "--config", cfg,
-                       "--cases", "5000", "--out", str(tmp_path / "o"))
-    assert code == 2
-    assert "anchor" in err
+    # CSXASLR + anchor X = CSFLR holds for signed scores only: on absolute
+    # ones the identity check once read 9.62e-01 (FAIL) and exited 1
+    absolute = dict(_ILLCOND_DOC, score_kind="AbsoluteDifference")
+    for doc, message in ((flat, "anchor"), (absolute, "SignedDifference")):
+        cfg = write_config(tmp_path, doc)
+        code, _, err = run(capsys, "illcond", "--config", cfg,
+                           "--cases", "5000", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert message in err
 
 
 def test_csprior_command(tmp_path, capsys):
@@ -712,9 +745,9 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
     calls, draws = [], []
     compare, draw = cli.compare_closed_vs_oracle, PathBank._draw
 
-    def recording_compare(*args, seed, bank):
-        calls.append((seed, bank))
-        return compare(*args, seed=seed, bank=bank)
+    def recording_compare(system, view, bank):
+        calls.append((bank.seed, bank))
+        return compare(system, view, bank)
 
     def counting_draw(bank, recipe):
         draws.append(recipe)
@@ -730,3 +763,23 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
     assert {s for s, _ in calls} == {seed}
     assert len({id(b) for _, b in calls}) == 1
     assert sorted(draws) == sorted(RECIPES)
+
+
+@pytest.mark.parametrize("seed,digests", [
+    (0, {"oracle.csv":
+         "3fba1d0d008b2bc049d0797e9fba6ad19b2f355f08f8b09b4177ed03b0cfabab",
+         "report.json":
+         "4a03f0e82bcc9460d9c4ed8766793b911b5bb9f9489eb9bc9244bc558dff9e63"}),
+    (3, {"oracle.csv":
+         "cb7b325cd5195668d37d561fd1bcafc96359302209935452fd47e41ec4fef5fe",
+         "report.json":
+         "f255dd5d6e9d70cbc2ce64111f50435d5c103e21b74f84f02bc49bfd13a36af8"}),
+])
+def test_oracle_check_bytes_are_pinned(tmp_path, capsys, seed, digests):
+    # the path and bootstrap streams are keyed by the seed alone: the bytes
+    # move only when a stream, the order of draws or an estimator changes
+    out = tmp_path / "o"
+    assert run(capsys, "oracle-check", "--paths", "150000", "--seed",
+               str(seed), "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests

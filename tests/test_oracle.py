@@ -13,10 +13,11 @@ from lrsim.lrsystems import (
     log_lr_batch,
 )
 from lrsim.oracle import (
+    N_BLOCKS,
+    N_BOOT,
     RECIPES,
     InsufficientPathsError,
     PathBank,
-    PathOracleConfig,
     _TermEstimate,
     _bootstrap_se,
     _estimate_term,
@@ -25,10 +26,11 @@ from lrsim.oracle import (
     compare_closed_vs_oracle,
     default_evidence_grid,
     path_oracle,
+    stream_key,
 )
 from tests.conftest import make_world
 
-FAST = PathOracleConfig(n_paths=200_000)
+FAST = 200_000  # paths
 
 
 def _closed_log10(system, view, world):
@@ -42,7 +44,7 @@ def _closed_log10(system, view, world):
 def test_oracle_tracks_closed_form(system):
     world = make_world()
     view = default_evidence_grid(system, world)[4]
-    comp = compare_closed_vs_oracle(system, view, world, FAST, seed=0)
+    comp = compare_closed_vs_oracle(system, view, PathBank(world, 0, FAST))
     # 4 SE at desk scale keeps the rate of false alarms negligible while
     # still catching any recipe that samples the wrong distribution
     assert comp.abs_diff_log10 < max(4.0 * comp.se_log10, 0.02)
@@ -51,16 +53,15 @@ def test_oracle_tracks_closed_form(system):
 def test_unit_lr_system_oracle_is_near_one():
     world = make_world()
     view = CaseView(x_mean=0.4, y_mean=0.1, theta_r=0.2)
-    est = path_oracle(SystemId.SSXASLR, view, world,
-                      PathOracleConfig(n_paths=100_000), seed=0)
+    est = path_oracle(SystemId.SSXASLR, view, PathBank(world, 0, 100_000))
     assert 0.8 < est.lr < 1.25
 
 
 def test_oracle_is_deterministic():
     world = make_world()
     view = default_evidence_grid(SystemId.CSSLR, world)[3]
-    a = path_oracle(SystemId.CSSLR, view, world, FAST, seed=9)
-    b = path_oracle(SystemId.CSSLR, view, world, FAST, seed=9)
+    a = path_oracle(SystemId.CSSLR, view, PathBank(world, 9, FAST))
+    b = path_oracle(SystemId.CSSLR, view, PathBank(world, 9, FAST))
     assert a.log10_lr == b.log10_lr
     assert a.se_log10 == b.se_log10
 
@@ -68,19 +69,18 @@ def test_oracle_is_deterministic():
 def test_oracle_seed_changes_draws():
     world = make_world()
     view = default_evidence_grid(SystemId.CSSLR, world)[3]
-    a = path_oracle(SystemId.CSSLR, view, world, FAST, seed=1)
-    b = path_oracle(SystemId.CSSLR, view, world, FAST, seed=2)
+    a = path_oracle(SystemId.CSSLR, view, PathBank(world, 1, FAST))
+    b = path_oracle(SystemId.CSSLR, view, PathBank(world, 2, FAST))
     assert a.log10_lr != b.log10_lr
 
 
 def test_feature_bin_width_insensitivity():
     world = make_world()
     view = default_evidence_grid(SystemId.CSFLR, world)[4]
-    wide = path_oracle(SystemId.CSFLR, view, world,
-                       PathOracleConfig(n_paths=400_000, bin_width=0.1), seed=3)
-    narrow = path_oracle(SystemId.CSFLR, view, world,
-                         PathOracleConfig(n_paths=400_000, bin_width=0.05),
-                         seed=3)
+    wide = path_oracle(SystemId.CSFLR, view,
+                       PathBank(world, 3, 400_000, bin_width=0.1))
+    narrow = path_oracle(SystemId.CSFLR, view,
+                         PathBank(world, 3, 400_000, bin_width=0.05))
     se = np.hypot(wide.se_log10, narrow.se_log10)
     assert abs(wide.log10_lr - narrow.log10_lr) < max(4.0 * se, 0.05)
 
@@ -88,12 +88,10 @@ def test_feature_bin_width_insensitivity():
 def test_anchor_tolerance_insensitivity():
     world = make_world()
     view = default_evidence_grid(SystemId.CSYASLR, world)[4]
-    loose = path_oracle(SystemId.CSYASLR, view, world,
-                        PathOracleConfig(n_paths=400_000,
-                                         anchor_tolerance=0.05), seed=4)
-    tight = path_oracle(SystemId.CSYASLR, view, world,
-                        PathOracleConfig(n_paths=400_000,
-                                         anchor_tolerance=0.025), seed=4)
+    loose = path_oracle(SystemId.CSYASLR, view,
+                        PathBank(world, 4, 400_000, anchor_tolerance=0.05))
+    tight = path_oracle(SystemId.CSYASLR, view,
+                        PathBank(world, 4, 400_000, anchor_tolerance=0.025))
     se = np.hypot(loose.se_log10, tight.se_log10)
     assert abs(loose.log10_lr - tight.log10_lr) < max(4.0 * se, 0.05)
 
@@ -101,7 +99,7 @@ def test_anchor_tolerance_insensitivity():
 def test_absolute_score_oracle():
     world = make_world(score_kind=ScoreKind.AbsoluteDifference)
     view = CaseView(x_mean=0.9, y_mean=0.2)
-    comp = compare_closed_vs_oracle(SystemId.CSSLR, view, world, FAST, seed=5)
+    comp = compare_closed_vs_oracle(SystemId.CSSLR, view, PathBank(world, 5, FAST))
     assert comp.abs_diff_log10 < max(4.0 * comp.se_log10, 0.02)
 
 
@@ -109,15 +107,14 @@ def test_insufficient_accepted_paths_raises():
     world = make_world()
     # an anchor far in the tail leaves nothing inside the window
     view = CaseView(x_mean=0.0, y_mean=30.0)
-    cfg = PathOracleConfig(n_paths=2_000)
     with pytest.raises(InsufficientPathsError):
-        path_oracle(SystemId.CSYASLR, view, world, cfg, seed=0)
+        path_oracle(SystemId.CSYASLR, view, PathBank(world, 0, 2_000))
 
 
 def test_path_oracle_lr_matches_closed_form():
     world = make_world()
     view = CaseView(x_mean=0.3, y_mean=0.1)
-    lr = path_oracle(SystemId.CSSLR, view, world, FAST, seed=6).lr
+    lr = path_oracle(SystemId.CSSLR, view, PathBank(world, 6, FAST)).lr
     closed = 10.0 ** _closed_log10(SystemId.CSSLR, view, world)
     assert lr == pytest.approx(closed, rel=0.15)
 
@@ -125,8 +122,8 @@ def test_path_oracle_lr_matches_closed_form():
 def test_oracle_estimate_fields():
     world = make_world()
     view = default_evidence_grid(SystemId.SSSLR, world)[0]
-    est = path_oracle(SystemId.SSSLR, view, world, FAST, seed=7)
-    assert est.n_paths == FAST.n_paths
+    est = path_oracle(SystemId.SSSLR, view, PathBank(world, 7, FAST))
+    assert est.n_paths == FAST
     assert est.se_log10 > 0
     assert np.isfinite(est.log10_lr)
     assert est.accepted_num > 0 and est.accepted_den > 0
@@ -145,12 +142,13 @@ def test_default_grid_shapes():
 
 
 def test_oracle_config_validation():
-    with pytest.raises(ConfigError):
-        PathOracleConfig(n_paths=10).validate()
-    with pytest.raises(ConfigError):
-        PathOracleConfig(bin_width=0.0).validate()
-    with pytest.raises(ConfigError):
-        PathOracleConfig(anchor_tolerance=-1.0).validate()
+    world = make_world()
+    with pytest.raises(ConfigError, match="n_paths must be >= 1000, got 10"):
+        PathBank(world, 0, n_paths=10)
+    with pytest.raises(ConfigError, match="bin_width must be > 0"):
+        PathBank(world, 0, bin_width=0.0)
+    with pytest.raises(ConfigError, match="anchor_tolerance must be > 0"):
+        PathBank(world, 0, anchor_tolerance=-1.0)
 
 
 def test_bank_columns_have_their_recipe_moments():
@@ -202,11 +200,10 @@ class _RecordingBank(PathBank):
 def test_numerator_and_denominator_read_disjoint_recipes(system):
     world = make_world()
     view = default_evidence_grid(system, world)[4]
-    cfg = PathOracleConfig(n_paths=1_000)
     read = {}
     for term in ("num", "den"):
-        bank = _RecordingBank(world, 0, cfg.n_paths)
-        _term_samples(system, term, view, cfg, bank)
+        bank = _RecordingBank(world, 0, 1_000)
+        _term_samples(system, term, view, bank)
         read[term] = bank.read
     assert read["num"] and read["den"]
     assert not read["num"] & read["den"]
@@ -216,13 +213,12 @@ def test_vectorised_bootstrap_matches_a_loop():
     world = make_world()
     system = SystemId.CSYASLR
     view = default_evidence_grid(system, world)[4]
-    cfg = PathOracleConfig(n_paths=20_000, n_blocks=50, n_boot=100)
-    bank = PathBank(world, 3, cfg.n_paths)
-    num = _estimate_term(system, "num", view, world, cfg, bank)
-    den = _estimate_term(system, "den", view, world, cfg, bank)
+    bank = PathBank(world, 3, 20_000)
+    num = _estimate_term(system, "num", view, bank)
+    den = _estimate_term(system, "den", view, bank)
     rng = np.random.default_rng(1)
-    i = rng.integers(0, 50, (100, 50))
-    j = rng.integers(0, 50, (100, 50))
+    i = rng.integers(0, N_BLOCKS, (100, N_BLOCKS))
+    j = rng.integers(0, N_BLOCKS, (100, N_BLOCKS))
     reps = []
     for b in range(100):
         dn = num.block_contrib[i[b]].sum() / (num.block_norm[i[b]].sum()
@@ -249,14 +245,38 @@ def test_zero_spread_has_no_bandwidth():
         _silverman(np.zeros(100))
 
 
-def test_bank_must_match_world_seed_and_paths():
+def test_points_on_one_bank_share_one_resample():
     world = make_world()
-    view = default_evidence_grid(SystemId.CSSLR, world)[4]
-    bank = PathBank(world, 1, FAST.n_paths)
-    shared = path_oracle(SystemId.CSSLR, view, world, FAST, seed=1, bank=bank)
-    private = path_oracle(SystemId.CSSLR, view, world, FAST, seed=1)
-    assert shared == private
-    for seed, n_paths in ((2, FAST.n_paths), (1, FAST.n_paths + 1)):
-        with pytest.raises(ValueError):
-            path_oracle(SystemId.CSSLR, view, world,
-                        PathOracleConfig(n_paths=n_paths), seed=seed, bank=bank)
+    bank = PathBank(world, 1, 20_000)
+    i, j = bank.resamples()
+    held = bank._resamples
+    assert held.dtype == np.uint8 and held.shape == (2, N_BOOT, N_BLOCKS)
+    assert i.dtype == j.dtype == np.intp
+    # every point's SE is the bootstrap over that one draw
+    for system in (SystemId.CSSLR, SystemId.CSYASLR, SystemId.SSSLR):
+        view = default_evidence_grid(system, world)[4]
+        num = _estimate_term(system, "num", view, bank)
+        den = _estimate_term(system, "den", view, bank)
+        assert path_oracle(system, view, bank).se_log10 == _bootstrap_se(
+            system, num, den, i, j)
+    assert bank._resamples is held
+    # drawn as int64 from the bootstrap stream, i first, then j
+    gen = np.random.Generator(np.random.Philox(key=int(stream_key(1, 0xB007))))
+    for drawn in bank.resamples():
+        np.testing.assert_array_equal(
+            drawn, gen.integers(0, N_BLOCKS, (N_BOOT, N_BLOCKS)))
+
+
+def test_stream_key_depends_on_seed_and_index():
+    assert stream_key(7, 3) == stream_key(7, 3)
+    assert stream_key(7, 3) != stream_key(7, 4)
+    assert stream_key(8, 3) != stream_key(7, 3)
+
+
+def test_stream_keys_spread():
+    # a counter RNG must not leave obvious structure between adjacent keys
+    keys = np.array([stream_key(0, i) for i in range(10_000)], dtype=np.uint64)
+    assert len(np.unique(keys)) == 10_000
+    top_byte = (keys >> np.uint64(56)).astype(np.int64)
+    counts = np.bincount(top_byte, minlength=256)
+    assert counts.min() > 0
