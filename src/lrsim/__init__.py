@@ -20,7 +20,6 @@ from .genmodel import (
     WorldConfig,
     generate_cases,
     load_world,
-    with_population,
     world_from_json_dict,
     world_to_json_dict,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "tail_bound_check",
     "total_expectation_check",
     "verify_ranking",
-    "with_population",
     "world_from_json_dict",
     "world_to_json_dict",
     "__version__",

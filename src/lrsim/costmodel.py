@@ -237,7 +237,6 @@ def tail_bound_check(
     use densities that differ from the generating world; genuine LRs satisfy
     the bound, mis-believed ones generally break it.
     """
-    world.validate()
     for k in k_values:
         if k < 1.0:
             raise ConfigError(f"k values must be >= 1, got {k}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -75,12 +75,6 @@ class PopulationModel:
     mu: float
     tau: float
 
-    def validate(self, label: str = "population") -> None:
-        if not math.isfinite(self.mu):
-            raise ConfigError(f"{label}.mu must be finite, got {self.mu!r}")
-        if not math.isfinite(self.tau) or self.tau < 0:
-            raise ConfigError(f"{label}.tau must be finite and >= 0, got {self.tau!r}")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -88,13 +82,13 @@ class NoiseModel:
 
     sigma: float
 
-    def validate(self) -> None:
-        if not math.isfinite(self.sigma) or self.sigma <= 0:
-            raise ConfigError(f"noise.sigma must be finite and > 0, got {self.sigma!r}")
-
 
 @dataclass(frozen=True)
 class WorldConfig:
+    """One evidence world. It checks every field when it is built, so no
+    invalid world exists: a bad value raises ConfigError in the constructor,
+    and so does dataclasses.replace."""
+
     pop_c: PopulationModel
     pop_d: PopulationModel
     pop_t: PopulationModel
@@ -105,12 +99,17 @@ class WorldConfig:
     n_trace: int = 1
     n_ref: int = 1
 
-    def validate(self) -> "WorldConfig":
-        """Check every field; returns self so call sites can chain."""
-        self.pop_c.validate("popC")
-        self.pop_d.validate("popD")
-        self.pop_t.validate("popT")
-        self.noise.validate()
+    def __post_init__(self) -> None:
+        pops = (("popC", self.pop_c), ("popD", self.pop_d), ("popT", self.pop_t))
+        for label, pop in pops:
+            if not math.isfinite(pop.mu):
+                raise ConfigError(f"{label}.mu must be finite, got {pop.mu!r}")
+            if not math.isfinite(pop.tau) or pop.tau < 0:
+                raise ConfigError(
+                    f"{label}.tau must be finite and >= 0, got {pop.tau!r}")
+        sigma = self.noise.sigma
+        if not math.isfinite(sigma) or sigma <= 0:
+            raise ConfigError(f"noise.sigma must be finite and > 0, got {sigma!r}")
         if not (0.0 < self.prior_h1 < 1.0):
             raise ConfigError(
                 f"prior_h1 must lie strictly inside (0, 1), got {self.prior_h1!r}")
@@ -124,16 +123,15 @@ class WorldConfig:
         # the engines divide by these variances and take their logarithms, so
         # each must be a finite float and the noise ones must not underflow
         try:
-            noise = (self.noise.sigma**2, self.var_trace_mean, self.var_ref_mean)
-            spread = tuple(p.tau**2 for p in (self.pop_c, self.pop_d, self.pop_t))
+            noise = (sigma**2, self.var_trace_mean, self.var_ref_mean)
+            spread = tuple(pop.tau**2 for _, pop in pops)
         except OverflowError:  # a float or an int too large for a float
             noise, spread = (math.inf,), ()
         if not all(0.0 < v < math.inf for v in noise) or math.inf in spread:
             raise ConfigError(
                 "tau**2, sigma**2, sigma**2/n_trace and sigma**2/n_ref must be "
                 "finite floats, and the sigma terms > 0")
-        for label, pop, var in zip(("popC", "popD", "popT"),
-                                   (self.pop_c, self.pop_d, self.pop_t), spread):
+        for (label, pop), var in zip(pops, spread):
             if pop.tau > 0 and not var > 0:
                 raise ConfigError(
                     f"{label}.tau must be 0 or large enough that tau**2 > 0, "
@@ -145,7 +143,6 @@ class WorldConfig:
         if self.scenario is ScenarioKind.DistinctionIrrelevant and not (
                 self.pop_c == self.pop_d == self.pop_t):
             raise ConfigError("DistinctionIrrelevant requires popC == popD == popT")
-        return self
 
     # Per-role measurement-mean variances, used all over the LR engines.
     @property
@@ -274,7 +271,7 @@ def _pop_from_dict(doc: dict, path: str) -> PopulationModel:
 
 
 def world_from_json_dict(doc: dict, path: str = "world") -> WorldConfig:
-    """Build and validate a WorldConfig from a parsed JSON object."""
+    """Build a WorldConfig, which checks itself, from a parsed JSON object."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be a JSON object")
     _check_keys(doc, _WORLD_KEYS, _WORLD_REQUIRED, path)
@@ -294,7 +291,7 @@ def world_from_json_dict(doc: dict, path: str = "world") -> WorldConfig:
         raise ConfigError(
             f"{path}.score_kind must be one of {[s.value for s in ScoreKind]}, "
             f"got {doc['score_kind']!r}") from None
-    world = WorldConfig(
+    return WorldConfig(
         pop_c=_pop_from_dict(doc["popC"], f"{path}.popC"),
         pop_d=_pop_from_dict(doc["popD"], f"{path}.popD"),
         pop_t=_pop_from_dict(doc["popT"], f"{path}.popT"),
@@ -305,7 +302,6 @@ def world_from_json_dict(doc: dict, path: str = "world") -> WorldConfig:
         n_trace=doc.get("n_trace", 1),
         n_ref=doc.get("n_ref", 1),
     )
-    return world.validate()
 
 
 def world_to_json_dict(world: WorldConfig) -> dict:
@@ -339,12 +335,3 @@ def read_json(path: str | Path):
 def load_world(path: str | Path) -> WorldConfig:
     """Load a WorldConfig from a JSON file (see read_json)."""
     return world_from_json_dict(read_json(path), path=str(path))
-
-
-def with_population(world: WorldConfig, **pops: PopulationModel) -> WorldConfig:
-    """Copy of world with populations replaced (pop_c=, pop_d=, pop_t=).
-
-    The copy is validated, so a replacement that contradicts the world's
-    scenario is rejected rather than silently producing impossible data.
-    """
-    return replace(world, **pops).validate()

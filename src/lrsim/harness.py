@@ -105,24 +105,25 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One ranking run, checked when it is built, as its world was. Below
+    10000 cases it warns, naming the line that built it."""
+
     world: WorldConfig
     systems: tuple[SystemId, ...] = ALL_SYSTEMS
     rule: ScoringRule = ScoringRule.Logarithmic
     n_cases: int = 20_000
     master_seed: int = 0
 
-    def validate(self) -> "ExperimentConfig":
-        self.world.validate()
+    def __post_init__(self) -> None:
         if self.n_cases < 1_000:
             raise ConfigError(
                 f"n_cases must be >= 1000 for ranking runs, got {self.n_cases}")
         if self.n_cases < 10_000:
             warnings.warn(
                 "ranking verdicts are noisy below 10000 cases; expect "
-                "spurious Ties", UserWarning, stacklevel=2)
+                "spurious Ties", UserWarning, stacklevel=3)
         if len(set(self.systems)) != len(self.systems):
             raise ConfigError("systems must not repeat")
-        return self
 
 
 @dataclass(frozen=True)
@@ -160,13 +161,18 @@ class RankingVerdict:
 
 @dataclass
 class EvalReport:
+    """A ranking run's results, with the shared cases and each system's own
+    log10 LR and stated posterior on them, from which cases.csv is built."""
+
     config: ExperimentConfig
     per_system: dict[SystemId, MeanScore]
     paired_diffs: dict[str, PairedDiff]
     calibration: dict[SystemId, CalibrationReport]
     ranking_verdicts: list[RankingVerdict]
     clamp_counts: dict[SystemId, int]
-    case_table: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    batch: CaseBatch = field(repr=False)
+    own_log10: dict[SystemId, np.ndarray] = field(repr=False)
+    posteriors: dict[SystemId, np.ndarray] = field(repr=False)
 
     @property
     def n_violated(self) -> int:
@@ -263,7 +269,6 @@ def run_experiment(
     believed_world: WorldConfig | None = None,
 ) -> EvalReport:
     """Generate one shared case set, score every system, judge the claims."""
-    cfg.validate()
     batch = generate_cases(cfg.world, cfg.master_seed, cfg.n_cases)
     own_log10, posteriors, clamps = system_posteriors(
         batch, cfg.systems, believed_world=believed_world)
@@ -288,19 +293,6 @@ def run_experiment(
         if better in scores and worse in scores:
             paired[claim] = _paired_diff(scores[better], scores[worse])
 
-    case_table = {
-        "case_id": np.arange(cfg.n_cases, dtype=np.int64),
-        "truth": np.where(is_h1, "H1", "H2"),
-        "r_theta": batch.theta_r,
-        "x": batch.x,
-        "y": batch.y,
-    }
-    for system in cfg.systems:
-        with np.errstate(over="ignore"):
-            case_table[f"{system.value}_lr"] = 10.0 ** np.clip(
-                own_log10[system], -300, 300)
-        case_table[f"{system.value}_posterior"] = posteriors[system]
-
     return EvalReport(
         config=cfg,
         per_system=per_system,
@@ -308,7 +300,9 @@ def run_experiment(
         calibration=calibration,
         ranking_verdicts=verify_ranking(paired),
         clamp_counts=clamps,
-        case_table=case_table,
+        batch=batch,
+        own_log10=own_log10,
+        posteriors=posteriors,
     )
 
 
@@ -346,7 +340,6 @@ def ill_conditioning_experiment(
     where the LRs are computed; the mean score of (b) minus (a) is the price
     of ill-conditioning.
     """
-    world.validate()
     if (world.scenario is not ScenarioKind.ReferenceCrimeRelevant
             or world.pop_c == world.pop_t
             or world.score_kind is not ScoreKind.SignedDifference):
@@ -407,7 +400,6 @@ def cs_update_ss_prior_experiment(
     it. When the populations differ the premise behind that guarantee
     breaks, so the gaps are reported without a pass judgement.
     """
-    world.validate()
     matched = world.pop_c == world.pop_d
     if not matched and (world.pop_c.tau <= 0 or world.pop_d.tau <= 0):
         raise ConfigError(
@@ -465,7 +457,6 @@ def total_expectation_check(
     the left side given that evidence. Their paired gap over shared samples
     is a standard-normal z value (reported as gap_in_se).
     """
-    world.validate()
     batch = generate_cases(world, master_seed, n_samples)
     is_h1 = batch.truth_h1.astype(bool)
     _, p, _ = system_posteriors(batch, (SystemId.CSFLR, SystemId.CSSLR))

@@ -105,16 +105,17 @@ class OracleEstimate:
 
 @dataclass(frozen=True)
 class OracleComparison:
+    """A closed form against the oracle at one evidence point; the fields, in
+    order, are the columns of oracle.csv. grid_index is the point's place in
+    default_evidence_grid; compare_closed_vs_oracle leaves it None."""
+
     system: SystemId
-    view: CaseView
+    grid_index: int | None
     closed_log10: float
     oracle_log10: float
     se_log10: float
     abs_diff_log10: float
-
-    @property
-    def within_3se(self) -> bool:
-        return self.abs_diff_log10 < 3.0 * self.se_log10
+    within_3se: bool
 
 
 class PathBank:
@@ -407,10 +408,12 @@ def compare_closed_vs_oracle(system: SystemId, view: CaseView,
     theta = view.theta_r if system in SPECIFIC_SOURCE else None
     closed = float(log_lr_batch(system, view.x_mean, view.y_mean, bank.world,
                                 theta_r=theta)) * LOG10_E
+    diff = abs(closed - est.log10_lr)
     return OracleComparison(
-        system=system, view=view,
+        system=system, grid_index=None,
         closed_log10=closed, oracle_log10=est.log10_lr,
-        se_log10=est.se_log10, abs_diff_log10=abs(closed - est.log10_lr))
+        se_log10=est.se_log10, abs_diff_log10=diff,
+        within_3se=diff < 3.0 * est.se_log10)
 
 
 def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView]:

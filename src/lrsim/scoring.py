@@ -26,7 +26,9 @@ __all__ = [
     "CalibrationReport",
     "HonestyReport",
     "IMPROPER_TABLE",
+    "MIN_BIN_COUNT",
     "MeanScore",
+    "N_BINS",
     "ScoringRule",
     "calibration_report",
     "expected_score",
@@ -144,20 +146,21 @@ def mean_score(scores: np.ndarray) -> MeanScore:
                      n_neg_inf=int(neg_inf.sum()))
 
 
+# Calibration uses N_BINS equal-width bins over [0, 1]. A bin with fewer than
+# MIN_BIN_COUNT records is kept in the arrays but counts towards neither
+# max_abs_gap nor the pass decision: a tiny bin carries no usable frequency.
+N_BINS = 10
+MIN_BIN_COUNT = 50
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Binned reliability summary of stated probabilities.
-
-    Bins with fewer than min_count records are kept in the arrays but do
-    not contribute to max_abs_gap or to the pass decision; tiny bins carry
-    no usable frequency information.
-    """
+    """Binned reliability summary of stated probabilities."""
 
     bin_edges: np.ndarray
     bin_counts: np.ndarray
     mean_stated_p: np.ndarray
     empirical_freq: np.ndarray
-    min_count: int
 
     @property
     def gaps(self) -> np.ndarray:
@@ -171,7 +174,7 @@ class CalibrationReport:
 
     @property
     def qualifying(self) -> np.ndarray:
-        return self.bin_counts >= self.min_count
+        return self.bin_counts >= MIN_BIN_COUNT
 
     @property
     def max_abs_gap(self) -> float:
@@ -188,30 +191,22 @@ class CalibrationReport:
         return bool(np.all(self.gaps[q] < 3.0 * self.binomial_se[q]))
 
 
-def calibration_report(
-    stated_p: np.ndarray,
-    is_h1: np.ndarray,
-    n_bins: int = 10,
-    min_count: int = 50,
-) -> CalibrationReport:
-    """Equal-width reliability bins over [0, 1]."""
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+def calibration_report(stated_p: np.ndarray, is_h1: np.ndarray) -> CalibrationReport:
+    """N_BINS equal-width reliability bins over [0, 1]."""
     p = np.asarray(stated_p, dtype=np.float64)
     h1 = np.asarray(is_h1, dtype=bool)
     if np.any((p < 0.0) | (p > 1.0)) or np.any(~np.isfinite(p)):
         raise ConfigError("stated probabilities must lie in [0, 1]")
-    idx = np.minimum((p * n_bins).astype(np.int64), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    sum_p = np.bincount(idx, weights=p, minlength=n_bins)
-    sum_h1 = np.bincount(idx, weights=h1.astype(np.float64), minlength=n_bins)
+    idx = np.minimum((p * N_BINS).astype(np.int64), N_BINS - 1)
+    counts = np.bincount(idx, minlength=N_BINS)
+    sum_p = np.bincount(idx, weights=p, minlength=N_BINS)
+    sum_h1 = np.bincount(idx, weights=h1.astype(np.float64), minlength=N_BINS)
     with np.errstate(invalid="ignore"):
         mean_p = np.where(counts > 0, sum_p / counts, np.nan)
         freq = np.where(counts > 0, sum_h1 / counts, np.nan)
     return CalibrationReport(
-        bin_edges=np.linspace(0.0, 1.0, n_bins + 1),
+        bin_edges=np.linspace(0.0, 1.0, N_BINS + 1),
         bin_counts=counts,
         mean_stated_p=mean_p,
         empirical_freq=freq,
-        min_count=int(min_count),
     )

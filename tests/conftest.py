@@ -26,7 +26,7 @@ def make_world(**overrides) -> WorldConfig:
         n_ref=1,
     )
     base.update(overrides)
-    return WorldConfig(**base).validate()
+    return WorldConfig(**base)
 
 
 def case_columns(batch) -> tuple:

@@ -3,8 +3,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from lrsim.cli import main
 from lrsim.costmodel import DemandProfile, TailBoundRow, TradeoffRow
 from lrsim.genmodel import world_from_json_dict
 from lrsim.harness import ExperimentConfig, RankingVerdict, run_experiment
-from lrsim.oracle import RECIPES, PathBank
+from lrsim.oracle import RECIPES, OracleComparison, PathBank
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -396,7 +400,7 @@ def test_cases_csv_round_trips_every_float_exactly(tmp_path, capsys):
     assert code == 0
     report = run_experiment(ExperimentConfig(
         world=world_from_json_dict(doc), n_cases=2000, master_seed=0))
-    table = report.case_table
+    table = cli._case_table(report)
     lr = np.concatenate([v for k, v in table.items() if k.endswith("_lr")])
     assert np.isin(lr, (1e-300, 1e300)).sum() > 0
     assert sum(report.clamp_counts.values()) > 0
@@ -490,6 +494,72 @@ def test_rank_json_only_format(tmp_path, capsys):
     assert code == 0
     assert (out / "report.json").exists()
     assert not (out / "cases.csv").exists()
+
+
+def test_rank_json_builds_no_case_table(tmp_path, capsys, monkeypatch):
+    # cases.csv is built only when CSV is written
+    def refuse(report):
+        raise AssertionError("case table built for --format json")
+
+    monkeypatch.setattr(cli, "_case_table", refuse)
+    out = tmp_path / "o"
+    assert run(capsys, "rank", "--cases", "2000", "--format", "json",
+               "--out", str(out))[0] == 0
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+_RANK_CALIBRATION_SEED0 = (
+    "18d27822aab12fd2260589192212e4076fabc30420c043fd3af6258652404aa2")
+_RANK_CASES_SEED0 = (
+    "82df60e56fb68c0ccc3edf8b763eb8dd1901140b66eb32102980706ff5e380d7")
+
+
+@pytest.mark.parametrize("flags,digests", [
+    (("--seed", "0"), {
+        "calibration.csv": _RANK_CALIBRATION_SEED0,
+        "cases.csv": _RANK_CASES_SEED0,
+        "report.json":
+            "1e5b459b4aa2ef8ba20060eeb4921e8b94c6c3579554aaa2ad6f958e1b012c6c",
+        "scores.csv":
+            "c581f26f142e65379a5b712d7e8677955fab07031d046ffc8b9314507bb842db"}),
+    (("--seed", "7"), {
+        "calibration.csv":
+            "3f957431f54d0ab6075b9f30664fa58ead8b9f2070feb9db19aa3b52d71aab31",
+        "cases.csv":
+            "19dd0919de22799bf98457717b4319800f0deafa90a0e8ae6b7ccb8c5182ef28",
+        "report.json":
+            "90f51bb8f2a3fa14394c87f18a78bf2d0cd1cdc1a2894260d26c59174be8e885",
+        "scores.csv":
+            "e5057af5e4ce642b366a56ec2512e7eb0f165831f630776f887659c2d6079797"}),
+    (("--seed", "0", "--rule", "brier"), {
+        "calibration.csv": _RANK_CALIBRATION_SEED0,
+        "cases.csv": _RANK_CASES_SEED0,
+        "report.json":
+            "d709cea9d96a003a7a344ea608e38ba45c6867cb1316e477272a982bef479974",
+        "scores.csv":
+            "7a452052ac2ef6f8e9f0d9c4b2f90a63f1b6b1c5e4378474dbb65154133ef1b7"}),
+])
+def test_rank_bytes_are_pinned(tmp_path, capsys, flags, digests):
+    # the rule changes only the scores, so the cases and the calibration of
+    # the stated posteriors are the same under both rules
+    out = tmp_path / "o"
+    assert run(capsys, "rank", "--cases", "10000", "--format", "both",
+               *flags, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
+def test_few_cases_warn_in_one_line(tmp_path):
+    # run as a command, under the default warning filters
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrsim.cli", "rank", "--cases", "2000",
+         "--format", "json", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: ranking verdicts are noisy below 10000 "
+                           "cases; expect spurious Ties\n")
 
 
 def test_rank_honors_config_wrapper(tmp_path, capsys):
@@ -712,6 +782,11 @@ def test_records_are_their_columns(tmp_path, capsys):
     assert run(capsys, "demand", "--out", str(out / "d"))[0] == 0
     assert header(out / "d" / "demand.csv") == names(DemandProfile)
     assert header(out / "d" / "tradeoff.csv") == names(TradeoffRow)
+    assert run(capsys, "oracle-check", "--paths", "150000", "--out",
+               str(out / "o"))[0] == 0
+    assert header(out / "o" / "oracle.csv") == names(OracleComparison)
+    rows = json.loads((out / "o" / "report.json").read_text())["rows"]
+    assert all(sorted(r) == sorted(names(OracleComparison)) for r in rows)
     assert run(capsys, "rank", "--cases", "2000", "--format", "json",
                "--out", str(out / "r"))[0] == 0
     verdicts = json.loads((out / "r" / "report.json").read_text())["verdicts"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from lrsim.genmodel import (
     WorldConfig,
     generate_cases,
     load_world,
-    with_population,
     world_from_json_dict,
     world_to_json_dict,
 )
@@ -24,13 +24,29 @@ from tests.conftest import case_columns, make_world
 # validation
 
 def test_population_rejects_negative_tau():
-    with pytest.raises(ConfigError):
-        PopulationModel(0.0, -0.1).validate()
+    with pytest.raises(ConfigError, match="popT.tau"):
+        make_world(pop_t=PopulationModel(0.0, -0.1))
 
 
 def test_noise_rejects_zero_sigma():
-    with pytest.raises(ConfigError):
-        NoiseModel(0.0).validate()
+    with pytest.raises(ConfigError, match="noise.sigma"):
+        make_world(noise=NoiseModel(0.0))
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(prior_h1=1.5), "prior_h1"),
+    (dict(noise=NoiseModel(-0.5)), "noise.sigma"),
+])
+def test_an_invalid_world_cannot_be_built(change, message):
+    # the constructor checks, and so dataclasses.replace does too
+    fields = dict(pop_c=PopulationModel(0.0, 1.0), pop_d=PopulationModel(0.0, 1.0),
+                  pop_t=PopulationModel(1.0, 1.0), noise=NoiseModel(0.5),
+                  prior_h1=0.5, scenario=ScenarioKind.ReferenceCrimeRelevant,
+                  score_kind=ScoreKind.SignedDifference)
+    with pytest.raises(ConfigError, match=message):
+        WorldConfig(**{**fields, **change})
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(WorldConfig(**fields), **change)
 
 
 @pytest.mark.parametrize("prior", [0.0, 1.0, -0.2, 1.5])
@@ -182,10 +198,10 @@ def test_load_world_reads_file(tmp_path, default_world):
 
 def test_with_population_revalidates():
     w = make_world()
-    w2 = with_population(w, pop_t=PopulationModel(2.0, 1.0))
+    w2 = dataclasses.replace(w, pop_t=PopulationModel(2.0, 1.0))
     assert w2.pop_t.mu == 2.0
     with pytest.raises(ConfigError):
-        with_population(w, pop_d=PopulationModel(3.0, 1.0))
+        dataclasses.replace(w, pop_d=PopulationModel(3.0, 1.0))
 
 
 def test_case_batch_truth_prior():

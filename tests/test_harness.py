@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lrsim.cli import _case_table
 from lrsim.genmodel import ConfigError, NoiseModel, PopulationModel, ScenarioKind, generate_cases
 from lrsim.harness import (
     ALL_SYSTEMS,
@@ -23,14 +24,10 @@ from lrsim.scoring import ScoringRule
 from tests.conftest import make_world
 
 
-def _quiet_run(cfg, **kw):
+def _small_cfg(world, n=2_000, seed=0, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return run_experiment(cfg, **kw)
-
-
-def _small_cfg(world, n=2_000, seed=0, **kw):
-    return ExperimentConfig(world=world, n_cases=n, master_seed=seed, **kw)
+        return ExperimentConfig(world=world, n_cases=n, master_seed=seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -38,19 +35,18 @@ def _small_cfg(world, n=2_000, seed=0, **kw):
 
 def test_too_few_cases_is_an_error():
     with pytest.raises(ConfigError):
-        ExperimentConfig(world=make_world(), n_cases=500).validate()
+        ExperimentConfig(world=make_world(), n_cases=500)
 
 
 def test_moderate_case_count_warns():
     with pytest.warns(UserWarning, match="noisy"):
-        ExperimentConfig(world=make_world(), n_cases=2_000).validate()
+        ExperimentConfig(world=make_world(), n_cases=2_000)
 
 
 def test_duplicate_systems_rejected():
-    cfg = ExperimentConfig(world=make_world(), n_cases=20_000,
-                           systems=(SystemId.CSFLR, SystemId.CSFLR))
     with pytest.raises(ConfigError):
-        cfg.validate()
+        ExperimentConfig(world=make_world(), n_cases=20_000,
+                         systems=(SystemId.CSFLR, SystemId.CSFLR))
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +88,10 @@ def test_posteriors_are_probabilities():
 
 def test_run_is_deterministic_and_order_invariant():
     world = make_world()
-    a = _quiet_run(_small_cfg(world))
-    b = _quiet_run(_small_cfg(world))
+    a = run_experiment(_small_cfg(world))
+    b = run_experiment(_small_cfg(world))
     shuffled = tuple(reversed(ALL_SYSTEMS))
-    c = _quiet_run(_small_cfg(world, systems=shuffled))
+    c = run_experiment(_small_cfg(world, systems=shuffled))
     for system in ALL_SYSTEMS:
         assert a.per_system[system].mean == b.per_system[system].mean
         assert a.per_system[system].mean == c.per_system[system].mean
@@ -104,7 +100,7 @@ def test_run_is_deterministic_and_order_invariant():
 
 
 def test_default_world_has_no_violations():
-    rep = _quiet_run(_small_cfg(make_world(), n=10_000))
+    rep = run_experiment(_small_cfg(make_world(), n=10_000))
     assert rep.n_violated == 0
     verdicts = {v.claim: v.verdict for v in rep.ranking_verdicts}
     # analytically identical pairs must come out as exact ties
@@ -116,24 +112,29 @@ def test_default_world_has_no_violations():
 
 
 def test_brier_rule_agrees_on_verdicts():
-    rep = _quiet_run(_small_cfg(make_world(), n=10_000,
-                                rule=ScoringRule.Brier))
+    rep = run_experiment(_small_cfg(make_world(), n=10_000,
+                                    rule=ScoringRule.Brier))
     assert rep.n_violated == 0
 
 
 def test_case_table_columns():
-    rep = _quiet_run(_small_cfg(make_world(), n=2_000,
-                                systems=(SystemId.CSFLR, SystemId.PriorOnly)))
-    cols = list(rep.case_table)
-    assert cols[:5] == ["case_id", "truth", "r_theta", "x", "y"]
-    assert "CSFLR_lr" in cols and "CSFLR_posterior" in cols
-    assert set(rep.case_table["truth"]) <= {"H1", "H2"}
-    assert len(rep.case_table["case_id"]) == 2_000
+    # the report keeps the shared cases and each system's own log10 LR and
+    # posterior; cases.csv is built from them only when CSV is written
+    systems = (SystemId.CSFLR, SystemId.PriorOnly)
+    rep = run_experiment(_small_cfg(make_world(), n=2_000, systems=systems))
+    assert len(rep.batch) == 2_000
+    assert list(rep.own_log10) == list(rep.posteriors) == list(systems)
+    table = _case_table(rep)
+    assert list(table) == ["case_id", "truth", "r_theta", "x", "y",
+                           "CSFLR_lr", "CSFLR_posterior",
+                           "PriorOnly_lr", "PriorOnly_posterior"]
+    assert set(table["truth"]) <= {"H1", "H2"}
+    assert len(table["case_id"]) == 2_000
 
 
 def test_verify_ranking_skips_claims_of_absent_systems():
-    rep = _quiet_run(_small_cfg(make_world(),
-                                systems=(SystemId.CSFLR, SystemId.CSYASLR)))
+    rep = run_experiment(_small_cfg(make_world(),
+                                    systems=(SystemId.CSFLR, SystemId.CSYASLR)))
     partial = verify_ranking(rep.paired_diffs)
     assert [v.claim for v in partial] == ["CSFLR>=CSYASLR"]
     assert [v.claim for v in rep.ranking_verdicts] == ["CSFLR>=CSYASLR"]
@@ -159,7 +160,7 @@ def test_genuinely_better_system_is_confirmed():
 def test_sabotaged_beliefs_are_caught():
     world = make_world()
     believed = make_world(pop_t=PopulationModel(4.0, 1.0))
-    rep = _quiet_run(_small_cfg(world, n=20_000), believed_world=believed)
+    rep = run_experiment(_small_cfg(world, n=20_000), believed_world=believed)
     verdicts = {v.claim: v.verdict for v in rep.ranking_verdicts}
     assert verdicts["CSSLR>=PriorOnly"] is Verdict.Violated
     assert rep.n_violated > 0
@@ -171,7 +172,7 @@ def test_uninformative_world_ties_everything():
                       pop_t=PopulationModel(0.0, 0.5),
                       noise=NoiseModel(50.0),
                       scenario=ScenarioKind.DistinctionIrrelevant)
-    rep = _quiet_run(_small_cfg(weak, n=5_000))
+    rep = run_experiment(_small_cfg(weak, n=5_000))
     counts = Counter(v.verdict for v in rep.ranking_verdicts)
     assert counts[Verdict.Tie] == len(RANKING_CLAIMS)
 

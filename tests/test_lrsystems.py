@@ -204,7 +204,7 @@ def _csflr_reference(x: float, y: float, w) -> float:
 def test_csflr_matches_a_50_digit_bivariate_density(default_world, sigma):
     # the bivariate form's determinant cancels when sigma**2 << tau**2;
     # the engine's p(x) p(y | x) has no term that does
-    w = dataclasses.replace(default_world, noise=NoiseModel(sigma)).validate()
+    w = dataclasses.replace(default_world, noise=NoiseModel(sigma))
     x, y, _ = _views(w, 200, seed=0)
     got = log_lr_batch(SystemId.CSFLR, x, y, w)
     want = np.array([_csflr_reference(a, b, w) for a, b in zip(x, y)])

@@ -170,14 +170,14 @@ def test_shifted_probabilities_fail():
 def test_small_bins_do_not_count():
     p = np.full(200, 0.731)
     outcomes = _bernoulli_outcomes(p, 5)
-    rep = calibration_report(p, outcomes, min_count=50)
+    rep = calibration_report(p, outcomes)
     assert rep.qualifying.sum() == 1     # everything lands in one bin
     assert rep.bin_counts.sum() == 200
 
 
 def test_calibration_shapes():
     p = np.linspace(0.01, 0.99, 1000)
-    rep = calibration_report(p, _bernoulli_outcomes(p, 6), n_bins=10)
+    rep = calibration_report(p, _bernoulli_outcomes(p, 6))
     assert len(rep.bin_edges) == 11
     assert len(rep.bin_counts) == 10
     assert rep.bin_counts.sum() == 1000
