@@ -50,7 +50,8 @@ from .harness import (
     run_experiment,
 )
 from .lrsystems import NONTRIVIAL, SystemId
-from .oracle import PathBank, compare_closed_vs_oracle, default_evidence_grid
+from .oracle import (InsufficientPathsError, PathBank, compare_closed_vs_oracle,
+                     default_evidence_grid)
 from .scoring import ScoringRule
 
 _RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}
@@ -332,8 +333,7 @@ def _csprior(args, world, settings, n):
 def _tailbound(args, world, settings, n):
     systems = settings.get("systems", tuple(
         s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly))
-    rows = [r for system in systems
-            for r in tail_bound_check(system, world, n_cases=n, seed=args.seed)]
+    rows = tail_bound_check(systems, world, n_cases=n, seed=args.seed)
     n_fail = sum(not r.passed for r in rows)
     summary = [f"tailbound: {len(rows)} checks over {len(systems)} systems, "
                f"{n_fail} failures"]
@@ -378,9 +378,13 @@ def _calibrate(args, world, settings, n):
 def _oracle_check(args, world, settings, n_paths):
     # every point reads the same paths and bootstrap resamples, drawn once
     bank = PathBank(world, args.seed, n_paths)
-    points = [replace(compare_closed_vs_oracle(system, view, bank), grid_index=i)
-              for system in NONTRIVIAL
-              for i, view in enumerate(default_evidence_grid(system, world))]
+    try:
+        points = [replace(compare_closed_vs_oracle(system, view, bank), grid_index=i)
+                  for system in NONTRIVIAL
+                  for i, view in enumerate(default_evidence_grid(system, world))]
+    except InsufficientPathsError as e:  # too few paths is bad input, not a failure
+        raise ConfigError(f"--paths {n_paths} is too few: "
+                          f"{str(e).partition(';')[0]}; raise --paths") from e
     all_ok = all(p.within_3se for p in points)
     worst = max(points, key=lambda p: p.abs_diff_log10 / p.se_log10
                 if p.se_log10 > 0 else 0.0)

@@ -9,7 +9,7 @@ that hold for any genuine likelihood ratio:
 
     P(LR > k | H2) <= 1/k    and    P(LR < 1/k | H1) <= 1/k
 
-tail_bound_check verifies both inequalities by simulation for any system,
+tail_bound_check verifies both inequalities by simulation for any systems,
 which doubles as a miscalibration detector: feed it densities from the
 wrong world and the bound breaks.
 
@@ -221,7 +221,7 @@ class TailBoundRow:
 
 
 def tail_bound_check(
-    system: SystemId,
+    systems: tuple[SystemId, ...],
     world: WorldConfig,
     n_cases: int = 100_000,
     k_values: tuple[float, ...] = (3.0, 10.0, 30.0, 100.0),
@@ -230,31 +230,34 @@ def tail_bound_check(
 ) -> list[TailBoundRow]:
     """Check P(LR > k | H2) and P(LR < 1/k | H1) against 1/k plus noise.
 
-    Simulates n_cases under each hypothesis, evaluates the system's own
-    LR, and accepts an exceedance up to 1/k + 3 binomial standard errors.
-    Both batches are drawn from seed: each check is valid alone, and the two
-    share their random numbers. Passing believed_world makes the evaluator
-    use densities that differ from the generating world; genuine LRs satisfy
-    the bound, mis-believed ones generally break it.
+    Draws one batch of n_cases per hypothesis, both from seed, and scores
+    every system's own LR on it, holding one batch and one LR array at a
+    time. An exceedance up to 1/k + 3 binomial standard errors passes.
+    Passing believed_world makes the evaluator use densities that differ
+    from the generating world; genuine LRs satisfy the bound, mis-believed
+    ones generally break it. Rows run by system, k, then side (H2 first).
     """
+    if isinstance(systems, str) or not systems:  # a SystemId is a str
+        raise ConfigError(f"systems must be a non-empty tuple, got {systems!r}")
     for k in k_values:
         if k < 1.0:
             raise ConfigError(f"k values must be >= 1, got {k}")
     w = believed_world or world
-    log10_h2 = _own_log10(system, generate_cases(
-        world, seed, n_cases, force_truth=Hypothesis.H2), w)
-    log10_h1 = _own_log10(system, generate_cases(
-        world, seed, n_cases, force_truth=Hypothesis.H1), w)
+
+    def beyond(log10_lr: np.ndarray, side: Hypothesis) -> list[float]:
+        return [float(np.mean(log10_lr > math.log10(k) if side is Hypothesis.H2
+                              else log10_lr < -math.log10(k))) for k in k_values]
+
+    def exceedances(side: Hypothesis) -> list[list[float]]:
+        batch = generate_cases(world, seed, n_cases, force_truth=side)
+        return [beyond(_own_log10(s, batch, w), side) for s in systems]
 
     rows = []
-    for k in k_values:
-        p = 1.0 / k
-        bound = p + 3.0 * math.sqrt(p * (1.0 - p) / n_cases)
-        log10_k = math.log10(k)
-        for side, beyond in (("H2", log10_h2 > log10_k), ("H1", log10_h1 < -log10_k)):
-            exc = float(np.mean(beyond))
-            rows.append(TailBoundRow(system=system, k=k, side=side,
-                                     empirical_exceedance=exc, bound=bound,
-                                     passed=exc <= bound))
+    for system, h2, h1 in zip(systems, exceedances(Hypothesis.H2),
+                              exceedances(Hypothesis.H1)):
+        for k, e2, e1 in zip(k_values, h2, h1):
+            p = 1.0 / k
+            bound = p + 3.0 * math.sqrt(p * (1.0 - p) / n_cases)
+            rows += [TailBoundRow(system, k, side, exc, bound, exc <= bound)
+                     for side, exc in (("H2", e2), ("H1", e1))]
     return rows
-

@@ -200,12 +200,9 @@ def posterior_from_log10_lr(log10_lr: np.ndarray, prior_h1: float) -> np.ndarray
         raise ConfigError(f"prior_h1 must be in (0, 1), got {prior_h1!r}")
     log_odds = np.asarray(log10_lr, dtype=np.float64) / LOG10_E + math.log(
         prior_h1 / (1.0 - prior_h1))
-    out = np.empty_like(log_odds, dtype=np.float64)
-    pos = log_odds >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-log_odds[pos]))
-    enl = np.exp(log_odds[~pos])
-    out[~pos] = enl / (1.0 + enl)
-    return out
+    e = np.exp(-np.abs(log_odds))
+    d = 1.0 + e
+    return np.where(log_odds >= 0, 1.0 / d, e / d)
 
 
 def clamp_log10_lr(log10_lr: np.ndarray) -> tuple[np.ndarray, int]:

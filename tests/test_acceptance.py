@@ -192,14 +192,11 @@ def test_every_system_is_calibrated():
 def test_lr_tail_bounds():
     world = default_world()
     systems = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
-    n_fail = 0
-    min_slack = np.inf
-    for system in systems:
-        for row in tail_bound_check(system, world, n_cases=100_000, seed=0):
-            n_fail += not row.passed
-            min_slack = min(min_slack, row.bound - row.empirical_exceedance)
+    rows = tail_bound_check(systems, world, n_cases=100_000, seed=0)
+    n_fail = sum(not row.passed for row in rows)
+    min_slack = min(row.bound - row.empirical_exceedance for row in rows)
     sab = tail_bound_check(
-        SystemId.CSFLR, world, n_cases=100_000, seed=0,
+        (SystemId.CSFLR,), world, n_cases=100_000, seed=0,
         believed_world=make_world(pop_t=PopulationModel(4.0, 1.0)))
     sab_breaks = any(not r.passed for r in sab)
     _line("tail-bounds", n_fail == 0 and sab_breaks,

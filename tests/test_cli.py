@@ -549,6 +549,43 @@ def test_rank_bytes_are_pinned(tmp_path, capsys, flags, digests):
             for p in out.iterdir()} == digests
 
 
+ABS_WORLD_DOC = dict(DEFAULT_WORLD_DOC, popT={"mu": 2.0, "tau": 1.0},
+                     score_kind="AbsoluteDifference")
+
+
+@pytest.mark.parametrize("world,seed,digests", [
+    (None, 0, {
+        "report.json":
+            "18ae378e8b1101d2473ddb73807b36611e8fb58341cd0e388d86d77ed5bade45",
+        "tailbound.csv":
+            "59ed1c8994a70f482fa75cc54f71d99bd4f5b3672fd81920feb5c6ae1d578953"}),
+    (None, 7, {
+        "report.json":
+            "5ea8f30beefd8ad5729d134c63e426285ba2cbff220e92416e7e9ba8f2635272",
+        "tailbound.csv":
+            "17e4b7f1cf6d41018dca619532eb5ed09bb7e406cff02bcdc426e10eed412e61"}),
+    (ABS_WORLD_DOC, 0, {
+        "report.json":
+            "e0d7560e35c171a13285c28a6ba069984ef2ac36aca4a91b6e55edaba1a7d5ae",
+        "tailbound.csv":
+            "1a0444111ce66d748916f74183ebb4306dfa67ab95376ed2fa1a906ad1fef6b1"}),
+    (ABS_WORLD_DOC, 7, {
+        "report.json":
+            "07d8581322a760df7a9d20bdd4f4853289af455a8ff7e997728e9301983eca06",
+        "tailbound.csv":
+            "f6f1309a876b624e5b30a09c976d3a0804d76e81ac0688e38fc52ebde66a1e97"}),
+])
+def test_tailbound_bytes_are_pinned(tmp_path, capsys, world, seed, digests):
+    # every system is scored on one H2 and one H1 batch drawn from --seed:
+    # the bytes move only when a stream, an LR or the order of rows changes
+    config = () if world is None else ("--config", write_config(tmp_path, world))
+    out = tmp_path / "o"
+    assert run(capsys, "tailbound", "--cases", "20000", "--format", "both",
+               "--seed", str(seed), *config, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
 def test_few_cases_warn_in_one_line(tmp_path):
     # run as a command, under the default warning filters
     root = Path(__file__).resolve().parents[1]
@@ -858,3 +895,21 @@ def test_oracle_check_bytes_are_pinned(tmp_path, capsys, seed, digests):
                str(seed), "--out", str(out))[0] == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests
+
+
+def test_oracle_check_too_few_paths_is_exit_2(tmp_path, capsys):
+    # too few paths in an evidence bin is a too-small --paths, not an
+    # evaluator failure: it once exited 1 and advised a bin_width the CLI
+    # does not take
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    code, stdout, err = run(capsys, "oracle-check", "--paths", "20000",
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: --paths 20000 is too few: ")
+    assert err.endswith("; raise --paths\n")
+    assert "bin_width" not in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 import lrsim.costmodel as costmodel
@@ -117,14 +119,14 @@ def test_performance_rank_counts_lost_dimensions():
 def test_tail_bounds_hold_for_every_system():
     world = make_world()
     for system in ALL_SYSTEMS:
-        rows = tail_bound_check(system, world, n_cases=20_000,
+        rows = tail_bound_check((system,), world, n_cases=20_000,
                                 k_values=(3.0, 10.0, 30.0), seed=0)
         assert len(rows) == 6
         assert all(r.passed for r in rows), (system, rows)
 
 
 def test_tail_bound_k_one_is_trivial():
-    rows = tail_bound_check(SystemId.CSSLR, make_world(), n_cases=2_000,
+    rows = tail_bound_check((SystemId.CSSLR,), make_world(), n_cases=2_000,
                             k_values=(1.0,))
     assert all(r.passed for r in rows)
     assert rows[0].bound == 1.0
@@ -132,14 +134,14 @@ def test_tail_bound_k_one_is_trivial():
 
 def test_tail_bound_rejects_k_below_one():
     with pytest.raises(ConfigError):
-        tail_bound_check(SystemId.CSSLR, make_world(), n_cases=2_000,
+        tail_bound_check((SystemId.CSSLR,), make_world(), n_cases=2_000,
                          k_values=(0.5,))
 
 
 def test_wrong_beliefs_break_the_bound():
     world = make_world()
     believed = make_world(pop_t=PopulationModel(4.0, 1.0))
-    rows = tail_bound_check(SystemId.CSFLR, world, n_cases=20_000,
+    rows = tail_bound_check((SystemId.CSFLR,), world, n_cases=20_000,
                             k_values=(3.0, 10.0, 30.0), seed=0,
                             believed_world=believed)
     h2_rows = [r for r in rows if r.side == "H2"]
@@ -157,12 +159,69 @@ def test_tail_bound_draws_both_hypotheses_from_its_seed(monkeypatch, seed):
         return generate(world, master_seed, n_cases, force_truth=force_truth)
 
     monkeypatch.setattr(costmodel, "generate_cases", recording)
-    tail_bound_check(SystemId.CSSLR, make_world(), n_cases=2_000, seed=seed)
+    tail_bound_check((SystemId.CSSLR,), make_world(), n_cases=2_000, seed=seed)
     assert sorted(seen) == [(seed, "H1"), (seed, "H2")]
 
 
+INFORMATIVE = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
+
+
+def test_tail_bound_draws_each_hypothesis_once_for_every_system(monkeypatch):
+    seen = []
+    generate = costmodel.generate_cases
+
+    def recording(world, master_seed, n_cases, force_truth=None):
+        seen.append((master_seed, force_truth.value))
+        return generate(world, master_seed, n_cases, force_truth=force_truth)
+
+    monkeypatch.setattr(costmodel, "generate_cases", recording)
+    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2_000, seed=5)
+    assert seen == [(5, "H2"), (5, "H1")]
+    assert len(rows) == len(INFORMATIVE) * 4 * 2
+
+
+def test_tail_bound_holds_one_batch_and_one_lr_array_at_a_time(monkeypatch):
+    # gc.collect is never called: an object still alive is still referenced
+    batches, arrays = [], []
+    generate, own_log10 = costmodel.generate_cases, costmodel._own_log10
+
+    def recording_generate(*args, **kwargs):
+        assert all(b() is None for b in batches)
+        batch = generate(*args, **kwargs)
+        batches.append(weakref.ref(batch))
+        return batch
+
+    def recording_own_log10(*args):
+        assert all(a() is None for a in arrays)
+        out = own_log10(*args)
+        arrays.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(costmodel, "generate_cases", recording_generate)
+    monkeypatch.setattr(costmodel, "_own_log10", recording_own_log10)
+    tail_bound_check(INFORMATIVE, make_world(), n_cases=2_000)
+    assert len(batches) == 2 and len(arrays) == 2 * len(INFORMATIVE)
+
+
+@pytest.mark.parametrize("believed", [None, make_world(pop_t=PopulationModel(4.0, 1.0))])
+def test_many_systems_give_the_one_system_rows(believed):
+    world = make_world()
+    one_by_one = [row for s in INFORMATIVE
+                  for row in tail_bound_check((s,), world, n_cases=5_000, seed=3,
+                                              believed_world=believed)]
+    assert tail_bound_check(INFORMATIVE, world, n_cases=5_000, seed=3,
+                            believed_world=believed) == one_by_one
+
+
+@pytest.mark.parametrize("systems", [SystemId.CSSLR, ()])
+def test_tail_bound_needs_a_tuple_of_systems(systems):
+    # a SystemId is a str: iterated, it would score the letters "C", "S", ...
+    with pytest.raises(ConfigError, match="systems"):
+        tail_bound_check(systems, make_world(), n_cases=2_000)
+
+
 def test_prior_only_never_exceeds():
-    rows = tail_bound_check(SystemId.PriorOnly, make_world(), n_cases=2_000,
+    rows = tail_bound_check((SystemId.PriorOnly,), make_world(), n_cases=2_000,
                             k_values=(3.0, 100.0))
     assert all(r.empirical_exceedance == 0.0 for r in rows)
 
