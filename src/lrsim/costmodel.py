@@ -27,7 +27,7 @@ import numpy as np
 
 from .genmodel import ConfigError, Hypothesis, WorldConfig, generate_cases
 from .harness import _own_log10
-from .lrsystems import SystemId
+from .lrsystems import NONTRIVIAL, SYSTEMS, SystemId
 
 __all__ = [
     "ANCHOR_CATEGORIES",
@@ -79,23 +79,6 @@ class DemandProfile:
     notes: str
 
 
-# Per informative system, in trade-off order (demand rank, then name): the
-# demand rank (1 = least experimental effort), the evidence dimensions it
-# averages out and its trade-off note.
-_SYSTEMS: dict[SystemId, tuple[int, frozenset[str], str]] = {
-    SystemId.CSSLR: (1, frozenset({"R", "X", "Y"}),
-                     "cheapest to field; averages over every dimension"),
-    SystemId.CSFLR: (2, frozenset({"R"}),
-                     "near-top performance at a one-time, reusable cost"),
-    SystemId.CSXASLR: (3, frozenset({"R", "Y"}), ""),
-    SystemId.CSYASLR: (3, frozenset({"R", "X"}), ""),
-    SystemId.SSSLR: (4, frozenset({"X", "Y"}), ""),
-    SystemId.SSYASLR: (5, frozenset({"X"}), ""),
-    SystemId.SSFLR: (6, frozenset(), "best performance; infeasible when "
-                     "measurements are noisy and features exceed one"),
-}
-
-
 def demand_table(target_lr_min: float = 1.0 / 100.0,
                  target_lr_max: float = 1000.0) -> list[DemandProfile]:
     """Demand profiles for the seven informative systems, least demanding first.
@@ -116,7 +99,7 @@ def demand_table(target_lr_min: float = 1.0 / 100.0,
     def profile(system, source, trace, background, reusable, notes,
                 h1_scores=None, h2_scores=None, shortcut=(None, None)):
         return DemandProfile(system, source, trace, background, reusable,
-                             _SYSTEMS[system][1], n_h1, n_h2,
+                             SYSTEMS[system].averaged_out, n_h1, n_h2,
                              h1_scores, h2_scores, *shortcut, notes)
 
     return [
@@ -186,7 +169,7 @@ class TradeoffRow:
     are the columns of tradeoff.csv."""
 
     system: SystemId
-    performance_rank: int   # 1 + number of dimensions averaged out
+    performance_rank: int   # information-order bound: 1 + dimensions averaged out
     demand_rank: int        # 1 = least experimental effort
     info_loss_dims: frozenset[str]
     infeasible: bool
@@ -198,14 +181,14 @@ def feasibility_rank() -> list[TradeoffRow]:
     """Ordinal performance-versus-effort table, least demanding first.
 
     Performance rank is 1 plus the number of evidence dimensions a system
-    averages over, which reproduces the empirical score ordering. Ties in
-    either rank are genuine ties.
+    averages over, the information-order bound. It is not the measured
+    score order (ROADMAP item 4): SSYASLR ties SSFLR on signed scores, and
+    CSXASLR beats SSYASLR on absolute ones.
     """
-    return [TradeoffRow(system=system, performance_rank=1 + len(dims),
-                        demand_rank=demand, info_loss_dims=dims,
-                        infeasible=system is SystemId.SSFLR,
-                        favourable=system is SystemId.CSFLR, notes=notes)
-            for system, (demand, dims, notes) in _SYSTEMS.items()]
+    order = sorted(NONTRIVIAL, key=lambda s: (SYSTEMS[s].demand_rank, s.value))
+    return [TradeoffRow(s, 1 + len(SYSTEMS[s].averaged_out), SYSTEMS[s].demand_rank,
+                        SYSTEMS[s].averaged_out, s is SystemId.SSFLR,
+                        s is SystemId.CSFLR, SYSTEMS[s].note) for s in order]
 
 
 @dataclass(frozen=True)
@@ -237,8 +220,9 @@ def tail_bound_check(
     from the generating world; genuine LRs satisfy the bound, mis-believed
     ones generally break it. Rows run by system, k, then side (H2 first).
     """
-    if isinstance(systems, str) or not systems:  # a SystemId is a str
-        raise ConfigError(f"systems must be a non-empty tuple, got {systems!r}")
+    if isinstance(systems, str) or not systems or len(set(systems)) < len(systems):
+        raise ConfigError(  # a SystemId is a str, so it is refused too
+            f"systems must be a non-empty tuple without repeats, got {systems!r}")
     for k in k_values:
         if k < 1.0:
             raise ConfigError(f"k values must be >= 1, got {k}")

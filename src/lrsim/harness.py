@@ -42,7 +42,7 @@ from .genmodel import (
 )
 from .lrsystems import (
     LOG10_E,
-    SPECIFIC_SOURCE,
+    SYSTEMS,
     AnchorKind,
     SystemId,
     _log_ratio,
@@ -75,11 +75,7 @@ __all__ = [
 
 TIE_ATOL = 1e-9
 
-ALL_SYSTEMS: tuple[SystemId, ...] = (
-    SystemId.SSFLR, SystemId.SSYASLR, SystemId.SSSLR, SystemId.SSXASLR,
-    SystemId.CSFLR, SystemId.CSYASLR, SystemId.CSXASLR, SystemId.CSSLR,
-    SystemId.PriorOnly,
-)
+ALL_SYSTEMS: tuple[SystemId, ...] = tuple(SYSTEMS)
 
 # (claim id, expected better, expected worse)
 RANKING_CLAIMS: tuple[tuple[str, SystemId, SystemId], ...] = (
@@ -185,7 +181,7 @@ class EvalReport:
 def _own_ln(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
     """A system's own natural-log LR on a batch; only SS systems see theta_r. A
     NaN cannot be scored, so it is bad input; +/-inf is legal, the clamp bounds it."""
-    theta = batch.theta_r if system in SPECIFIC_SOURCE else None
+    theta = batch.theta_r if SYSTEMS[system].specific_source else None
     own = log_lr_batch(system, batch.x, batch.y, world, theta_r=theta)
     n_nan = int(np.count_nonzero(np.isnan(own)))
     if n_nan:
@@ -203,11 +199,11 @@ def _stated_log10(system: SystemId, own: np.ndarray, batch: CaseBatch,
                   world: WorldConfig) -> np.ndarray:
     """own plus the log10 LR the anchor observation carries, which only the
     common-source anchored systems leave out of their own LR."""
-    if system is SystemId.CSYASLR:
-        return own + anchor_log_lr_batch(batch.y, AnchorKind.Y, world) * LOG10_E
-    if system is SystemId.CSXASLR:
-        return own + anchor_log_lr_batch(batch.x, AnchorKind.X, world) * LOG10_E
-    return own
+    row = SYSTEMS[system]
+    if row.specific_source or row.anchor is None:
+        return own
+    anchor = batch.x if row.anchor is AnchorKind.X else batch.y
+    return own + anchor_log_lr_batch(anchor, row.anchor, world) * LOG10_E
 
 
 def _posterior(log10_lr: np.ndarray, prior_h1: float) -> tuple[np.ndarray, int]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "CaseView",
     "LR_CLAMP_LOG10",
     "ProfileLr",
+    "SYSTEMS",
     "SystemId",
     "anchor_log_lr_batch",
     "clamp_log10_lr",
@@ -64,15 +66,40 @@ class SystemId(str, Enum):
     PriorOnly = "PriorOnly"
 
 
-SPECIFIC_SOURCE = frozenset(
-    {SystemId.SSFLR, SystemId.SSSLR, SystemId.SSYASLR, SystemId.SSXASLR})
-NONTRIVIAL = tuple(s for s in SystemId
-                   if s not in (SystemId.SSXASLR, SystemId.PriorOnly))
-
-
 class AnchorKind(str, Enum):
     X = "X"   # anchored on the trace measurement mean
     Y = "Y"   # anchored on the reference measurement mean
+
+
+class SystemRow(NamedTuple):
+    """One system, described once. averaged_out is the evidence its LR averages
+    over, of R (theta_r), X, Y and S (the score), None if the LR is one; coarser
+    evidence scores no better in expectation under a strictly proper rule."""
+
+    specific_source: bool
+    anchor: AnchorKind | None
+    averaged_out: frozenset[str] | None
+    demand_rank: int | None   # 1 = least effort; None: nothing to field
+    note: str
+
+
+SYSTEMS: dict[SystemId, SystemRow] = {
+    SystemId.SSFLR: SystemRow(True, None, frozenset(), 6, "best performance; infeasible"
+                              " when measurements are noisy and features exceed one"),
+    SystemId.SSYASLR: SystemRow(True, AnchorKind.Y, frozenset("X"), 5, ""),
+    SystemId.SSSLR: SystemRow(True, None, frozenset("XY"), 4, ""),
+    SystemId.SSXASLR: SystemRow(True, AnchorKind.X, None, None, ""),
+    SystemId.CSFLR: SystemRow(False, None, frozenset("R"), 2, "near-top performance "
+                              "at a one-time, reusable cost"),
+    SystemId.CSYASLR: SystemRow(False, AnchorKind.Y, frozenset("RX"), 3, ""),
+    SystemId.CSXASLR: SystemRow(False, AnchorKind.X, frozenset("RY"), 3, ""),
+    SystemId.CSSLR: SystemRow(False, None, frozenset("RXY"), 1, "cheapest to field; "
+                              "averages over every dimension"),
+    SystemId.PriorOnly: SystemRow(False, None, frozenset("RXYS"), None, ""),
+}
+SPECIFIC_SOURCE = frozenset(s for s, row in SYSTEMS.items() if row.specific_source)
+# in declaration order, which oracle.csv rows follow
+NONTRIVIAL = tuple(s for s in SystemId if SYSTEMS[s].demand_rank is not None)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,14 @@ from scipy.stats import multivariate_normal, norm
 from lrsim.cli import default_world, main
 from lrsim.costmodel import demand_table, feasibility_rank, tail_bound_check
 from lrsim.genmodel import Hypothesis, PopulationModel, generate_cases
-from lrsim.harness import ALL_SYSTEMS, ExperimentConfig, ill_conditioning_experiment, run_experiment
+from lrsim.harness import (
+    ALL_SYSTEMS,
+    RANKING_CLAIMS,
+    ExperimentConfig,
+    Verdict,
+    ill_conditioning_experiment,
+    run_experiment,
+)
 from lrsim.lrsystems import (
     LOG10_E,
     NONTRIVIAL,
@@ -59,6 +66,41 @@ def test_ranking_claims_hold_across_seeds_and_rules():
     _line("ranking", n_violated == 0,
           f"20 runs x 11 claims, {n_violated} Violated, worst non-tie "
           f"margin {worst:+.1f} SE")
+
+
+# The claims that tie in each packaged world; every other claim is
+# Confirmed, at every seed and rule. On signed scores, given the anchor,
+# (anchor, x - y) is a one-to-one map of (x, y), so anchoring loses nothing.
+EXACT_TIES = {
+    "default_world.json": ("SSFLR>=SSYASLR", "CSFLR>=CSYASLR", "CSFLR>=CSXASLR"),
+    "abs_world.json": (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TIES))
+def test_ranking_verdicts_are_exact_in_both_packaged_worlds(name):
+    world = packaged_world(name)
+    expected = {claim: Verdict.Tie if claim in EXACT_TIES[name]
+                else Verdict.Confirmed for claim, _, _ in RANKING_CLAIMS}
+    misses = []
+    worst_margin = np.inf
+    largest_tie = 0.0
+    for seed in range(10):
+        for rule in (ScoringRule.Logarithmic, ScoringRule.Brier):
+            rep = run_experiment(ExperimentConfig(
+                world=world, n_cases=20_000, master_seed=seed, rule=rule))
+            got = {v.claim: v.verdict for v in rep.ranking_verdicts}
+            misses += [f"{c}@{seed}/{rule.value}" for c in expected
+                       if got.get(c) is not expected[c]]
+            for v in rep.ranking_verdicts:
+                if expected[v.claim] is Verdict.Tie:
+                    largest_tie = max(largest_tie, abs(v.mean_diff))
+                else:
+                    worst_margin = min(worst_margin, v.margin_in_se)
+    _line(f"verdicts[{name}]", len(expected) == 11 and not misses,
+          f"20 runs x 11 claims, {len(EXACT_TIES[name])} Tie and the rest "
+          f"Confirmed; worst Confirmed margin {worst_margin:+.2f} SE, largest "
+          f"Tie |diff| {largest_tie:.1e}; misses: {misses or 'none'}")
 
 
 def test_trace_anchored_ss_system_is_unit():

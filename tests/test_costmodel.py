@@ -213,9 +213,11 @@ def test_many_systems_give_the_one_system_rows(believed):
                             believed_world=believed) == one_by_one
 
 
-@pytest.mark.parametrize("systems", [SystemId.CSSLR, ()])
+@pytest.mark.parametrize("systems", [SystemId.CSSLR, (),
+                                     (SystemId.CSFLR, SystemId.CSFLR)])
 def test_tail_bound_needs_a_tuple_of_systems(systems):
-    # a SystemId is a str: iterated, it would score the letters "C", "S", ...
+    # a SystemId is a str: iterated, it would score the letters "C", "S", ...;
+    # a repeated system would be scored twice and give its rows twice
     with pytest.raises(ConfigError, match="systems"):
         tail_bound_check(systems, make_world(), n_cases=2_000)
 

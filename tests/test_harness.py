@@ -19,7 +19,7 @@ from lrsim.harness import (
     total_expectation_check,
     verify_ranking,
 )
-from lrsim.lrsystems import SystemId
+from lrsim.lrsystems import SYSTEMS, SystemId
 from lrsim.scoring import ScoringRule
 from tests.conftest import make_world
 
@@ -138,6 +138,21 @@ def test_verify_ranking_skips_claims_of_absent_systems():
     partial = verify_ranking(rep.paired_diffs)
     assert [v.claim for v in partial] == ["CSFLR>=CSYASLR"]
     assert [v.claim for v in rep.ranking_verdicts] == ["CSFLR>=CSYASLR"]
+
+
+def test_ranking_claims_are_the_information_order():
+    # a system that averages out a strict subset of another's evidence
+    # dimensions must score at least as well: the claims are the covering
+    # pairs of that order, plus SSSLR>=PriorOnly, which it implies
+    dims = {s: row.averaged_out for s, row in SYSTEMS.items()
+            if row.averaged_out is not None}
+    covering = {(a, b) for a in dims for b in dims if dims[a] < dims[b]
+                and not any(dims[a] < dims[c] < dims[b] for c in dims)}
+    claims = [(better, worse) for _, better, worse in RANKING_CLAIMS]
+    assert len(covering) == 10 and len(set(claims)) == len(claims) == 11
+    assert set(claims) == covering | {(SystemId.SSSLR, SystemId.PriorOnly)}
+    for claim, better, worse in RANKING_CLAIMS:
+        assert claim == f"{better.value}>={worse.value}"
 
 
 def test_verdict_noise_floor_forces_tie():

@@ -22,6 +22,7 @@ from lrsim.lrsystems import (
     LR_CLAMP_LOG10,
     NONTRIVIAL,
     SPECIFIC_SOURCE,
+    SYSTEMS,
     AnchorKind,
     CaseView,
     ProfileMode,
@@ -282,6 +283,20 @@ def test_cs_refuses_source_parameter():
                    SystemId.CSXASLR):
         with pytest.raises(ConfigError):
             log_lr_batch(system, x, y, w, theta_r=th)
+
+
+def test_system_table_agrees_with_the_system_names():
+    # SS* is specific-source, *YAS*/*XAS* anchor on y/x, and the two
+    # systems with LR one have nothing to field
+    assert set(SYSTEMS) == set(SystemId)
+    assert SPECIFIC_SOURCE == {s for s in SystemId if s.value.startswith("SS")}
+    for system, row in SYSTEMS.items():
+        kind = system.value[2] if system.value.endswith("ASLR") else None
+        assert row.anchor == (AnchorKind(kind) if kind else None), system
+    assert NONTRIVIAL == tuple(s for s in SystemId
+                               if s not in (SystemId.SSXASLR, SystemId.PriorOnly))
+    assert [s for s, row in SYSTEMS.items() if row.averaged_out is None] == [
+        SystemId.SSXASLR]
 
 
 def test_trace_anchored_ss_is_unit_lr():
