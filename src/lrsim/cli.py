@@ -267,8 +267,7 @@ def _case_table(report: EvalReport) -> dict:
         "y": batch.y,
     }
     for system, own in report.own_log10.items():
-        with np.errstate(over="ignore"):
-            table[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
+        table[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
         table[f"{system.value}_posterior"] = report.posteriors[system]
     return table
 

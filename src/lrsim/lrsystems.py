@@ -74,7 +74,8 @@ class AnchorKind(str, Enum):
 class SystemRow(NamedTuple):
     """One system, described once. averaged_out is the evidence its LR averages
     over, of R (theta_r), X, Y and S (the score), None if the LR is one; coarser
-    evidence scores no better in expectation under a strictly proper rule."""
+    evidence scores no better in expectation under a strictly proper rule. The
+    sampling oracle picks its recipes and estimator from the first three."""
 
     specific_source: bool
     anchor: AnchorKind | None

@@ -15,10 +15,11 @@ observed case:
 
 The ratio of the two density estimates is the oracle LR. Its estimates
 share no code with the closed forms in lrsim.lrsystems, which is the
-point: the two routes validate each other (default_evidence_grid only
-reads the source posterior there, to place its points). A block
-bootstrap over contiguous path blocks supplies the standard error of
-log10(LR).
+point: the two routes validate each other. The oracle reads there only
+each system's row of SYSTEMS, which picks among its own recipes and
+estimators, and the source posterior, to place default_evidence_grid's
+points; the closed forms dispatch by name, so the check covers the rows.
+A block bootstrap over contiguous path blocks supplies the SE of log10(LR).
 
 A PathBank is the oracle's whole context: the world, the seed, the path
 count and tolerances, the five recipes' paths, the bootstrap blocks and the
@@ -36,7 +37,8 @@ import numpy as np
 from .genmodel import ConfigError, ScoreKind, WorldConfig
 from .lrsystems import (
     LOG10_E,
-    SPECIFIC_SOURCE,
+    SYSTEMS,
+    AnchorKind,
     CaseView,
     SystemId,
     _source_law,
@@ -223,7 +225,7 @@ def _near(col: np.ndarray, centre: float, half_width: float) -> np.ndarray:
 
 
 def _term_samples(system: SystemId, term: str, view: CaseView, bank: PathBank):
-    """Read one term's simulated evidence from the bank.
+    """Read one term's simulated evidence from the bank, by the system's row.
 
     Returns ("bin", inside) for feature systems, where inside marks the
     paths in the evidence bin, or ("kde", deltas, accept) for score systems,
@@ -232,57 +234,41 @@ def _term_samples(system: SystemId, term: str, view: CaseView, bank: PathBank):
     holds the scores of the accepted paths only, in path order; otherwise
     accept is None and deltas covers every path.
     """
-    th = view.theta_r
-    num = term == "num"
+    row = SYSTEMS[system]
+    specific, num = row.specific_source, term == "num"
+    # x is a recipe's first column, y its last. Specific-source recipes other
+    # than trace are offsets from theta_r: observed means shift by xs and ys
+    x_recipe = y_recipe = "ss_num" if specific else "cs_num"
+    if not num:
+        x_recipe, y_recipe = "trace", "ss_ref" if specific else "cs_ref"
+    xs = view.theta_r if specific and num else 0.0
+    ys = view.theta_r if specific else 0.0
+    # an anchor replaces its column by the observed value; only cs_num's x
+    # and y share a source, so only it keeps the paths in the anchor window
+    window, accept = num and not specific, None
+    if row.anchor is AnchorKind.Y:
+        xb = bank.columns(x_recipe)[0]
+        if window:
+            accept = _near(bank.columns(y_recipe)[-1], view.y_mean,
+                           bank.anchor_tolerance)
+            xb = xb[accept]
+        return "kde", xb + (xs - view.y_mean), accept
+    if row.anchor is AnchorKind.X:  # SSXASLR: one recipe, two streams, LR 1
+        yb = bank.columns(y_recipe)[-1]
+        if window:
+            accept = _near(bank.columns(x_recipe)[0], view.x_mean,
+                           bank.anchor_tolerance)
+            yb = yb[accept]
+        return "kde", (view.x_mean - ys) - yb, accept
 
-    if system in (SystemId.SSFLR, SystemId.SSSLR,
-                  SystemId.CSFLR, SystemId.CSSLR):
-        specific = system in SPECIFIC_SOURCE
-        if num:
-            xb, yb = bank.columns("ss_num" if specific else "cs_num")
-        else:
-            (xb,) = bank.columns("trace")
-            (yb,) = bank.columns("ss_ref" if specific else "cs_ref")
-        # the specific-source recipes other than trace are offsets around
-        # theta_r: compare them with the observed offsets
-        xs = th if specific and num else 0.0
-        ys = th if specific else 0.0
-        if system in (SystemId.SSFLR, SystemId.CSFLR):
-            half = bank.bin_width / 2.0
-            return "bin", (_near(xb, view.x_mean - xs, half)
-                           & _near(yb, view.y_mean - ys, half))
-        deltas = xb - yb
-        deltas += xs - ys
-        return "kde", deltas, None
-
-    if system is SystemId.SSYASLR:
-        xb, xs = ((bank.columns("ss_num")[0], th) if num
-                  else (bank.columns("trace")[0], 0.0))
-        return "kde", xb + (xs - view.y_mean), None
-
-    if system is SystemId.CSYASLR:
-        if num:
-            xb, yb = bank.columns("cs_num")
-            accept = _near(yb, view.y_mean, bank.anchor_tolerance)
-            return "kde", xb[accept] - view.y_mean, accept
-        (xb,) = bank.columns("trace")
-        return "kde", xb - view.y_mean, None
-
-    if system is SystemId.CSXASLR:
-        if num:
-            xb, yb = bank.columns("cs_num")
-            accept = _near(xb, view.x_mean, bank.anchor_tolerance)
-            return "kde", view.x_mean - yb[accept], accept
-        (yb,) = bank.columns("cs_ref")
-        return "kde", view.x_mean - yb, None
-
-    if system is SystemId.SSXASLR:
-        # numerator and denominator paths follow the same recipe from
-        # different streams, so the ratio hovers at one
-        yb = bank.columns("ss_num")[1] if num else bank.columns("ss_ref")[0]
-        return "kde", (view.x_mean - th) - yb, None
-
-    raise ValueError(f"no sampling recipe for {system!r}")
+    xb, yb = bank.columns(x_recipe)[0], bank.columns(y_recipe)[-1]
+    if not {"X", "Y"} & row.averaged_out:  # a feature system keeps x and y
+        half = bank.bin_width / 2.0
+        return "bin", (_near(xb, view.x_mean - xs, half)
+                       & _near(yb, view.y_mean - ys, half))
+    deltas = xb - yb
+    deltas += xs - ys
+    return "kde", deltas, None
 
 
 def _silverman(samples: np.ndarray) -> float:
@@ -387,7 +373,7 @@ def path_oracle(system: SystemId, view: CaseView,
                 bank: PathBank) -> OracleEstimate:
     """Monte Carlo estimate of one system's LR on one case, with SE, from
     the bank's paths and bootstrap resamples."""
-    if system in SPECIFIC_SOURCE and view.theta_r is None:
+    if SYSTEMS[system].specific_source and view.theta_r is None:
         raise ValueError(f"{system.value} oracle requires theta_r in the view")
     if system is SystemId.PriorOnly:
         return OracleEstimate(system, 1.0, 0.0, 0.0, bank.n_paths, 0, 0)
@@ -405,7 +391,7 @@ def compare_closed_vs_oracle(system: SystemId, view: CaseView,
                              bank: PathBank) -> OracleComparison:
     """Closed-form LR against the oracle on one evidence point."""
     est = path_oracle(system, view, bank)
-    theta = view.theta_r if system in SPECIFIC_SOURCE else None
+    theta = view.theta_r if SYSTEMS[system].specific_source else None
     closed = float(log_lr_batch(system, view.x_mean, view.y_mean, bank.world,
                                 theta_r=theta)) * LOG10_E
     diff = abs(closed - est.log10_lr)
@@ -417,65 +403,38 @@ def compare_closed_vs_oracle(system: SystemId, view: CaseView,
 
 
 def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView]:
-    """A 3x3 evidence grid in the bulk of both terms' densities.
+    """A 3x3 evidence grid in the bulk of both terms' densities, placed by
+    the system's row; PriorOnly has no evidence and no grid.
 
     Feature systems get a grid of measurement-mean pairs, unanchored score
     systems a score grid at fixed reference, anchored systems an anchor grid
     crossed with scores centred on the numerator's conditional mean.
     """
+    if system is SystemId.PriorOnly:
+        raise ValueError(f"no evidence grid for {system!r}")
+    row = SYSTEMS[system]
     th = world.pop_c.mu + 0.4 * max(world.pop_c.tau, world.noise.sigma)
-    st2 = world.var_trace_mean
-    sr2 = world.var_ref_mean
-    absolute = world.score_kind is ScoreKind.AbsoluteDifference
-
-    def offsets(scale: float) -> np.ndarray:
-        return np.array([-1.1, 0.0, 1.1]) * scale
-
-    views: list[CaseView] = []
-    keep_theta = system in SPECIFIC_SOURCE
-    if system in (SystemId.SSFLR, SystemId.CSFLR):
+    theta = th if row.specific_source else None
+    st2, sr2 = world.var_trace_mean, world.var_ref_mean
+    if row.anchor is None and not {"X", "Y"} & row.averaged_out:
         vals = th + np.array([-0.6, -0.1, 0.4]) * max(1.0, world.pop_c.tau)
-        for xv in vals:
-            for yv in vals:
-                views.append(CaseView(float(xv), float(yv), th if keep_theta else None))
-        return views
+        return [CaseView(float(xv), float(yv), theta) for xv in vals for yv in vals]
+    if row.anchor is None:
+        ds = (np.linspace(0.1, 1.3, 9)
+              if world.score_kind is ScoreKind.AbsoluteDifference
+              else np.linspace(-1.0, 1.0, 9)) * math.sqrt(st2 + sr2)
+        return [CaseView(float(th + d), float(th), theta) for d in ds]
 
-    if system in (SystemId.SSSLR, SystemId.CSSLR):
-        spread = math.sqrt(st2 + sr2)
-        ds = (np.linspace(0.1, 1.3, 9) * spread if absolute
-              else np.linspace(-1.0, 1.0, 9) * spread)
-        for d in ds:
-            views.append(CaseView(float(th + d), float(th),
-                                  th if keep_theta else None))
-        return views
-
-    anchors = world.pop_c.mu + np.array([-0.3, 0.3, 0.9]) * max(
-        1.0, world.pop_c.tau)
-    if system is SystemId.SSYASLR:
-        for a in anchors:
-            centre = th - a
-            for d in centre + offsets(0.5 * math.sqrt(st2)):
-                views.append(CaseView(float(a + d), float(a), th))
-        return views
-    if system is SystemId.CSYASLR:
-        for a in anchors:
-            m, v = _source_law(a, world.pop_c, sr2)
-            centre = m - a
-            for d in centre + offsets(0.8 * math.sqrt(st2 + v)):
-                views.append(CaseView(float(a + d), float(a), None))
-        return views
-    if system in (SystemId.CSXASLR, SystemId.SSXASLR):
-        for a in anchors:
-            if system is SystemId.CSXASLR:
-                m, v = _source_law(a, world.pop_c, st2)
-                centre = a - m
-                spread = 0.8 * math.sqrt(sr2 + v)
-            else:
-                centre = a - th
-                spread = 0.5 * math.sqrt(sr2)
-            for d in centre + offsets(spread):
-                theta = th if system is SystemId.SSXASLR else None
-                views.append(CaseView(float(a), float(a - d), theta))
-        return views
-
-    raise ValueError(f"no evidence grid for {system!r}")
+    x_anchor = row.anchor is AnchorKind.X
+    # the variances of the anchored mean and of the other mean
+    var_a, var_o = (st2, sr2) if x_anchor else (sr2, st2)
+    anchors = world.pop_c.mu + np.array([-0.3, 0.3, 0.9]) * max(1.0, world.pop_c.tau)
+    steps, views = np.array([-1.1, 0.0, 1.1]), []
+    for a in anchors:  # the source mean's law given the anchor; theta_r is exact
+        m, v = ((th, 0.0) if row.specific_source
+                else _source_law(a, world.pop_c, var_a))
+        spread = (0.5 if row.specific_source else 0.8) * math.sqrt(var_o + v)
+        for d in (a - m if x_anchor else m - a) + steps * spread:
+            views.append(CaseView(float(a), float(a - d), theta) if x_anchor
+                         else CaseView(float(a + d), float(a), theta))
+    return views

@@ -877,22 +877,31 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
     assert sorted(draws) == sorted(RECIPES)
 
 
-@pytest.mark.parametrize("seed,digests", [
-    (0, {"oracle.csv":
+@pytest.mark.parametrize("config,paths,seed,digests", [
+    (None, 150000, 0, {"oracle.csv":
          "3fba1d0d008b2bc049d0797e9fba6ad19b2f355f08f8b09b4177ed03b0cfabab",
          "report.json":
          "4a03f0e82bcc9460d9c4ed8766793b911b5bb9f9489eb9bc9244bc558dff9e63"}),
-    (3, {"oracle.csv":
+    (None, 150000, 3, {"oracle.csv":
          "cb7b325cd5195668d37d561fd1bcafc96359302209935452fd47e41ec4fef5fe",
          "report.json":
          "f255dd5d6e9d70cbc2ce64111f50435d5c103e21b74f84f02bc49bfd13a36af8"}),
+    # folded scores: the reflected kernel density; CSFLR's denominator bin
+    # needs more than the default 300000 paths in this world
+    ("abs_world.json", 450000, 0, {"oracle.csv":
+         "175b94366b468e57f031a3ab6d52a2c53ab0a4a78641a3291f02739c1a7a1577",
+         "report.json":
+         "a3affc9976347ba27e6189f34f72bc08fd9f8a99df002745a44229b260165611"}),
 ])
-def test_oracle_check_bytes_are_pinned(tmp_path, capsys, seed, digests):
+def test_oracle_check_bytes_are_pinned(tmp_path, capsys, config, paths, seed,
+                                       digests):
     # the path and bootstrap streams are keyed by the seed alone: the bytes
     # move only when a stream, the order of draws or an estimator changes
     out = tmp_path / "o"
-    assert run(capsys, "oracle-check", "--paths", "150000", "--seed",
-               str(seed), "--out", str(out))[0] == 0
+    world = ([] if config is None else
+             ["--config", str(resources.files("lrsim.data") / config)])
+    assert run(capsys, "oracle-check", *world, "--paths", str(paths),
+               "--seed", str(seed), "--out", str(out))[0] == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests
 

@@ -8,6 +8,8 @@ from lrsim.lrsystems import (
     LOG10_E,
     NONTRIVIAL,
     SPECIFIC_SOURCE,
+    SYSTEMS,
+    AnchorKind,
     CaseView,
     SystemId,
     log_lr_batch,
@@ -48,6 +50,35 @@ def test_oracle_tracks_closed_form(system):
     # 4 SE at desk scale keeps the rate of false alarms negligible while
     # still catching any recipe that samples the wrong distribution
     assert comp.abs_diff_log10 < max(4.0 * comp.se_log10, 0.02)
+
+
+def test_prior_only_has_no_grid_and_an_oracle_lr_of_one():
+    # its row averages out x and y without an anchor, as CSSLR's does; the
+    # row rules alone would give it CSSLR's grid and score recipes
+    world = make_world()
+    with pytest.raises(ValueError, match="no evidence grid"):
+        default_evidence_grid(SystemId.PriorOnly, world)
+    bank = _RecordingBank(world, 0, 1_000)
+    est = path_oracle(SystemId.PriorOnly, CaseView(0.4, 0.1), bank)
+    assert (est.lr, est.log10_lr, est.se_log10) == (1.0, 0.0, 0.0)
+    assert (est.n_paths, est.accepted_num, est.accepted_den) == (1_000, 0, 0)
+    assert not bank.read
+
+
+@pytest.mark.parametrize("system,anchor", [
+    (SystemId.CSXASLR, AnchorKind.Y),
+    (SystemId.CSYASLR, AnchorKind.X),
+    (SystemId.SSYASLR, AnchorKind.X),
+])
+def test_oracle_checks_the_system_table(monkeypatch, system, anchor):
+    # the oracle samples by the row and the closed forms dispatch by name, so
+    # a row with the wrong anchor fails the closed-vs-oracle check
+    monkeypatch.setitem(SYSTEMS, system, SYSTEMS[system]._replace(anchor=anchor))
+    world = make_world()
+    bank = PathBank(world, 0, 300_000)
+    outside = [not compare_closed_vs_oracle(system, view, bank).within_3se
+               for view in default_evidence_grid(system, world)]
+    assert outside == [True] * 9
 
 
 def test_unit_lr_system_oracle_is_near_one():
@@ -198,15 +229,20 @@ class _RecordingBank(PathBank):
 @pytest.mark.parametrize("system", sorted(set(NONTRIVIAL) | {SystemId.SSXASLR},
                                           key=lambda s: s.value))
 def test_numerator_and_denominator_read_disjoint_recipes(system):
+    # the numerator reads the known-source pair; the denominator reads the
+    # trace unless x is anchored and the reference unless y is anchored
+    row = SYSTEMS[system]
+    ref = "ss_ref" if row.specific_source else "cs_ref"
+    named = {"num": {"ss_num" if row.specific_source else "cs_num"},
+             "den": {None: {"trace", ref}, AnchorKind.Y: {"trace"},
+                     AnchorKind.X: {ref}}[row.anchor]}
     world = make_world()
     view = default_evidence_grid(system, world)[4]
-    read = {}
     for term in ("num", "den"):
         bank = _RecordingBank(world, 0, 1_000)
         _term_samples(system, term, view, bank)
-        read[term] = bank.read
-    assert read["num"] and read["den"]
-    assert not read["num"] & read["den"]
+        assert bank.read == named[term]
+    assert not named["num"] & named["den"]
 
 
 def test_vectorised_bootstrap_matches_a_loop():
