@@ -376,7 +376,10 @@ def _calibrate(args, world, settings, n):
 
 def _oracle_check(args, world, settings, n_paths):
     # every point reads the same paths and bootstrap resamples, drawn once
-    bank = PathBank(world, args.seed, n_paths)
+    try:
+        bank = PathBank(world, args.seed, n_paths)
+    except ConfigError as e:  # the bank names its parameter, not the flag
+        raise ConfigError(str(e).replace("n_paths", "--paths")) from e
     try:
         points = [replace(compare_closed_vs_oracle(system, view, bank), grid_index=i)
                   for system in NONTRIVIAL

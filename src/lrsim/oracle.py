@@ -22,9 +22,10 @@ points; the closed forms dispatch by name, so the check covers the rows.
 A block bootstrap over contiguous path blocks supplies the SE of log10(LR).
 
 A PathBank is the oracle's whole context: the world, the seed, the path
-count and tolerances, the five recipes' paths, the bootstrap blocks and the
-bootstrap resamples. Each is drawn or computed once per bank, and every
-system and evidence point reads them (common random numbers).
+count and tolerances, the five recipes' paths, the bootstrap blocks, the
+bootstrap resamples and one kernel bandwidth per distinct score sample.
+Each is drawn or computed once per bank, and every system and evidence
+point reads them (common random numbers).
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ class PathBank:
     * ss_ref: sr*z, a reference offset around a known theta_r;
     * cs_ref: (md + td*z) + sr*z, a reference mean from a popD source.
 
+    A score term's kernel sample depends on the system, the term, theta_r
+    and the anchored mean alone, never on the score evaluated, so the bank
+    keeps one Silverman bandwidth per such sample and every grid point that
+    reads the sample reuses it.
+
     Within one system the numerator and the denominator read disjoint
     recipes, so the two terms stay independent. Evidence points that share
     a bank share their paths: each point's estimate and SE are valid alone,
@@ -160,6 +166,7 @@ class PathBank:
         self.block_sizes = np.diff(self.edges, append=n).astype(np.float64)
         self._columns: dict[str, tuple[np.ndarray, ...]] = {}
         self._resamples: np.ndarray | None = None
+        self._bandwidths: dict[tuple, float] = {}
 
     def resamples(self) -> tuple[np.ndarray, np.ndarray]:
         """Intp copies of the bank's one draw of bootstrap block indices:
@@ -343,7 +350,13 @@ def _estimate_term(system, term, view, bank) -> _TermEstimate:
             f"{system.value} {term}: only {accepted} paths accepted in "
             f"the anchor window (need {MIN_ACCEPTED}); widen "
             f"anchor_tolerance or raise n_paths")
-    h = _silverman(deltas)
+    # the key holds all the sample depends on: see _term_samples
+    anchor = SYSTEMS[system].anchor
+    key = (system, term, view.theta_r, None if anchor is None else
+           view.x_mean if anchor is AnchorKind.X else view.y_mean)
+    h = bank._bandwidths.get(key)
+    if h is None:
+        h = bank._bandwidths[key] = _silverman(deltas)
     # deltas is this term's own array, so the last kernel overwrites it
     k = _kernel(target, deltas, h, out=None if reflect else deltas)
     if reflect:

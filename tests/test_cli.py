@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lrsim.cli as cli
+import lrsim.oracle as oracle
 from lrsim.cli import main
 from lrsim.costmodel import DemandProfile, TailBoundRow, TradeoffRow
 from lrsim.genmodel import world_from_json_dict
@@ -877,6 +878,26 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
     assert sorted(draws) == sorted(RECIPES)
 
 
+def test_oracle_check_computes_one_bandwidth_per_kernel_sample(
+        tmp_path, capsys, monkeypatch):
+    # a score term's kernel sample depends on the system, the term, theta_r
+    # and the anchored mean, not on the score: 5 score systems x 9 points x
+    # 2 terms read 22 distinct samples (SSSLR and CSSLR one per term, each
+    # anchored system one per anchor and term)
+    calls = []
+    silverman = oracle._silverman
+
+    def counting_silverman(samples):
+        calls.append(samples.shape[0])
+        return silverman(samples)
+
+    monkeypatch.setattr(oracle, "_silverman", counting_silverman)
+    code, _, _ = run(capsys, "oracle-check", "--format", "json",
+                     "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert len(calls) == 22
+
+
 @pytest.mark.parametrize("config,paths,seed,digests", [
     (None, 150000, 0, {"oracle.csv":
          "3fba1d0d008b2bc049d0797e9fba6ad19b2f355f08f8b09b4177ed03b0cfabab",
@@ -892,6 +913,15 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
          "175b94366b468e57f031a3ab6d52a2c53ab0a4a78641a3291f02739c1a7a1577",
          "report.json":
          "a3affc9976347ba27e6189f34f72bc08fd9f8a99df002745a44229b260165611"}),
+    # the argv of perfbench's oracle-grid workload, which times this command
+    (None, 300000, 0, {"oracle.csv":
+         "7a50191d3c3dbadc6e869b2471c23f711282e75f065153c02a09c851d078a740",
+         "report.json":
+         "031805af5839e8ed131faaf835f0b792320fed512f73eb6d2119e5314d8f7fe2"}),
+    ("illcond_world.json", 450000, 0, {"oracle.csv":
+         "cd20a77e7ca53b7ed7b38674844b113d8d58e6e5bc7f061ea537bdedc7b8ac6c",
+         "report.json":
+         "35d663a8597556f6d806f0a363055dd8c307ec4f44ab53046d7cc02c191cc0fc"}),
 ])
 def test_oracle_check_bytes_are_pinned(tmp_path, capsys, config, paths, seed,
                                        digests):
@@ -906,19 +936,27 @@ def test_oracle_check_bytes_are_pinned(tmp_path, capsys, config, paths, seed,
             for p in out.iterdir()} == digests
 
 
-def test_oracle_check_too_few_paths_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("paths,start,end", [
     # too few paths in an evidence bin is a too-small --paths, not an
     # evaluator failure: it once exited 1 and advised a bin_width the CLI
     # does not take
+    ("20000", "error: --paths 20000 is too few: ", "; raise --paths\n"),
+    # below the bank's floor the message once named n_paths, not the flag
+    ("999", "error: --paths must be >= 1000, got 999", "got 999\n"),
+    ("0", "error: --paths must be >= 1000, got 0", "got 0\n"),
+    ("-5", "error: --paths must be >= 1000, got -5", "got -5\n"),
+], ids=["20000", "999", "0", "-5"])
+def test_oracle_check_too_few_paths_is_exit_2(tmp_path, capsys, paths, start,
+                                              end):
     out = tmp_path / "o"
     out.mkdir()
     (out / "keep.txt").write_text("kept")
-    code, stdout, err = run(capsys, "oracle-check", "--paths", "20000",
+    code, stdout, err = run(capsys, "oracle-check", "--paths", paths,
                             "--out", str(out))
     assert code == 2
     assert stdout == ""
-    assert err.startswith("error: --paths 20000 is too few: ")
-    assert err.endswith("; raise --paths\n")
-    assert "bin_width" not in err
+    assert err.startswith(start)
+    assert err.endswith(end)
+    assert "bin_width" not in err and "n_paths" not in err
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
     assert (out / "keep.txt").read_text() == "kept"

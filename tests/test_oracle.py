@@ -30,7 +30,7 @@ from lrsim.oracle import (
     path_oracle,
     stream_key,
 )
-from tests.conftest import make_world
+from tests.conftest import make_world, packaged_world
 
 FAST = 200_000  # paths
 
@@ -279,6 +279,49 @@ def test_empty_bootstrap_replicate_raises():
 def test_zero_spread_has_no_bandwidth():
     with pytest.raises(InsufficientPathsError):
         _silverman(np.zeros(100))
+
+
+def _estimate_bits(est):
+    return est.lr, est.se_log10, est.accepted_num, est.accepted_den
+
+
+@pytest.mark.parametrize("name", ["default_world.json", "abs_world.json"])
+def test_shared_bandwidths_give_the_fresh_bank_estimates(name):
+    # a bank keeps one kernel bandwidth per sample; a key that left out
+    # something the sample depends on would hand a point the bandwidth of
+    # another sample, and its estimate would differ from a fresh bank's
+    world = packaged_world(name)
+
+    def bank():
+        # few paths keep the fresh banks quick; the wide bin keeps
+        # abs_world's CSFLR denominator above MIN_ACCEPTED at that count
+        return PathBank(world, 0, 60_000, bin_width=0.3)
+
+    visits = []
+    for system in NONTRIVIAL:
+        grid = default_evidence_grid(system, world)
+        visits += [(system, v) for v in grid]
+        a = grid[4]  # off the grid: point 4's anchor with another score
+        visits.append((system, CaseView(a.x_mean, a.y_mean - 0.05, a.theta_r)
+                       if SYSTEMS[system].anchor is AnchorKind.X else
+                       CaseView(a.x_mean + 0.05, a.y_mean, a.theta_r)))
+        if SYSTEMS[system].specific_source:  # the same point at another theta_r
+            visits.append((system, CaseView(a.x_mean, a.y_mean,
+                                            a.theta_r + 0.1)))
+    fresh = [_estimate_bits(path_oracle(s, v, bank())) for s, v in visits]
+    for order in (1, -1):
+        shared_bank = bank()
+        shared = [_estimate_bits(path_oracle(s, v, shared_bank))
+                  for s, v in visits[::order]]
+        assert shared[::order] == fresh
+    # and term by term: a key without the term would hand a denominator its
+    # numerator's bandwidth on a fresh bank as well as on a shared one
+    reference = bank()
+    for s, v in visits:
+        for term in ("num", "den"):
+            reference._bandwidths.clear()
+            assert (_estimate_term(s, term, v, shared_bank).scale
+                    == _estimate_term(s, term, v, reference).scale)
 
 
 def test_points_on_one_bank_share_one_resample():
