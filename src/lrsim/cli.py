@@ -48,6 +48,7 @@ from .harness import (
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
     run_experiment,
+    system_posteriors,
 )
 from .lrsystems import NONTRIVIAL, SystemId
 from .oracle import (InsufficientPathsError, PathBank, compare_closed_vs_oracle,
@@ -257,8 +258,11 @@ def _calibration_table(report: EvalReport) -> dict:
 
 def _case_table(report: EvalReport) -> dict:
     """cases.csv: each shared case, and every system's own LR (its log10
-    clipped to +/-300) and stated posterior on it."""
+    clipped to +/-300) and stated posterior on it, rebuilt from the batch
+    under the world the run evaluated its LRs in."""
     batch = report.batch
+    own_log10, posteriors, _ = system_posteriors(
+        batch, report.config.systems, believed_world=report.believed_world)
     table = {
         "case_id": np.arange(len(batch), dtype=np.int64),
         "truth": np.where(batch.truth_h1, "H1", "H2"),
@@ -266,9 +270,9 @@ def _case_table(report: EvalReport) -> dict:
         "x": batch.x,
         "y": batch.y,
     }
-    for system, own in report.own_log10.items():
+    for system, own in own_log10.items():
         table[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
-        table[f"{system.value}_posterior"] = report.posteriors[system]
+        table[f"{system.value}_posterior"] = posteriors[system]
     return table
 
 

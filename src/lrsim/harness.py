@@ -157,8 +157,9 @@ class RankingVerdict:
 
 @dataclass
 class EvalReport:
-    """A ranking run's results, with the shared cases and each system's own
-    log10 LR and stated posterior on them, from which cases.csv is built."""
+    """A ranking run's results and the shared cases. Each system's own log10
+    LR and stated posterior are not kept: cases.csv rebuilds them from the
+    batch under believed_world (None for the generating world)."""
 
     config: ExperimentConfig
     per_system: dict[SystemId, MeanScore]
@@ -167,8 +168,7 @@ class EvalReport:
     ranking_verdicts: list[RankingVerdict]
     clamp_counts: dict[SystemId, int]
     batch: CaseBatch = field(repr=False)
-    own_log10: dict[SystemId, np.ndarray] = field(repr=False)
-    posteriors: dict[SystemId, np.ndarray] = field(repr=False)
+    believed_world: WorldConfig | None = None
 
     @property
     def n_violated(self) -> int:
@@ -212,6 +212,16 @@ def _posterior(log10_lr: np.ndarray, prior_h1: float) -> tuple[np.ndarray, int]:
     return posterior_from_log10_lr(clamped, prior_h1), n_clamped
 
 
+def _system_posterior(system: SystemId, batch: CaseBatch,
+                      believed_world: WorldConfig | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """One system's own log10 LR, stated posterior and clamp count."""
+    w = believed_world or batch.world
+    own = _own_log10(system, batch, w)
+    posterior, n_clamped = _posterior(_stated_log10(system, own, batch, w),
+                                      batch.world.prior_h1)
+    return own, posterior, n_clamped
+
+
 def system_posteriors(
     batch: CaseBatch,
     systems: tuple[SystemId, ...],
@@ -223,15 +233,10 @@ def system_posteriors(
     generating world (used for miscalibration demonstrations); by default
     both coincide.
     """
-    w = believed_world or batch.world
-    own_log10: dict[SystemId, np.ndarray] = {}
-    posteriors: dict[SystemId, np.ndarray] = {}
-    clamps: dict[SystemId, int] = {}
+    own_log10, posteriors, clamps = {}, {}, {}
     for system in systems:
-        own_log10[system] = _own_log10(system, batch, w)
-        posteriors[system], clamps[system] = _posterior(
-            _stated_log10(system, own_log10[system], batch, w),
-            batch.world.prior_h1)
+        own_log10[system], posteriors[system], clamps[system] = _system_posterior(
+            system, batch, believed_world)
     return own_log10, posteriors, clamps
 
 
@@ -264,17 +269,19 @@ def run_experiment(
     cfg: ExperimentConfig,
     believed_world: WorldConfig | None = None,
 ) -> EvalReport:
-    """Generate one shared case set, score every system, judge the claims."""
+    """Generate one shared case set, score every system, judge the claims.
+    Systems run one at a time, and only their scores, which the claims pair,
+    outlive them: each one's LR and posterior arrays are dropped."""
     batch = generate_cases(cfg.world, cfg.master_seed, cfg.n_cases)
-    own_log10, posteriors, clamps = system_posteriors(
-        batch, cfg.systems, believed_world=believed_world)
     is_h1 = batch.truth_h1.astype(bool)
 
     scores: dict[SystemId, np.ndarray] = {}
     per_system: dict[SystemId, MeanScore] = {}
     calibration: dict[SystemId, CalibrationReport] = {}
+    clamps: dict[SystemId, int] = {}
     for system in cfg.systems:
-        s = scores_batch(cfg.rule, posteriors[system], is_h1)
+        posterior, clamps[system] = _system_posterior(system, batch, believed_world)[1:]
+        s = scores_batch(cfg.rule, posterior, is_h1)
         if np.isneginf(s).any():
             raise RuntimeError(
                 f"{system.value} produced a -inf score; the log10 LR clamp "
@@ -282,7 +289,8 @@ def run_experiment(
                 f"configuration")
         scores[system] = s
         per_system[system] = mean_score(s)
-        calibration[system] = calibration_report(posteriors[system], is_h1)
+        calibration[system] = calibration_report(posterior, is_h1)
+        del posterior  # before the next system's arrays are built
 
     paired: dict[str, PairedDiff] = {}
     for claim, better, worse in RANKING_CLAIMS:
@@ -297,8 +305,7 @@ def run_experiment(
         ranking_verdicts=verify_ranking(paired),
         clamp_counts=clamps,
         batch=batch,
-        own_log10=own_log10,
-        posteriors=posteriors,
+        believed_world=believed_world,
     )
 
 

@@ -550,6 +550,44 @@ def test_rank_bytes_are_pinned(tmp_path, capsys, flags, digests):
             for p in out.iterdir()} == digests
 
 
+def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
+    # the world of perfbench's rank-1m-json workload: x and y are means of
+    # 4 trace and 16 reference measurements
+    config = write_config(tmp_path, dict(DEFAULT_WORLD_DOC, n_trace=4, n_ref=16))
+    out = tmp_path / "o"
+    assert run(capsys, "rank", "--cases", "10000", "--format", "both",
+               "--config", config, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == {
+        "calibration.csv":
+            "4e8959fdddefbd3e6e90ad0cc8bb26cc6dc4c5521ddd28181965c8b6f1310c9a",
+        "cases.csv":
+            "8587ab61f12baf0b3651af10a8be927be95854accc156cee84ed7046d9ea6618",
+        "report.json":
+            "ec582804c7aa677d423a6839ec7de6c144f1f3932da6a58fc29ce73813461470",
+        "scores.csv":
+            "60bc485b274b674703157b20e259a4cce2c2c8f5c8eb9faca002da837ae6328e"}
+
+
+@pytest.mark.parametrize("seed,digests", [
+    ("0", {"calibration.csv": _RANK_CALIBRATION_SEED0,
+           "report.json":
+               "5502af8dbafd3f6d9a95e98f4e6b561061b06439dc78d065962e5a8b7db42444"}),
+    ("7", {"calibration.csv":
+               "3f957431f54d0ab6075b9f30664fa58ead8b9f2070feb9db19aa3b52d71aab31",
+           "report.json":
+               "ace4cb95e4b30804f6c35f2c1926161f4607a1c3df0e71e6e301009eb25af0f6"}),
+])
+def test_calibrate_bytes_are_pinned(tmp_path, capsys, seed, digests):
+    # calibrate runs the ranking experiment: on the same cases its
+    # calibration.csv is rank's, byte for byte
+    out = tmp_path / "o"
+    assert run(capsys, "calibrate", "--cases", "10000", "--format", "both",
+               "--seed", seed, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
 ABS_WORLD_DOC = dict(DEFAULT_WORLD_DOC, popT={"mu": 2.0, "tau": 1.0},
                      score_kind="AbsoluteDifference")
 

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -118,18 +120,49 @@ def test_brier_rule_agrees_on_verdicts():
 
 
 def test_case_table_columns():
-    # the report keeps the shared cases and each system's own log10 LR and
-    # posterior; cases.csv is built from them only when CSV is written
-    systems = (SystemId.CSFLR, SystemId.PriorOnly)
-    rep = run_experiment(_small_cfg(make_world(), n=2_000, systems=systems))
+    # the report keeps no LR or posterior arrays: cases.csv rebuilds them
+    # from the shared cases under the world the run believed
+    systems = (SystemId.CSFLR, SystemId.SSSLR, SystemId.PriorOnly)
+    believed = make_world(pop_t=PopulationModel(2.0, 1.0))
+    rep = run_experiment(_small_cfg(make_world(), n=2_000, systems=systems),
+                         believed_world=believed)
     assert len(rep.batch) == 2_000
-    assert list(rep.own_log10) == list(rep.posteriors) == list(systems)
+    assert rep.believed_world is believed
     table = _case_table(rep)
     assert list(table) == ["case_id", "truth", "r_theta", "x", "y",
                            "CSFLR_lr", "CSFLR_posterior",
+                           "SSSLR_lr", "SSSLR_posterior",
                            "PriorOnly_lr", "PriorOnly_posterior"]
     assert set(table["truth"]) <= {"H1", "H2"}
     assert len(table["case_id"]) == 2_000
+    own, posteriors, _ = system_posteriors(rep.batch, systems,
+                                           believed_world=believed)
+    _, true_posteriors, _ = system_posteriors(rep.batch, systems)
+    for system in systems:
+        assert np.array_equal(table[f"{system.value}_lr"],
+                              10.0 ** np.clip(own[system], -300, 300))
+        assert np.array_equal(table[f"{system.value}_posterior"],
+                              posteriors[system])
+    assert not np.array_equal(table["CSFLR_posterior"],
+                              true_posteriors[SystemId.CSFLR])
+
+
+@pytest.mark.parametrize("n_trace,n_ref", [(1, 1), (64, 64)])
+def test_run_holds_one_system_in_flight(default_world, n_trace, n_ref):
+    # only the shared cases and the scores the paired claims read outlive a
+    # system; keeping every system's LR and posterior arrays to the end
+    # would peak at about 33 float64 case columns
+    n = 200_000
+    world = dataclasses.replace(default_world, n_trace=n_trace, n_ref=n_ref)
+    cfg = ExperimentConfig(world=world, n_cases=n)
+    assert cfg.systems == ALL_SYSTEMS
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * n, f"peak {peak / (8 * n):.1f} case columns"
 
 
 def test_verify_ranking_skips_claims_of_absent_systems():
