@@ -48,7 +48,7 @@ from .harness import (
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
     run_experiment,
-    system_posteriors,
+    system_posterior,
 )
 from .lrsystems import NONTRIVIAL, SystemId
 from .oracle import (InsufficientPathsError, PathBank, compare_closed_vs_oracle,
@@ -261,8 +261,6 @@ def _case_table(report: EvalReport) -> dict:
     clipped to +/-300) and stated posterior on it, rebuilt from the batch
     under the world the run evaluated its LRs in."""
     batch = report.batch
-    own_log10, posteriors, _ = system_posteriors(
-        batch, report.config.systems, believed_world=report.believed_world)
     table = {
         "case_id": np.arange(len(batch), dtype=np.int64),
         "truth": np.where(batch.truth_h1, "H1", "H2"),
@@ -270,9 +268,10 @@ def _case_table(report: EvalReport) -> dict:
         "x": batch.x,
         "y": batch.y,
     }
-    for system, own in own_log10.items():
+    for system in report.config.systems:
+        own, posterior, _ = system_posterior(system, batch, report.believed_world)
         table[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
-        table[f"{system.value}_posterior"] = posteriors[system]
+        table[f"{system.value}_posterior"] = posterior
     return table
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genmodel import ConfigError, Hypothesis, WorldConfig, generate_cases
-from .harness import _own_log10
+from .harness import own_log10
 from .lrsystems import NONTRIVIAL, SYSTEMS, SystemId
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "BACKGROUND_OBJECTS",
     "CSFLR_REPEATS",
     "DemandProfile",
+    "K_VALUES",
     "TailBoundRow",
     "TradeoffRow",
     "demand_table",
@@ -47,6 +48,8 @@ ANCHOR_CATEGORIES = 50    # resolution of conditioning on the anchor value
 CSFLR_REPEATS = 3         # repeated measurements per case for joint modeling
 SHORTCUT_OBJECTS = 20     # same-source objects in the cross-comparison trick
 SHORTCUT_BACKGROUND = 70  # background traces each is compared against
+
+K_VALUES = (3.0, 10.0, 30.0, 100.0)  # tail_bound_check's LR thresholds
 
 Count = int | str
 
@@ -207,11 +210,11 @@ def tail_bound_check(
     systems: tuple[SystemId, ...],
     world: WorldConfig,
     n_cases: int = 100_000,
-    k_values: tuple[float, ...] = (3.0, 10.0, 30.0, 100.0),
     seed: int = 0,
     believed_world: WorldConfig | None = None,
 ) -> list[TailBoundRow]:
-    """Check P(LR > k | H2) and P(LR < 1/k | H1) against 1/k plus noise.
+    """Check P(LR > k | H2) and P(LR < 1/k | H1) against 1/k plus noise, at
+    each k of K_VALUES.
 
     Draws one batch of n_cases per hypothesis, both from seed, and scores
     every system's own LR on it, holding one batch and one LR array at a
@@ -223,23 +226,20 @@ def tail_bound_check(
     if isinstance(systems, str) or not systems or len(set(systems)) < len(systems):
         raise ConfigError(  # a SystemId is a str, so it is refused too
             f"systems must be a non-empty tuple without repeats, got {systems!r}")
-    for k in k_values:
-        if k < 1.0:
-            raise ConfigError(f"k values must be >= 1, got {k}")
     w = believed_world or world
 
     def beyond(log10_lr: np.ndarray, side: Hypothesis) -> list[float]:
         return [float(np.mean(log10_lr > math.log10(k) if side is Hypothesis.H2
-                              else log10_lr < -math.log10(k))) for k in k_values]
+                              else log10_lr < -math.log10(k))) for k in K_VALUES]
 
     def exceedances(side: Hypothesis) -> list[list[float]]:
         batch = generate_cases(world, seed, n_cases, force_truth=side)
-        return [beyond(_own_log10(s, batch, w), side) for s in systems]
+        return [beyond(own_log10(s, batch, w), side) for s in systems]
 
     rows = []
     for system, h2, h1 in zip(systems, exceedances(Hypothesis.H2),
                               exceedances(Hypothesis.H1)):
-        for k, e2, e1 in zip(k_values, h2, h1):
+        for k, e2, e1 in zip(K_VALUES, h2, h1):
             p = 1.0 / k
             bound = p + 3.0 * math.sqrt(p * (1.0 - p) / n_cases)
             rows += [TailBoundRow(system, k, side, exc, bound, exc <= bound)

@@ -164,7 +164,7 @@ class CaseBatch:
     """
 
     world: WorldConfig
-    truth_h1: np.ndarray      # uint8, 1 where H1 holds
+    truth_h1: np.ndarray      # bool, True where H1 holds
     theta_r: np.ndarray       # suspect source mean
     theta_trace: np.ndarray   # actual trace source mean (== theta_r under H1)
     x: np.ndarray             # trace measurement mean, shape (n,)
@@ -210,19 +210,17 @@ def generate_cases(
         raise ConfigError(f"n_cases must be >= 1, got {n_cases}")
     n = int(n_cases)
     if force_truth is None:
-        truth_h1 = (_column(master_seed, _TRUTH, n, uniform=True)
-                    < world.prior_h1).astype(np.uint8)
+        truth_h1 = _column(master_seed, _TRUTH, n, uniform=True) < world.prior_h1
     elif isinstance(force_truth, Hypothesis):
-        truth_h1 = np.full(n, force_truth is Hypothesis.H1, dtype=np.uint8)
+        truth_h1 = np.full(n, force_truth is Hypothesis.H1)
     else:
         raise ConfigError(
             f"force_truth must be a Hypothesis or None, got {force_truth!r}")
-    is_h1 = truth_h1.astype(bool)
     pop_c, pop_d, pop_t = world.pop_c, world.pop_d, world.pop_t
     z = _column(master_seed, _SUSPECT, n)
-    theta_r = np.where(is_h1, pop_c.mu + pop_c.tau * z, pop_d.mu + pop_d.tau * z)
+    theta_r = np.where(truth_h1, pop_c.mu + pop_c.tau * z, pop_d.mu + pop_d.tau * z)
     theta_alt = pop_t.mu + pop_t.tau * _column(master_seed, _ALTERNATIVE, n)
-    theta_trace = np.where(is_h1, theta_r, theta_alt)
+    theta_trace = np.where(truth_h1, theta_r, theta_alt)
     sigma = world.noise.sigma
     x = theta_trace + sigma / math.sqrt(world.n_trace) * _column(
         master_seed, _TRACE_MEAN, n)

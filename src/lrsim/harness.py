@@ -67,8 +67,9 @@ __all__ = [
     "Verdict",
     "cs_update_ss_prior_experiment",
     "ill_conditioning_experiment",
+    "own_log10",
     "run_experiment",
-    "system_posteriors",
+    "system_posterior",
     "total_expectation_check",
     "verify_ranking",
 ]
@@ -191,53 +192,40 @@ def _own_ln(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarra
     return own
 
 
-def _own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
+def own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
+    """A system's own log10 LR on a batch, with densities from world."""
     return _own_ln(system, batch, world) * LOG10_E
 
 
-def _stated_log10(system: SystemId, own: np.ndarray, batch: CaseBatch,
-                  world: WorldConfig) -> np.ndarray:
-    """own plus the log10 LR the anchor observation carries, which only the
-    common-source anchored systems leave out of their own LR."""
-    row = SYSTEMS[system]
-    if row.specific_source or row.anchor is None:
-        return own
-    anchor = batch.x if row.anchor is AnchorKind.X else batch.y
-    return own + anchor_log_lr_batch(anchor, row.anchor, world) * LOG10_E
-
-
-def _posterior(log10_lr: np.ndarray, prior_h1: float) -> tuple[np.ndarray, int]:
-    """Stated posterior from a log10 LR clamped to +/-12, and the clamp count."""
-    clamped, n_clamped = clamp_log10_lr(log10_lr)
-    return posterior_from_log10_lr(clamped, prior_h1), n_clamped
-
-
-def _system_posterior(system: SystemId, batch: CaseBatch,
-                      believed_world: WorldConfig | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """One system's own log10 LR, stated posterior and clamp count."""
-    w = believed_world or batch.world
-    own = _own_log10(system, batch, w)
-    posterior, n_clamped = _posterior(_stated_log10(system, own, batch, w),
-                                      batch.world.prior_h1)
-    return own, posterior, n_clamped
-
-
-def system_posteriors(
+def system_posterior(
+    system: SystemId,
     batch: CaseBatch,
-    systems: tuple[SystemId, ...],
     believed_world: WorldConfig | None = None,
-) -> tuple[dict[SystemId, np.ndarray], dict[SystemId, np.ndarray], dict[SystemId, int]]:
-    """Own log10 LR, stated posterior and clamp count per system.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One system's own log10 LR, its stated posterior and the clamp count.
 
-    believed_world lets an evaluator hold densities that differ from the
-    generating world (used for miscalibration demonstrations); by default
-    both coincide.
+    The stated log10 LR is the own one plus, for the common-source anchored
+    systems, the log10 LR the anchor observation carries; it is clamped to
+    +/-12 and updates the generating world's prior odds. believed_world lets
+    the evaluator hold densities that differ from the generating world (a
+    miscalibrated evaluator); by default both coincide.
     """
-    own_log10, posteriors, clamps = {}, {}, {}
-    for system in systems:
-        own_log10[system], posteriors[system], clamps[system] = _system_posterior(
-            system, batch, believed_world)
-    return own_log10, posteriors, clamps
+    w = believed_world or batch.world
+    own = own_log10(system, batch, w)
+    stated = own
+    row = SYSTEMS[system]
+    if not row.specific_source and row.anchor is not None:
+        anchor = batch.x if row.anchor is AnchorKind.X else batch.y
+        stated = own + anchor_log_lr_batch(anchor, row.anchor, w) * LOG10_E
+    clamped, n_clamped = clamp_log10_lr(stated)
+    return own, posterior_from_log10_lr(clamped, batch.world.prior_h1), n_clamped
+
+
+def _scores(rule: ScoringRule, log10_lr: np.ndarray, prior_h1: float,
+            is_h1: np.ndarray) -> np.ndarray:
+    """Scores of the posterior stated from log10_lr, clamped to +/-12."""
+    clamped = clamp_log10_lr(log10_lr)[0]
+    return scores_batch(rule, posterior_from_log10_lr(clamped, prior_h1), is_h1)
 
 
 def _verdict(claim: str, better: SystemId, worse: SystemId,
@@ -273,23 +261,21 @@ def run_experiment(
     Systems run one at a time, and only their scores, which the claims pair,
     outlive them: each one's LR and posterior arrays are dropped."""
     batch = generate_cases(cfg.world, cfg.master_seed, cfg.n_cases)
-    is_h1 = batch.truth_h1.astype(bool)
 
     scores: dict[SystemId, np.ndarray] = {}
     per_system: dict[SystemId, MeanScore] = {}
     calibration: dict[SystemId, CalibrationReport] = {}
     clamps: dict[SystemId, int] = {}
     for system in cfg.systems:
-        posterior, clamps[system] = _system_posterior(system, batch, believed_world)[1:]
-        s = scores_batch(cfg.rule, posterior, is_h1)
+        posterior, clamps[system] = system_posterior(system, batch, believed_world)[1:]
+        s = scores_batch(cfg.rule, posterior, batch.truth_h1)
         if np.isneginf(s).any():
             raise RuntimeError(
-                f"{system.value} produced a -inf score; the log10 LR clamp "
-                f"(+/-12) should prevent this, check prior_h1 and the clamp "
-                f"configuration")
+                f"{system.value} produced a -inf score, which the +/-12 log10 "
+                f"LR clamp should prevent; check prior_h1")
         scores[system] = s
         per_system[system] = mean_score(s)
-        calibration[system] = calibration_report(posterior, is_h1)
+        calibration[system] = calibration_report(posterior, batch.truth_h1)
         del posterior  # before the next system's arrays are built
 
     paired: dict[str, PairedDiff] = {}
@@ -351,8 +337,6 @@ def ill_conditioning_experiment(
             "popC != popT (else the trace anchor carries no LR) and "
             "SignedDifference scores (else CSXASLR + anchor X is not CSFLR)")
     batch = generate_cases(world, master_seed, n_cases)
-    is_h1 = batch.truth_h1.astype(bool)
-
     naive_ln = _own_ln(SystemId.CSXASLR, batch, world)
     anchor_ln = anchor_log_lr_batch(batch.x, AnchorKind.X, world)
     joint_ln = _own_ln(SystemId.CSFLR, batch, world)
@@ -360,8 +344,8 @@ def ill_conditioning_experiment(
     naive = naive_ln * LOG10_E
     proper = naive + anchor_ln * LOG10_E
 
-    s_naive = scores_batch(rule, _posterior(naive, world.prior_h1)[0], is_h1)
-    s_proper = scores_batch(rule, _posterior(proper, world.prior_h1)[0], is_h1)
+    s_naive = _scores(rule, naive, world.prior_h1, batch.truth_h1)
+    s_proper = _scores(rule, proper, world.prior_h1, batch.truth_h1)
     diff = _paired_diff(s_proper, s_naive)
     return IllCondReport(
         n_cases=n_cases, rule=rule, identity_max_rel_err=max_rel_err,
@@ -409,20 +393,16 @@ def cs_update_ss_prior_experiment(
             "the descriptive variant needs tau > 0 in popC and popD to "
             "evaluate the source-conditioned prior")
     batch = generate_cases(world, master_seed, n_cases)
-    is_h1 = batch.truth_h1.astype(bool)
-
     if matched:
         r_term = np.zeros(n_cases)
     else:  # the density of the suspect source itself
         r_term = _log_ratio(batch.theta_r, (world.pop_c.mu, world.pop_c.tau**2),
                             (world.pop_d.mu, world.pop_d.tau**2)) * LOG10_E
 
-    def scored(total_log10: np.ndarray) -> np.ndarray:
-        return scores_batch(rule, _posterior(total_log10, world.prior_h1)[0], is_h1)
-
-    s_base = scored(r_term)
-    s_flr = scored(r_term + _own_log10(SystemId.CSFLR, batch, world))
-    s_slr = scored(r_term + _own_log10(SystemId.CSSLR, batch, world))
+    prior, truth = world.prior_h1, batch.truth_h1
+    s_base = _scores(rule, r_term, prior, truth)
+    s_flr = _scores(rule, r_term + own_log10(SystemId.CSFLR, batch, world), prior, truth)
+    s_slr = _scores(rule, r_term + own_log10(SystemId.CSSLR, batch, world), prior, truth)
     d_flr = _paired_diff(s_flr, s_base)
     d_slr = _paired_diff(s_slr, s_base)
     return CsPriorReport(
@@ -461,11 +441,10 @@ def total_expectation_check(
     is a standard-normal z value (reported as gap_in_se).
     """
     batch = generate_cases(world, master_seed, n_samples)
-    is_h1 = batch.truth_h1.astype(bool)
-    _, p, _ = system_posteriors(batch, (SystemId.CSFLR, SystemId.CSSLR))
-    p_joint, p_delta = p[SystemId.CSFLR], p[SystemId.CSSLR]
+    p_joint, p_delta = (system_posterior(s, batch)[1]
+                        for s in (SystemId.CSFLR, SystemId.CSSLR))
 
-    lhs = scores_batch(rule, p_delta, is_h1)
+    lhs = scores_batch(rule, p_delta, batch.truth_h1)
     all_h1 = np.ones(n_samples, dtype=bool)
     rhs = (p_joint * scores_batch(rule, p_delta, all_h1)
            + (1.0 - p_joint) * scores_batch(rule, p_delta, ~all_h1))

@@ -588,6 +588,64 @@ def test_calibrate_bytes_are_pinned(tmp_path, capsys, seed, digests):
             for p in out.iterdir()} == digests
 
 
+# csprior's descriptive variant: the suspect-side population differs from
+# the common-source one, so the baseline carries the suspect source's density
+DESCRIPTIVE_WORLD_DOC = dict(DEFAULT_WORLD_DOC, popD={"mu": 1.0, "tau": 1.5},
+                             popT={"mu": 0.0, "tau": 1.0},
+                             scenario="TraceCrimeRelevant")
+
+
+@pytest.mark.parametrize("command,world,seed,digests", [
+    ("illcond", "illcond_world.json", "0", {
+        "illcond.csv":
+            "7b8a7bf7e106054e1c2456e536d67731e9c2d7b723871d243adfe461fa48812e",
+        "report.json":
+            "c72aebf62936530b40de6b128fa0401d594ce9f6af86831e87c1b8752c12f03b"}),
+    ("illcond", "illcond_world.json", "7", {
+        "illcond.csv":
+            "3a82bc40a91cedb6c747fd1359cbfb322661c35130736bb5184e0aef8b43bcb8",
+        "report.json":
+            "67dfb52972a62b1e9cd7558319fd231c5b4a1b53d4d0ef6e06ddba43bc0adbd8"}),
+    ("csprior", None, "0", {
+        "csprior.csv":
+            "f7c1fc255f353dc6217b031146af0c92399ff5653b798ebb0cf72c227fa26b44",
+        "report.json":
+            "fa69930f14bb7942def90e1961efe15fa1d3545adc99b3c192a4d2a2b41659cb"}),
+    ("csprior", None, "7", {
+        "csprior.csv":
+            "634240f7df27bd11d93726c8f09b75226813248adcc031d3fccef25b88851b14",
+        "report.json":
+            "b8305d00933397f748fcf512996edea40bc1e9f3c3bcb7bd4bb555e33c671dc8"}),
+    ("csprior", DESCRIPTIVE_WORLD_DOC, "0", {
+        "csprior.csv":
+            "2108e1d4b725e120221bfb40c4d9f84b9bd621098f0a3afe3e72538be03905fb",
+        "report.json":
+            "5ace39c3e6b9df2c2d3bd56c1c74c65d307ee8b2df6539044352d2250f6ac221"}),
+    ("csprior", DESCRIPTIVE_WORLD_DOC, "7", {
+        "csprior.csv":
+            "a9495020069c5c59e2f63b89e8f7d1a90fbe000e1b571304ec48307c7a8ff01c",
+        "report.json":
+            "a6141db3921ede0efef114fe9d8004f384a0c8637ffe366eda7d4cb6178616ff"}),
+], ids=["illcond-0", "illcond-7", "csprior-0", "csprior-7",
+        "csprior-descriptive-0", "csprior-descriptive-7"])
+def test_focused_experiment_bytes_are_pinned(tmp_path, capsys, command, world,
+                                            seed, digests):
+    # illcond and csprior score their own posterior constructions on shared
+    # cases: the bytes move only when a stream, an LR, the clamp or a rule
+    # changes
+    if world is None:
+        config = ()
+    elif isinstance(world, str):  # a packaged world
+        config = ("--config", str(resources.files("lrsim.data") / world))
+    else:
+        config = ("--config", write_config(tmp_path, world))
+    out = tmp_path / "o"
+    assert run(capsys, command, "--cases", "10000", "--format", "both",
+               "--seed", seed, *config, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
 ABS_WORLD_DOC = dict(DEFAULT_WORLD_DOC, popT={"mu": 2.0, "tau": 1.0},
                      score_kind="AbsoluteDifference")
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -16,6 +17,27 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert len(set(module.__all__)) == len(module.__all__)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+# the only private names one module may take from a sibling: harness states
+# csprior's source-conditioned prior with the engines' normal log density
+# ratio, and the oracle places its evidence grid with the engines' law of a
+# source mean given one observed mean
+SIBLING_PRIVATE_IMPORTS = {("harness", "lrsystems", "_log_ratio"),
+                           ("oracle", "lrsystems", "_source_law")}
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    src = Path(__file__).resolve().parents[1] / "src" / "lrsim"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1 or (node.module or "").startswith("lrsim")):
+                module = (node.module or "").removeprefix("lrsim.")
+                found |= {(path.stem, module, alias.name)
+                          for alias in node.names if alias.name.startswith("_")}
+    assert found == SIBLING_PRIVATE_IMPORTS
 
 
 def test_benchmark_probe_runs():

@@ -216,8 +216,9 @@ def test_case_batch_forced_truth_rows_match_random_run():
     rand = case_columns(generate_cases(w, 0, 5_000))
     h1 = case_columns(generate_cases(w, 0, 5_000, force_truth=Hypothesis.H1))
     h2 = case_columns(generate_cases(w, 0, 5_000, force_truth=Hypothesis.H2))
+    assert rand[0].dtype == h1[0].dtype == h2[0].dtype == bool
     assert h1[0].all() and not h2[0].any()
-    mask1 = rand[0] == 1
+    mask1 = rand[0]
     for field in range(1, 5):
         np.testing.assert_array_equal(rand[field][mask1], h1[field][mask1])
         np.testing.assert_array_equal(rand[field][~mask1], h2[field][~mask1])
@@ -225,7 +226,8 @@ def test_case_batch_forced_truth_rows_match_random_run():
 
 def test_case_batch_h1_means():
     batch = generate_cases(make_world(n_trace=2, n_ref=3), 0, 200_000)
-    is_h1 = batch.truth_h1.astype(bool)
+    is_h1 = batch.truth_h1
+    assert is_h1.dtype == bool
     # under H1 the trace really comes from the suspect source
     np.testing.assert_array_equal(batch.theta_trace[is_h1], batch.theta_r[is_h1])
     assert abs(batch.x[is_h1].mean() - batch.theta_r[is_h1].mean()) < 0.01

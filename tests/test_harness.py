@@ -17,12 +17,12 @@ from lrsim.harness import (
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
     run_experiment,
-    system_posteriors,
+    system_posterior,
     total_expectation_check,
     verify_ranking,
 )
 from lrsim.lrsystems import SYSTEMS, SystemId
-from lrsim.scoring import ScoringRule
+from lrsim.scoring import ScoringRule, calibration_report, mean_score, scores_batch
 from tests.conftest import make_world
 
 
@@ -57,10 +57,8 @@ def test_duplicate_systems_rejected():
 def test_prior_only_and_unit_lr_systems_state_the_prior():
     world = make_world(prior_h1=0.3)
     batch = generate_cases(world, 0, 2_000)
-    _, posteriors, _ = system_posteriors(
-        batch, (SystemId.PriorOnly, SystemId.SSXASLR))
-    assert np.all(posteriors[SystemId.PriorOnly] == 0.3)
-    assert np.all(posteriors[SystemId.SSXASLR] == 0.3)
+    for system in (SystemId.PriorOnly, SystemId.SSXASLR):
+        assert np.all(system_posterior(system, batch)[1] == 0.3)
 
 
 def test_anchored_cs_posteriors_match_joint():
@@ -68,21 +66,19 @@ def test_anchored_cs_posteriors_match_joint():
     # states the same posterior as the joint feature system
     world = make_world()
     batch = generate_cases(world, 1, 2_000)
-    _, posteriors, _ = system_posteriors(
-        batch, (SystemId.CSFLR, SystemId.CSYASLR, SystemId.CSXASLR))
-    np.testing.assert_allclose(posteriors[SystemId.CSYASLR],
-                               posteriors[SystemId.CSFLR], rtol=1e-9)
-    np.testing.assert_allclose(posteriors[SystemId.CSXASLR],
-                               posteriors[SystemId.CSFLR], rtol=1e-9)
+    joint = system_posterior(SystemId.CSFLR, batch)[1]
+    for system in (SystemId.CSYASLR, SystemId.CSXASLR):
+        np.testing.assert_allclose(system_posterior(system, batch)[1], joint,
+                                   rtol=1e-9)
 
 
 def test_posteriors_are_probabilities():
     world = make_world()
     batch = generate_cases(world, 2, 1_000)
-    _, posteriors, clamps = system_posteriors(batch, ALL_SYSTEMS)
-    for system, p in posteriors.items():
+    for system in ALL_SYSTEMS:
+        _, p, n_clamped = system_posterior(system, batch)
         assert np.all((p > 0.0) & (p < 1.0)), system
-        assert clamps[system] >= 0
+        assert n_clamped >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +131,32 @@ def test_case_table_columns():
                            "PriorOnly_lr", "PriorOnly_posterior"]
     assert set(table["truth"]) <= {"H1", "H2"}
     assert len(table["case_id"]) == 2_000
-    own, posteriors, _ = system_posteriors(rep.batch, systems,
-                                           believed_world=believed)
-    _, true_posteriors, _ = system_posteriors(rep.batch, systems)
     for system in systems:
+        own, posterior, _ = system_posterior(system, rep.batch, believed)
         assert np.array_equal(table[f"{system.value}_lr"],
-                              10.0 ** np.clip(own[system], -300, 300))
-        assert np.array_equal(table[f"{system.value}_posterior"],
-                              posteriors[system])
+                              10.0 ** np.clip(own, -300, 300))
+        assert np.array_equal(table[f"{system.value}_posterior"], posterior)
     assert not np.array_equal(table["CSFLR_posterior"],
-                              true_posteriors[SystemId.CSFLR])
+                              system_posterior(SystemId.CSFLR, rep.batch)[1])
+
+
+@pytest.mark.parametrize("believed", [None, make_world(pop_t=PopulationModel(2.0, 1.0))],
+                         ids=["true-world", "believed-world"])
+def test_run_scores_what_system_posterior_states(believed):
+    # run_experiment reaches a system's stated posterior only through
+    # system_posterior: its means, clamp counts and calibration are those
+    # of the posteriors system_posterior gives on the shared cases
+    rep = run_experiment(_small_cfg(make_world(), n=2_000), believed_world=believed)
+    assert tuple(rep.per_system) == ALL_SYSTEMS
+    for system in ALL_SYSTEMS:
+        _, posterior, n_clamped = system_posterior(system, rep.batch, believed)
+        scores = scores_batch(rep.config.rule, posterior, rep.batch.truth_h1)
+        assert rep.per_system[system] == mean_score(scores), system
+        assert rep.clamp_counts[system] == n_clamped, system
+        cal = calibration_report(posterior, rep.batch.truth_h1)
+        for f in dataclasses.fields(cal):
+            assert np.array_equal(getattr(rep.calibration[system], f.name),
+                                  getattr(cal, f.name), equal_nan=True), system
 
 
 @pytest.mark.parametrize("n_trace,n_ref", [(1, 1), (64, 64)])
