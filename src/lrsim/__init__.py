@@ -18,6 +18,7 @@ from .genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
+    case_chunks,
     generate_cases,
     load_world,
     world_from_json_dict,
@@ -99,6 +100,7 @@ __all__ = [
     "Verdict",
     "WorldConfig",
     "calibration_report",
+    "case_chunks",
     "clamp_log10_lr",
     "compare_closed_vs_oracle",
     "cs_update_ss_prior_experiment",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import shutil
@@ -34,12 +35,13 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .costmodel import demand_table, feasibility_rank, tail_bound_check
-from .genmodel import ConfigError, WorldConfig, read_json, world_from_json_dict, world_to_json_dict
+from .genmodel import (ConfigError, WorldConfig, case_chunks, read_json, world_from_json_dict,
+                       world_to_json_dict)
 from .harness import (
     ALL_SYSTEMS,
     EvalReport,
@@ -130,18 +132,22 @@ def _cells(column) -> list:
     return [_cell(v) for v in column]
 
 
-def _write_csv(path: Path, table: dict) -> None:
-    """Write a table, a dict of equal-length columns (numpy arrays or lists),
-    under a header of its keys, one block of rows at a time. This is the
-    only code that decides the CSV cell format: booleans are true/false,
-    None is empty and a dict is JSON."""
-    names = list(table)
+def _write_csv(path: Path, table) -> None:
+    """Write a table under a header of its keys, one block of rows at a time.
+    A table is a dict of equal-length columns (numpy arrays or lists), or a
+    stream of such dicts with the same keys, whose rows follow one another.
+    This is the only code that decides the CSV cell format: booleans are
+    true/false, None is empty and a dict is JSON."""
+    blocks = iter((table,) if isinstance(table, dict) else table)
+    first = next(blocks)
+    names = list(first)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for lo in range(0, len(table[names[0]]), _CSV_BLOCK):
-            writer.writerows(zip(*(_cells(table[name][lo:lo + _CSV_BLOCK])
-                                   for name in names)))
+        for block in itertools.chain((first,), blocks):
+            for lo in range(0, len(block[names[0]]), _CSV_BLOCK):
+                writer.writerows(zip(*(_cells(block[name][lo:lo + _CSV_BLOCK])
+                                       for name in names)))
 
 
 def _columns(rows: list[dict]) -> dict:
@@ -256,23 +262,28 @@ def _calibration_table(report: EvalReport) -> dict:
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
-def _case_table(report: EvalReport) -> dict:
-    """cases.csv: each shared case, and every system's own LR (its log10
-    clipped to +/-300) and stated posterior on it, rebuilt from the batch
-    under the world the run evaluated its LRs in."""
-    batch = report.batch
-    table = {
-        "case_id": np.arange(len(batch), dtype=np.int64),
-        "truth": np.where(batch.truth_h1, "H1", "H2"),
-        "r_theta": batch.theta_r,
-        "x": batch.x,
-        "y": batch.y,
-    }
-    for system in report.config.systems:
-        own, posterior, _ = system_posterior(system, batch, report.believed_world)
-        table[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
-        table[f"{system.value}_posterior"] = posterior
-    return table
+def _case_table(report: EvalReport) -> Iterator[dict]:
+    """cases.csv as a stream of blocks, one per chunk of cases: each shared
+    case, drawn again from the run's config, and every system's own LR (its
+    log10 clipped to +/-300) and stated posterior on it, rebuilt under the
+    world the run evaluated its LRs in. Nothing is drawn until the stream
+    is read."""
+    cfg = report.config
+    start = 0
+    for batch in case_chunks(cfg.world, cfg.master_seed, cfg.n_cases):
+        block = {
+            "case_id": np.arange(start, start + len(batch), dtype=np.int64),
+            "truth": np.where(batch.truth_h1, "H1", "H2"),
+            "r_theta": batch.theta_r,
+            "x": batch.x,
+            "y": batch.y,
+        }
+        for system in cfg.systems:
+            own, posterior, _ = system_posterior(system, batch, report.believed_world)
+            block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
+            block[f"{system.value}_posterior"] = posterior
+        start += len(batch)
+        yield block
 
 
 def _rank(args, world, settings, n):
@@ -406,7 +417,8 @@ def _oracle_check(args, world, settings, n_paths):
 class _Spec:
     """One command. run(args, world, settings, size) returns the report body,
     the CSV tables by file name, the summary lines and the pass flag. A table
-    is a function from the finished report to its columns (see _write_csv),
+    is a function from the finished report to its columns, or to a stream of
+    column blocks that is read while the file is written (see _write_csv),
     called only when CSV is written. size is the report key of the run size
     and the dest of its flag (--cases or --paths); a command without one
     reads no world, so it takes no --config or --seed."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import ConfigError, Hypothesis, WorldConfig, generate_cases
+from .genmodel import ConfigError, Hypothesis, WorldConfig, case_chunks
 from .harness import own_log10
 from .lrsystems import NONTRIVIAL, SYSTEMS, SystemId
 
@@ -216,25 +216,30 @@ def tail_bound_check(
     """Check P(LR > k | H2) and P(LR < 1/k | H1) against 1/k plus noise, at
     each k of K_VALUES.
 
-    Draws one batch of n_cases per hypothesis, both from seed, and scores
-    every system's own LR on it, holding one batch and one LR array at a
-    time. An exceedance up to 1/k + 3 binomial standard errors passes.
-    Passing believed_world makes the evaluator use densities that differ
-    from the generating world; genuine LRs satisfy the bound, mis-believed
-    ones generally break it. Rows run by system, k, then side (H2 first).
+    Draws n_cases cases per hypothesis, both from seed, in chunks of 2**16
+    (see case_chunks). Each chunk is drawn once for every system and adds
+    to each system's exceedance counts, one LR array at a time, so memory
+    does not grow with n_cases. The counts over n_cases are the
+    exceedances. An exceedance up to 1/k + 3 binomial
+    standard errors passes. Passing believed_world makes the evaluator use
+    densities that differ from the generating world; genuine LRs satisfy
+    the bound, mis-believed ones generally break it. Rows run by system, k,
+    then side (H2 first).
     """
     if isinstance(systems, str) or not systems or len(set(systems)) < len(systems):
         raise ConfigError(  # a SystemId is a str, so it is refused too
             f"systems must be a non-empty tuple without repeats, got {systems!r}")
     w = believed_world or world
 
-    def beyond(log10_lr: np.ndarray, side: Hypothesis) -> list[float]:
-        return [float(np.mean(log10_lr > math.log10(k) if side is Hypothesis.H2
-                              else log10_lr < -math.log10(k))) for k in K_VALUES]
+    def beyond(log10_lr: np.ndarray, side: Hypothesis) -> list[int]:
+        return [np.count_nonzero(log10_lr > math.log10(k) if side is Hypothesis.H2
+                                 else log10_lr < -math.log10(k)) for k in K_VALUES]
 
     def exceedances(side: Hypothesis) -> list[list[float]]:
-        batch = generate_cases(world, seed, n_cases, force_truth=side)
-        return [beyond(own_log10(s, batch, w), side) for s in systems]
+        counts = np.zeros((len(systems), len(K_VALUES)), dtype=np.int64)
+        for batch in case_chunks(world, seed, n_cases, force_truth=side):
+            counts += [beyond(own_log10(s, batch, w), side) for s in systems]
+        return (counts / n_cases).tolist()
 
     rows = []
     for system, h2, h1 in zip(systems, exceedances(Hypothesis.H2),

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "ScenarioKind",
     "ScoreKind",
     "WorldConfig",
+    "case_chunks",
     "generate_cases",
     "load_world",
     "read_json",
@@ -181,10 +183,12 @@ _CHUNK = 1 << 16
 _TRUTH, _SUSPECT, _ALTERNATIVE, _TRACE_MEAN, _REF_MEAN = range(5)
 
 
-def _column(seed: int, column: int, n: int, uniform: bool = False) -> np.ndarray:
-    """Draws of one column for cases 0..n-1: [0, 1) uniforms or normals."""
+def _column(seed: int, column: int, first_chunk: int, n: int,
+            uniform: bool = False) -> np.ndarray:
+    """Draws of one column for the n cases from first_chunk * _CHUNK on:
+    [0, 1) uniforms or normals."""
     out = np.empty(n, dtype=np.float64)
-    for chunk, start in enumerate(range(0, n, _CHUNK)):
+    for chunk, start in enumerate(range(0, n, _CHUNK), start=first_chunk):
         gen = np.random.Generator(
             np.random.Philox(key=seed, counter=[0, column, chunk, 0]))
         part = out[start:start + _CHUNK]
@@ -193,6 +197,37 @@ def _column(seed: int, column: int, n: int, uniform: bool = False) -> np.ndarray
         else:
             gen.standard_normal(out=part)
     return out
+
+
+def _size(n_cases: int, force_truth: Hypothesis | None) -> int:
+    """n_cases as an int, once it and force_truth are checked."""
+    if n_cases < 1:
+        raise ConfigError(f"n_cases must be >= 1, got {n_cases}")
+    if force_truth is not None and not isinstance(force_truth, Hypothesis):
+        raise ConfigError(
+            f"force_truth must be a Hypothesis or None, got {force_truth!r}")
+    return int(n_cases)
+
+
+def _cases(world: WorldConfig, seed: int, first_chunk: int, n: int,
+           force_truth: Hypothesis | None) -> CaseBatch:
+    """The n cases from first_chunk * _CHUNK on: the one drawing body."""
+    if force_truth is None:
+        truth_h1 = _column(seed, _TRUTH, first_chunk, n, uniform=True) < world.prior_h1
+    else:
+        truth_h1 = np.full(n, force_truth is Hypothesis.H1)
+    pop_c, pop_d, pop_t = world.pop_c, world.pop_d, world.pop_t
+    z = _column(seed, _SUSPECT, first_chunk, n)
+    theta_r = np.where(truth_h1, pop_c.mu + pop_c.tau * z, pop_d.mu + pop_d.tau * z)
+    theta_alt = pop_t.mu + pop_t.tau * _column(seed, _ALTERNATIVE, first_chunk, n)
+    theta_trace = np.where(truth_h1, theta_r, theta_alt)
+    sigma = world.noise.sigma
+    x = theta_trace + sigma / math.sqrt(world.n_trace) * _column(
+        seed, _TRACE_MEAN, first_chunk, n)
+    y = theta_r + sigma / math.sqrt(world.n_ref) * _column(
+        seed, _REF_MEAN, first_chunk, n)
+    return CaseBatch(world=world, truth_h1=truth_h1, theta_r=theta_r,
+                     theta_trace=theta_trace, x=x, y=y)
 
 
 def generate_cases(
@@ -206,28 +241,25 @@ def generate_cases(
     force_truth pins every case to one hypothesis; every other value of a
     case is the one it has in a mixed run with the same truth.
     """
-    if n_cases < 1:
-        raise ConfigError(f"n_cases must be >= 1, got {n_cases}")
-    n = int(n_cases)
-    if force_truth is None:
-        truth_h1 = _column(master_seed, _TRUTH, n, uniform=True) < world.prior_h1
-    elif isinstance(force_truth, Hypothesis):
-        truth_h1 = np.full(n, force_truth is Hypothesis.H1)
-    else:
-        raise ConfigError(
-            f"force_truth must be a Hypothesis or None, got {force_truth!r}")
-    pop_c, pop_d, pop_t = world.pop_c, world.pop_d, world.pop_t
-    z = _column(master_seed, _SUSPECT, n)
-    theta_r = np.where(truth_h1, pop_c.mu + pop_c.tau * z, pop_d.mu + pop_d.tau * z)
-    theta_alt = pop_t.mu + pop_t.tau * _column(master_seed, _ALTERNATIVE, n)
-    theta_trace = np.where(truth_h1, theta_r, theta_alt)
-    sigma = world.noise.sigma
-    x = theta_trace + sigma / math.sqrt(world.n_trace) * _column(
-        master_seed, _TRACE_MEAN, n)
-    y = theta_r + sigma / math.sqrt(world.n_ref) * _column(
-        master_seed, _REF_MEAN, n)
-    return CaseBatch(world=world, truth_h1=truth_h1, theta_r=theta_r,
-                     theta_trace=theta_trace, x=x, y=y)
+    return _cases(world, master_seed, 0, _size(n_cases, force_truth), force_truth)
+
+
+def case_chunks(
+    world: WorldConfig,
+    master_seed: int,
+    n_cases: int,
+    force_truth: Hypothesis | None = None,
+) -> Iterator[CaseBatch]:
+    """The cases of generate_cases(world, master_seed, n_cases, force_truth),
+    in order, as consecutive batches of 2**16 cases (the last one shorter).
+
+    Each batch is drawn only when the iterator reaches it, so a pipeline
+    that keeps no batch past the next one holds at most two, whatever
+    n_cases is. The arguments are checked when this is called.
+    """
+    n = _size(n_cases, force_truth)
+    return (_cases(world, master_seed, chunk, min(_CHUNK, n - start), force_truth)
+            for chunk, start in enumerate(range(0, n, _CHUNK)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,6 +37,7 @@ from .genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
+    case_chunks,
     generate_cases,
     world_to_json_dict,
 )
@@ -51,7 +52,7 @@ from .lrsystems import (
     log_lr_batch,
     posterior_from_log10_lr,
 )
-from .scoring import CalibrationReport, MeanScore, ScoringRule, calibration_report, mean_score, scores_batch
+from .scoring import CalibrationReport, MeanScore, ScoringRule, calibration_report, scores_batch
 
 __all__ = [
     "ALL_SYSTEMS",
@@ -158,9 +159,11 @@ class RankingVerdict:
 
 @dataclass
 class EvalReport:
-    """A ranking run's results and the shared cases. Each system's own log10
-    LR and stated posterior are not kept: cases.csv rebuilds them from the
-    batch under believed_world (None for the generating world)."""
+    """A ranking run's results. It keeps no cases: every result is a sum
+    over the cases, accumulated one chunk at a time, and cases.csv draws
+    the cases again from the config and rebuilds each system's own log10 LR
+    and stated posterior under believed_world (None for the generating
+    world)."""
 
     config: ExperimentConfig
     per_system: dict[SystemId, MeanScore]
@@ -168,7 +171,6 @@ class EvalReport:
     calibration: dict[SystemId, CalibrationReport]
     ranking_verdicts: list[RankingVerdict]
     clamp_counts: dict[SystemId, int]
-    batch: CaseBatch = field(repr=False)
     believed_world: WorldConfig | None = None
 
     @property
@@ -243,54 +245,102 @@ def verify_ranking(paired_diffs: dict[str, PairedDiff]) -> list[RankingVerdict]:
             if claim in paired_diffs]
 
 
+@dataclass
+class _Moments:
+    """Count, mean and sum of squared deviations (m2) of a stream of arrays.
+
+    Each array's moments merge into the running ones by the pairwise update
+    of Chan, Golub & LeVeque, "Algorithms for computing the sample variance"
+    (Am. Stat. 1983). Over a single array, mean and se are those of
+    np.mean and np.std(ddof=1) bit for bit.
+    """
+
+    n: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+
+    def add(self, a: np.ndarray) -> None:
+        n_a, mean_a = int(a.shape[0]), float(a.mean())
+        m2_a = float(np.sum((a - mean_a) ** 2))
+        if not self.n:
+            self.n, self.mean, self.m2 = n_a, mean_a, m2_a
+            return
+        n = self.n + n_a
+        delta = mean_a - self.mean
+        self.mean += delta * n_a / n
+        self.m2 += m2_a + delta * delta * self.n * n_a / n
+        self.n = n
+
+    @property
+    def se(self) -> float:
+        return math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
+
+    def paired_diff(self) -> PairedDiff:
+        if self.n < 2:  # one case has no standard error
+            raise ConfigError(
+                f"a paired difference needs at least 2 cases, got {self.n}")
+        return PairedDiff(mean_diff=self.mean, se_diff=self.se, n=self.n)
+
+
 def _paired_diff(a: np.ndarray, b: np.ndarray) -> PairedDiff:
-    d = a - b
-    n = int(d.shape[0])
-    if n < 2:  # one case has no standard error
-        raise ConfigError(
-            f"a paired difference needs at least 2 cases, got {n}")
-    se = float(np.std(d, ddof=1) / math.sqrt(n))
-    return PairedDiff(mean_diff=float(d.mean()), se_diff=se, n=n)
+    d = _Moments()
+    d.add(a - b)
+    return d.paired_diff()
 
 
 def run_experiment(
     cfg: ExperimentConfig,
     believed_world: WorldConfig | None = None,
 ) -> EvalReport:
-    """Generate one shared case set, score every system, judge the claims.
-    Systems run one at a time, and only their scores, which the claims pair,
-    outlive them: each one's LR and posterior arrays are dropped."""
-    batch = generate_cases(cfg.world, cfg.master_seed, cfg.n_cases)
+    """Score every system on one shared case set and judge the claims.
 
-    scores: dict[SystemId, np.ndarray] = {}
-    per_system: dict[SystemId, MeanScore] = {}
+    The cases stream in chunks of 2**16 (see case_chunks), and the systems
+    run one at a time within a chunk: each one's LR and posterior arrays are
+    dropped before the next. A chunk adds to each system's score moments,
+    clamp count and calibration bins, and to each claim's moments of the
+    paired score difference; its cases and scores are dropped once the next
+    chunk is drawn. So memory does not grow with n_cases. A run of one chunk
+    gives exactly the whole-batch means and standard errors; over more
+    chunks they agree to rounding, and the counts exactly.
+    """
+    systems = cfg.systems
+    claims = [(claim, better, worse) for claim, better, worse in RANKING_CLAIMS
+              if better in systems and worse in systems]
+    moments = {s: _Moments() for s in systems}
+    diffs = {claim: _Moments() for claim, _, _ in claims}
     calibration: dict[SystemId, CalibrationReport] = {}
-    clamps: dict[SystemId, int] = {}
-    for system in cfg.systems:
-        posterior, clamps[system] = system_posterior(system, batch, believed_world)[1:]
-        s = scores_batch(cfg.rule, posterior, batch.truth_h1)
-        if np.isneginf(s).any():
-            raise RuntimeError(
-                f"{system.value} produced a -inf score, which the +/-12 log10 "
-                f"LR clamp should prevent; check prior_h1")
-        scores[system] = s
-        per_system[system] = mean_score(s)
-        calibration[system] = calibration_report(posterior, batch.truth_h1)
-        del posterior  # before the next system's arrays are built
+    clamps = dict.fromkeys(systems, 0)
+    # a chunk's cases and scores are released only once the next chunk is
+    # drawn: freed below live arrays, their memory serves the next chunk,
+    # where freed at the top of the heap it would go back to the system and
+    # be faulted in again (about 7k minor page faults per chunk with glibc)
+    for batch in case_chunks(cfg.world, cfg.master_seed, cfg.n_cases):
+        scores: dict[SystemId, np.ndarray] = {}
+        for system in systems:
+            posterior, n_clamped = system_posterior(system, batch, believed_world)[1:]
+            s = scores_batch(cfg.rule, posterior, batch.truth_h1)
+            if np.isneginf(s).any():
+                raise RuntimeError(
+                    f"{system.value} produced a -inf score, which the +/-12 log10 "
+                    f"LR clamp should prevent; check prior_h1")
+            scores[system] = s
+            moments[system].add(s)
+            clamps[system] += n_clamped
+            cal = calibration_report(posterior, batch.truth_h1)
+            calibration[system] = calibration[system] + cal if system in calibration else cal
+            del posterior  # before the next system's arrays are built
+        for claim, better, worse in claims:
+            diffs[claim].add(scores[better] - scores[worse])
 
-    paired: dict[str, PairedDiff] = {}
-    for claim, better, worse in RANKING_CLAIMS:
-        if better in scores and worse in scores:
-            paired[claim] = _paired_diff(scores[better], scores[worse])
-
+    paired = {claim: d.paired_diff() for claim, d in diffs.items()}
     return EvalReport(
         config=cfg,
-        per_system=per_system,
+        per_system={s: MeanScore(mean=m.mean, se=m.se, n=m.n, n_neg_inf=0)
+                    for s, m in moments.items()},
         paired_diffs=paired,
         calibration=calibration,
         ranking_verdicts=verify_ranking(paired),
         clamp_counts=clamps,
-        batch=batch,
         believed_world=believed_world,
     )
 

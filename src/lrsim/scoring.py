@@ -155,12 +155,36 @@ MIN_BIN_COUNT = 50
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Binned reliability summary of stated probabilities."""
+    """Binned reliability summary of stated probabilities.
+
+    It keeps per-bin sums, so the reports of disjoint sets of cases add up
+    (a + b) to the report of their union.
+    """
 
     bin_edges: np.ndarray
     bin_counts: np.ndarray
-    mean_stated_p: np.ndarray
-    empirical_freq: np.ndarray
+    sum_stated_p: np.ndarray
+    h1_counts: np.ndarray
+
+    def __add__(self, other: CalibrationReport) -> CalibrationReport:
+        return CalibrationReport(
+            bin_edges=self.bin_edges,
+            bin_counts=self.bin_counts + other.bin_counts,
+            sum_stated_p=self.sum_stated_p + other.sum_stated_p,
+            h1_counts=self.h1_counts + other.h1_counts,
+        )
+
+    def _per_case(self, total: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return np.where(self.bin_counts > 0, total / self.bin_counts, np.nan)
+
+    @property
+    def mean_stated_p(self) -> np.ndarray:
+        return self._per_case(self.sum_stated_p)
+
+    @property
+    def empirical_freq(self) -> np.ndarray:
+        return self._per_case(self.h1_counts)
 
     @property
     def gaps(self) -> np.ndarray:
@@ -198,15 +222,9 @@ def calibration_report(stated_p: np.ndarray, is_h1: np.ndarray) -> CalibrationRe
     if np.any((p < 0.0) | (p > 1.0)) or np.any(~np.isfinite(p)):
         raise ConfigError("stated probabilities must lie in [0, 1]")
     idx = np.minimum((p * N_BINS).astype(np.int64), N_BINS - 1)
-    counts = np.bincount(idx, minlength=N_BINS)
-    sum_p = np.bincount(idx, weights=p, minlength=N_BINS)
-    sum_h1 = np.bincount(idx, weights=h1.astype(np.float64), minlength=N_BINS)
-    with np.errstate(invalid="ignore"):
-        mean_p = np.where(counts > 0, sum_p / counts, np.nan)
-        freq = np.where(counts > 0, sum_h1 / counts, np.nan)
     return CalibrationReport(
         bin_edges=np.linspace(0.0, 1.0, N_BINS + 1),
-        bin_counts=counts,
-        mean_stated_p=mean_p,
-        empirical_freq=freq,
+        bin_counts=np.bincount(idx, minlength=N_BINS),
+        sum_stated_p=np.bincount(idx, weights=p, minlength=N_BINS),
+        h1_counts=np.bincount(idx[h1], minlength=N_BINS),
     )

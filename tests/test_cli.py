@@ -401,7 +401,8 @@ def test_cases_csv_round_trips_every_float_exactly(tmp_path, capsys):
     assert code == 0
     report = run_experiment(ExperimentConfig(
         world=world_from_json_dict(doc), n_cases=2000, master_seed=0))
-    table = cli._case_table(report)
+    blocks = list(cli._case_table(report))
+    table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     lr = np.concatenate([v for k, v in table.items() if k.endswith("_lr")])
     assert np.isin(lr, (1e-300, 1e300)).sum() > 0
     assert sum(report.clamp_counts.values()) > 0
@@ -570,6 +571,38 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed,digests", [
+    ("0", {
+        "calibration.csv":
+            "470d167cf4ca01f95b7b4e1f89f9c47a907f687df4b45da70074d42d4ddffe5f",
+        "cases.csv":
+            "f2fe2ed87440e3d6070d43ed52db76e21ddecf5b9c7460c16b061a8c81d644c2",
+        "report.json":
+            "cdbe75465eb16ae016c412a851a6c15ab1492dc2cb9b15ff14a0f8633325b669",
+        "scores.csv":
+            "fe1b810371aa88ae4ac874bb85486341545d0f45f9789cf9781fe2255619cdd0"}),
+    ("7", {
+        "calibration.csv":
+            "ef67aa08c1b50f268a65b28fbdde205bf8d7e15c5cf726f0c16f317fc7409523",
+        "cases.csv":
+            "1a481ed36fda97bd944046b45442415d5b6b16a71c1eb22fb89f5ef22334ce67",
+        "report.json":
+            "d7cd4bf8e0fdf459919e5663e51ac8217c285a2c00f46a25a1bdc3fa31f10bd5",
+        "scores.csv":
+            "df11ea1dd928869d490cbbbc49000bc0b626d9f6e35dd2d137777cc86714cdc1"}),
+])
+def test_rank_bytes_are_pinned_above_one_chunk(tmp_path, capsys, seed, digests):
+    # 131073 cases are two chunks of 2^16 and one case: the report sums
+    # merge across chunks, and cases.csv, whose values do not depend on
+    # how the cases are chunked, has the bytes of the whole-batch run
+    config = write_config(tmp_path, dict(DEFAULT_WORLD_DOC, n_trace=4, n_ref=16))
+    out = tmp_path / "o"
+    assert run(capsys, "rank", "--cases", "131073", "--format", "both",
+               "--seed", seed, "--config", config, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize("seed,digests", [
     ("0", {"calibration.csv": _RANK_CALIBRATION_SEED0,
            "report.json":
                "5502af8dbafd3f6d9a95e98f4e6b561061b06439dc78d065962e5a8b7db42444"}),
@@ -678,6 +711,31 @@ def test_tailbound_bytes_are_pinned(tmp_path, capsys, world, seed, digests):
     config = () if world is None else ("--config", write_config(tmp_path, world))
     out = tmp_path / "o"
     assert run(capsys, "tailbound", "--cases", "20000", "--format", "both",
+               "--seed", str(seed), *config, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize("world,seed,digests", [
+    (None, 0, {
+        "report.json":
+            "175a57fefb27d34f2a173139596f3074f37e8ac55e34cf168ba99533e38ea401",
+        "tailbound.csv":
+            "1a58cafe809fc21b9e85e19a16acab263eadb284aea663e820a24be58e1da3ab"}),
+    (ABS_WORLD_DOC, 7, {
+        "report.json":
+            "caa51ee6ee3ee2333d52decc7407266a058dd4f4cda9088fd54576d24d524517",
+        "tailbound.csv":
+            "686246a8fd89c71dd4940a8bf9bbd150a611bded78bf2de37d0f46ddc13ca788"}),
+], ids=["default-0", "abs-7"])
+def test_tailbound_bytes_are_pinned_above_one_chunk(tmp_path, capsys, world,
+                                                   seed, digests):
+    # 140000 cases are three chunks per hypothesis: an exceedance counted
+    # chunk by chunk is the whole-batch one, so the bytes are those of a
+    # run that held each hypothesis' cases at once
+    config = () if world is None else ("--config", write_config(tmp_path, world))
+    out = tmp_path / "o"
+    assert run(capsys, "tailbound", "--cases", "140000", "--format", "both",
                "--seed", str(seed), *config, "--out", str(out))[0] == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests

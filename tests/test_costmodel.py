@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import pytest
@@ -133,59 +134,80 @@ def test_wrong_beliefs_break_the_bound():
     assert any(not r.passed for r in h2_rows)
 
 
+def recording_chunks(monkeypatch, seen):
+    """Route costmodel's case_chunks through a recorder that appends
+    (seed, truth, chunk sizes) to seen for every stream it hands out."""
+    chunks = costmodel.case_chunks
+
+    def recording(world, master_seed, n_cases, force_truth=None):
+        sizes = []
+        seen.append((master_seed, force_truth.value, sizes))
+        for batch in chunks(world, master_seed, n_cases, force_truth=force_truth):
+            sizes.append(len(batch))
+            yield batch
+
+    monkeypatch.setattr(costmodel, "case_chunks", recording)
+
+
 @pytest.mark.parametrize("seed", [5, 2**64 - 1])
 def test_tail_bound_draws_both_hypotheses_from_its_seed(monkeypatch, seed):
     # drawing H1 from seed + 1 would reuse the H2 draws of the next seed
     seen = []
-    generate = costmodel.generate_cases
-
-    def recording(world, master_seed, n_cases, force_truth=None):
-        seen.append((master_seed, force_truth.value))
-        return generate(world, master_seed, n_cases, force_truth=force_truth)
-
-    monkeypatch.setattr(costmodel, "generate_cases", recording)
+    recording_chunks(monkeypatch, seen)
     tail_bound_check((SystemId.CSSLR,), make_world(), n_cases=2_000, seed=seed)
-    assert sorted(seen) == [(seed, "H1"), (seed, "H2")]
+    assert sorted(seen) == [(seed, "H1", [2_000]), (seed, "H2", [2_000])]
 
 
 INFORMATIVE = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
 
 
 def test_tail_bound_draws_each_hypothesis_once_for_every_system(monkeypatch):
+    # each side's chunks are drawn once, and every system is scored on each
     seen = []
-    generate = costmodel.generate_cases
-
-    def recording(world, master_seed, n_cases, force_truth=None):
-        seen.append((master_seed, force_truth.value))
-        return generate(world, master_seed, n_cases, force_truth=force_truth)
-
-    monkeypatch.setattr(costmodel, "generate_cases", recording)
-    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2_000, seed=5)
-    assert seen == [(5, "H2"), (5, "H1")]
+    recording_chunks(monkeypatch, seen)
+    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, seed=5)
+    assert seen == [(5, "H2", [2**16, 2**16, 9]), (5, "H1", [2**16, 2**16, 9])]
     assert len(rows) == len(INFORMATIVE) * 4 * 2
 
 
 def test_tail_bound_holds_one_batch_and_one_lr_array_at_a_time(monkeypatch):
-    # gc.collect is never called: an object still alive is still referenced
+    # gc.collect is never called: an object still alive is still referenced.
+    # A chunk is scored alone; it is released once the next one is drawn
     batches, arrays = [], []
-    generate, own_log10 = costmodel.generate_cases, costmodel.own_log10
+    chunks, own_log10 = costmodel.case_chunks, costmodel.own_log10
 
-    def recording_generate(*args, **kwargs):
-        assert all(b() is None for b in batches)
-        batch = generate(*args, **kwargs)
-        batches.append(weakref.ref(batch))
-        return batch
+    def tracking_chunks(*args, **kwargs):
+        for batch in chunks(*args, **kwargs):
+            assert all(b() is None for b in batches[:-1])
+            batches.append(weakref.ref(batch))
+            yield batch
 
-    def recording_own_log10(*args):
+    def tracking_own_log10(*args):
         assert all(a() is None for a in arrays)
         out = own_log10(*args)
         arrays.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(costmodel, "generate_cases", recording_generate)
-    monkeypatch.setattr(costmodel, "own_log10", recording_own_log10)
-    tail_bound_check(INFORMATIVE, make_world(), n_cases=2_000)
-    assert len(batches) == 2 and len(arrays) == 2 * len(INFORMATIVE)
+    monkeypatch.setattr(costmodel, "case_chunks", tracking_chunks)
+    monkeypatch.setattr(costmodel, "own_log10", tracking_own_log10)
+    tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9)
+    assert len(batches) == 2 * 3 and len(arrays) == 2 * 3 * len(INFORMATIVE)
+
+
+def test_tail_bound_memory_does_not_grow_with_n_cases():
+    # a chunk is scored one LR array at a time and released once the next
+    # one is drawn: the peak at ten chunks per hypothesis is the peak at two
+    world = make_world(n_trace=4, n_ref=16)
+    peaks = []
+    for n in (2 * 2**16, 10 * 2**16):
+        tracemalloc.start()
+        try:
+            tail_bound_check(INFORMATIVE, world, n_cases=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 14 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("believed", [None, make_world(pop_t=PopulationModel(4.0, 1.0))])

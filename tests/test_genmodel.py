@@ -12,6 +12,7 @@ from lrsim.genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
+    case_chunks,
     generate_cases,
     load_world,
     world_from_json_dict,
@@ -96,6 +97,31 @@ def test_case_independent_of_batch_size():
     for s, m, g in zip(small, mid, large):
         np.testing.assert_array_equal(s, g[:5])
         np.testing.assert_array_equal(m, g[:2**16 + 3])
+
+
+@pytest.mark.parametrize("force_truth", [None, Hypothesis.H1, Hypothesis.H2],
+                         ids=["mixed", "H1", "H2"])
+@pytest.mark.parametrize("n", [5, 2**16, 2**16 + 3, 3 * 2**16 + 17])
+def test_case_chunks_are_the_batch_in_pieces(n, force_truth):
+    # the chunks are 2^16 cases each, the last one shorter, and together
+    # they are generate_cases' batch bit for bit in every column
+    w = make_world(n_trace=4, n_ref=16)
+    chunks = list(case_chunks(w, 7, n, force_truth=force_truth))
+    assert [len(c) for c in chunks] == [min(2**16, n - lo)
+                                        for lo in range(0, n, 2**16)]
+    whole = case_columns(generate_cases(w, 7, n, force_truth=force_truth))
+    for column, parts in zip(whole, zip(*map(case_columns, chunks))):
+        joined = np.concatenate(parts)
+        assert joined.dtype == column.dtype
+        assert np.array_equal(joined.view(np.uint8), column.view(np.uint8))
+
+
+def test_case_chunks_check_their_arguments_when_called():
+    w = make_world()
+    with pytest.raises(ConfigError, match="n_cases"):
+        case_chunks(w, 0, 0)
+    with pytest.raises(ConfigError, match="force_truth"):
+        case_chunks(w, 0, 10, force_truth="H1")
 
 
 def test_truth_fraction_tracks_prior():

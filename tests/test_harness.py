@@ -116,65 +116,124 @@ def test_brier_rule_agrees_on_verdicts():
 
 
 def test_case_table_columns():
-    # the report keeps no LR or posterior arrays: cases.csv rebuilds them
-    # from the shared cases under the world the run believed
+    # the report keeps no cases: cases.csv draws them again, one chunk at a
+    # time, and rebuilds the LRs and posteriors under the world the run
+    # believed
     systems = (SystemId.CSFLR, SystemId.SSSLR, SystemId.PriorOnly)
+    world, n = make_world(), 2**16 + 5
     believed = make_world(pop_t=PopulationModel(2.0, 1.0))
-    rep = run_experiment(_small_cfg(make_world(), n=2_000, systems=systems),
+    rep = run_experiment(_small_cfg(world, n=n, seed=3, systems=systems),
                          believed_world=believed)
-    assert len(rep.batch) == 2_000
     assert rep.believed_world is believed
-    table = _case_table(rep)
+    blocks = list(_case_table(rep))
+    assert [len(b["case_id"]) for b in blocks] == [2**16, 5]
+    table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     assert list(table) == ["case_id", "truth", "r_theta", "x", "y",
                            "CSFLR_lr", "CSFLR_posterior",
                            "SSSLR_lr", "SSSLR_posterior",
                            "PriorOnly_lr", "PriorOnly_posterior"]
-    assert set(table["truth"]) <= {"H1", "H2"}
-    assert len(table["case_id"]) == 2_000
+    assert np.array_equal(table["case_id"], np.arange(n))
+    batch = generate_cases(world, 3, n)
+    assert np.array_equal(table["truth"], np.where(batch.truth_h1, "H1", "H2"))
+    for name, column in (("r_theta", batch.theta_r), ("x", batch.x), ("y", batch.y)):
+        assert np.array_equal(table[name], column), name
     for system in systems:
-        own, posterior, _ = system_posterior(system, rep.batch, believed)
+        own, posterior, _ = system_posterior(system, batch, believed)
         assert np.array_equal(table[f"{system.value}_lr"],
                               10.0 ** np.clip(own, -300, 300))
         assert np.array_equal(table[f"{system.value}_posterior"], posterior)
     assert not np.array_equal(table["CSFLR_posterior"],
-                              system_posterior(SystemId.CSFLR, rep.batch)[1])
+                              system_posterior(SystemId.CSFLR, batch)[1])
+
+
+def _whole_batch(cfg, believed):
+    """run_experiment's results computed on the whole batch at once: per
+    system the mean score, the clamp count and the calibration, and per
+    claim the paired score difference."""
+    batch = generate_cases(cfg.world, cfg.master_seed, cfg.n_cases)
+    scores, per_system, clamps, calibration = {}, {}, {}, {}
+    for system in cfg.systems:
+        _, posterior, clamps[system] = system_posterior(system, batch, believed)
+        scores[system] = scores_batch(cfg.rule, posterior, batch.truth_h1)
+        per_system[system] = mean_score(scores[system])
+        calibration[system] = calibration_report(posterior, batch.truth_h1)
+    paired = {}
+    for claim, better, worse in RANKING_CLAIMS:
+        d = scores[better] - scores[worse]
+        paired[claim] = PairedDiff(mean_diff=float(d.mean()),
+                                   se_diff=float(np.std(d, ddof=1) / np.sqrt(d.size)),
+                                   n=d.size)
+    return per_system, clamps, calibration, paired
 
 
 @pytest.mark.parametrize("believed", [None, make_world(pop_t=PopulationModel(2.0, 1.0))],
                          ids=["true-world", "believed-world"])
 def test_run_scores_what_system_posterior_states(believed):
     # run_experiment reaches a system's stated posterior only through
-    # system_posterior: its means, clamp counts and calibration are those
-    # of the posteriors system_posterior gives on the shared cases
-    rep = run_experiment(_small_cfg(make_world(), n=2_000), believed_world=believed)
+    # system_posterior: in one chunk its means, clamp counts, calibration
+    # and paired differences are those of the posteriors system_posterior
+    # gives on the whole batch, exactly
+    cfg = _small_cfg(make_world(), n=2_000)
+    rep = run_experiment(cfg, believed_world=believed)
     assert tuple(rep.per_system) == ALL_SYSTEMS
+    per_system, clamps, calibration, paired = _whole_batch(cfg, believed)
+    assert rep.per_system == per_system
+    assert rep.clamp_counts == clamps
+    assert rep.paired_diffs == paired
     for system in ALL_SYSTEMS:
-        _, posterior, n_clamped = system_posterior(system, rep.batch, believed)
-        scores = scores_batch(rep.config.rule, posterior, rep.batch.truth_h1)
-        assert rep.per_system[system] == mean_score(scores), system
-        assert rep.clamp_counts[system] == n_clamped, system
-        cal = calibration_report(posterior, rep.batch.truth_h1)
+        cal = calibration[system]
         for f in dataclasses.fields(cal):
             assert np.array_equal(getattr(rep.calibration[system], f.name),
                                   getattr(cal, f.name), equal_nan=True), system
 
 
+@pytest.mark.parametrize("rule,believed", [
+    (ScoringRule.Logarithmic, None),
+    (ScoringRule.Brier, None),
+    (ScoringRule.Logarithmic, make_world(pop_t=PopulationModel(2.0, 1.0))),
+], ids=["log", "brier", "log-believed"])
+def test_chunks_merge_to_the_whole_batch(rule, believed):
+    # three chunks of 2^16 and one of 17 cases: the pairwise update gives
+    # the whole batch's moments up to rounding, and the counts exactly
+    cfg = _small_cfg(make_world(), n=3 * 2**16 + 17, seed=4, rule=rule)
+    rep = run_experiment(cfg, believed_world=believed)
+    per_system, clamps, calibration, paired = _whole_batch(cfg, believed)
+    assert rep.clamp_counts == clamps
+    for system, want in per_system.items():
+        got = rep.per_system[system]
+        assert (got.n, got.n_neg_inf) == (want.n, want.n_neg_inf) == (cfg.n_cases, 0)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0), system
+        assert got.se == pytest.approx(want.se, rel=1e-12, abs=0), system
+        got_cal, want_cal = rep.calibration[system], calibration[system]
+        assert np.array_equal(got_cal.bin_counts, want_cal.bin_counts)
+        assert np.array_equal(got_cal.h1_counts, want_cal.h1_counts)
+        np.testing.assert_allclose(got_cal.sum_stated_p, want_cal.sum_stated_p,
+                                   rtol=1e-12, atol=0)
+    for claim, want in paired.items():
+        got = rep.paired_diffs[claim]
+        assert got.n == want.n == cfg.n_cases
+        assert got.mean_diff == pytest.approx(want.mean_diff, rel=1e-12, abs=0), claim
+        assert got.se_diff == pytest.approx(want.se_diff, rel=1e-12, abs=0), claim
+
+
 @pytest.mark.parametrize("n_trace,n_ref", [(1, 1), (64, 64)])
 def test_run_holds_one_system_in_flight(default_world, n_trace, n_ref):
-    # only the shared cases and the scores the paired claims read outlive a
-    # system; keeping every system's LR and posterior arrays to the end
-    # would peak at about 33 float64 case columns
-    n = 200_000
+    # only one chunk of cases and its scores, which the paired claims read,
+    # outlive a system, so the peak is a few float64 columns of one chunk
+    # and does not grow with the number of chunks
     world = dataclasses.replace(default_world, n_trace=n_trace, n_ref=n_ref)
-    cfg = ExperimentConfig(world=world, n_cases=n)
-    assert cfg.systems == ALL_SYSTEMS
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 8 * n, f"peak {peak / (8 * n):.1f} case columns"
+    peaks = []
+    for n in (2 * 2**16, 10 * 2**16):
+        cfg = ExperimentConfig(world=world, n_cases=n)
+        assert cfg.systems == ALL_SYSTEMS
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 24 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_verify_ranking_skips_claims_of_absent_systems():

@@ -182,3 +182,21 @@ def test_calibration_shapes():
     assert len(rep.bin_counts) == 10
     assert rep.bin_counts.sum() == 1000
     assert isinstance(rep, CalibrationReport)
+
+
+def test_calibration_reports_of_disjoint_cases_add_up():
+    # the bins keep sums, so reports of pieces add to the report of the whole
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.0, 1.0, size=3_001)
+    outcomes = _bernoulli_outcomes(p, 8)
+    whole = calibration_report(p, outcomes)
+    parts = [calibration_report(p[lo:lo + 1_000], outcomes[lo:lo + 1_000])
+             for lo in range(0, 3_001, 1_000)]
+    assert len(parts) == 4
+    added = parts[0] + parts[1] + parts[2] + parts[3]
+    assert np.array_equal(added.bin_edges, whole.bin_edges)
+    assert np.array_equal(added.bin_counts, whole.bin_counts)
+    assert np.array_equal(added.empirical_freq, whole.empirical_freq)
+    np.testing.assert_allclose(added.mean_stated_p, whole.mean_stated_p,
+                               rtol=1e-12, atol=0)
+    assert added.passes() == whole.passes()
