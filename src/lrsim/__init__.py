@@ -49,7 +49,6 @@ from .scoring import (
     ScoringRule,
     calibration_report,
     honesty_check,
-    mean_score,
     scores_batch,
 )
 from .harness import (
@@ -113,7 +112,6 @@ __all__ = [
     "ill_conditioning_experiment",
     "load_world",
     "log_lr_batch",
-    "mean_score",
     "path_oracle",
     "posterior_from_log10_lr",
     "run_experiment",

@@ -38,7 +38,6 @@ from .genmodel import (
     ScoreKind,
     WorldConfig,
     case_chunks,
-    generate_cases,
     world_to_json_dict,
 )
 from .lrsystems import (
@@ -219,15 +218,25 @@ def system_posterior(
     if not row.specific_source and row.anchor is not None:
         anchor = batch.x if row.anchor is AnchorKind.X else batch.y
         stated = own + anchor_log_lr_batch(anchor, row.anchor, w) * LOG10_E
-    clamped, n_clamped = clamp_log10_lr(stated)
-    return own, posterior_from_log10_lr(clamped, batch.world.prior_h1), n_clamped
+    return (own, *_stated(stated, batch.world.prior_h1))
 
 
-def _scores(rule: ScoringRule, log10_lr: np.ndarray, prior_h1: float,
+def _stated(log10_lr: np.ndarray, prior_h1: float) -> tuple[np.ndarray, int]:
+    """The posterior stated from log10_lr clamped to +/-12, and the clamp
+    count: every experiment's one step from a log10 LR to a posterior."""
+    clamped, n_clamped = clamp_log10_lr(log10_lr)
+    return posterior_from_log10_lr(clamped, prior_h1), n_clamped
+
+
+def _scores(label: str, rule: ScoringRule, posterior: np.ndarray,
             is_h1: np.ndarray) -> np.ndarray:
-    """Scores of the posterior stated from log10_lr, clamped to +/-12."""
-    clamped = clamp_log10_lr(log10_lr)[0]
-    return scores_batch(rule, posterior_from_log10_lr(clamped, prior_h1), is_h1)
+    """Every experiment's one scoring step: a -inf score is refused, never averaged."""
+    s = scores_batch(rule, posterior, is_h1)
+    if np.isneginf(s).any():
+        raise RuntimeError(
+            f"{label} produced a -inf score, which the +/-12 log10 "
+            f"LR clamp should prevent; check prior_h1")
+    return s
 
 
 def _verdict(claim: str, better: SystemId, worse: SystemId,
@@ -282,12 +291,6 @@ class _Moments:
         return PairedDiff(mean_diff=self.mean, se_diff=self.se, n=self.n)
 
 
-def _paired_diff(a: np.ndarray, b: np.ndarray) -> PairedDiff:
-    d = _Moments()
-    d.add(a - b)
-    return d.paired_diff()
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     believed_world: WorldConfig | None = None,
@@ -318,12 +321,8 @@ def run_experiment(
         scores: dict[SystemId, np.ndarray] = {}
         for system in systems:
             posterior, n_clamped = system_posterior(system, batch, believed_world)[1:]
-            s = scores_batch(cfg.rule, posterior, batch.truth_h1)
-            if np.isneginf(s).any():
-                raise RuntimeError(
-                    f"{system.value} produced a -inf score, which the +/-12 log10 "
-                    f"LR clamp should prevent; check prior_h1")
-            scores[system] = s
+            s = scores[system] = _scores(system.value, cfg.rule, posterior,
+                                         batch.truth_h1)
             moments[system].add(s)
             clamps[system] += n_clamped
             cal = calibration_report(posterior, batch.truth_h1)
@@ -346,7 +345,7 @@ def run_experiment(
 
 
 # ---------------------------------------------------------------------------
-# focused experiments
+# focused experiments, streamed and scored as run_experiment is
 
 @dataclass(frozen=True)
 class IllCondReport:
@@ -386,21 +385,28 @@ def ill_conditioning_experiment(
             "ill-conditioning experiment needs ReferenceCrimeRelevant with "
             "popC != popT (else the trace anchor carries no LR) and "
             "SignedDifference scores (else CSXASLR + anchor X is not CSFLR)")
-    batch = generate_cases(world, master_seed, n_cases)
-    naive_ln = _own_ln(SystemId.CSXASLR, batch, world)
-    anchor_ln = anchor_log_lr_batch(batch.x, AnchorKind.X, world)
-    joint_ln = _own_ln(SystemId.CSFLR, batch, world)
-    max_rel_err = float(np.abs(np.expm1(naive_ln + anchor_ln - joint_ln)).max())
-    naive = naive_ln * LOG10_E
-    proper = naive + anchor_ln * LOG10_E
-
-    s_naive = _scores(rule, naive, world.prior_h1, batch.truth_h1)
-    s_proper = _scores(rule, proper, world.prior_h1, batch.truth_h1)
-    diff = _paired_diff(s_proper, s_naive)
+    naive_m, proper_m, gap = _Moments(), _Moments(), _Moments()
+    max_rel_err = 0.0
+    for batch in case_chunks(world, master_seed, n_cases):
+        naive_ln = _own_ln(SystemId.CSXASLR, batch, world)
+        anchor_ln = anchor_log_lr_batch(batch.x, AnchorKind.X, world)
+        joint_ln = _own_ln(SystemId.CSFLR, batch, world)
+        max_rel_err = max(max_rel_err, float(
+            np.abs(np.expm1(naive_ln + anchor_ln - joint_ln)).max()))
+        naive = naive_ln * LOG10_E
+        proper = naive + anchor_ln * LOG10_E
+        s_naive = _scores("CSXASLR without its anchor term", rule,
+                          _stated(naive, world.prior_h1)[0], batch.truth_h1)
+        s_proper = _scores("CSXASLR with its anchor term", rule,
+                           _stated(proper, world.prior_h1)[0], batch.truth_h1)
+        naive_m.add(s_naive)
+        proper_m.add(s_proper)
+        gap.add(s_proper - s_naive)
+    diff = gap.paired_diff()
     return IllCondReport(
         n_cases=n_cases, rule=rule, identity_max_rel_err=max_rel_err,
         identity_ok=max_rel_err < 1e-9,
-        mean_naive=float(s_naive.mean()), mean_proper=float(s_proper.mean()),
+        mean_naive=naive_m.mean, mean_proper=proper_m.mean,
         gap=diff.mean_diff, gap_se=diff.se_diff, margin_in_se=diff.margin_in_se,
         proper_beats_naive=diff.sign > 0)
 
@@ -442,24 +448,30 @@ def cs_update_ss_prior_experiment(
         raise ConfigError(
             "the descriptive variant needs tau > 0 in popC and popD to "
             "evaluate the source-conditioned prior")
-    batch = generate_cases(world, master_seed, n_cases)
-    if matched:
-        r_term = np.zeros(n_cases)
-    else:  # the density of the suspect source itself
-        r_term = _log_ratio(batch.theta_r, (world.pop_c.mu, world.pop_c.tau**2),
-                            (world.pop_d.mu, world.pop_d.tau**2)) * LOG10_E
-
-    prior, truth = world.prior_h1, batch.truth_h1
-    s_base = _scores(rule, r_term, prior, truth)
-    s_flr = _scores(rule, r_term + own_log10(SystemId.CSFLR, batch, world), prior, truth)
-    s_slr = _scores(rule, r_term + own_log10(SystemId.CSSLR, batch, world), prior, truth)
-    d_flr = _paired_diff(s_flr, s_base)
-    d_slr = _paired_diff(s_slr, s_base)
+    base, flr, slr, gap_flr, gap_slr = (_Moments() for _ in range(5))
+    for batch in case_chunks(world, master_seed, n_cases):
+        if matched:
+            r_term = np.zeros(len(batch))
+        else:  # the density of the suspect source itself
+            r_term = _log_ratio(batch.theta_r, (world.pop_c.mu, world.pop_c.tau**2),
+                                (world.pop_d.mu, world.pop_d.tau**2)) * LOG10_E
+        prior, truth = world.prior_h1, batch.truth_h1
+        s_base = _scores("the source-conditioned prior", rule,
+                         _stated(r_term, prior)[0], truth)
+        s_flr, s_slr = (
+            _scores(f"the {s.value} update", rule,
+                    _stated(r_term + own_log10(s, batch, world), prior)[0], truth)
+            for s in (SystemId.CSFLR, SystemId.CSSLR))
+        base.add(s_base)
+        flr.add(s_flr)
+        slr.add(s_slr)
+        gap_flr.add(s_flr - s_base)
+        gap_slr.add(s_slr - s_base)
+    d_flr, d_slr = gap_flr.paired_diff(), gap_slr.paired_diff()
     return CsPriorReport(
         n_cases=n_cases, rule=rule, populations_match=matched,
-        mean_baseline=float(s_base.mean()),
-        mean_updated_csflr=float(s_flr.mean()),
-        mean_updated_csslr=float(s_slr.mean()),
+        mean_baseline=base.mean, mean_updated_csflr=flr.mean,
+        mean_updated_csslr=slr.mean,
         gap_csflr=d_flr.mean_diff, gap_csflr_se=d_flr.se_diff,
         margin_csflr_in_se=d_flr.margin_in_se,
         gap_csslr=d_slr.mean_diff, gap_csslr_se=d_slr.se_diff,
@@ -490,16 +502,19 @@ def total_expectation_check(
     the left side given that evidence. Their paired gap over shared samples
     is a standard-normal z value (reported as gap_in_se).
     """
-    batch = generate_cases(world, master_seed, n_samples)
-    p_joint, p_delta = (system_posterior(s, batch)[1]
-                        for s in (SystemId.CSFLR, SystemId.CSSLR))
-
-    lhs = scores_batch(rule, p_delta, batch.truth_h1)
-    all_h1 = np.ones(n_samples, dtype=bool)
-    rhs = (p_joint * scores_batch(rule, p_delta, all_h1)
-           + (1.0 - p_joint) * scores_batch(rule, p_delta, ~all_h1))
-    diff = _paired_diff(lhs, rhs)
+    lhs_m, rhs_m, gap = _Moments(), _Moments(), _Moments()
+    for batch in case_chunks(world, master_seed, n_samples):
+        p_joint, p_delta = (system_posterior(s, batch)[1]
+                            for s in (SystemId.CSFLR, SystemId.CSSLR))
+        lhs = _scores("CSSLR", rule, p_delta, batch.truth_h1)
+        all_h1 = np.ones(len(batch), dtype=bool)
+        rhs = (p_joint * _scores("CSSLR", rule, p_delta, all_h1)
+               + (1.0 - p_joint) * _scores("CSSLR", rule, p_delta, ~all_h1))
+        lhs_m.add(lhs)
+        rhs_m.add(rhs)
+        gap.add(lhs - rhs)
+    diff = gap.paired_diff()
     return TotalExpectationReport(
-        lhs_mean=float(lhs.mean()), rhs_mean=float(rhs.mean()),
+        lhs_mean=lhs_m.mean, rhs_mean=rhs_m.mean,
         gap=diff.mean_diff, gap_se=diff.se_diff, gap_in_se=diff.margin_in_se,
         n_samples=n_samples)

@@ -7,9 +7,9 @@ demonstrations; under it a forecaster who believes 0.1 earns more by
 stating 0.0.
 
 A logarithmic score of a categorical mistake (stated probability exactly
-zero on the realised hypothesis) is negative infinity. Such sentinels are
-never averaged silently: mean_score drops them from the mean and reports
-how many there were.
+zero on the realised hypothesis) is negative infinity. No mean is taken of
+one: every experiment in harness scores through one step that refuses a
+-inf score with a RuntimeError, so MeanScore.n_neg_inf is always 0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "calibration_report",
     "expected_score",
     "honesty_check",
-    "mean_score",
     "scores_batch",
 ]
 
@@ -130,20 +129,6 @@ class MeanScore:
     se: float
     n: int
     n_neg_inf: int
-
-
-def mean_score(scores: np.ndarray) -> MeanScore:
-    """Mean and standard error, excluding (but counting) -inf sentinels."""
-    arr = np.asarray(scores, dtype=np.float64)
-    neg_inf = np.isneginf(arr)
-    finite = arr[~neg_inf]
-    n_fin = int(finite.shape[0])
-    if n_fin == 0:
-        return MeanScore(mean=math.nan, se=math.nan, n=int(arr.shape[0]),
-                         n_neg_inf=int(neg_inf.sum()))
-    se = float(np.std(finite, ddof=1) / math.sqrt(n_fin)) if n_fin > 1 else math.nan
-    return MeanScore(mean=float(finite.mean()), se=se, n=int(arr.shape[0]),
-                     n_neg_inf=int(neg_inf.sum()))
 
 
 # Calibration uses N_BINS equal-width bins over [0, 1]. A bin with fewer than

@@ -679,6 +679,41 @@ def test_focused_experiment_bytes_are_pinned(tmp_path, capsys, command, world,
             for p in out.iterdir()} == digests
 
 
+@pytest.mark.parametrize("command,world,seed,digests", [
+    ("illcond", "illcond_world.json", "0", {
+        "illcond.csv":
+            "33905abfb2fc16be57adf54df9a775344b090121de9832dbaa1c8ccda2f125e5",
+        "report.json":
+            "476619ea0c14846014d2252e56e71af8d92d24c5714e8dabdfa98a3c71e6f64d"}),
+    ("illcond", "illcond_world.json", "7", {
+        "illcond.csv":
+            "232a2439f49e7880f0849d1b44766f0c5afbcae89a1604f8ef6b77e9cfe3ad76",
+        "report.json":
+            "4dadcce03601c10b1ef429b70e90674eaced51e0346fe876b291926dd95b24dc"}),
+    ("csprior", None, "0", {
+        "csprior.csv":
+            "bee1bf29820ef8e4942ba0f96d8c552d612053b138540a0404c4423e244eb15c",
+        "report.json":
+            "f27985dfe4e4e0ddad8f9e642f77783f4ebd86d34f91174179ff38c889eaa651"}),
+    ("csprior", None, "7", {
+        "csprior.csv":
+            "1ddf222b11d2bc5e009c1e213bc3ce329538b1a8aef51b0c4bceb06187263bbd",
+        "report.json":
+            "2e3648ec76b211f67e46af116270c265826aa25a449de6760606d1d4b6e8a63b"}),
+], ids=["illcond-0", "illcond-7", "csprior-0", "csprior-7"])
+def test_focused_experiment_bytes_are_pinned_above_one_chunk(
+        tmp_path, capsys, command, world, seed, digests):
+    # 131073 cases are two chunks of 2^16 and one case: illcond and csprior
+    # stream them as rank does, and their means merge across chunks
+    config = (() if world is None
+              else ("--config", str(resources.files("lrsim.data") / world)))
+    out = tmp_path / "o"
+    assert run(capsys, command, "--cases", "131073", "--format", "both",
+               "--seed", seed, *config, "--out", str(out))[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
+
+
 ABS_WORLD_DOC = dict(DEFAULT_WORLD_DOC, popT={"mu": 2.0, "tau": 1.0},
                      score_kind="AbsoluteDifference")
 

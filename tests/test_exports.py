@@ -40,6 +40,41 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == SIBLING_PRIVATE_IMPORTS
 
 
+def _calls(path: Path) -> set[tuple[str, str, str | None]]:
+    """(callee, module, enclosing top-level or nested def) of every call by
+    name or attribute in one module; None outside any def."""
+    found = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                found.add((name, path.stem, fn))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_every_experiment_takes_one_route_to_its_scores():
+    # cases come only from case_chunks, a log10 LR becomes a posterior only
+    # in harness._stated, and a posterior is scored only in harness._scores,
+    # which refuses a -inf score; scoring's own uses of its rule stay inside
+    src = Path(__file__).resolve().parents[1] / "src" / "lrsim"
+    calls = set().union(*map(_calls, sorted(src.glob("*.py"))))
+
+    def callers(callee):
+        return {(module, fn) for name, module, fn in calls if name == callee}
+
+    assert {c for c in callers("scores_batch") if c[0] != "scoring"} == {
+        ("harness", "_scores")}
+    assert callers("clamp_log10_lr") == {("harness", "_stated")}
+    assert callers("posterior_from_log10_lr") == {("harness", "_stated")}
+    assert callers("generate_cases") == set()
+
+
 def test_benchmark_probe_runs():
     # perfbench/probe.py imports lrsim.kernels for ACTIVE_BACKEND: the
     # module must stay until the probe stops reading it

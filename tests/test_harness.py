@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lrsim import harness
 from lrsim.cli import _case_table
 from lrsim.genmodel import ConfigError, NoiseModel, PopulationModel, ScenarioKind, generate_cases
 from lrsim.harness import (
@@ -22,8 +23,8 @@ from lrsim.harness import (
     verify_ranking,
 )
 from lrsim.lrsystems import SYSTEMS, SystemId
-from lrsim.scoring import ScoringRule, calibration_report, mean_score, scores_batch
-from tests.conftest import make_world
+from lrsim.scoring import MeanScore, ScoringRule, calibration_report, scores_batch
+from tests.conftest import make_world, packaged_world
 
 
 def _small_cfg(world, n=2_000, seed=0, **kw):
@@ -154,8 +155,10 @@ def _whole_batch(cfg, believed):
     scores, per_system, clamps, calibration = {}, {}, {}, {}
     for system in cfg.systems:
         _, posterior, clamps[system] = system_posterior(system, batch, believed)
-        scores[system] = scores_batch(cfg.rule, posterior, batch.truth_h1)
-        per_system[system] = mean_score(scores[system])
+        s = scores[system] = scores_batch(cfg.rule, posterior, batch.truth_h1)
+        per_system[system] = MeanScore(mean=float(s.mean()),
+                                       se=float(np.std(s, ddof=1) / np.sqrt(s.size)),
+                                       n=s.size, n_neg_inf=0)
         calibration[system] = calibration_report(posterior, batch.truth_h1)
     paired = {}
     for claim, better, worse in RANKING_CLAIMS:
@@ -233,6 +236,48 @@ def test_run_holds_one_system_in_flight(default_world, n_trace, n_ref):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 24 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+# every experiment that scores cases, each on a world it accepts
+EXPERIMENTS = {
+    "rank": lambda n: run_experiment(ExperimentConfig(world=make_world(), n_cases=n)),
+    "illcond": lambda n: ill_conditioning_experiment(
+        packaged_world("illcond_world.json"), n_cases=n),
+    "csprior": lambda n: cs_update_ss_prior_experiment(make_world(), n_cases=n),
+    "total-expectation": lambda n: total_expectation_check(make_world(), n_samples=n),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_every_experiment_refuses_a_neg_inf_score(monkeypatch, experiment):
+    # a -inf score cannot be averaged: each experiment scores through the
+    # one step that refuses it, where three of them once returned a -inf mean
+    def with_neg_inf(rule, posterior, is_h1):
+        s = scores_batch(rule, posterior, is_h1)
+        s[0] = -np.inf
+        return s
+
+    monkeypatch.setattr(harness, "scores_batch", with_neg_inf)
+    with pytest.raises(RuntimeError, match=r"^\S.* produced a -inf "
+                       r"score, which the \+/-12 log10 LR clamp should "
+                       r"prevent; check prior_h1$"):
+        EXPERIMENTS[experiment](2_000)
+
+
+@pytest.mark.parametrize("experiment", ["illcond", "csprior"])
+def test_focused_experiments_hold_one_chunk(experiment):
+    # illcond and csprior stream their cases as run_experiment does, so the
+    # peak does not grow with the number of chunks
+    peaks = []
+    for n in (2 * 2**16, 10 * 2**16):
+        tracemalloc.start()
+        try:
+            EXPERIMENTS[experiment](n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 

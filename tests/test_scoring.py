@@ -12,7 +12,6 @@ from lrsim.scoring import (
     calibration_report,
     expected_score,
     honesty_check,
-    mean_score,
     scores_batch,
 )
 
@@ -122,25 +121,6 @@ def test_expected_score_masks_impossible_branch():
     assert expected_score(ScoringRule.Logarithmic, 1.0, 1.0) == 0.0
     assert expected_score(
         ScoringRule.Logarithmic, 0.0, 0.5) == -math.inf
-
-
-# ---------------------------------------------------------------------------
-# aggregation
-
-def test_mean_score_excludes_sentinels():
-    arr = np.array([-1.0, -2.0, -math.inf, -3.0])
-    ms = mean_score(arr)
-    assert ms.mean == pytest.approx(-2.0)
-    assert ms.n == 4
-    assert ms.n_neg_inf == 1
-    manual_se = np.std([-1.0, -2.0, -3.0], ddof=1) / math.sqrt(3)
-    assert ms.se == pytest.approx(manual_se)
-
-
-def test_mean_score_all_sentinels():
-    ms = mean_score(np.array([-math.inf, -math.inf]))
-    assert math.isnan(ms.mean)
-    assert ms.n_neg_inf == 2
 
 
 # ---------------------------------------------------------------------------
