@@ -190,17 +190,20 @@ class _Outputs:
         self.planned: list[tuple[str, object]] = []
         self.written: list[str] = []
 
-    def add(self, name: str, payload) -> None:
-        self.planned.append((name, payload))
-
-    def flush(self) -> None:
+    def refuse_clashes(self, names) -> None:
+        """Refuse, unless forced, if any of names already exists in out_dir."""
         if not self.force:
-            clashes = [n for n, _ in self.planned
-                       if (self.out_dir / n).exists()]
+            clashes = [n for n in names if (self.out_dir / n).exists()]
             if clashes:
                 raise ConfigError(
                     f"refusing to overwrite {', '.join(sorted(clashes))} in "
                     f"{self.out_dir} (pass --force to allow)")
+
+    def add(self, name: str, payload) -> None:
+        self.planned.append((name, payload))
+
+    def flush(self) -> None:
+        self.refuse_clashes(n for n, _ in self.planned)
         created = next((d for d in reversed((self.out_dir, *self.out_dir.parents))
                         if not d.exists()), None)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -419,24 +422,33 @@ class _Spec:
     the CSV tables by file name, the summary lines and the pass flag. A table
     is a function from the finished report to its columns, or to a stream of
     column blocks that is read while the file is written (see _write_csv),
-    called only when CSV is written. size is the report key of the run size
-    and the dest of its flag (--cases or --paths); a command without one
-    reads no world, so it takes no --config or --seed."""
+    called only when CSV is written. tables names the CSV files, in the order
+    they are written, so that a clash with --out is refused before the run.
+    size is the report key of the run size and the dest of its flag (--cases
+    or --paths); a command without one reads no world, so it takes no
+    --config or --seed."""
 
     run: Callable
     flags: tuple[str, ...]  # the command's own flags; see _FLAGS
+    tables: tuple[str, ...]
     size: str | None = None
     cases: int = 0  # default case count, when the config gives none
 
 
 _COMMANDS = {
-    "rank": _Spec(_rank, ("--cases", "--rule"), "n_cases", 20_000),
-    "illcond": _Spec(_illcond, ("--cases", "--rule"), "n_cases", 20_000),
-    "csprior": _Spec(_csprior, ("--cases", "--rule"), "n_cases", 20_000),
-    "tailbound": _Spec(_tailbound, ("--cases",), "n_cases", 100_000),
-    "demand": _Spec(_demand, ("--lr-min", "--lr-max")),
-    "calibrate": _Spec(_calibrate, ("--cases",), "n_cases", 100_000),
-    "oracle-check": _Spec(_oracle_check, ("--paths",), "n_paths"),
+    "rank": _Spec(_rank, ("--cases", "--rule"),
+                  ("cases.csv", "calibration.csv", "scores.csv"), "n_cases", 20_000),
+    "illcond": _Spec(_illcond, ("--cases", "--rule"), ("illcond.csv",),
+                     "n_cases", 20_000),
+    "csprior": _Spec(_csprior, ("--cases", "--rule"), ("csprior.csv",),
+                     "n_cases", 20_000),
+    "tailbound": _Spec(_tailbound, ("--cases",), ("tailbound.csv",),
+                       "n_cases", 100_000),
+    "demand": _Spec(_demand, ("--lr-min", "--lr-max"),
+                    ("demand.csv", "tradeoff.csv")),
+    "calibrate": _Spec(_calibrate, ("--cases",), ("calibration.csv",),
+                       "n_cases", 100_000),
+    "oracle-check": _Spec(_oracle_check, ("--paths",), ("oracle.csv",), "n_paths"),
 }
 
 _FLAGS = {
@@ -460,9 +472,13 @@ def _run(args, out: _Outputs) -> int:
     """Run one command: header, compute, write the chosen formats, summarise.
 
     The header keys come first because the one-row CSVs take their column
-    order from the report's key order.
+    order from the report's key order. The files to be written are checked
+    against --out before any work, and again when they are written.
     """
     spec = _COMMANDS[args.command]
+    names = [*(("report.json",) if args.format in ("json", "both") else ()),
+             *(spec.tables if args.format in ("csv", "both") else ())]
+    out.refuse_clashes(names)
     doc = {"command": args.command}
     world, settings, size = None, {}, None
     if spec.size is not None:
@@ -474,11 +490,8 @@ def _run(args, out: _Outputs) -> int:
                     "seed": args.seed})
     body, tables, summary, ok = spec.run(args, world, settings, size)
     doc.update(body)
-    if args.format in ("json", "both"):
-        out.add("report.json", doc)
-    if args.format in ("csv", "both"):
-        for name, rows in tables.items():
-            out.add(name, rows(doc))
+    for name in names:
+        out.add(name, doc if name == "report.json" else tables[name](doc))
     out.flush()
     print("\n".join(summary))
     return 0 if ok else 1

@@ -226,11 +226,20 @@ def posterior_from_log10_lr(log10_lr: np.ndarray, prior_h1: float) -> np.ndarray
     """Vector posterior via log odds; stable for extreme LR magnitudes."""
     if not (0.0 < prior_h1 < 1.0):
         raise ConfigError(f"prior_h1 must be in (0, 1), got {prior_h1!r}")
-    log_odds = np.asarray(log10_lr, dtype=np.float64) / LOG10_E + math.log(
-        prior_h1 / (1.0 - prior_h1))
-    e = np.exp(-np.abs(log_odds))
-    d = 1.0 + e
-    return np.where(log_odds >= 0, 1.0 / d, e / d)
+    lo = np.asarray(log10_lr, dtype=np.float64)
+    lo = np.divide(lo, LOG10_E, out=np.empty_like(lo))  # never the caller's array
+    lo += math.log(prior_h1 / (1.0 - prior_h1))
+    d = np.abs(lo, out=np.empty_like(lo))
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    # the numerator exp(min(lo, 0)) is exactly 1 for lo >= 0 (-0.0 too) and
+    # exactly exp(-|lo|) for lo < 0, so p is 1/d or exp(-|lo|)/d, bit for
+    # bit, with no per-case branch and no overflow; NaN stays NaN
+    np.minimum(lo, 0.0, out=lo)
+    np.exp(lo, out=lo)
+    lo /= d
+    return lo
 
 
 def clamp_log10_lr(log10_lr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -238,7 +247,8 @@ def clamp_log10_lr(log10_lr: np.ndarray) -> tuple[np.ndarray, int]:
     values were actually clipped. Clamping happens before any posterior
     conversion so log scores stay finite."""
     arr = np.asarray(log10_lr, dtype=np.float64)
-    n_clamped = int(np.count_nonzero(np.abs(arr) > LR_CLAMP_LOG10))
+    n_clamped = int(np.count_nonzero(arr > LR_CLAMP_LOG10)
+                    + np.count_nonzero(arr < -LR_CLAMP_LOG10))
     return np.clip(arr, -LR_CLAMP_LOG10, LR_CLAMP_LOG10), n_clamped
 
 

@@ -54,18 +54,34 @@ IMPROPER_TABLE = {
 }
 
 
+def _probabilities(stated_p) -> np.ndarray:
+    """stated_p as float64, refused unless every value lies in [0, 1]. One
+    min and one max: NaN propagates through both, so it is refused too."""
+    p = np.asarray(stated_p, dtype=np.float64)
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
+        raise ConfigError("stated probabilities must lie in [0, 1]")
+    return p
+
+
 def scores_batch(rule: ScoringRule, stated_p: np.ndarray, is_h1: np.ndarray) -> np.ndarray:
     """Score arrays of stated P(H1) against realised hypotheses."""
-    p = np.asarray(stated_p, dtype=np.float64)
-    if np.any(~((p >= 0.0) & (p <= 1.0))):  # also catches NaN
-        raise ConfigError("stated probabilities must lie in [0, 1]")
+    p = _probabilities(stated_p)
     h1 = np.asarray(is_h1, dtype=bool)
-    q = np.where(h1, p, 1.0 - p)  # probability assigned to what happened
-    if rule is ScoringRule.Logarithmic:
-        with np.errstate(divide="ignore"):
-            return np.log2(q)
-    if rule is ScoringRule.Brier:
-        return -2.0 * (1.0 - q) ** 2
+    if rule in (ScoringRule.Logarithmic, ScoringRule.Brier):
+        # q, the probability stated for what happened, is where(h1, p, 1 - p)
+        # bit for bit but for the sign of a zero q, which neither rule sees:
+        # with p in [0, 1] both products are finite, so the unselected one
+        # adds an exact zero
+        q = np.subtract(1.0, p, out=np.empty_like(p))  # an array even for 0-d p
+        q *= ~h1
+        q += p * h1
+        if rule is ScoringRule.Logarithmic:
+            with np.errstate(divide="ignore"):
+                return np.log2(q, out=q)
+        np.subtract(1.0, q, out=q)
+        np.square(q, out=q)
+        q *= -2.0
+        return q
     if rule is ScoringRule.ImproperTable3:
         idx = np.clip(np.rint(p * 10).astype(np.int64), 0, 10)
         return np.where(h1, IMPROPER_TABLE["if_h1"][idx],
@@ -202,14 +218,16 @@ class CalibrationReport:
 
 def calibration_report(stated_p: np.ndarray, is_h1: np.ndarray) -> CalibrationReport:
     """N_BINS equal-width reliability bins over [0, 1]."""
-    p = np.asarray(stated_p, dtype=np.float64)
+    p = _probabilities(stated_p)
     h1 = np.asarray(is_h1, dtype=bool)
-    if np.any((p < 0.0) | (p > 1.0)) or np.any(~np.isfinite(p)):
-        raise ConfigError("stated probabilities must lie in [0, 1]")
-    idx = np.minimum((p * N_BINS).astype(np.int64), N_BINS - 1)
+    idx = (p * N_BINS).astype(np.int64)
+    np.minimum(idx, N_BINS - 1, out=idx)
+    sum_stated_p = np.bincount(idx, weights=p, minlength=N_BINS)
+    idx += N_BINS * h1  # H2 cases count in bins 0..N_BINS-1, H1 cases above
+    counts = np.bincount(idx, minlength=2 * N_BINS)
     return CalibrationReport(
         bin_edges=np.linspace(0.0, 1.0, N_BINS + 1),
-        bin_counts=np.bincount(idx, minlength=N_BINS),
-        sum_stated_p=np.bincount(idx, weights=p, minlength=N_BINS),
-        h1_counts=np.bincount(idx[h1], minlength=N_BINS),
+        bin_counts=counts[:N_BINS] + counts[N_BINS:],
+        sum_stated_p=sum_stated_p,
+        h1_counts=counts[N_BINS:],
     )

@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from lrsim.genmodel import (
@@ -27,6 +28,19 @@ def make_world(**overrides) -> WorldConfig:
     )
     base.update(overrides)
     return WorldConfig(**base)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and dtypes, NaN where the other is NaN and every other
+    value bit for bit, so that -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype.kind != "f":
+        return bool(np.array_equal(a, b))
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
 
 
 def case_columns(batch) -> tuple:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lrsim.cli as cli
+import lrsim.genmodel as genmodel
 import lrsim.oracle as oracle
 from lrsim.cli import main
 from lrsim.costmodel import DemandProfile, TailBoundRow, TradeoffRow
@@ -280,6 +281,54 @@ def test_out_under_a_file_is_refused_before_any_work(tmp_path, capsys,
     assert stdout == "" and "is not a directory" in err
     assert (tmp_path / "file").read_text() == "kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("fmt,existing", [("json", "report.json"),
+                                          ("csv", "scores.csv"),
+                                          ("both", "cases.csv")])
+def test_out_clash_is_refused_before_any_case_is_drawn(tmp_path, capsys,
+                                                       monkeypatch, fmt, existing):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / existing).write_text("kept\n")
+    drawn = []
+    monkeypatch.setattr(genmodel, "_cases", lambda *a: drawn.append(a))
+    code, stdout, err = run(capsys, "rank", "--cases", "1000000",
+                            "--format", fmt, "--out", str(out))
+    assert code == 2 and drawn == []
+    assert stdout == "" and f"refusing to overwrite {existing} in" in err
+    assert [p.name for p in out.iterdir()] == [existing]
+    assert (out / existing).read_text() == "kept\n"
+
+
+def test_out_clash_of_an_unchosen_format_is_no_clash(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "scores.csv").write_text("kept\n")
+    assert run(capsys, "rank", "--cases", "1000", "--format", "json",
+               "--out", str(out))[0] == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "scores.csv"]
+    assert (out / "scores.csv").read_text() == "kept\n"
+
+
+def test_out_clash_made_during_the_run_is_still_refused(tmp_path, capsys,
+                                                        monkeypatch):
+    # the check before the run does not replace the one at writing time: a
+    # file that appears while the command computes is not overwritten
+    out = tmp_path / "o"
+
+    def run_then_clash(*args, **kwargs):
+        report = run_experiment(*args, **kwargs)
+        out.mkdir()
+        (out / "scores.csv").write_text("kept\n")
+        return report
+
+    monkeypatch.setattr(cli, "run_experiment", run_then_clash)
+    code, stdout, err = run(capsys, "rank", "--cases", "1000", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "refusing to overwrite scores.csv in" in err
+    assert [p.name for p in out.iterdir()] == ["scores.csv"]
+    assert (out / "scores.csv").read_text() == "kept\n"
 
 
 def test_refuses_to_overwrite_then_force(tmp_path, capsys):
@@ -570,8 +619,8 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
             "60bc485b274b674703157b20e259a4cce2c2c8f5c8eb9faca002da837ae6328e"}
 
 
-@pytest.mark.parametrize("seed,digests", [
-    ("0", {
+@pytest.mark.parametrize("seed,rule,digests", [
+    pytest.param("0", "log", {
         "calibration.csv":
             "470d167cf4ca01f95b7b4e1f89f9c47a907f687df4b45da70074d42d4ddffe5f",
         "cases.csv":
@@ -579,8 +628,9 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
         "report.json":
             "cdbe75465eb16ae016c412a851a6c15ab1492dc2cb9b15ff14a0f8633325b669",
         "scores.csv":
-            "fe1b810371aa88ae4ac874bb85486341545d0f45f9789cf9781fe2255619cdd0"}),
-    ("7", {
+            "fe1b810371aa88ae4ac874bb85486341545d0f45f9789cf9781fe2255619cdd0"},
+        id="0-digests0"),
+    pytest.param("7", "log", {
         "calibration.csv":
             "ef67aa08c1b50f268a65b28fbdde205bf8d7e15c5cf726f0c16f317fc7409523",
         "cases.csv":
@@ -588,16 +638,31 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
         "report.json":
             "d7cd4bf8e0fdf459919e5663e51ac8217c285a2c00f46a25a1bdc3fa31f10bd5",
         "scores.csv":
-            "df11ea1dd928869d490cbbbc49000bc0b626d9f6e35dd2d137777cc86714cdc1"}),
+            "df11ea1dd928869d490cbbbc49000bc0b626d9f6e35dd2d137777cc86714cdc1"},
+        id="7-digests1"),
+    # the Brier rule scores the merged chunks too: only report.json and
+    # scores.csv differ from the log rule's run on the same cases
+    pytest.param("0", "brier", {
+        "calibration.csv":
+            "470d167cf4ca01f95b7b4e1f89f9c47a907f687df4b45da70074d42d4ddffe5f",
+        "cases.csv":
+            "f2fe2ed87440e3d6070d43ed52db76e21ddecf5b9c7460c16b061a8c81d644c2",
+        "report.json":
+            "9d150f986c56af68e2e99f20607fe61005a92c560fd6c35443161aca17a14592",
+        "scores.csv":
+            "9d163e89108c39ba7406e1626a677757857efd408c3ec56617d626cf73dbfe70"},
+        id="0-brier"),
 ])
-def test_rank_bytes_are_pinned_above_one_chunk(tmp_path, capsys, seed, digests):
+def test_rank_bytes_are_pinned_above_one_chunk(tmp_path, capsys, seed, rule,
+                                               digests):
     # 131073 cases are two chunks of 2^16 and one case: the report sums
     # merge across chunks, and cases.csv, whose values do not depend on
     # how the cases are chunked, has the bytes of the whole-batch run
     config = write_config(tmp_path, dict(DEFAULT_WORLD_DOC, n_trace=4, n_ref=16))
     out = tmp_path / "o"
     assert run(capsys, "rank", "--cases", "131073", "--format", "both",
-               "--seed", seed, "--config", config, "--out", str(out))[0] == 0
+               "--rule", rule, "--seed", seed, "--config", config,
+               "--out", str(out))[0] == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests
 

@@ -33,7 +33,7 @@ from lrsim.lrsystems import (
     log_lr_batch,
     posterior_from_log10_lr,
 )
-from tests.conftest import make_world
+from tests.conftest import make_world, same_bits
 
 
 def _views(world, n, seed=0):
@@ -352,6 +352,39 @@ def test_posterior_rejects_bad_inputs():
     for prior in (0.0, 1.0, -0.5):
         with pytest.raises(ConfigError):
             posterior_from_log10_lr(np.array([0.0]), prior)
+
+
+def _select_posterior(log10_lr, prior_h1):
+    """The posterior as it was computed before the branch-free form: both
+    quotients built, then one selected per case. Kept as its reference."""
+    log_odds = np.asarray(log10_lr, dtype=np.float64) / LOG10_E + math.log(
+        prior_h1 / (1.0 - prior_h1))
+    e = np.exp(-np.abs(log_odds))
+    d = 1.0 + e
+    return np.where(log_odds >= 0, 1.0 / d, e / d)
+
+
+_EDGE_LOG10_LRS = [0.0, -0.0, 12.0, -12.0, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log10_lr=st.lists(st.floats(-300.0, 300.0), max_size=40),
+       prior_h1=st.floats(1e-12, 1.0 - 1e-12))
+def test_posterior_matches_the_select_form_bit_for_bit(log10_lr, prior_h1):
+    arr = np.array(log10_lr + _EDGE_LOG10_LRS)
+    before = arr.copy()
+    got = posterior_from_log10_lr(arr, prior_h1)
+    assert same_bits(got, _select_posterior(arr, prior_h1))
+    assert same_bits(arr, before)  # the caller's array is not written
+    assert same_bits(posterior_from_log10_lr(arr[1], prior_h1),
+                     _select_posterior(arr[1], prior_h1))  # 0-d input
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(log10_lr=st.lists(st.floats(-30.0, 30.0), max_size=40))
+def test_clamp_count_is_the_count_outside_twelve(log10_lr):
+    arr = np.array(log10_lr + _EDGE_LOG10_LRS + [12.5, -12.5])
+    assert clamp_log10_lr(arr)[1] == np.count_nonzero(np.abs(arr) > LR_CLAMP_LOG10)
 
 
 def test_clamp_counts_and_bounds():

@@ -3,10 +3,13 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrsim.genmodel import ConfigError
 from lrsim.scoring import (
     IMPROPER_TABLE,
+    N_BINS,
     CalibrationReport,
     ScoringRule,
     calibration_report,
@@ -14,6 +17,7 @@ from lrsim.scoring import (
     honesty_check,
     scores_batch,
 )
+from tests.conftest import same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,37 @@ def test_scores_batch_rejects_out_of_range():
 def test_scores_batch_rejects_nan(rule):
     with pytest.raises(ConfigError):
         scores_batch(rule, np.array([0.5, np.nan]), np.array([True, False]))
+
+
+def test_scores_batch_takes_no_cases():
+    for rule in ScoringRule:
+        assert scores_batch(rule, np.array([]), np.array([], dtype=bool)).shape == (0,)
+
+
+def _select_scores(rule, p, h1):
+    """The scores as they were computed before the branch-free form, with the
+    probability of what happened selected per case. Kept as its reference."""
+    q = np.where(h1, p, 1.0 - p)
+    if rule is ScoringRule.Logarithmic:
+        with np.errstate(divide="ignore"):
+            return np.log2(q)
+    return -2.0 * (1.0 - q) ** 2
+
+
+# the edges of [0, 1], each under both hypotheses
+_EDGE_CASES = [(p, h) for p in (0.0, -0.0, 1.0) for h in (True, False)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cases=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=40),
+       rule=st.sampled_from([ScoringRule.Logarithmic, ScoringRule.Brier]))
+def test_scores_batch_matches_the_select_form_bit_for_bit(cases, rule):
+    p, h1 = (np.array(c) for c in zip(*(cases + _EDGE_CASES)))
+    before = p.copy()
+    assert same_bits(scores_batch(rule, p, h1), _select_scores(rule, p, h1))
+    assert same_bits(p, before)  # the caller's array is not written
+    assert same_bits(scores_batch(rule, p[0], h1[0]),
+                     _select_scores(rule, p[0], h1[0]))  # 0-d input
 
 
 # ---------------------------------------------------------------------------
@@ -180,3 +215,39 @@ def test_calibration_reports_of_disjoint_cases_add_up():
     np.testing.assert_allclose(added.mean_stated_p, whole.mean_stated_p,
                                rtol=1e-12, atol=0)
     assert added.passes() == whole.passes()
+
+
+def _indexed_calibration(p, h1):
+    """bin_counts, sum_stated_p and h1_counts as they were computed before
+    one bincount gave both counts: the H1 counts from the indices selected
+    by h1. Kept as the reference."""
+    idx = np.minimum((p * N_BINS).astype(np.int64), N_BINS - 1)
+    return (np.bincount(idx, minlength=N_BINS),
+            np.bincount(idx, weights=p, minlength=N_BINS),
+            np.bincount(idx[h1], minlength=N_BINS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cases=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=200))
+def test_calibration_report_matches_the_indexed_form_bit_for_bit(cases):
+    p, h1 = (np.array(c) for c in zip(*(cases + _EDGE_CASES)))
+    rep = calibration_report(p, h1)
+    want = _indexed_calibration(p, h1)
+    assert same_bits(rep.bin_counts, want[0])
+    assert same_bits(rep.sum_stated_p, want[1])
+    assert same_bits(rep.h1_counts, want[2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1, math.inf, -math.inf])
+def test_calibration_report_refuses_probabilities_outside_0_1(bad):
+    with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+        calibration_report(np.array([0.5, bad, 0.25]), np.array([True, False, True]))
+
+
+def test_calibration_report_takes_no_cases():
+    p, h1 = np.array([]), np.array([], dtype=bool)
+    rep = calibration_report(p, h1)
+    got = (rep.bin_counts, rep.sum_stated_p, rep.h1_counts)
+    assert all(same_bits(a, b) for a, b in zip(got, _indexed_calibration(p, h1)))
+    assert rep.bin_counts.sum() == 0
+    assert rep.passes() and math.isnan(rep.max_abs_gap)
