@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import os
@@ -115,7 +116,10 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-_CSV_BLOCK = 2**14  # rows formatted at a time, so a long table streams
+_CSV_BLOCK = 2**12  # rows formatted at a time, so a long table streams
+# At most this many processes format one table. Each one draws the table's
+# stream again and holds a chunk of it, so CPU and memory grow with the count.
+_CSV_FORMATTERS = 8
 
 
 def _cell(value):
@@ -132,22 +136,124 @@ def _cells(column) -> list:
     return [_cell(v) for v in column]
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _piece_text(columns: list) -> str:
+    return _csv_text(zip(*map(_cells, columns)))
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _write_csv(path: Path, table) -> None:
-    """Write a table under a header of its keys, one block of rows at a time.
-    A table is a dict of equal-length columns (numpy arrays or lists), or a
-    stream of such dicts with the same keys, whose rows follow one another.
-    This is the only code that decides the CSV cell format: booleans are
-    true/false, None is empty and a dict is JSON."""
+    """Write a table under a header of its keys, one piece of _CSV_BLOCK rows
+    at a time. A table is a dict of equal-length columns (numpy arrays or
+    lists), or a stream of such dicts with the same keys, whose rows follow
+    one another. This is the only code that decides the CSV cell format:
+    booleans are true/false, None is empty and a dict is JSON.
+
+    A table of more than one piece is formatted on up to _CSV_FORMATTERS of
+    the CPUs this process may run on (see _write_forked). Every forked
+    formatter walks the whole table stream, so a stream must yield the same
+    blocks each time it is walked from the same state. The bytes depend on
+    neither the number of formatters nor the piece size."""
     blocks = iter((table,) if isinstance(table, dict) else table)
     first = next(blocks)
     names = list(first)
+    pieces = ([block[name][lo:lo + _CSV_BLOCK] for name in names]
+              for block in itertools.chain((first,), blocks)
+              for lo in range(0, len(block[names[0]]), _CSV_BLOCK))
+    k = min(_cpus(), _CSV_FORMATTERS) if hasattr(os, "fork") else 1
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for block in itertools.chain((first,), blocks):
-            for lo in range(0, len(block[names[0]]), _CSV_BLOCK):
-                writer.writerows(zip(*(_cells(block[name][lo:lo + _CSV_BLOCK])
-                                       for name in names)))
+        fh.write(_csv_text([names]))
+        for i, piece in enumerate(pieces):
+            if i == 1 and k > 1:
+                _write_forked(fh, itertools.chain((piece,), pieces), k)
+                break
+            fh.write(_piece_text(piece))
+
+
+def _write_forked(fh, pieces, k: int) -> None:
+    """Write pieces 1, 2, ... of a table to fh, piece i formatted by process
+    i mod k: this one for 0, and k - 1 forked formatters for the rest. Each
+    formatter walks its own copy of the pieces stream and sends its pieces
+    down a pipe as length-framed bytes; this process writes them all in
+    order. Every formatter is reaped before this returns or raises, and one
+    that fails raises here."""
+    fh.flush()  # a formatter inherits fh; it must hold nothing to flush
+    pids, readers = [], []
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            reads = [reader.fileno() for reader in readers]
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns when a process with threads forks.
+                    # The only threads here are numpy's idle BLAS pool, and
+                    # a formatter never calls BLAS.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _formatter(pieces, j, k, w, reads, fh.encoding)
+            finally:  # reached only here: a formatter leaves by os._exit
+                os.close(w)
+            pids.append(pid)
+        for i, piece in enumerate(pieces, start=1):
+            if i % k == 0:
+                fh.write(_piece_text(piece))
+                continue
+            reader = readers[i % k - 1]
+            head = reader.read(8)
+            left = int.from_bytes(head, "little")
+            fh.flush()  # the text layer's bytes go first
+            # copied in slices, so that no frame is held whole
+            while left and (data := reader.read(min(left, 1 << 16))):
+                fh.buffer.write(data)
+                left -= len(data)
+            if len(head) < 8 or left:
+                raise RuntimeError(
+                    f"CSV formatter {i % k} of {k} ended before piece {i}")
+    finally:
+        # a formatter blocked on a full pipe leaves on EPIPE once its read
+        # end is closed, so closing comes before reaping
+        for reader in readers:
+            reader.close()
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
+    if failed:
+        raise RuntimeError(f"{len(failed)} of {k - 1} CSV formatters failed")
+
+
+def _formatter(pieces, j: int, k: int, w: int, reads: list[int],
+               encoding: str):
+    """The body of forked formatter j: send every piece whose index is j mod
+    k down w, then leave with os._exit, status 0 only if all were sent. It
+    never returns into the caller and never flushes an inherited buffer. The
+    parent walks the same pieces and reports their warnings, so this one
+    shows none."""
+    status = 1
+    try:
+        for fd in reads:
+            os.close(fd)
+        warnings.simplefilter("ignore")
+        with open(w, "wb") as out:
+            for i, piece in enumerate(pieces, start=1):
+                if i % k == j:
+                    data = _piece_text(piece).encode(encoding)
+                    out.write(len(data).to_bytes(8, "little"))
+                    out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _columns(rows: list[dict]) -> dict:
@@ -422,11 +528,12 @@ class _Spec:
     the CSV tables by file name, the summary lines and the pass flag. A table
     is a function from the finished report to its columns, or to a stream of
     column blocks that is read while the file is written (see _write_csv),
-    called only when CSV is written. tables names the CSV files, in the order
-    they are written, so that a clash with --out is refused before the run.
-    size is the report key of the run size and the dest of its flag (--cases
-    or --paths); a command without one reads no world, so it takes no
-    --config or --seed."""
+    called only when CSV is written. Every forked formatter walks a stream
+    again, so it must yield the same blocks every time. tables names the CSV
+    files, in the order they are written, so that a clash with --out is
+    refused before the run. size is the report key of the run size and the
+    dest of its flag (--cases or --paths); a command without one reads no
+    world, so it takes no --config or --seed."""
 
     run: Callable
     flags: tuple[str, ...]  # the command's own flags; see _FLAGS

@@ -171,6 +171,7 @@ class CaseBatch:
     theta_trace: np.ndarray   # actual trace source mean (== theta_r under H1)
     x: np.ndarray             # trace measurement mean, shape (n,)
     y: np.ndarray             # reference measurement mean, shape (n,)
+    first: int = 0            # the run's index of the batch's first case
 
     def __len__(self) -> int:
         return int(self.truth_h1.shape[0])
@@ -227,7 +228,7 @@ def _cases(world: WorldConfig, seed: int, first_chunk: int, n: int,
     y = theta_r + sigma / math.sqrt(world.n_ref) * _column(
         seed, _REF_MEAN, first_chunk, n)
     return CaseBatch(world=world, truth_h1=truth_h1, theta_r=theta_r,
-                     theta_trace=theta_trace, x=x, y=y)
+                     theta_trace=theta_trace, x=x, y=y, first=first_chunk * _CHUNK)
 
 
 def generate_cases(

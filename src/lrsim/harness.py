@@ -186,10 +186,11 @@ def _own_ln(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarra
     theta = batch.theta_r if SYSTEMS[system].specific_source else None
     own = log_lr_batch(system, batch.x, batch.y, world, theta_r=theta)
     n_nan = int(np.count_nonzero(np.isnan(own)))
-    if n_nan:
+    if n_nan:  # counted in this batch, which may be one chunk of the run
         raise ConfigError(
-            f"{system.value} gave {n_nan} NaN log LRs of {own.shape[0]} on "
-            f"the world {json.dumps(world_to_json_dict(world), sort_keys=True)}")
+            f"{system.value} gave {n_nan} NaN log LRs in cases {batch.first} to "
+            f"{batch.first + len(batch) - 1} on the world "
+            f"{json.dumps(world_to_json_dict(world), sort_keys=True)}")
     return own
 
 

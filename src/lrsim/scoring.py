@@ -222,7 +222,9 @@ def calibration_report(stated_p: np.ndarray, is_h1: np.ndarray) -> CalibrationRe
     h1 = np.asarray(is_h1, dtype=bool)
     idx = (p * N_BINS).astype(np.int64)
     np.minimum(idx, N_BINS - 1, out=idx)
-    sum_stated_p = np.bincount(idx, weights=p, minlength=N_BINS)
+    # float64 even with no cases, where bincount ignores the weights' dtype
+    sum_stated_p = np.bincount(idx, weights=p, minlength=N_BINS).astype(
+        np.float64, copy=False)
     idx += N_BINS * h1  # H2 cases count in bins 0..N_BINS-1, H1 cases above
     counts = np.bincount(idx, minlength=2 * N_BINS)
     return CalibrationReport(

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -174,10 +176,25 @@ def test_nan_lrs_are_bad_input_not_scores(tmp_path, capsys, command):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error:")
-    assert re.search(r"[A-Z]+LR gave \d+ NaN log LRs of 2000 on the world ", err)
+    assert re.search(r"[A-Z]+LR gave \d+ NaN log LRs in cases 0 to 1999 on the "
+                     r"world ", err)
     assert '"mu": 1e+308' in err
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
     assert (out / "keep.txt").read_text() == "kept"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["rank", "illcond", "tailbound"])
+def test_nan_lrs_name_the_cases_they_counted(tmp_path, capsys, command):
+    # above one chunk the refusal counts one chunk of cases; it once read
+    # "32711 NaN log LRs of 65536", as if 65536 were the run
+    doc = dict(DEFAULT_WORLD_DOC, popC={"mu": -1e308, "tau": 1.0},
+               popD={"mu": -1e308, "tau": 1.0}, popT={"mu": 1e308, "tau": 1.0})
+    code, _, err = run(capsys, command, "--config", write_config(tmp_path, doc),
+                       "--cases", "131073", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert re.search(r"[A-Z]+LR gave \d+ NaN log LRs in cases 0 to 65535 on "
+                     r"the world ", err)
 
 
 def test_tiny_measurement_noise_ranks(tmp_path, capsys):
@@ -413,19 +430,24 @@ def test_failed_flush_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
 # ---------------------------------------------------------------------------
 # one CSV writer
 
-def test_write_csv_formats_every_cell_in_one_place(tmp_path):
-    n = cli._CSV_BLOCK + 3  # more rows than one block
+def _mixed_table(n):
     floats = np.linspace(-1.0, 1.0, n)
     floats[:3] = (np.nan, np.inf, 1e-300)
     mixed = [None, True, False, {"b": 1, "a": [0.5]}, 'say "x, y"', 2.5]
     mixed += [None] * (n - len(mixed))
-    table = {
+    return {
         "f": floats,
         "i": np.arange(n, dtype=np.int64),
         "s": np.where(np.arange(n) % 2 == 0, "H1", "H2"),
         "b": np.arange(n) % 3 == 0,
         "mixed": mixed,
     }
+
+
+def test_write_csv_formats_every_cell_in_one_place(tmp_path):
+    n = cli._CSV_BLOCK + 3  # more rows than one block
+    table = _mixed_table(n)
+    floats = table["f"]
     path = tmp_path / "t.csv"
     cli._write_csv(path, table)
     with path.open(newline="") as fh:
@@ -438,6 +460,170 @@ def test_write_csv_formats_every_cell_in_one_place(tmp_path):
             for k in range(n)]
     assert rows[1:] == want
     assert rows[1][0] == "nan" and rows[2][0] == "inf"
+
+
+def _ragged_stream(sizes):
+    """A table stream of blocks of the given row counts, walked afresh by
+    every process that writes it."""
+    start = 0
+    for n in sizes:
+        rows = np.arange(start, start + n)
+        yield {"row": rows, "half": rows / 2.0, "odd": rows % 2 == 1}
+        start += n
+
+
+def _forks(monkeypatch):
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# (table, pieces of 7 rows): one piece; 10 pieces, a multiple of 2 but not
+# of 3; 11 pieces, a multiple of neither; 13 pieces from blocks of 30, 1, 0
+# and 44 rows, so that short pieces end blocks
+@pytest.mark.parametrize("table,pieces", [
+    (lambda: _mixed_table(6), 1),
+    (lambda: _mixed_table(67), 10),
+    (lambda: _mixed_table(75), 11),
+    (lambda: _ragged_stream([30, 1, 0, 44]), 13),
+], ids=["one-piece", "ten-pieces", "eleven-pieces", "ragged-stream"])
+def test_write_csv_bytes_do_not_depend_on_the_formatters(tmp_path, monkeypatch,
+                                                        table, pieces):
+    reference = tmp_path / "ref.csv"
+    cli._write_csv(reference, table())  # the default piece size
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    forked = _forks(monkeypatch)
+    for k in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: k)
+        path = tmp_path / f"k{k}.csv"
+        cli._write_csv(path, table())
+        assert path.read_bytes() == reference.read_bytes(), k
+        # a table of one piece never forks
+        assert len(forked) == (k - 1 if pieces > 1 else 0), k
+        _assert_no_child_left()
+        forked.clear()
+
+
+def test_rank_cases_csv_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
+                                                        monkeypatch):
+    # three chunks of cases, the last of one case, so the last piece is one row
+    digests = []
+    for k in (1, 2):
+        monkeypatch.setattr(cli, "_cpus", lambda: k)
+        out = tmp_path / f"k{k}"
+        assert run(capsys, "rank", "--cases", "131073", "--format", "csv",
+                   "--out", str(out))[0] == 0
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.iterdir()})
+    assert digests[0] == digests[1]
+    _assert_no_child_left()
+
+
+# (where the second chunk of cases raises, extra cases beyond one chunk, the
+# error): in every process, as a broken stream would; in this process alone,
+# while the formatter waits to send piece 17 down a full pipe; in the forked
+# formatter alone, before it sends its last piece (17) or after it
+@pytest.mark.parametrize("failing,extra,error", [
+    ("all", 1, "second chunk"),
+    ("parent", 2 * 2**12 + 1, "second chunk"),
+    ("formatter", 2**12 + 1, "CSV formatter 1 of 2 ended before piece 17"),
+    ("formatter", 1, "1 of 1 CSV formatters failed"),
+], ids=["every-process", "this-process", "formatter-before-its-last-piece",
+        "formatter-after-its-last-piece"])
+def test_a_stream_failing_after_the_fork_leaves_out_and_no_child(
+        tmp_path, capsys, monkeypatch, failing, extra, error):
+    parent = os.getpid()
+    posterior = cli.system_posterior
+
+    def failing_posterior(system, batch, world=None):
+        here = "parent" if os.getpid() == parent else "formatter"
+        if batch.first > 0 and failing in ("all", here):
+            raise RuntimeError("second chunk")
+        return posterior(system, batch, world)
+
+    monkeypatch.setattr(cli, "system_posterior", failing_posterior)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2**12)
+    forked = _forks(monkeypatch)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    code, stdout, err = run(capsys, "rank", "--cases", str(2**16 + extra),
+                            "--format", "csv", "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: RuntimeError: {error}\n")
+    assert len(forked) == 1
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    _assert_no_child_left()
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(c) for c in fh.read().split()]
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")  # a zombie has left; only its reaper is late
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not os.path.exists(f"/proc/{os.getpid()}/task"),
+                    reason="needs fork and /proc")
+def test_killed_command_leaves_no_formatter(tmp_path):
+    # two formatters whatever this host has; the command is killed while
+    # the forked one is alive, that is while cases.csv is being written
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import sys, lrsim.cli as cli; cli._cpus = lambda: 2; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "rank", "--cases", "400000",
+         "--format", "csv", "--out", str(tmp_path / "o")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not (workers := _children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 2.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:  # so that a failure leaves nothing running either
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the forked formatters need neither, and importing them would add to
+    # the start-up time of every command
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lrsim.cli; print(sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cases_csv_round_trips_every_float_exactly(tmp_path, capsys):

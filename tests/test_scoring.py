@@ -223,7 +223,8 @@ def _indexed_calibration(p, h1):
     by h1. Kept as the reference."""
     idx = np.minimum((p * N_BINS).astype(np.int64), N_BINS - 1)
     return (np.bincount(idx, minlength=N_BINS),
-            np.bincount(idx, weights=p, minlength=N_BINS),
+            # bincount of no indices is int64, whatever the weights
+            np.bincount(idx, weights=p, minlength=N_BINS).astype(np.float64),
             np.bincount(idx[h1], minlength=N_BINS))
 
 
@@ -250,4 +251,5 @@ def test_calibration_report_takes_no_cases():
     got = (rep.bin_counts, rep.sum_stated_p, rep.h1_counts)
     assert all(same_bits(a, b) for a, b in zip(got, _indexed_calibration(p, h1)))
     assert rep.bin_counts.sum() == 0
+    assert rep.sum_stated_p.dtype == np.float64
     assert rep.passes() and math.isnan(rep.max_abs_gap)
