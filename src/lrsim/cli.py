@@ -118,8 +118,9 @@ def _json_dumps(obj) -> str:
 
 _CSV_BLOCK = 2**12  # rows formatted at a time, so a long table streams
 # At most this many processes format one table. Each one draws the table's
-# stream again and holds a chunk of it, so CPU and memory grow with the count.
-_CSV_FORMATTERS = 8
+# stream again and holds a chunk of it, so CPU and memory grow with the count;
+# wall time and summed memory have been measured only up to 2.
+_CSV_FORMATTERS = 2
 
 
 def _cell(value):
@@ -203,8 +204,12 @@ def _write_forked(fh, pieces, k: int) -> None:
                     # a formatter never calls BLAS.
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
-                if pid == 0:
-                    _formatter(pieces, j, k, w, reads, fh.encoding)
+                    if pid == 0:  # a formatter: it never unwinds into this code
+                        try:
+                            _formatter(pieces, j, k, w, reads, fh.encoding)
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
             finally:  # reached only here: a formatter leaves by os._exit
                 os.close(w)
             pids.append(pid)
@@ -234,26 +239,20 @@ def _write_forked(fh, pieces, k: int) -> None:
 
 
 def _formatter(pieces, j: int, k: int, w: int, reads: list[int],
-               encoding: str):
+               encoding: str) -> None:
     """The body of forked formatter j: send every piece whose index is j mod
-    k down w, then leave with os._exit, status 0 only if all were sent. It
-    never returns into the caller and never flushes an inherited buffer. The
-    parent walks the same pieces and reports their warnings, so this one
-    shows none."""
-    status = 1
-    try:
-        for fd in reads:
-            os.close(fd)
-        warnings.simplefilter("ignore")
-        with open(w, "wb") as out:
-            for i, piece in enumerate(pieces, start=1):
-                if i % k == j:
-                    data = _piece_text(piece).encode(encoding)
-                    out.write(len(data).to_bytes(8, "little"))
-                    out.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+    k down w. Its caller leaves by os._exit, so it never flushes an
+    inherited buffer. The parent walks the same pieces and reports their
+    warnings, so this one shows none."""
+    for fd in reads:
+        os.close(fd)
+    warnings.simplefilter("ignore")
+    with open(w, "wb") as out:
+        for i, piece in enumerate(pieces, start=1):
+            if i % k == j:
+                data = _piece_text(piece).encode(encoding)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
 
 
 def _columns(rows: list[dict]) -> dict:

@@ -504,6 +504,8 @@ def test_write_csv_bytes_do_not_depend_on_the_formatters(tmp_path, monkeypatch,
     reference = tmp_path / "ref.csv"
     cli._write_csv(reference, table())  # the default piece size
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    # the writer takes any number of formatters; the cap is only a policy
+    monkeypatch.setattr(cli, "_CSV_FORMATTERS", 3)
     forked = _forks(monkeypatch)
     for k in (1, 2, 3):
         monkeypatch.setattr(cli, "_cpus", lambda: k)
@@ -514,6 +516,17 @@ def test_write_csv_bytes_do_not_depend_on_the_formatters(tmp_path, monkeypatch,
         assert len(forked) == (k - 1 if pieces > 1 else 0), k
         _assert_no_child_left()
         forked.clear()
+
+
+def test_write_csv_forks_at_most_one_formatter(tmp_path, monkeypatch):
+    # memory and wall time are measured only for two processes, so a host
+    # with more CPUs still uses two
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(cli, "_cpus", lambda: 8)
+    forked = _forks(monkeypatch)
+    cli._write_csv(tmp_path / "t.csv", _mixed_table(75))
+    assert len(forked) == 1
+    _assert_no_child_left()
 
 
 def test_rank_cases_csv_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
@@ -582,9 +595,10 @@ def _running(pid):
     return state not in ("Z", "X")  # a zombie has left; only its reaper is late
 
 
-@pytest.mark.skipif(not hasattr(os, "fork")
-                    or not os.path.exists(f"/proc/{os.getpid()}/task"),
-                    reason="needs fork and /proc")
+@pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs fork and /proc/<pid>/task/<pid>/children")
 def test_killed_command_leaves_no_formatter(tmp_path):
     # two formatters whatever this host has; the command is killed while
     # the forked one is alive, that is while cases.csv is being written
