@@ -23,11 +23,13 @@ run that fails leaves --out as it found it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -41,6 +43,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .costmodel import demand_table, feasibility_rank, tail_bound_check
+from .forked import ordered_map
 from .genmodel import (ConfigError, WorldConfig, case_chunks, read_json, world_from_json_dict,
                        world_to_json_dict)
 from .harness import (
@@ -117,10 +120,6 @@ def _json_dumps(obj) -> str:
 
 
 _CSV_BLOCK = 2**12  # rows formatted at a time, so a long table streams
-# At most this many processes format one table. Each one draws the table's
-# stream again and holds a chunk of it, so CPU and memory grow with the count;
-# wall time and summed memory have been measured only up to 2.
-_CSV_FORMATTERS = 2
 
 
 def _cell(value):
@@ -147,14 +146,6 @@ def _piece_text(columns: list) -> str:
     return _csv_text(zip(*map(_cells, columns)))
 
 
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _write_csv(path: Path, table) -> None:
     """Write a table under a header of its keys, one piece of _CSV_BLOCK rows
     at a time. A table is a dict of equal-length columns (numpy arrays or
@@ -162,97 +153,27 @@ def _write_csv(path: Path, table) -> None:
     one another. This is the only code that decides the CSV cell format:
     booleans are true/false, None is empty and a dict is JSON.
 
-    A table of more than one piece is formatted on up to _CSV_FORMATTERS of
-    the CPUs this process may run on (see _write_forked). Every forked
-    formatter walks the whole table stream, so a stream must yield the same
-    blocks each time it is walked from the same state. The bytes depend on
-    neither the number of formatters nor the piece size."""
+    The pieces of a table are formatted on up to forked.CAP of the CPUs this
+    process may run on (see forked.ordered_map). Every forked formatter
+    walks the whole table stream, so a stream must yield the same blocks
+    each time it is walked from the same state. The bytes depend on neither
+    the number of formatters nor the piece size."""
     blocks = iter((table,) if isinstance(table, dict) else table)
     first = next(blocks)
     names = list(first)
     pieces = ([block[name][lo:lo + _CSV_BLOCK] for name in names]
               for block in itertools.chain((first,), blocks)
               for lo in range(0, len(block[names[0]]), _CSV_BLOCK))
-    k = min(_cpus(), _CSV_FORMATTERS) if hasattr(os, "fork") else 1
-    with path.open("w", newline="") as fh:
-        fh.write(_csv_text([names]))
-        for i, piece in enumerate(pieces):
-            if i == 1 and k > 1:
-                _write_forked(fh, itertools.chain((piece,), pieces), k)
-                break
-            fh.write(_piece_text(piece))
-
-
-def _write_forked(fh, pieces, k: int) -> None:
-    """Write pieces 1, 2, ... of a table to fh, piece i formatted by process
-    i mod k: this one for 0, and k - 1 forked formatters for the rest. Each
-    formatter walks its own copy of the pieces stream and sends its pieces
-    down a pipe as length-framed bytes; this process writes them all in
-    order. Every formatter is reaped before this returns or raises, and one
-    that fails raises here."""
-    fh.flush()  # a formatter inherits fh; it must hold nothing to flush
-    pids, readers = [], []
-    try:
-        for j in range(1, k):
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            reads = [reader.fileno() for reader in readers]
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12 warns when a process with threads forks.
-                    # The only threads here are numpy's idle BLAS pool, and
-                    # a formatter never calls BLAS.
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                    if pid == 0:  # a formatter: it never unwinds into this code
-                        try:
-                            _formatter(pieces, j, k, w, reads, fh.encoding)
-                            os._exit(0)
-                        finally:
-                            os._exit(1)
-            finally:  # reached only here: a formatter leaves by os._exit
-                os.close(w)
-            pids.append(pid)
-        for i, piece in enumerate(pieces, start=1):
-            if i % k == 0:
-                fh.write(_piece_text(piece))
-                continue
-            reader = readers[i % k - 1]
-            head = reader.read(8)
-            left = int.from_bytes(head, "little")
-            fh.flush()  # the text layer's bytes go first
-            # copied in slices, so that no frame is held whole
-            while left and (data := reader.read(min(left, 1 << 16))):
-                fh.buffer.write(data)
-                left -= len(data)
-            if len(head) < 8 or left:
-                raise RuntimeError(
-                    f"CSV formatter {i % k} of {k} ended before piece {i}")
-    finally:
-        # a formatter blocked on a full pipe leaves on EPIPE once its read
-        # end is closed, so closing comes before reaping
-        for reader in readers:
-            reader.close()
-        failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
-    if failed:
-        raise RuntimeError(f"{len(failed)} of {k - 1} CSV formatters failed")
-
-
-def _formatter(pieces, j: int, k: int, w: int, reads: list[int],
-               encoding: str) -> None:
-    """The body of forked formatter j: send every piece whose index is j mod
-    k down w. Its caller leaves by os._exit, so it never flushes an
-    inherited buffer. The parent walks the same pieces and reports their
-    warnings, so this one shows none."""
-    for fd in reads:
-        os.close(fd)
-    warnings.simplefilter("ignore")
-    with open(w, "wb") as out:
-        for i, piece in enumerate(pieces, start=1):
-            if i % k == j:
-                data = _piece_text(piece).encode(encoding)
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
+    with path.open("w", newline="") as text:
+        text.write(_csv_text([names]))
+        text.flush()  # the pieces go straight to the byte layer
+        fh, encoding = text.buffer, text.encoding
+        with contextlib.closing(ordered_map(
+                lambda piece: _piece_text(piece).encode(encoding), pieces,
+                "CSV formatter", "piece", sink=fh.write)) as texts:
+            for data in texts:
+                if data is not None:  # None: a formatter's piece, copied in
+                    fh.write(data)
 
 
 def _columns(rows: list[dict]) -> dict:
@@ -275,6 +196,20 @@ def _fields(record) -> dict:
     return row
 
 
+def _gone(pid: int) -> bool:
+    """Whether no process has this pid. On a platform without POSIX signals
+    nothing is known to be gone."""
+    if os.name != "posix":
+        return False
+    try:
+        os.kill(pid, 0)  # signal 0 only asks whether the pid exists
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # another user's process, or no pid
+        return False
+    return False
+
+
 class _Outputs:
     """Collects (filename, payload) pairs, then refuses or writes them all.
 
@@ -282,7 +217,9 @@ class _Outputs:
     moves them into place with os.replace, a rename within one file system,
     only when all are written. On a failure the scratch directory is
     removed, and so is every directory the flush created, so a failed write
-    leaves out_dir as it was found.
+    leaves out_dir as it was found. The scratch directory is named
+    .lrsim-<pid>-..., so a flush removes those that a killed run left: the
+    ones whose pid no longer runs, and no other.
     """
 
     def __init__(self, out_dir: Path, force: bool):
@@ -312,7 +249,12 @@ class _Outputs:
         created = next((d for d in reversed((self.out_dir, *self.out_dir.parents))
                         if not d.exists()), None)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        scratch = Path(tempfile.mkdtemp(prefix=".lrsim-", dir=self.out_dir))
+        for left in self.out_dir.glob(".lrsim-*"):
+            run = re.fullmatch(r"\.lrsim-(\d+)-.+", left.name)
+            if run and left.is_dir() and _gone(int(run[1])):
+                shutil.rmtree(left, ignore_errors=True)
+        scratch = Path(tempfile.mkdtemp(prefix=f".lrsim-{os.getpid()}-",
+                                        dir=self.out_dir))
         try:
             for name, payload in self.planned:
                 if name.endswith(".json"):

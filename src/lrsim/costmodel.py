@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import ConfigError, Hypothesis, WorldConfig, case_chunks
+from .genmodel import ConfigError, Hypothesis, WorldConfig, map_chunks
 from .harness import own_log10
 from .lrsystems import NONTRIVIAL, SYSTEMS, SystemId
 
@@ -217,11 +217,11 @@ def tail_bound_check(
     each k of K_VALUES.
 
     Draws n_cases cases per hypothesis, both from seed, in chunks of 2**16
-    (see case_chunks). Each chunk is drawn once for every system and adds
-    to each system's exceedance counts, one LR array at a time, so memory
-    does not grow with n_cases. The counts over n_cases are the
-    exceedances. An exceedance up to 1/k + 3 binomial
-    standard errors passes. Passing believed_world makes the evaluator use
+    summarised on up to two CPUs (see map_chunks). Each chunk is drawn once
+    for every system and counts each system's exceedances, one LR array at a
+    time, so memory does not grow with n_cases. The counts over n_cases are
+    the exceedances. An exceedance up to 1/k + 3 binomial standard errors
+    passes. Passing believed_world makes the evaluator use
     densities that differ from the generating world; genuine LRs satisfy
     the bound, mis-believed ones generally break it. Rows run by system, k,
     then side (H2 first).
@@ -236,9 +236,12 @@ def tail_bound_check(
                                  else log10_lr < -math.log10(k)) for k in K_VALUES]
 
     def exceedances(side: Hypothesis) -> list[list[float]]:
+        def summarise(batch):
+            return [beyond(own_log10(s, batch, w), side) for s in systems], ()
+
         counts = np.zeros((len(systems), len(K_VALUES)), dtype=np.int64)
-        for batch in case_chunks(world, seed, n_cases, force_truth=side):
-            counts += [beyond(own_log10(s, batch, w), side) for s in systems]
+        for chunk_counts in map_chunks(summarise, world, seed, n_cases, force_truth=side):
+            counts += chunk_counts
         return (counts / n_cases).tolist()
 
     rows = []

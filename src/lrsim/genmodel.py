@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
+
+from .forked import ordered_map
 
 __all__ = [
     "CaseBatch",
@@ -36,6 +38,7 @@ __all__ = [
     "case_chunks",
     "generate_cases",
     "load_world",
+    "map_chunks",
     "read_json",
     "world_from_json_dict",
     "world_to_json_dict",
@@ -262,6 +265,39 @@ def case_chunks(
     n = _size(n_cases, force_truth)
     return (_cases(world, master_seed, chunk, min(_CHUNK, n - start), force_truth)
             for chunk, start in enumerate(range(0, n, _CHUNK)))
+
+
+def map_chunks(
+    summarise: Callable,
+    world: WorldConfig,
+    master_seed: int,
+    n_cases: int,
+    force_truth: Hypothesis | None = None,
+) -> Iterator:
+    """The summary of each batch of case_chunks(world, master_seed, n_cases,
+    force_truth), in chunk order, computed on up to forked.CAP CPUs (see
+    forked.ordered_map). Each process draws, by index, only the chunks it
+    summarises.
+
+    summarise(batch) returns (summary, arrays). The summary is yielded; the
+    arrays are kept with the batch until the process draws its next chunk,
+    as a loop over case_chunks keeps them. Freed sooner, at the top of the
+    heap, their memory would go back to the system and be faulted in again,
+    about 8k minor page faults per chunk with glibc. The arguments are
+    checked when this is called.
+    """
+    n = _size(n_cases, force_truth)
+    held = []
+
+    def summary(chunk: int):
+        batch = _cases(world, master_seed, chunk, min(_CHUNK, n - chunk * _CHUNK),
+                       force_truth)
+        held.clear()
+        out, arrays = summarise(batch)
+        held[:] = (batch, arrays)
+        return out
+
+    return ordered_map(summary, range(-(-n // _CHUNK)), "case worker", "chunk")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
-    case_chunks,
+    map_chunks,
     world_to_json_dict,
 )
 from .lrsystems import (
@@ -259,26 +259,31 @@ def verify_ranking(paired_diffs: dict[str, PairedDiff]) -> list[RankingVerdict]:
 class _Moments:
     """Count, mean and sum of squared deviations (m2) of a stream of arrays.
 
-    Each array's moments merge into the running ones by the pairwise update
-    of Chan, Golub & LeVeque, "Algorithms for computing the sample variance"
-    (Am. Stat. 1983). Over a single array, mean and se are those of
-    np.mean and np.std(ddof=1) bit for bit.
+    Each array's moments (of) merge into the running ones by the pairwise
+    update of Chan, Golub & LeVeque, "Algorithms for computing the sample
+    variance" (Am. Stat. 1983), so merging chunk moments in chunk order
+    gives the same floats wherever each chunk's moments were computed. Over
+    a single array, mean and se are those of np.mean and np.std(ddof=1) bit
+    for bit.
     """
 
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
 
-    def add(self, a: np.ndarray) -> None:
-        n_a, mean_a = int(a.shape[0]), float(a.mean())
-        m2_a = float(np.sum((a - mean_a) ** 2))
+    @classmethod
+    def of(cls, a: np.ndarray) -> _Moments:
+        mean = float(a.mean())
+        return cls(int(a.shape[0]), mean, float(np.sum((a - mean) ** 2)))
+
+    def merge(self, other: _Moments) -> None:
         if not self.n:
-            self.n, self.mean, self.m2 = n_a, mean_a, m2_a
+            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
             return
-        n = self.n + n_a
-        delta = mean_a - self.mean
-        self.mean += delta * n_a / n
-        self.m2 += m2_a + delta * delta * self.n * n_a / n
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        self.mean += delta * other.n / n
+        self.m2 += other.m2 + delta * delta * self.n * other.n / n
         self.n = n
 
     @property
@@ -298,14 +303,16 @@ def run_experiment(
 ) -> EvalReport:
     """Score every system on one shared case set and judge the claims.
 
-    The cases stream in chunks of 2**16 (see case_chunks), and the systems
-    run one at a time within a chunk: each one's LR and posterior arrays are
-    dropped before the next. A chunk adds to each system's score moments,
-    clamp count and calibration bins, and to each claim's moments of the
-    paired score difference; its cases and scores are dropped once the next
-    chunk is drawn. So memory does not grow with n_cases. A run of one chunk
-    gives exactly the whole-batch means and standard errors; over more
-    chunks they agree to rounding, and the counts exactly.
+    The cases stream in chunks of 2**16, summarised on up to two CPUs (see
+    map_chunks), and the systems run one at a time within a chunk: each
+    one's LR and posterior arrays are dropped before the next. A chunk's
+    summary is each system's score moments, clamp count and calibration
+    bins, and each claim's moments of the paired score difference; they are
+    folded in chunk order, so the results do not depend on the number of
+    CPUs. Its cases and scores are dropped once the next chunk is drawn, so
+    memory does not grow with n_cases. A run of one chunk gives exactly the
+    whole-batch means and standard errors; over more chunks they agree to
+    rounding, and the counts exactly.
     """
     systems = cfg.systems
     claims = [(claim, better, worse) for claim, better, worse in RANKING_CLAIMS
@@ -314,23 +321,29 @@ def run_experiment(
     diffs = {claim: _Moments() for claim, _, _ in claims}
     calibration: dict[SystemId, CalibrationReport] = {}
     clamps = dict.fromkeys(systems, 0)
-    # a chunk's cases and scores are released only once the next chunk is
-    # drawn: freed below live arrays, their memory serves the next chunk,
-    # where freed at the top of the heap it would go back to the system and
-    # be faulted in again (about 7k minor page faults per chunk with glibc)
-    for batch in case_chunks(cfg.world, cfg.master_seed, cfg.n_cases):
+
+    def summarise(batch: CaseBatch):
         scores: dict[SystemId, np.ndarray] = {}
+        per_system = {}
         for system in systems:
             posterior, n_clamped = system_posterior(system, batch, believed_world)[1:]
             s = scores[system] = _scores(system.value, cfg.rule, posterior,
                                          batch.truth_h1)
-            moments[system].add(s)
-            clamps[system] += n_clamped
-            cal = calibration_report(posterior, batch.truth_h1)
-            calibration[system] = calibration[system] + cal if system in calibration else cal
+            per_system[system] = (_Moments.of(s), n_clamped,
+                                  calibration_report(posterior, batch.truth_h1))
             del posterior  # before the next system's arrays are built
-        for claim, better, worse in claims:
-            diffs[claim].add(scores[better] - scores[worse])
+        paired = {claim: _Moments.of(scores[better] - scores[worse])
+                  for claim, better, worse in claims}
+        return (per_system, paired), scores
+
+    for per_system, paired in map_chunks(summarise, cfg.world, cfg.master_seed,
+                                         cfg.n_cases):
+        for system, (m, n_clamped, cal) in per_system.items():
+            moments[system].merge(m)
+            clamps[system] += n_clamped
+            calibration[system] = calibration[system] + cal if system in calibration else cal
+        for claim, m in paired.items():
+            diffs[claim].merge(m)
 
     paired = {claim: d.paired_diff() for claim, d in diffs.items()}
     return EvalReport(
@@ -386,23 +399,29 @@ def ill_conditioning_experiment(
             "ill-conditioning experiment needs ReferenceCrimeRelevant with "
             "popC != popT (else the trace anchor carries no LR) and "
             "SignedDifference scores (else CSXASLR + anchor X is not CSFLR)")
-    naive_m, proper_m, gap = _Moments(), _Moments(), _Moments()
-    max_rel_err = 0.0
-    for batch in case_chunks(world, master_seed, n_cases):
+
+    def summarise(batch: CaseBatch):
         naive_ln = _own_ln(SystemId.CSXASLR, batch, world)
         anchor_ln = anchor_log_lr_batch(batch.x, AnchorKind.X, world)
         joint_ln = _own_ln(SystemId.CSFLR, batch, world)
-        max_rel_err = max(max_rel_err, float(
-            np.abs(np.expm1(naive_ln + anchor_ln - joint_ln)).max()))
+        rel_err = float(np.abs(np.expm1(naive_ln + anchor_ln - joint_ln)).max())
         naive = naive_ln * LOG10_E
         proper = naive + anchor_ln * LOG10_E
         s_naive = _scores("CSXASLR without its anchor term", rule,
                           _stated(naive, world.prior_h1)[0], batch.truth_h1)
         s_proper = _scores("CSXASLR with its anchor term", rule,
                            _stated(proper, world.prior_h1)[0], batch.truth_h1)
-        naive_m.add(s_naive)
-        proper_m.add(s_proper)
-        gap.add(s_proper - s_naive)
+        return ((rel_err, _Moments.of(s_naive), _Moments.of(s_proper),
+                 _Moments.of(s_proper - s_naive)), (s_naive, s_proper))
+
+    naive_m, proper_m, gap = _Moments(), _Moments(), _Moments()
+    max_rel_err = 0.0
+    for rel_err, naive, proper, chunk_gap in map_chunks(summarise, world,
+                                                         master_seed, n_cases):
+        max_rel_err = max(max_rel_err, rel_err)
+        naive_m.merge(naive)
+        proper_m.merge(proper)
+        gap.merge(chunk_gap)
     diff = gap.paired_diff()
     return IllCondReport(
         n_cases=n_cases, rule=rule, identity_max_rel_err=max_rel_err,
@@ -449,8 +468,8 @@ def cs_update_ss_prior_experiment(
         raise ConfigError(
             "the descriptive variant needs tau > 0 in popC and popD to "
             "evaluate the source-conditioned prior")
-    base, flr, slr, gap_flr, gap_slr = (_Moments() for _ in range(5))
-    for batch in case_chunks(world, master_seed, n_cases):
+
+    def summarise(batch: CaseBatch):
         if matched:
             r_term = np.zeros(len(batch))
         else:  # the density of the suspect source itself
@@ -463,11 +482,14 @@ def cs_update_ss_prior_experiment(
             _scores(f"the {s.value} update", rule,
                     _stated(r_term + own_log10(s, batch, world), prior)[0], truth)
             for s in (SystemId.CSFLR, SystemId.CSSLR))
-        base.add(s_base)
-        flr.add(s_flr)
-        slr.add(s_slr)
-        gap_flr.add(s_flr - s_base)
-        gap_slr.add(s_slr - s_base)
+        return ((_Moments.of(s_base), _Moments.of(s_flr), _Moments.of(s_slr),
+                 _Moments.of(s_flr - s_base), _Moments.of(s_slr - s_base)),
+                (s_base, s_flr, s_slr))
+
+    totals = base, flr, slr, gap_flr, gap_slr = tuple(_Moments() for _ in range(5))
+    for chunk in map_chunks(summarise, world, master_seed, n_cases):
+        for total, m in zip(totals, chunk):
+            total.merge(m)
     d_flr, d_slr = gap_flr.paired_diff(), gap_slr.paired_diff()
     return CsPriorReport(
         n_cases=n_cases, rule=rule, populations_match=matched,
@@ -503,17 +525,19 @@ def total_expectation_check(
     the left side given that evidence. Their paired gap over shared samples
     is a standard-normal z value (reported as gap_in_se).
     """
-    lhs_m, rhs_m, gap = _Moments(), _Moments(), _Moments()
-    for batch in case_chunks(world, master_seed, n_samples):
+    def summarise(batch: CaseBatch):
         p_joint, p_delta = (system_posterior(s, batch)[1]
                             for s in (SystemId.CSFLR, SystemId.CSSLR))
         lhs = _scores("CSSLR", rule, p_delta, batch.truth_h1)
         all_h1 = np.ones(len(batch), dtype=bool)
         rhs = (p_joint * _scores("CSSLR", rule, p_delta, all_h1)
                + (1.0 - p_joint) * _scores("CSSLR", rule, p_delta, ~all_h1))
-        lhs_m.add(lhs)
-        rhs_m.add(rhs)
-        gap.add(lhs - rhs)
+        return (_Moments.of(lhs), _Moments.of(rhs), _Moments.of(lhs - rhs)), (lhs, rhs)
+
+    totals = lhs_m, rhs_m, gap = tuple(_Moments() for _ in range(3))
+    for chunk in map_chunks(summarise, world, master_seed, n_samples):
+        for total, m in zip(totals, chunk):
+            total.merge(m)
     diff = gap.paired_diff()
     return TotalExpectationReport(
         lhs_mean=lhs_m.mean, rhs_mean=rhs_m.mean,

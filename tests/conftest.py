@@ -1,9 +1,12 @@
 import json
+import os
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import lrsim.genmodel as genmodel
 from lrsim.genmodel import (
     NoiseModel,
     PopulationModel,
@@ -45,6 +48,39 @@ def same_bits(a, b) -> bool:
 
 def case_columns(batch) -> tuple:
     return (batch.truth_h1, batch.theta_r, batch.theta_trace, batch.x, batch.y)
+
+
+def traced_peak(fn) -> int:
+    """The peak of memory traced in this process while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def record_draws(monkeypatch, path):
+    """Route genmodel's chunk draws through a recorder that appends (pid,
+    seed, truth, chunk, cases) to the file at path for every chunk any
+    process draws; return a function that reads them back, in order per
+    process."""
+    cases = genmodel._cases
+
+    def recording(world, seed, chunk, n, force_truth):
+        with open(path, "a") as fh:  # one short append per draw
+            fh.write(json.dumps([os.getpid(), seed, getattr(force_truth, "value", None),
+                                 chunk, n]) + "\n")
+        return cases(world, seed, chunk, n, force_truth)
+
+    monkeypatch.setattr(genmodel, "_cases", recording)
+
+    def read():
+        if not os.path.exists(path):
+            return []
+        with open(path) as fh:
+            return [tuple(json.loads(line)) for line in fh]
+    return read
 
 
 def packaged_world(name: str) -> WorldConfig:

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -16,11 +17,13 @@ import numpy as np
 import pytest
 
 import lrsim.cli as cli
+import lrsim.forked as forked
 import lrsim.genmodel as genmodel
+import lrsim.harness as harness
 import lrsim.oracle as oracle
 from lrsim.cli import main
 from lrsim.costmodel import DemandProfile, TailBoundRow, TradeoffRow
-from lrsim.genmodel import world_from_json_dict
+from lrsim.genmodel import ConfigError, world_from_json_dict
 from lrsim.harness import ExperimentConfig, RankingVerdict, run_experiment
 from lrsim.oracle import RECIPES, OracleComparison, PathBank
 
@@ -473,16 +476,16 @@ def _ragged_stream(sizes):
 
 
 def _forks(monkeypatch):
-    forked = []
+    pids = []
     fork = os.fork
 
     def counting_fork():
         pid = fork()
-        forked.append(pid)
+        pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    return forked
+    return pids
 
 
 def _assert_no_child_left():
@@ -505,27 +508,27 @@ def test_write_csv_bytes_do_not_depend_on_the_formatters(tmp_path, monkeypatch,
     cli._write_csv(reference, table())  # the default piece size
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
     # the writer takes any number of formatters; the cap is only a policy
-    monkeypatch.setattr(cli, "_CSV_FORMATTERS", 3)
-    forked = _forks(monkeypatch)
+    monkeypatch.setattr(forked, "CAP", 3)
+    forks = _forks(monkeypatch)
     for k in (1, 2, 3):
-        monkeypatch.setattr(cli, "_cpus", lambda: k)
+        monkeypatch.setattr(forked, "cpus", lambda: k)
         path = tmp_path / f"k{k}.csv"
         cli._write_csv(path, table())
         assert path.read_bytes() == reference.read_bytes(), k
         # a table of one piece never forks
-        assert len(forked) == (k - 1 if pieces > 1 else 0), k
+        assert len(forks) == (k - 1 if pieces > 1 else 0), k
         _assert_no_child_left()
-        forked.clear()
+        forks.clear()
 
 
 def test_write_csv_forks_at_most_one_formatter(tmp_path, monkeypatch):
     # memory and wall time are measured only for two processes, so a host
     # with more CPUs still uses two
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
-    monkeypatch.setattr(cli, "_cpus", lambda: 8)
-    forked = _forks(monkeypatch)
+    monkeypatch.setattr(forked, "cpus", lambda: 8)
+    forks = _forks(monkeypatch)
     cli._write_csv(tmp_path / "t.csv", _mixed_table(75))
-    assert len(forked) == 1
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
@@ -534,7 +537,7 @@ def test_rank_cases_csv_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
     # three chunks of cases, the last of one case, so the last piece is one row
     digests = []
     for k in (1, 2):
-        monkeypatch.setattr(cli, "_cpus", lambda: k)
+        monkeypatch.setattr(forked, "cpus", lambda: k)
         out = tmp_path / f"k{k}"
         assert run(capsys, "rank", "--cases", "131073", "--format", "csv",
                    "--out", str(out))[0] == 0
@@ -542,6 +545,94 @@ def test_rank_cases_csv_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
                         for p in out.iterdir()})
     assert digests[0] == digests[1]
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "--format", "json"),
+    ("tailbound",),
+    ("illcond", "--config", str(resources.files("lrsim.data") / "illcond_world.json")),
+    ("csprior",),
+    ("calibrate",),
+], ids=["rank", "tailbound", "illcond", "csprior", "calibrate"])
+def test_chunked_commands_are_the_same_on_one_and_two_cpus(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    # three chunks of cases, the last of one case: on two CPUs a case worker
+    # summarises chunk 1, and this process chunks 0 and 2
+    forks = _forks(monkeypatch)
+    runs = []
+    for k in (1, 2):
+        monkeypatch.setattr(forked, "cpus", lambda: k)
+        out = tmp_path / f"k{k}"
+        code, stdout, err = run(capsys, *argv, "--cases", "131073", "--seed", "3",
+                                "--out", str(out))
+        runs.append((code, stdout.replace(str(out), "OUT"), err,
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert bool(forks) == (k == 2), k
+        _assert_no_child_left()
+    assert runs[0] == runs[1]
+
+
+class ChunkWarning(Warning):
+    """Warned by a chunk beyond the first in the test below."""
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["warns", "fails"])
+def test_a_later_chunk_warns_and_fails_as_on_one_cpu(tmp_path, capsys,
+                                                     monkeypatch, fails):
+    # chunk 1 is the case worker's on two CPUs. Its warning is shown once, at
+    # its place, and not again for chunk 2 at the same line; its error is the
+    # one a one-process run raises, before chunk 2's
+    posterior = harness.system_posterior
+
+    def later_chunks_warn(system, batch, world=None):
+        if batch.first > 0:
+            warnings.warn("a chunk beyond the first", ChunkWarning)
+            if fails:
+                raise ConfigError(f"chunk at case {batch.first} fails")
+        return posterior(system, batch, world)
+
+    monkeypatch.setattr(harness, "system_posterior", later_chunks_warn)
+    forks = _forks(monkeypatch)
+    runs = []
+    for k in (1, 2):
+        monkeypatch.setattr(forked, "cpus", lambda: k)
+        runs.append(run(capsys, "rank", "--cases", "131073", "--format", "json",
+                        "--out", str(tmp_path / "o"), "--force"))
+        assert bool(forks) == (k == 2), k
+        _assert_no_child_left()
+    assert runs[0] == runs[1]
+    code, _, err = runs[0]
+    lines = ["warning: a chunk beyond the first"]
+    if fails:
+        assert code == 2
+        lines.append("error: chunk at case 65536 fails")
+    else:
+        assert code == 0
+    assert err.splitlines() == lines
+
+
+def test_nan_refusal_reads_the_same_on_one_and_two_cpus(tmp_path):
+    # the world of test_nan_lrs_name_the_cases_they_counted, run as its own
+    # process, so that every warning is shown under the default filters
+    doc = dict(DEFAULT_WORLD_DOC, popC={"mu": -1e308, "tau": 1.0},
+               popD={"mu": -1e308, "tau": 1.0}, popT={"mu": 1e308, "tau": 1.0})
+    config = write_config(tmp_path, doc)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    runs = []
+    for k in (1, 2):
+        script = ("import sys, lrsim.cli as cli, lrsim.forked as forked; "
+                  f"forked.cpus = lambda: {k}; sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "illcond", "--config", config,
+             "--cases", "131073", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    code, stdout, err = runs[0]
+    assert (code, stdout) == (2, "")
+    assert re.search(r"\nerror: [A-Z]+LR gave \d+ NaN log LRs in cases 0 to 65535 "
+                     r"on the world ", err)
 
 
 # (where the second chunk of cases raises, extra cases beyond one chunk, the
@@ -567,16 +658,18 @@ def test_a_stream_failing_after_the_fork_leaves_out_and_no_child(
         return posterior(system, batch, world)
 
     monkeypatch.setattr(cli, "system_posterior", failing_posterior)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2**12)
-    forked = _forks(monkeypatch)
+    forks = _forks(monkeypatch)
     out = tmp_path / "o"
     out.mkdir()
     (out / "keep.txt").write_text("kept")
     code, stdout, err = run(capsys, "rank", "--cases", str(2**16 + extra),
                             "--format", "csv", "--out", str(out))
     assert (code, stdout, err) == (1, "", f"error: RuntimeError: {error}\n")
-    assert len(forked) == 1
+    # two chunks of cases: the experiment forks a case worker, then cases.csv
+    # forks its formatter
+    assert len(forks) == 2
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
     _assert_no_child_left()
 
@@ -595,24 +688,21 @@ def _running(pid):
     return state not in ("Z", "X")  # a zombie has left; only its reaper is late
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork")
-    or not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
-    reason="needs fork and /proc/<pid>/task/<pid>/children")
-def test_killed_command_leaves_no_formatter(tmp_path):
-    # two formatters whatever this host has; the command is killed while
-    # the forked one is alive, that is while cases.csv is being written
+def _killed_leaves(out, argv, ready):
+    """Run the CLI on two CPUs, whatever this host has, SIGKILL it once it
+    has a forked child and ready() holds, and return the children that
+    still run about 2 s later (after killing them, so that nothing is left
+    running either way)."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    script = ("import sys, lrsim.cli as cli; cli._cpus = lambda: 2; "
-              "sys.exit(cli.main(sys.argv[1:]))")
+    script = ("import sys, lrsim.cli as cli, lrsim.forked as forked; "
+              "forked.cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
     proc = subprocess.Popen(
-        [sys.executable, "-c", script, "rank", "--cases", "400000",
-         "--format", "csv", "--out", str(tmp_path / "o")],
+        [sys.executable, "-c", script, *argv, "--out", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 120
-        while not (workers := _children(proc.pid)):
+        while not ((workers := _children(proc.pid)) and ready()):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
     finally:
@@ -622,9 +712,73 @@ def test_killed_command_leaves_no_formatter(tmp_path):
     while any(map(_running, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
     left = [pid for pid in workers if _running(pid)]
-    for pid in left:  # so that a failure leaves nothing running either
+    for pid in left:
         os.kill(pid, signal.SIGKILL)
-    assert left == []
+    return left
+
+
+needs_children = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs fork and /proc/<pid>/task/<pid>/children")
+
+
+@needs_children
+def test_killed_command_leaves_no_formatter(tmp_path):
+    # killed while cases.csv is being written: the case worker of the
+    # experiment is reaped by then, so the child is the formatter
+    out = tmp_path / "o"
+    assert _killed_leaves(
+        out, ["rank", "--cases", "400000", "--format", "csv"],
+        lambda: any(out.glob(".lrsim-*/cases.csv"))) == []
+    # the killed run's scratch directory goes with the next run's flush
+    assert [p.name[:7] for p in out.iterdir()] == [".lrsim-"]
+    assert main(["demand", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "demand.csv", "report.json", "tradeoff.csv"]
+
+
+def _dead_pid():
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()  # reaped, so the pid runs nothing until it is reused
+    return proc.pid
+
+
+def test_flush_removes_the_scratch_of_a_run_that_is_gone(tmp_path, capsys):
+    out = tmp_path / "o"
+    left = out / f".lrsim-{_dead_pid()}-x1y2z3"
+    left.mkdir(parents=True)
+    (left / "cases.csv").write_text("partial")
+    assert run(capsys, "demand", "--out", str(out))[0] == 0
+    assert not left.exists()
+
+
+def test_flush_keeps_a_live_run_s_scratch_and_other_names(tmp_path, capsys):
+    # a run still writing may be this process, or any other that runs; a
+    # name without a pid, or a file, is not a scratch directory of this code
+    out = tmp_path / "o"
+    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        kept = [out / f".lrsim-{os.getpid()}-a1", out / f".lrsim-{sleeper.pid}-b2",
+                out / ".lrsim-zdpn7sbh", out / f".lrsim-{_dead_pid()}",
+                out / f".lrsim-x{_dead_pid()}-c3"]
+        for path in kept:
+            path.mkdir(parents=True)
+        (out / f".lrsim-{_dead_pid()}-file").write_text("not a directory")
+        assert run(capsys, "demand", "--out", str(out))[0] == 0
+    finally:
+        sleeper.kill()
+        sleeper.wait()
+    assert all(path.is_dir() for path in kept)
+    assert len([p for p in out.iterdir() if p.name.startswith(".lrsim-")]) == 6
+
+
+@needs_children
+def test_killed_command_leaves_no_case_worker(tmp_path):
+    # killed while the experiment's chunks are being summarised
+    assert _killed_leaves(tmp_path / "o",
+                          ["rank", "--cases", "1000000", "--format", "json"],
+                          lambda: True) == []
 
 
 def test_importing_the_cli_loads_no_process_pool():

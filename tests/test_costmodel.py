@@ -1,14 +1,16 @@
-import tracemalloc
+import os
 import weakref
 
 import pytest
 
 import lrsim.costmodel as costmodel
+import lrsim.forked as forked
+import lrsim.genmodel as genmodel
 from lrsim.costmodel import demand_table, feasibility_rank, tail_bound_check
 from lrsim.genmodel import ConfigError, PopulationModel
 from lrsim.harness import ALL_SYSTEMS, RANKING_CLAIMS
 from lrsim.lrsystems import SystemId
-from tests.conftest import make_world
+from tests.conftest import make_world, record_draws, traced_peak
 
 
 def by_system(profiles):
@@ -135,18 +137,19 @@ def test_wrong_beliefs_break_the_bound():
 
 
 def recording_chunks(monkeypatch, seen):
-    """Route costmodel's case_chunks through a recorder that appends
-    (seed, truth, chunk sizes) to seen for every stream it hands out."""
-    chunks = costmodel.case_chunks
+    """Route genmodel's chunk draws through a recorder that appends (seed,
+    truth, chunk sizes) to seen for every stream of chunks drawn from chunk
+    0 on. It sees this process's draws only, so it runs every chunk here."""
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    cases = genmodel._cases
 
-    def recording(world, master_seed, n_cases, force_truth=None):
-        sizes = []
-        seen.append((master_seed, force_truth.value, sizes))
-        for batch in chunks(world, master_seed, n_cases, force_truth=force_truth):
-            sizes.append(len(batch))
-            yield batch
+    def recording(world, master_seed, chunk, n, force_truth):
+        if chunk == 0:
+            seen.append((master_seed, force_truth.value, []))
+        seen[-1][2].append(n)
+        return cases(world, master_seed, chunk, n, force_truth)
 
-    monkeypatch.setattr(costmodel, "case_chunks", recording)
+    monkeypatch.setattr(genmodel, "_cases", recording)
 
 
 @pytest.mark.parametrize("seed", [5, 2**64 - 1])
@@ -170,43 +173,82 @@ def test_tail_bound_draws_each_hypothesis_once_for_every_system(monkeypatch):
     assert len(rows) == len(INFORMATIVE) * 4 * 2
 
 
-def test_tail_bound_holds_one_batch_and_one_lr_array_at_a_time(monkeypatch):
-    # gc.collect is never called: an object still alive is still referenced.
-    # A chunk is scored alone; it is released once the next one is drawn
-    batches, arrays = [], []
-    chunks, own_log10 = costmodel.case_chunks, costmodel.own_log10
+def test_tail_bound_draws_each_hypothesis_once_on_two_cpus(tmp_path, monkeypatch):
+    # over both processes each side's chunks are drawn once, each by the
+    # process that counts it: chunks 0 and 2 here, chunk 1 in the case worker
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    draws = record_draws(monkeypatch, tmp_path / "draws")
+    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, seed=5)
+    assert sorted((truth, chunk, n, pid == os.getpid())
+                  for pid, seed, truth, chunk, n in draws() if seed == 5) == [
+        (truth, chunk, n, chunk != 1) for truth in ("H1", "H2")
+        for chunk, n in ((0, 2**16), (1, 2**16), (2, 9))]
+    assert len(draws()) == 6 and len(rows) == len(INFORMATIVE) * 4 * 2
 
-    def tracking_chunks(*args, **kwargs):
-        for batch in chunks(*args, **kwargs):
-            assert all(b() is None for b in batches[:-1])
-            batches.append(weakref.ref(batch))
-            yield batch
+
+def _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, k):
+    """Check, on k CPUs, that each process draws a chunk while it holds only
+    the one before, scores it once that one is gone, and asks for an LR
+    array only once the last one is gone; an assertion failing in the case
+    worker is raised here. Return
+    the draws of every process and the LR arrays asked for in this one."""
+    # gc.collect is never called: an object still alive is still referenced
+    monkeypatch.setattr(forked, "cpus", lambda: k)
+    draws = record_draws(monkeypatch, tmp_path / "draws")
+    batches, arrays = [], []
+    cases, own_log10 = genmodel._cases, costmodel.own_log10
+
+    def tracking_cases(*args):
+        batch = cases(*args)
+        assert all(b() is None for b in batches[:-1])
+        batches.append(weakref.ref(batch))
+        return batch
 
     def tracking_own_log10(*args):
         assert all(a() is None for a in arrays)
+        assert all(b() is None for b in batches[:-1])  # scored alone
         out = own_log10(*args)
         arrays.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(costmodel, "case_chunks", tracking_chunks)
+    monkeypatch.setattr(genmodel, "_cases", tracking_cases)
     monkeypatch.setattr(costmodel, "own_log10", tracking_own_log10)
     tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9)
-    assert len(batches) == 2 * 3 and len(arrays) == 2 * 3 * len(INFORMATIVE)
+    return draws(), arrays
 
 
-def test_tail_bound_memory_does_not_grow_with_n_cases():
+def test_tail_bound_holds_one_batch_and_one_lr_array_at_a_time(tmp_path, monkeypatch):
+    # a chunk is scored alone; it is released once the next one is drawn
+    draws, arrays = _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, 1)
+    assert len(draws) == 2 * 3 and len(arrays) == 2 * 3 * len(INFORMATIVE)
+
+
+def test_tail_bound_holds_one_batch_and_one_lr_array_on_two_cpus(tmp_path, monkeypatch):
+    # this process scores chunks 0 and 2 of each side, the case worker chunk 1
+    draws, arrays = _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, 2)
+    assert len(draws) == 2 * 3 and len(arrays) == 2 * 2 * len(INFORMATIVE)
+
+
+def test_tail_bound_memory_does_not_grow_with_n_cases(monkeypatch):
     # a chunk is scored one LR array at a time and released once the next
     # one is drawn: the peak at ten chunks per hypothesis is the peak at two
+    # (on one CPU, which runs every chunk)
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    world = make_world(n_trace=4, n_ref=16)
+    peaks = [traced_peak(lambda: tail_bound_check(INFORMATIVE, world, n_cases=n))
+             for n in (2 * 2**16, 10 * 2**16)]
+    assert peaks[0] <= 14 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_tail_bound_memory_does_not_grow_on_two_cpus(monkeypatch):
+    # the case worker counts every other chunk, and this process folds them
     world = make_world(n_trace=4, n_ref=16)
     peaks = []
-    for n in (2 * 2**16, 10 * 2**16):
-        tracemalloc.start()
-        try:
-            tail_bound_check(INFORMATIVE, world, n_cases=n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= 14 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
+    for k, chunks in ((1, 2), (2, 10)):
+        monkeypatch.setattr(forked, "cpus", lambda: k)
+        peaks.append(traced_peak(
+            lambda: tail_bound_check(INFORMATIVE, world, n_cases=chunks * 2**16)))
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 

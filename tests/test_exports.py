@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-MODULES = ["lrsim", "lrsim.costmodel", "lrsim.genmodel", "lrsim.harness",
-           "lrsim.kernels", "lrsim.lrsystems", "lrsim.oracle", "lrsim.scoring"]
+MODULES = ["lrsim", "lrsim.costmodel", "lrsim.forked", "lrsim.genmodel",
+           "lrsim.harness", "lrsim.kernels", "lrsim.lrsystems", "lrsim.oracle",
+           "lrsim.scoring"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,12 +1,12 @@
 import dataclasses
-import tracemalloc
+import os
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lrsim import harness
+from lrsim import forked, harness
 from lrsim.cli import _case_table
 from lrsim.genmodel import ConfigError, NoiseModel, PopulationModel, ScenarioKind, generate_cases
 from lrsim.harness import (
@@ -24,7 +24,7 @@ from lrsim.harness import (
 )
 from lrsim.lrsystems import SYSTEMS, SystemId
 from lrsim.scoring import MeanScore, ScoringRule, calibration_report, scores_batch
-from tests.conftest import make_world, packaged_world
+from tests.conftest import make_world, packaged_world, record_draws, same_bits, traced_peak
 
 
 def _small_cfg(world, n=2_000, seed=0, **kw):
@@ -220,22 +220,39 @@ def test_chunks_merge_to_the_whole_batch(rule, believed):
 
 
 @pytest.mark.parametrize("n_trace,n_ref", [(1, 1), (64, 64)])
-def test_run_holds_one_system_in_flight(default_world, n_trace, n_ref):
+def test_run_holds_one_system_in_flight(default_world, monkeypatch, n_trace, n_ref):
     # only one chunk of cases and its scores, which the paired claims read,
     # outlive a system, so the peak is a few float64 columns of one chunk
-    # and does not grow with the number of chunks
+    # and does not grow with the number of chunks. One process runs every
+    # chunk, so that tracing sees them all
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
     world = dataclasses.replace(default_world, n_trace=n_trace, n_ref=n_ref)
     peaks = []
     for n in (2 * 2**16, 10 * 2**16):
         cfg = ExperimentConfig(world=world, n_cases=n)
         assert cfg.systems == ALL_SYSTEMS
-        tracemalloc.start()
-        try:
-            run_experiment(cfg)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: run_experiment(cfg)))
     assert peaks[0] <= 24 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def _peaks_on_one_and_two_cpus(monkeypatch, run):
+    """This process's traced peak of run(n) at two chunks on one CPU, and at
+    ten chunks on two CPUs, where a case worker summarises every other
+    chunk and this process folds them all."""
+    peaks = []
+    for k, chunks in ((1, 2), (2, 10)):
+        monkeypatch.setattr(forked, "cpus", lambda: k)
+        peaks.append(traced_peak(lambda: run(chunks * 2**16)))
+    return peaks
+
+
+@pytest.mark.parametrize("n_trace,n_ref", [(1, 1), (64, 64)])
+def test_run_holds_one_system_in_flight_on_two_cpus(default_world, monkeypatch,
+                                                    n_trace, n_ref):
+    world = dataclasses.replace(default_world, n_trace=n_trace, n_ref=n_ref)
+    peaks = _peaks_on_one_and_two_cpus(
+        monkeypatch, lambda n: run_experiment(ExperimentConfig(world=world, n_cases=n)))
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
@@ -267,18 +284,63 @@ def test_every_experiment_refuses_a_neg_inf_score(monkeypatch, experiment):
 
 
 @pytest.mark.parametrize("experiment", ["illcond", "csprior"])
-def test_focused_experiments_hold_one_chunk(experiment):
+def test_focused_experiments_hold_one_chunk(monkeypatch, experiment):
     # illcond and csprior stream their cases as run_experiment does, so the
-    # peak does not grow with the number of chunks
-    peaks = []
-    for n in (2 * 2**16, 10 * 2**16):
-        tracemalloc.start()
-        try:
-            EXPERIMENTS[experiment](n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    # peak does not grow with the number of chunks (on one CPU, which runs
+    # every chunk)
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    peaks = [traced_peak(lambda: EXPERIMENTS[experiment](n))
+             for n in (2 * 2**16, 10 * 2**16)]
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("experiment", ["illcond", "csprior"])
+def test_focused_experiments_hold_one_chunk_on_two_cpus(monkeypatch, experiment):
+    peaks = _peaks_on_one_and_two_cpus(monkeypatch, EXPERIMENTS[experiment])
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_each_process_draws_only_the_chunks_it_summarises(tmp_path, monkeypatch,
+                                                          experiment):
+    # on two CPUs this process draws chunks 0 and 2 and the case worker
+    # chunk 1: every chunk is drawn once, by the process that summarises it
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    draws = record_draws(monkeypatch, tmp_path / "draws")
+    EXPERIMENTS[experiment](2 * 2**16 + 1)
+    drawn = {(pid == os.getpid(), chunk, n) for pid, _, _, chunk, n in draws()}
+    assert len(draws()) == 3
+    assert drawn == {(True, 0, 2**16), (False, 1, 2**16), (True, 2, 1)}
+
+
+def _add(m, a):
+    """The one-array update _Moments made before merge: the reference."""
+    n_a, mean_a = int(a.shape[0]), float(a.mean())
+    m2_a = float(np.sum((a - mean_a) ** 2))
+    if not m.n:
+        m.n, m.mean, m.m2 = n_a, mean_a, m2_a
+        return
+    n = m.n + n_a
+    delta = mean_a - m.mean
+    m.mean += delta * n_a / n
+    m.m2 += m2_a + delta * delta * m.n * n_a / n
+    m.n = n
+
+
+@pytest.mark.parametrize("sizes", [[1], [7, 1], [2**16, 2**16, 17], [3, 1, 1, 250, 2]])
+@pytest.mark.parametrize("seed", range(5))
+def test_merging_chunk_moments_adds_the_chunks(sizes, seed):
+    # a chunk's moments are computed wherever it is summarised and merged in
+    # chunk order: the floats are those of adding the chunks one by one
+    rng = np.random.default_rng(seed)
+    chunks = [rng.normal(rng.normal(0.0, 100.0), 10 ** rng.uniform(-6, 6), n)
+              for n in sizes]
+    added, merged = harness._Moments(), harness._Moments()
+    for chunk in chunks:
+        _add(added, chunk)
+        merged.merge(harness._Moments.of(chunk))
+    assert merged.n == added.n == sum(sizes)
+    assert same_bits(merged.mean, added.mean) and same_bits(merged.m2, added.m2)
 
 
 def test_verify_ranking_skips_claims_of_absent_systems():
