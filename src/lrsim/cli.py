@@ -8,7 +8,6 @@ Commands:
     csprior       update a source-conditioned prior with common-source LRs
     tailbound     empirical LR tail probabilities against the 1/k bound
     demand        experimental-demand table and the trade-off ranking
-    calibrate     reliability of every system's stated posteriors
     oracle-check  closed-form LRs against the sampling oracle on a grid
 
 Each command takes only the flags its outputs depend on (see _COMMANDS).
@@ -341,6 +340,10 @@ def _rank(args, world, settings, n):
     rule = report.config.rule.value
     counts = {v.value: sum(r.verdict is v for r in report.ranking_verdicts)
               for v in Verdict}
+    if counts["Confirmed"] + counts["Violated"] == 0:
+        warnings.warn(f"the ranking passes vacuously: "
+                      f"{len(report.ranking_verdicts)} claims judged, none "
+                      f"Confirmed or Violated", UserWarning)
     body = {
         "rule": rule,
         "per_system": {s.value: _fields(ms)
@@ -427,17 +430,6 @@ def _demand(args, world, settings, n):
     return body, tables, summary, True
 
 
-def _calibrate(args, world, settings, n):
-    report = _experiment(args, world, settings, n)
-    all_pass = all(rep.passes() for rep in report.calibration.values())
-    summary = [f"  {s.value:10s} max gap {rep.max_abs_gap:.4f} "
-               f"{'ok' if rep.passes() else 'FAIL'}"
-               for s, rep in report.calibration.items()]
-    tables = {"calibration.csv": lambda doc: _calibration_table(report)}
-    return ({"per_system": _calibration_summary(report), "all_pass": all_pass},
-            tables, summary, all_pass)
-
-
 def _oracle_check(args, world, settings, n_paths):
     # every point reads the same paths and bootstrap resamples, drawn once
     try:
@@ -494,8 +486,6 @@ _COMMANDS = {
                        "n_cases", 100_000),
     "demand": _Spec(_demand, ("--lr-min", "--lr-max"),
                     ("demand.csv", "tradeoff.csv")),
-    "calibrate": _Spec(_calibrate, ("--cases",), ("calibration.csv",),
-                       "n_cases", 100_000),
     "oracle-check": _Spec(_oracle_check, ("--paths",), ("oracle.csv",), "n_paths"),
 }
 

@@ -242,9 +242,9 @@ def generate_cases(
 ) -> CaseBatch:
     """Generate n_cases cases; case i only depends on (master_seed, i).
 
-    The whole-batch reference for case_chunks, the package's one route to
-    cases. force_truth pins every case to one hypothesis; every other value
-    of a case is the one it has in a mixed run with the same truth.
+    The whole-batch reference for case_chunks and map_chunks. force_truth
+    pins every case to one hypothesis; every other value of a case is the
+    one it has in a mixed run with the same truth.
     """
     return _cases(world, master_seed, 0, _size(n_cases, force_truth), force_truth)
 

@@ -348,7 +348,7 @@ def run_experiment(
     paired = {claim: d.paired_diff() for claim, d in diffs.items()}
     return EvalReport(
         config=cfg,
-        per_system={s: MeanScore(mean=m.mean, se=m.se, n=m.n, n_neg_inf=0)
+        per_system={s: MeanScore(mean=m.mean, se=m.se, n=m.n)
                     for s, m in moments.items()},
         paired_diffs=paired,
         calibration=calibration,

@@ -9,7 +9,7 @@ stating 0.0.
 A logarithmic score of a categorical mistake (stated probability exactly
 zero on the realised hypothesis) is negative infinity. No mean is taken of
 one: every experiment in harness scores through one step that refuses a
--inf score with a RuntimeError, so MeanScore.n_neg_inf is always 0.
+-inf score with a RuntimeError.
 """
 
 from __future__ import annotations
@@ -144,7 +144,6 @@ class MeanScore:
     mean: float
     se: float
     n: int
-    n_neg_inf: int
 
 
 # Calibration uses N_BINS equal-width bins over [0, 1]. A bin with fewer than

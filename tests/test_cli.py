@@ -128,7 +128,7 @@ def test_world_numbers_must_be_json_numbers(tmp_path, capsys, where, value):
     doc = json.loads(json.dumps(DEFAULT_WORLD_DOC))
     (doc[where[0]] if len(where) == 2 else doc)[where[-1]] = value
     out = tmp_path / "o"
-    code, _, err = run(capsys, "calibrate", "--config",
+    code, _, err = run(capsys, "rank", "--config",
                        write_config(tmp_path, doc), "--out", str(out))
     assert code == 2
     assert err.startswith("error:") and where[-1] in err
@@ -213,7 +213,7 @@ def test_tiny_measurement_noise_ranks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["rank", "illcond", "csprior",
-                                     "tailbound", "calibrate"])
+                                     "tailbound"])
 def test_cases_below_one_rejected(tmp_path, capsys, command):
     # one case has no paired standard error: illcond and csprior once wrote
     # NaN and Infinity into report.json and exited 1
@@ -258,8 +258,7 @@ def test_config_systems_must_be_distinct_system_names(tmp_path, capsys,
     cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC,
                                   "systems": systems})
     out = tmp_path / "o"
-    for command in ("rank", "illcond", "csprior", "tailbound", "calibrate",
-                    "oracle-check"):
+    for command in ("rank", "illcond", "csprior", "tailbound", "oracle-check"):
         code, stdout, err = run(capsys, command, "--config", cfg,
                                 "--out", str(out))
         assert code == 2, command
@@ -270,7 +269,7 @@ def test_config_systems_must_be_distinct_system_names(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     ("demand", "--seed", "1"), ("demand", "--config", "world.json"),
-    ("calibrate", "--rule", "brier"), ("tailbound", "--rule", "brier"),
+    ("tailbound", "--rule", "brier"),
 ])
 def test_commands_take_only_the_flags_they_read(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -278,6 +277,20 @@ def test_commands_take_only_the_flags_they_read(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert argv[1] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_calibrate_is_no_command(tmp_path, capsys):
+    # rank writes calibration.csv and the calibration block; there is no
+    # second command over the same experiment
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "calibration.csv").write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+    assert {p.name: p.read_text() for p in out.iterdir()} == {
+        "calibration.csv": "kept\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +384,6 @@ SMALL_ARGS = {
     "csprior": ("--cases", "2000"),
     "tailbound": ("--cases", "2000"),
     "demand": (),
-    "calibrate": ("--cases", "2000"),
     "oracle-check": ("--paths", "150000"),
 }
 
@@ -381,7 +393,6 @@ CSV_FILES = {
     "csprior": {"csprior.csv"},
     "tailbound": {"tailbound.csv"},
     "demand": {"demand.csv", "tradeoff.csv"},
-    "calibrate": {"calibration.csv"},
     "oracle-check": {"oracle.csv"},
 }
 
@@ -552,8 +563,7 @@ def test_rank_cases_csv_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
     ("tailbound",),
     ("illcond", "--config", str(resources.files("lrsim.data") / "illcond_world.json")),
     ("csprior",),
-    ("calibrate",),
-], ids=["rank", "tailbound", "illcond", "csprior", "calibrate"])
+], ids=["rank", "tailbound", "illcond", "csprior"])
 def test_chunked_commands_are_the_same_on_one_and_two_cpus(tmp_path, capsys,
                                                           monkeypatch, argv):
     # three chunks of cases, the last of one case: on two CPUs a case worker
@@ -886,6 +896,8 @@ def test_rank_outputs(tmp_path, capsys):
     assert len(doc["verdicts"]) == 11
     assert sum(doc["verdict_counts"].values()) == 11
     assert doc["verdict_counts"]["Violated"] == 0
+    assert len(doc["per_system"]) == 9
+    assert all(set(v) == {"mean", "n", "se"} for v in doc["per_system"].values())
     header = (out / "cases.csv").read_text().splitlines()[0]
     assert header.startswith("case_id,truth,r_theta,x,y")
     assert "CSFLR_posterior" in header
@@ -924,7 +936,7 @@ _RANK_CASES_SEED0 = (
         "calibration.csv": _RANK_CALIBRATION_SEED0,
         "cases.csv": _RANK_CASES_SEED0,
         "report.json":
-            "1e5b459b4aa2ef8ba20060eeb4921e8b94c6c3579554aaa2ad6f958e1b012c6c",
+            "aeb84792c5324708cf55235f56f352c74349c02771b35b5cb8a34b59b0072e2f",
         "scores.csv":
             "c581f26f142e65379a5b712d7e8677955fab07031d046ffc8b9314507bb842db"}),
     (("--seed", "7"), {
@@ -933,14 +945,14 @@ _RANK_CASES_SEED0 = (
         "cases.csv":
             "19dd0919de22799bf98457717b4319800f0deafa90a0e8ae6b7ccb8c5182ef28",
         "report.json":
-            "90f51bb8f2a3fa14394c87f18a78bf2d0cd1cdc1a2894260d26c59174be8e885",
+            "58781f6f732911287ad1e2b3c889935b59d63c5ff9350e9d9c25a6bc05f65ce8",
         "scores.csv":
             "e5057af5e4ce642b366a56ec2512e7eb0f165831f630776f887659c2d6079797"}),
     (("--seed", "0", "--rule", "brier"), {
         "calibration.csv": _RANK_CALIBRATION_SEED0,
         "cases.csv": _RANK_CASES_SEED0,
         "report.json":
-            "d709cea9d96a003a7a344ea608e38ba45c6867cb1316e477272a982bef479974",
+            "424d67fbbe339274987e80b5da2132090e4f1ab2bd982f35b7ac486b093941fe",
         "scores.csv":
             "7a452052ac2ef6f8e9f0d9c4b2f90a63f1b6b1c5e4378474dbb65154133ef1b7"}),
 ])
@@ -968,7 +980,7 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
         "cases.csv":
             "8587ab61f12baf0b3651af10a8be927be95854accc156cee84ed7046d9ea6618",
         "report.json":
-            "ec582804c7aa677d423a6839ec7de6c144f1f3932da6a58fc29ce73813461470",
+            "1c8b7a984431e662ebd2d5680a46b75fce1e53effc69b0df3297cdf720cd7821",
         "scores.csv":
             "60bc485b274b674703157b20e259a4cce2c2c8f5c8eb9faca002da837ae6328e"}
 
@@ -980,7 +992,7 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
         "cases.csv":
             "f2fe2ed87440e3d6070d43ed52db76e21ddecf5b9c7460c16b061a8c81d644c2",
         "report.json":
-            "cdbe75465eb16ae016c412a851a6c15ab1492dc2cb9b15ff14a0f8633325b669",
+            "14a6dbdd50f0aafe15877a535809c4f27515815d2cb54a8398191b7272a01a5d",
         "scores.csv":
             "fe1b810371aa88ae4ac874bb85486341545d0f45f9789cf9781fe2255619cdd0"},
         id="0-digests0"),
@@ -990,7 +1002,7 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
         "cases.csv":
             "1a481ed36fda97bd944046b45442415d5b6b16a71c1eb22fb89f5ef22334ce67",
         "report.json":
-            "d7cd4bf8e0fdf459919e5663e51ac8217c285a2c00f46a25a1bdc3fa31f10bd5",
+            "a7b0ec3bf72d4dc3588c74b61188b30da4eecbdff883362d2758ebdc1761d861",
         "scores.csv":
             "df11ea1dd928869d490cbbbc49000bc0b626d9f6e35dd2d137777cc86714cdc1"},
         id="7-digests1"),
@@ -1002,7 +1014,7 @@ def test_rank_bytes_are_pinned_with_trace_and_reference_means(tmp_path, capsys):
         "cases.csv":
             "f2fe2ed87440e3d6070d43ed52db76e21ddecf5b9c7460c16b061a8c81d644c2",
         "report.json":
-            "9d150f986c56af68e2e99f20607fe61005a92c560fd6c35443161aca17a14592",
+            "a7bad75fdd7274dcec299c4e64b370c0b8c013ddef660106bd57a2fc358b68fd",
         "scores.csv":
             "9d163e89108c39ba7406e1626a677757857efd408c3ec56617d626cf73dbfe70"},
         id="0-brier"),
@@ -1017,25 +1029,6 @@ def test_rank_bytes_are_pinned_above_one_chunk(tmp_path, capsys, seed, rule,
     assert run(capsys, "rank", "--cases", "131073", "--format", "both",
                "--rule", rule, "--seed", seed, "--config", config,
                "--out", str(out))[0] == 0
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in out.iterdir()} == digests
-
-
-@pytest.mark.parametrize("seed,digests", [
-    ("0", {"calibration.csv": _RANK_CALIBRATION_SEED0,
-           "report.json":
-               "5502af8dbafd3f6d9a95e98f4e6b561061b06439dc78d065962e5a8b7db42444"}),
-    ("7", {"calibration.csv":
-               "3f957431f54d0ab6075b9f30664fa58ead8b9f2070feb9db19aa3b52d71aab31",
-           "report.json":
-               "ace4cb95e4b30804f6c35f2c1926161f4607a1c3df0e71e6e301009eb25af0f6"}),
-])
-def test_calibrate_bytes_are_pinned(tmp_path, capsys, seed, digests):
-    # calibrate runs the ranking experiment: on the same cases its
-    # calibration.csv is rank's, byte for byte
-    out = tmp_path / "o"
-    assert run(capsys, "calibrate", "--cases", "10000", "--format", "both",
-               "--seed", seed, "--out", str(out))[0] == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests
 
@@ -1206,6 +1199,31 @@ def test_few_cases_warn_in_one_line(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ("warning: ranking verdicts are noisy below 10000 "
                            "cases; expect spurious Ties\n")
+
+
+@pytest.mark.parametrize("doc,judged", [
+    ({"world": dict(DEFAULT_WORLD_DOC, prior_h1=1e-300)}, 11),
+    ({"world": DEFAULT_WORLD_DOC, "systems": ["PriorOnly", "CSFLR"]}, 0),
+    ({"world": DEFAULT_WORLD_DOC}, None),
+], ids=["tiny-prior", "no-claim", "default-world"])
+def test_a_vacuous_ranking_warns_in_one_line(tmp_path, capsys, doc, judged):
+    # a prior of 1e-300 leaves every claim a Tie, and two systems that no
+    # claim compares leave none to judge: the run passes, and says why.
+    # The default world at 10^4 cases confirms claims and does not warn.
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a command's filters, not this module's
+        code, _, err = run(capsys, "rank", "--cases", "10000", "--format", "json",
+                           "--config", write_config(tmp_path, doc),
+                           "--out", str(out))
+    assert code == 0
+    counts = json.loads((out / "report.json").read_text())["verdict_counts"]
+    if judged is None:
+        assert err == "" and counts["Confirmed"] > 0
+    else:
+        assert counts == {"Confirmed": 0, "Tie": judged, "Violated": 0}
+        assert err == (f"warning: the ranking passes vacuously: {judged} "
+                       f"claims judged, none Confirmed or Violated\n")
 
 
 def test_rank_honors_config_wrapper(tmp_path, capsys):
@@ -1437,17 +1455,6 @@ def test_records_are_their_columns(tmp_path, capsys):
                "--out", str(out / "r"))[0] == 0
     verdicts = json.loads((out / "r" / "report.json").read_text())["verdicts"]
     assert all(sorted(v) == sorted(names(RankingVerdict)) for v in verdicts)
-
-
-def test_calibrate_command(tmp_path, capsys):
-    out = tmp_path / "o"
-    code, stdout, _ = run(capsys, "calibrate", "--cases", "20000",
-                          "--out", str(out))
-    assert code == 0
-    assert "FAIL" not in stdout
-    doc = json.loads((out / "report.json").read_text())
-    assert doc["all_pass"] is True
-    assert len(doc["per_system"]) == 9
 
 
 def test_oracle_check_command(tmp_path, capsys):

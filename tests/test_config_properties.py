@@ -36,7 +36,7 @@ NAMES = {"ReferenceCrimeRelevant", "TraceCrimeRelevant",
          "DistinctionIrrelevant", "SignedDifference", "AbsoluteDifference"}
 # small sizes: a corruption that slipped through would still finish quickly
 COMMANDS = [(c, "--cases", "1000") for c in
-            ("rank", "illcond", "csprior", "tailbound", "calibrate")] + [
+            ("rank", "illcond", "csprior", "tailbound")] + [
     ("oracle-check", "--paths", "1000")]
 
 # A corruption is (path, value): set the key at path to value, or delete it

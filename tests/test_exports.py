@@ -60,9 +60,10 @@ def _calls(path: Path) -> set[tuple[str, str, str | None]]:
 
 
 def test_every_experiment_takes_one_route_to_its_scores():
-    # cases come only from case_chunks, a log10 LR becomes a posterior only
-    # in harness._stated, and a posterior is scored only in harness._scores,
-    # which refuses a -inf score; scoring's own uses of its rule stay inside
+    # an experiment's cases come only from map_chunks (cases.csv's from
+    # case_chunks), a log10 LR becomes a posterior only in harness._stated,
+    # and a posterior is scored only in harness._scores, which refuses a
+    # -inf score; scoring's own uses of its rule stay inside
     src = Path(__file__).resolve().parents[1] / "src" / "lrsim"
     calls = set().union(*map(_calls, sorted(src.glob("*.py"))))
 

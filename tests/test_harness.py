@@ -158,7 +158,7 @@ def _whole_batch(cfg, believed):
         s = scores[system] = scores_batch(cfg.rule, posterior, batch.truth_h1)
         per_system[system] = MeanScore(mean=float(s.mean()),
                                        se=float(np.std(s, ddof=1) / np.sqrt(s.size)),
-                                       n=s.size, n_neg_inf=0)
+                                       n=s.size)
         calibration[system] = calibration_report(posterior, batch.truth_h1)
     paired = {}
     for claim, better, worse in RANKING_CLAIMS:
@@ -204,7 +204,7 @@ def test_chunks_merge_to_the_whole_batch(rule, believed):
     assert rep.clamp_counts == clamps
     for system, want in per_system.items():
         got = rep.per_system[system]
-        assert (got.n, got.n_neg_inf) == (want.n, want.n_neg_inf) == (cfg.n_cases, 0)
+        assert got.n == want.n == cfg.n_cases
         assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0), system
         assert got.se == pytest.approx(want.se, rel=1e-12, abs=0), system
         got_cal, want_cal = rep.calibration[system], calibration[system]
