@@ -269,7 +269,7 @@ def test_config_systems_must_be_distinct_system_names(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     ("demand", "--seed", "1"), ("demand", "--config", "world.json"),
-    ("tailbound", "--rule", "brier"),
+    ("oracle-check", "--cases", "10"), ("tailbound", "--rule", "brier"),
 ])
 def test_commands_take_only_the_flags_they_read(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
