@@ -20,12 +20,13 @@ are stored verbatim as constants rather than re-derived.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import ConfigError, Hypothesis, WorldConfig, map_chunks
+from .genmodel import ConfigError, Hypothesis, WorldConfig, fold_chunks
 from .harness import own_log10
 from .lrsystems import NONTRIVIAL, SYSTEMS, SystemId
 
@@ -217,10 +218,10 @@ def tail_bound_check(
     each k of K_VALUES.
 
     Draws n_cases cases per hypothesis, both from seed, in chunks of 2**16
-    summarised on up to two CPUs (see map_chunks). Each chunk is drawn once
+    counted on up to two CPUs (see fold_chunks). Each chunk is drawn once
     for every system and counts each system's exceedances, one LR array at a
-    time, so memory does not grow with n_cases. The counts over n_cases are
-    the exceedances. An exceedance up to 1/k + 3 binomial standard errors
+    time, into an int64 array that the chunks sum, so memory does not grow
+    with n_cases. The counts over n_cases are the exceedances. An exceedance up to 1/k + 3 binomial standard errors
     passes. Passing believed_world makes the evaluator use
     densities that differ from the generating world; genuine LRs satisfy
     the bound, mis-believed ones generally break it. Rows run by system, k,
@@ -235,18 +236,15 @@ def tail_bound_check(
         return [np.count_nonzero(log10_lr > math.log10(k) if side is Hypothesis.H2
                                  else log10_lr < -math.log10(k)) for k in K_VALUES]
 
-    def exceedances(side: Hypothesis) -> list[list[float]]:
-        def summarise(batch):
-            return [beyond(own_log10(s, batch, w), side) for s in systems], ()
+    def summarise(side: Hypothesis, batch):
+        return np.array([beyond(own_log10(s, batch, w), side) for s in systems],
+                        dtype=np.int64), ()
 
-        counts = np.zeros((len(systems), len(K_VALUES)), dtype=np.int64)
-        for chunk_counts in map_chunks(summarise, world, seed, n_cases, force_truth=side):
-            counts += chunk_counts
-        return (counts / n_cases).tolist()
-
+    exceedances = ((fold_chunks(functools.partial(summarise, side), world, seed,
+                                n_cases, force_truth=side) / n_cases).tolist()
+                   for side in (Hypothesis.H2, Hypothesis.H1))
     rows = []
-    for system, h2, h1 in zip(systems, exceedances(Hypothesis.H2),
-                              exceedances(Hypothesis.H1)):
+    for system, h2, h1 in zip(systems, *exceedances):
         for k, e2, e1 in zip(K_VALUES, h2, h1):
             p = 1.0 / k
             bound = p + 3.0 * math.sqrt(p * (1.0 - p) / n_cases)

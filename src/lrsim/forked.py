@@ -1,8 +1,8 @@
 """The package's one fork path: a map over items split by index between
 forked processes, whose results come back in item order.
 
-Every case experiment summarises its chunks of cases through it (see
-genmodel.map_chunks), and cases.csv formats its pieces through it (see
+Every case experiment sums its chunks of cases through it (see
+genmodel.fold_chunks), and cases.csv formats its pieces through it (see
 cli._write_csv). A result does not depend on the process that computed it,
 so no output byte depends on how many processes there were.
 """
@@ -22,7 +22,6 @@ __all__ = ["CAP", "cpus", "ordered_map"]
 # own, so CPU and memory grow with the count; wall time and summed memory
 # have been measured only up to 2.
 CAP = 2
-_SLICE = 1 << 16  # a sink receives a worker's bytes in slices this long
 
 
 def cpus() -> int:
@@ -33,8 +32,7 @@ def cpus() -> int:
         return os.cpu_count() or 1
 
 
-def ordered_map(fn: Callable, items: Iterable, label: str, noun: str,
-                sink: Callable | None = None) -> Iterator:
+def ordered_map(fn: Callable, items: Iterable, label: str, noun: str) -> Iterator:
     """Yield fn(item) for every item, in item order, computed on up to CAP
     of the CPUs this process may run on. label names a worker and noun an
     item in the errors this raises.
@@ -45,13 +43,11 @@ def ordered_map(fn: Callable, items: Iterable, label: str, noun: str,
     each time they are walked from the same state. With fewer than two
     items, one CPU or no os.fork, nothing forks.
 
-    A worker sends each result down its own pipe as a length-framed pickle,
-    preceded by the warnings fn gave; an exception fn raises is sent the
-    same way. This process re-issues the warnings through its own filters
-    and raises the exception at that item's position, so that what is shown
-    and raised is what one process would show and raise. With sink given,
-    fn returns bytes: a worker's bytes go to sink in slices as they arrive,
-    so that no frame is held whole, and None is yielded in their place. A
+    A worker sends one pickle per item down its own pipe: the warnings fn
+    gave, then its result or the exception it raised (a result that cannot
+    be pickled raises too). This process re-issues the warnings through its
+    own filters and raises the exception at that item's position, so that
+    what is shown and raised is what one process would show and raise. A
     worker that ends before an item it owes, or exits nonzero, raises
     RuntimeError. Every worker is reaped before this returns or raises.
     """
@@ -77,7 +73,7 @@ def ordered_map(fn: Callable, items: Iterable, label: str, noun: str,
                     pid = os.fork()
                     if pid == 0:  # a worker: it never unwinds into the caller
                         try:
-                            _work(fn, items, j, k, w, reads, sink is not None)
+                            _work(fn, items, j, k, w, reads)
                             os._exit(0)
                         finally:
                             os._exit(1)
@@ -88,7 +84,7 @@ def ordered_map(fn: Callable, items: Iterable, label: str, noun: str,
             if i % k == 0:
                 yield fn(item)
             else:
-                yield _receive(readers[i % k - 1], sink,
+                yield _receive(readers[i % k - 1],
                                f"{label} {i % k} of {k} ended before {noun} {i}")
     finally:
         # a worker blocked on a full pipe leaves on EPIPE once its read end
@@ -101,12 +97,12 @@ def ordered_map(fn: Callable, items: Iterable, label: str, noun: str,
 
 
 def _work(fn: Callable, items: Iterator, j: int, k: int, w: int,
-          reads: list[int], raw: bool) -> None:
-    """The body of forked worker j of k: send a frame for every item whose
-    index is j mod k down w, and stop after an exception. Its caller leaves
-    by os._exit, so it never flushes an inherited buffer. The parent walks
-    the same items and shows what walking them warns, so only fn's own
-    warnings are sent."""
+          reads: list[int]) -> None:
+    """The body of forked worker j of k: send (warnings, result, exception)
+    for every item whose index is j mod k down w, and stop after an
+    exception. Its caller leaves by os._exit, so it never flushes an
+    inherited buffer. The parent walks the same items and shows what
+    walking them warns, so only fn's own warnings are sent."""
     for fd in reads:
         os.close(fd)
     warnings.simplefilter("ignore")
@@ -117,50 +113,31 @@ def _work(fn: Callable, items: Iterator, j: int, k: int, w: int,
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")  # the parent's filters decide
                 try:
-                    result = fn(item)
-                    tag, payload = b"v", (result if raw else pickle.dumps(
-                        result, pickle.HIGHEST_PROTOCOL))
+                    data, error = _pickle(caught, fn(item), None), None
                 except Exception as e:
-                    tag, payload = b"e", pickle.dumps(e, pickle.HIGHEST_PROTOCOL)
-            if caught:
-                _frame(out, b"w", pickle.dumps([(str(m.message), m.category,
-                                                 m.filename, m.lineno) for m in caught]))
-            _frame(out, tag, payload)
-            if tag == b"e":
+                    data, error = _pickle(caught, None, e), e
+            out.write(data)
+            out.flush()  # the parent waits for each item
+            if error is not None:
                 return
 
 
-def _frame(out, tag: bytes, payload: bytes) -> None:
-    # flushed frame by frame: the parent waits for each one
-    out.write(tag + len(payload).to_bytes(8, "little"))
-    out.write(payload)
-    out.flush()
+def _pickle(caught: list, result, error: Exception | None) -> bytes:
+    return pickle.dumps(([(str(m.message), m.category, m.filename, m.lineno)
+                          for m in caught], result, error), pickle.HIGHEST_PROTOCOL)
 
 
-def _receive(reader, sink: Callable | None, ended: str):
-    """Read one item's frames from a worker: re-issue its warnings, then
+def _receive(reader, ended: str):
+    """Read one item's pickle from a worker: re-issue its warnings, then
     return its result or raise its exception."""
-    while True:
-        head = reader.read(9)
-        if len(head) < 9:
-            raise RuntimeError(ended)
-        tag, left = head[:1], int.from_bytes(head[1:], "little")
-        if tag == b"v" and sink is not None:
-            while left and (data := reader.read(min(left, _SLICE))):
-                sink(data)
-                left -= len(data)
-            if left:
-                raise RuntimeError(ended)
-            return None
-        payload = reader.read(left)
-        if len(payload) < left:
-            raise RuntimeError(ended)
-        obj = pickle.loads(payload)
-        if tag == b"v":
-            return obj
-        if tag == b"e":
-            raise obj
-        _reissue(obj)
+    try:
+        caught, result, error = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):  # empty or truncated
+        raise RuntimeError(ended) from None
+    _reissue(caught)
+    if error is not None:
+        raise error
+    return result
 
 
 def _reissue(caught: list) -> None:

@@ -15,6 +15,7 @@ in which order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -36,9 +37,9 @@ __all__ = [
     "ScoreKind",
     "WorldConfig",
     "case_chunks",
+    "fold_chunks",
     "generate_cases",
     "load_world",
-    "map_chunks",
     "read_json",
     "world_from_json_dict",
     "world_to_json_dict",
@@ -242,7 +243,7 @@ def generate_cases(
 ) -> CaseBatch:
     """Generate n_cases cases; case i only depends on (master_seed, i).
 
-    The whole-batch reference for case_chunks and map_chunks. force_truth
+    The whole-batch reference for case_chunks and fold_chunks. force_truth
     pins every case to one hypothesis; every other value of a case is the
     one it has in a mixed run with the same truth.
     """
@@ -267,24 +268,24 @@ def case_chunks(
             for chunk, start in enumerate(range(0, n, _CHUNK)))
 
 
-def map_chunks(
+def fold_chunks(
     summarise: Callable,
     world: WorldConfig,
     master_seed: int,
     n_cases: int,
     force_truth: Hypothesis | None = None,
-) -> Iterator:
-    """The summary of each batch of case_chunks(world, master_seed, n_cases,
-    force_truth), in chunk order, computed on up to forked.CAP CPUs (see
-    forked.ordered_map). Each process draws, by index, only the chunks it
-    summarises.
+):
+    """The chunk-order sum of the summaries of the batches of
+    case_chunks(world, master_seed, n_cases, force_truth), computed on up to
+    forked.CAP CPUs (see forked.ordered_map). Each process draws, by index,
+    only the chunks it summarises.
 
-    summarise(batch) returns (summary, arrays). The summary is yielded; the
+    summarise(batch) returns (summary, arrays). Summaries add by _plus: a
+    tuple or dict adds item by item, and what is below adds by +. The
     arrays are kept with the batch until the process draws its next chunk,
     as a loop over case_chunks keeps them. Freed sooner, at the top of the
     heap, their memory would go back to the system and be faulted in again,
-    about 8k minor page faults per chunk with glibc. The arguments are
-    checked when this is called.
+    about 8k minor page faults per chunk with glibc.
     """
     n = _size(n_cases, force_truth)
     held = []
@@ -297,7 +298,16 @@ def map_chunks(
         held[:] = (batch, arrays)
         return out
 
-    return ordered_map(summary, range(-(-n // _CHUNK)), "case worker", "chunk")
+    return functools.reduce(_plus, ordered_map(summary, range(-(-n // _CHUNK)),
+                                               "case worker", "chunk"))
+
+
+def _plus(a, b):
+    if isinstance(a, tuple):
+        return tuple(map(_plus, a, b))
+    if isinstance(a, dict):
+        return {key: _plus(a[key], b[key]) for key in a}
+    return a + b
 
 
 # ---------------------------------------------------------------------------

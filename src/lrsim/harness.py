@@ -37,7 +37,7 @@ from .genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
-    map_chunks,
+    fold_chunks,
     world_to_json_dict,
 )
 from .lrsystems import (
@@ -259,9 +259,9 @@ def verify_ranking(paired_diffs: dict[str, PairedDiff]) -> list[RankingVerdict]:
 class _Moments:
     """Count, mean and sum of squared deviations (m2) of a stream of arrays.
 
-    Each array's moments (of) merge into the running ones by the pairwise
+    Each array's moments (of) add to the running ones by the pairwise
     update of Chan, Golub & LeVeque, "Algorithms for computing the sample
-    variance" (Am. Stat. 1983), so merging chunk moments in chunk order
+    variance" (Am. Stat. 1983), so adding chunk moments in chunk order
     gives the same floats wherever each chunk's moments were computed. Over
     a single array, mean and se are those of np.mean and np.std(ddof=1) bit
     for bit.
@@ -276,15 +276,13 @@ class _Moments:
         mean = float(a.mean())
         return cls(int(a.shape[0]), mean, float(np.sum((a - mean) ** 2)))
 
-    def merge(self, other: _Moments) -> None:
+    def __add__(self, other: _Moments) -> _Moments:
         if not self.n:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            return
+            return _Moments(other.n, other.mean, other.m2)
         n = self.n + other.n
         delta = other.mean - self.mean
-        self.mean += delta * other.n / n
-        self.m2 += other.m2 + delta * delta * self.n * other.n / n
-        self.n = n
+        return _Moments(n, self.mean + delta * other.n / n,
+                        self.m2 + (other.m2 + delta * delta * self.n * other.n / n))
 
     @property
     def se(self) -> float:
@@ -304,12 +302,12 @@ def run_experiment(
     """Score every system on one shared case set and judge the claims.
 
     The cases stream in chunks of 2**16, summarised on up to two CPUs (see
-    map_chunks), and the systems run one at a time within a chunk: each
+    fold_chunks), and the systems run one at a time within a chunk: each
     one's LR and posterior arrays are dropped before the next. A chunk's
     summary is each system's score moments, clamp count and calibration
-    bins, and each claim's moments of the paired score difference; they are
-    folded in chunk order, so the results do not depend on the number of
-    CPUs. Its cases and scores are dropped once the next chunk is drawn, so
+    bins, and each claim's moments of the paired score difference; the
+    summaries add in chunk order, so the results do not depend on the
+    number of CPUs. Its cases and scores are dropped once the next chunk is drawn, so
     memory does not grow with n_cases. A run of one chunk gives exactly the
     whole-batch means and standard errors; over more chunks they agree to
     rounding, and the counts exactly.
@@ -317,10 +315,6 @@ def run_experiment(
     systems = cfg.systems
     claims = [(claim, better, worse) for claim, better, worse in RANKING_CLAIMS
               if better in systems and worse in systems]
-    moments = {s: _Moments() for s in systems}
-    diffs = {claim: _Moments() for claim, _, _ in claims}
-    calibration: dict[SystemId, CalibrationReport] = {}
-    clamps = dict.fromkeys(systems, 0)
 
     def summarise(batch: CaseBatch):
         scores: dict[SystemId, np.ndarray] = {}
@@ -336,24 +330,17 @@ def run_experiment(
                   for claim, better, worse in claims}
         return (per_system, paired), scores
 
-    for per_system, paired in map_chunks(summarise, cfg.world, cfg.master_seed,
-                                         cfg.n_cases):
-        for system, (m, n_clamped, cal) in per_system.items():
-            moments[system].merge(m)
-            clamps[system] += n_clamped
-            calibration[system] = calibration[system] + cal if system in calibration else cal
-        for claim, m in paired.items():
-            diffs[claim].merge(m)
-
+    per_system, diffs = fold_chunks(summarise, cfg.world, cfg.master_seed,
+                                    cfg.n_cases)
     paired = {claim: d.paired_diff() for claim, d in diffs.items()}
     return EvalReport(
         config=cfg,
         per_system={s: MeanScore(mean=m.mean, se=m.se, n=m.n)
-                    for s, m in moments.items()},
+                    for s, (m, _, _) in per_system.items()},
         paired_diffs=paired,
-        calibration=calibration,
+        calibration={s: cal for s, (_, _, cal) in per_system.items()},
         ranking_verdicts=verify_ranking(paired),
-        clamp_counts=clamps,
+        clamp_counts={s: n for s, (_, n, _) in per_system.items()},
         believed_world=believed_world,
     )
 
@@ -411,17 +398,12 @@ def ill_conditioning_experiment(
                           _stated(naive, world.prior_h1)[0], batch.truth_h1)
         s_proper = _scores("CSXASLR with its anchor term", rule,
                            _stated(proper, world.prior_h1)[0], batch.truth_h1)
-        return ((rel_err, _Moments.of(s_naive), _Moments.of(s_proper),
+        return (([rel_err], _Moments.of(s_naive), _Moments.of(s_proper),
                  _Moments.of(s_proper - s_naive)), (s_naive, s_proper))
 
-    naive_m, proper_m, gap = _Moments(), _Moments(), _Moments()
-    max_rel_err = 0.0
-    for rel_err, naive, proper, chunk_gap in map_chunks(summarise, world,
-                                                         master_seed, n_cases):
-        max_rel_err = max(max_rel_err, rel_err)
-        naive_m.merge(naive)
-        proper_m.merge(proper)
-        gap.merge(chunk_gap)
+    rel_errs, naive_m, proper_m, gap = fold_chunks(summarise, world, master_seed,
+                                                   n_cases)
+    max_rel_err = float(np.max(rel_errs))  # a NaN chunk makes it NaN
     diff = gap.paired_diff()
     return IllCondReport(
         n_cases=n_cases, rule=rule, identity_max_rel_err=max_rel_err,
@@ -486,10 +468,8 @@ def cs_update_ss_prior_experiment(
                  _Moments.of(s_flr - s_base), _Moments.of(s_slr - s_base)),
                 (s_base, s_flr, s_slr))
 
-    totals = base, flr, slr, gap_flr, gap_slr = tuple(_Moments() for _ in range(5))
-    for chunk in map_chunks(summarise, world, master_seed, n_cases):
-        for total, m in zip(totals, chunk):
-            total.merge(m)
+    base, flr, slr, gap_flr, gap_slr = fold_chunks(summarise, world, master_seed,
+                                                   n_cases)
     d_flr, d_slr = gap_flr.paired_diff(), gap_slr.paired_diff()
     return CsPriorReport(
         n_cases=n_cases, rule=rule, populations_match=matched,
@@ -534,10 +514,7 @@ def total_expectation_check(
                + (1.0 - p_joint) * _scores("CSSLR", rule, p_delta, ~all_h1))
         return (_Moments.of(lhs), _Moments.of(rhs), _Moments.of(lhs - rhs)), (lhs, rhs)
 
-    totals = lhs_m, rhs_m, gap = tuple(_Moments() for _ in range(3))
-    for chunk in map_chunks(summarise, world, master_seed, n_samples):
-        for total, m in zip(totals, chunk):
-            total.merge(m)
+    lhs_m, rhs_m, gap = fold_chunks(summarise, world, master_seed, n_samples)
     diff = gap.paired_diff()
     return TotalExpectationReport(
         lhs_mean=lhs_m.mean, rhs_mean=rhs_m.mean,

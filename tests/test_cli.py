@@ -1282,6 +1282,22 @@ def test_illcond_identity_holds_at_tiny_noise(tmp_path, capsys):
     assert report["identity_max_rel_err"] < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_illcond_fails_a_nan_identity(tmp_path, capsys):
+    # popT at 1e160 overflows when squared: every LR is +/-inf and every
+    # residual of the identity NaN. The max over chunks once dropped the NaN
+    # and read "identity max rel err 0.00e+00 (ok)" with exit 0
+    doc = dict(DEFAULT_WORLD_DOC, popT={"mu": 1e160, "tau": 1.0})
+    out = tmp_path / "o"
+    code, stdout, _ = run(capsys, "illcond", "--config", write_config(tmp_path, doc),
+                          "--cases", "2000", "--format", "json", "--out", str(out))
+    assert code == 1
+    assert "identity max rel err nan (FAIL)" in stdout
+    report = json.loads((out / "report.json").read_text())
+    assert report["identity_ok"] is False
+    assert math.isnan(report["identity_max_rel_err"])
+
+
 _ILLCOND_DOC = json.loads(resources.files("lrsim.data").joinpath(
     "illcond_world.json").read_text())
 

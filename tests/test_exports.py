@@ -59,22 +59,37 @@ def _calls(path: Path) -> set[tuple[str, str, str | None]]:
     return found
 
 
+def _callers(callee: str) -> set[tuple[str, str | None]]:
+    """(module, enclosing def) of every call of callee in the package."""
+    src = Path(__file__).resolve().parents[1] / "src" / "lrsim"
+    calls = set().union(*map(_calls, sorted(src.glob("*.py"))))
+    return {(module, fn) for name, module, fn in calls if name == callee}
+
+
 def test_every_experiment_takes_one_route_to_its_scores():
-    # an experiment's cases come only from map_chunks (cases.csv's from
+    # an experiment's cases come only from fold_chunks (cases.csv's from
     # case_chunks), a log10 LR becomes a posterior only in harness._stated,
     # and a posterior is scored only in harness._scores, which refuses a
     # -inf score; scoring's own uses of its rule stay inside
-    src = Path(__file__).resolve().parents[1] / "src" / "lrsim"
-    calls = set().union(*map(_calls, sorted(src.glob("*.py"))))
-
-    def callers(callee):
-        return {(module, fn) for name, module, fn in calls if name == callee}
-
-    assert {c for c in callers("scores_batch") if c[0] != "scoring"} == {
+    assert _callers("fold_chunks") == {
+        ("harness", "run_experiment"), ("harness", "ill_conditioning_experiment"),
+        ("harness", "cs_update_ss_prior_experiment"),
+        ("harness", "total_expectation_check"), ("costmodel", "tail_bound_check")}
+    assert _callers("case_chunks") == {("cli", "_case_table")}
+    assert {module for module, _ in _callers("_cases")} == {"genmodel"}
+    assert {c for c in _callers("scores_batch") if c[0] != "scoring"} == {
         ("harness", "_scores")}
-    assert callers("clamp_log10_lr") == {("harness", "_stated")}
-    assert callers("posterior_from_log10_lr") == {("harness", "_stated")}
-    assert callers("generate_cases") == set()
+    assert _callers("clamp_log10_lr") == {("harness", "_stated")}
+    assert _callers("posterior_from_log10_lr") == {("harness", "_stated")}
+    assert _callers("generate_cases") == set()
+
+
+def test_one_fork_path():
+    # every fork of the package is ordered_map's, and only the chunk fold
+    # and the CSV writer map through it
+    assert _callers("fork") == {("forked", "ordered_map")}
+    assert _callers("ordered_map") == {("genmodel", "fold_chunks"),
+                                       ("cli", "_write_csv")}
 
 
 def test_benchmark_probe_runs():

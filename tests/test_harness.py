@@ -338,7 +338,7 @@ def test_merging_chunk_moments_adds_the_chunks(sizes, seed):
     added, merged = harness._Moments(), harness._Moments()
     for chunk in chunks:
         _add(added, chunk)
-        merged.merge(harness._Moments.of(chunk))
+        merged = merged + harness._Moments.of(chunk)
     assert merged.n == added.n == sum(sizes)
     assert same_bits(merged.mean, added.mean) and same_bits(merged.m2, added.m2)
 
