@@ -27,6 +27,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -43,7 +44,7 @@ import numpy as np
 
 from .costmodel import demand_table, feasibility_rank, tail_bound_check
 from .forked import ordered_map
-from .genmodel import (ConfigError, WorldConfig, case_chunks, read_json, world_from_json_dict,
+from .genmodel import (ConfigError, WorldConfig, case_chunks, load_world, world_from_json_dict,
                        world_to_json_dict)
 from .harness import (
     ALL_SYSTEMS,
@@ -69,53 +70,19 @@ def default_world() -> WorldConfig:
     return world_from_json_dict(doc)
 
 
-def _load_config(path: str | None) -> tuple[WorldConfig, dict]:
-    """World plus any experiment-level settings from the config file.
-
-    A config file is either a bare world object or a wrapper with a
-    "world" key and optional n_cases / rule / systems settings.
-    """
-    if path is None:
-        return default_world(), {}
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    if "world" not in doc:
-        return world_from_json_dict(doc, path=path), {}
-    extra_keys = set(doc) - {"world", "n_cases", "rule", "systems"}
-    if extra_keys:
-        raise ConfigError(f"{path}: unknown keys {sorted(extra_keys)}")
-    world = world_from_json_dict(doc["world"], path=f"{path}: world")
-    settings = {}
-    if "n_cases" in doc:
-        n_cases = doc["n_cases"]
-        if (isinstance(n_cases, bool) or not isinstance(n_cases, int)
-                or n_cases < 1):
-            raise ConfigError(f"{path}: n_cases must be a positive integer")
-        settings["n_cases"] = doc["n_cases"]
-    if "rule" in doc:
-        if doc["rule"] not in _RULES:
-            raise ConfigError(
-                f"{path}: rule must be one of {sorted(_RULES)}, got {doc['rule']!r}")
-        settings["rule"] = _RULES[doc["rule"]]
-    if "systems" in doc:
-        # a bare string would iterate letter by letter, and an empty list
-        # leaves nothing to score or tabulate
-        if not isinstance(doc["systems"], list) or not doc["systems"]:
-            raise ConfigError(
-                f"{path}: systems must be a non-empty list of system names")
-        try:
-            systems = tuple(SystemId(s) for s in doc["systems"])
-        except ValueError as e:
-            raise ConfigError(f"{path}: systems: {e}") from e
-        if len(set(systems)) != len(systems):
-            raise ConfigError(f"{path}: systems must not repeat a name")
-        settings["systems"] = systems
-    return world, settings
+def _finite(obj):
+    """obj with every non-finite float as None: JSON has no NaN or Infinity."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a non-finite float is null, and any the walk missed
+    fails the run instead of writing NaN."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 _CSV_BLOCK = 2**10  # rows formatted at a time, so a long table streams
@@ -272,22 +239,6 @@ class _Outputs:
 # ---------------------------------------------------------------------------
 # commands: each computes (report body, CSV tables, summary lines, pass flag)
 
-def _rule(args, settings: dict) -> ScoringRule:
-    """--rule if the command takes it and it was given, else the config's."""
-    rule = getattr(args, "rule", None)
-    return _RULES[rule] if rule else settings.get("rule", ScoringRule.Logarithmic)
-
-
-def _experiment(args, world: WorldConfig, settings: dict, n: int) -> EvalReport:
-    return run_experiment(ExperimentConfig(
-        world=world,
-        systems=settings.get("systems", ALL_SYSTEMS),
-        rule=_rule(args, settings),
-        n_cases=n,
-        master_seed=args.seed,
-    ))
-
-
 def _calibration_summary(report: EvalReport) -> dict:
     return {
         s.value: {"max_abs_gap": rep.max_abs_gap,
@@ -335,8 +286,9 @@ def _case_table(report: EvalReport) -> Iterator[dict]:
         yield block
 
 
-def _rank(args, world, settings, n):
-    report = _experiment(args, world, settings, n)
+def _rank(args, world, n):
+    report = run_experiment(ExperimentConfig(
+        world=world, rule=_RULES[args.rule], n_cases=n, master_seed=args.seed))
     rule = report.config.rule.value
     counts = {v.value: sum(r.verdict is v for r in report.ranking_verdicts)
               for v in Verdict}
@@ -372,9 +324,9 @@ def _rank(args, world, settings, n):
     return body, tables, summary, counts["Violated"] == 0
 
 
-def _illcond(args, world, settings, n):
+def _illcond(args, world, n):
     rep = ill_conditioning_experiment(world, n_cases=n, master_seed=args.seed,
-                                      rule=_rule(args, settings))
+                                      rule=_RULES[args.rule])
     summary = [
         f"illcond: identity max rel err {rep.identity_max_rel_err:.2e} "
         f"({'ok' if rep.identity_ok else 'FAIL'})",
@@ -384,9 +336,9 @@ def _illcond(args, world, settings, n):
             summary, rep.identity_ok and rep.proper_beats_naive)
 
 
-def _csprior(args, world, settings, n):
+def _csprior(args, world, n):
     rep = cs_update_ss_prior_experiment(world, n_cases=n, master_seed=args.seed,
-                                        rule=_rule(args, settings))
+                                        rule=_RULES[args.rule])
     verdict = ("descriptive" if rep.ok is None
                else "ok" if rep.ok else "FAIL")
     summary = [f"csprior: baseline {rep.mean_baseline:+.4f}  "
@@ -396,9 +348,8 @@ def _csprior(args, world, settings, n):
             summary, rep.ok is not False)
 
 
-def _tailbound(args, world, settings, n):
-    systems = settings.get("systems", tuple(
-        s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly))
+def _tailbound(args, world, n):
+    systems = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
     rows = tail_bound_check(systems, world, n_cases=n, seed=args.seed)
     n_fail = sum(not r.passed for r in rows)
     summary = [f"tailbound: {len(rows)} checks over {len(systems)} systems, "
@@ -408,7 +359,7 @@ def _tailbound(args, world, settings, n):
             summary, n_fail == 0)
 
 
-def _demand(args, world, settings, n):
+def _demand(args, world, n):
     profiles = demand_table(args.lr_min, args.lr_max)
     tradeoff = feasibility_rank()
     body = {
@@ -430,7 +381,7 @@ def _demand(args, world, settings, n):
     return body, tables, summary, True
 
 
-def _oracle_check(args, world, settings, n_paths):
+def _oracle_check(args, world, n_paths):
     # every point reads the same paths and bootstrap resamples, drawn once
     try:
         bank = PathBank(world, args.seed, n_paths)
@@ -457,22 +408,22 @@ def _oracle_check(args, world, settings, n_paths):
 
 @dataclass(frozen=True)
 class _Spec:
-    """One command. run(args, world, settings, size) returns the report body,
-    the CSV tables by file name, the summary lines and the pass flag. A table
-    is a function from the finished report to its columns, or to a stream of
+    """One command. run(args, world, size) returns the report body, the CSV
+    tables by file name, the summary lines and the pass flag. A table is a
+    function from the finished report to its columns, or to a stream of
     column blocks that is read while the file is written, _CSV_BLOCK rows at
-    a time (see _write_csv), called only when CSV is written. Every forked formatter walks a stream
-    again, so it must yield the same blocks every time. tables names the CSV
-    files, in the order they are written, so that a clash with --out is
-    refused before the run. size is the report key of the run size and the
-    dest of its flag (--cases or --paths); a command without one reads no
-    world, so it takes no --config or --seed."""
+    a time (see _write_csv), called only when CSV is written. Every forked
+    formatter walks a stream again, so it must yield the same blocks every
+    time. tables names the CSV files, in the order they are written, so that
+    a clash with --out is refused before the run. size is the report key of
+    the run size and the dest of its flag (--cases or --paths); a command
+    without one reads no world, so it takes no --config or --seed."""
 
     run: Callable
     flags: tuple[str, ...]  # the command's own flags; see _FLAGS
     tables: tuple[str, ...]
     size: str | None = None
-    cases: int = 0  # default case count, when the config gives none
+    cases: int = 0  # default case count, when --cases is not given
 
 
 _COMMANDS = {
@@ -490,11 +441,10 @@ _COMMANDS = {
 }
 
 _FLAGS = {
-    "--config": dict(help="world or experiment JSON "
-                     "(default: the packaged world)"),
+    "--config": dict(help="world JSON (default: the packaged world)"),
     "--seed": dict(type=int, default=0),
     "--cases": dict(type=int, default=None, dest="n_cases"),
-    "--rule": dict(choices=sorted(_RULES), default=None),
+    "--rule": dict(choices=sorted(_RULES), default="log"),
     "--lr-min": dict(type=float, default=1.0 / 100.0),
     "--lr-max": dict(type=float, default=1000.0),
     "--paths": dict(type=int, default=300_000, dest="n_paths"),
@@ -518,15 +468,15 @@ def _run(args, out: _Outputs) -> int:
              *(spec.tables if args.format in ("csv", "both") else ())]
     out.refuse_clashes(names)
     doc = {"command": args.command}
-    world, settings, size = None, {}, None
+    world, size = None, None
     if spec.size is not None:
-        world, settings = _load_config(args.config)
+        world = default_world() if args.config is None else load_world(args.config)
         size = getattr(args, spec.size)  # --cases or --paths
-        if size is None:  # no --cases: the config's n_cases, else the default
-            size = settings.get("n_cases", spec.cases)
+        if size is None:  # no --cases: the command's default
+            size = spec.cases
         doc.update({"world": world_to_json_dict(world), spec.size: size,
                     "seed": args.seed})
-    body, tables, summary, ok = spec.run(args, world, settings, size)
+    body, tables, summary, ok = spec.run(args, world, size)
     doc.update(body)
     for name in names:
         out.add(name, doc if name == "report.json" else tables[name](doc))

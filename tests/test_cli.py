@@ -78,20 +78,38 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert f"{cfg}:1:" in err
 
 
+# the retired wrapper's keys, and one misspelt key
+_WRAPPER_KEYS = [{}, {"n_cases": 2000}, {"rule": "brier"},
+                 {"systems": ["CSFLR", "CSYASLR"]}, {"n_case": 5000}]
+
+
 def test_unknown_wrapper_key_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC, "n_case": 5000})
-    code, _, err = run(capsys, "rank", "--config", cfg,
-                       "--out", str(tmp_path / "o"))
-    assert code == 2
-    assert "n_case" in err
+    # a config is a world: --cases and --rule set the size and the rule,
+    # every run scores every system, and a {"world": ...} wrapper is bad
+    # input to every command that reads a config, whatever it holds
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    for extra in _WRAPPER_KEYS:
+        cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC, **extra})
+        for command in ("rank", "illcond", "csprior", "tailbound", "oracle-check"):
+            code, stdout, err = run(capsys, command, "--config", cfg,
+                                    "--out", str(out))
+            assert (code, stdout) == (2, ""), (command, extra)
+            assert err == (f"error: unknown key(s) {sorted({'world', *extra})} "
+                           f"in {cfg}\n")
+            assert {p.name: p.read_text() for p in out.iterdir()} == {
+                "keep.txt": "kept"}
 
 
 def test_unknown_system_name_rejected(tmp_path, capsys):
+    # a config names no systems: the wrapper is refused before any name is read
     cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC,
                                   "systems": ["CSFLR", "XYZ"]})
     code, _, err = run(capsys, "rank", "--config", cfg,
                        "--out", str(tmp_path / "o"))
     assert code == 2
+    assert err == f"error: unknown key(s) ['systems', 'world'] in {cfg}\n"
 
 
 def test_negative_seed_rejected(tmp_path, capsys):
@@ -232,6 +250,8 @@ def test_cases_below_one_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("n_cases", [True, 2000.0, 0])
 def test_config_n_cases_must_be_a_positive_integer(tmp_path, capsys, n_cases):
+    # --cases is the only run size: a config's n_cases, valid or not, is an
+    # unknown key
     cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC,
                                   "n_cases": n_cases})
     out = tmp_path / "o"
@@ -255,6 +275,8 @@ def test_bad_demand_range_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("systems", [[], 5, ["CSFLR", "CSFLR"], "CSFLR"])
 def test_config_systems_must_be_distinct_system_names(tmp_path, capsys,
                                                       systems):
+    # every run scores every system: a config's systems list, valid or not,
+    # is an unknown key to every command
     cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC,
                                   "systems": systems})
     out = tmp_path / "o"
@@ -861,6 +883,41 @@ def test_reports_hold_json_booleans_and_null(tmp_path, capsys, command, flags):
         assert doc["profiles"][1]["h1_scores"] is None
 
 
+def _strict_json(text: str):
+    """Parse text as JSON parsers outside Python do: NaN and Infinity are
+    not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# popT at 1e160 overflows when squared, so illcond's identity residual is NaN
+_NAN_WORLD_DOC = dict(DEFAULT_WORLD_DOC, popT={"mu": 1e160, "tau": 1.0})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,nan_world", [
+    *((command, False) for command in sorted(SMALL_ARGS)),
+    *((command, True) for command in ("rank", "illcond", "csprior", "tailbound")),
+])
+def test_every_report_is_strict_json(tmp_path, capsys, command, nan_world):
+    config = ("--config", write_config(tmp_path, _NAN_WORLD_DOC)) if nan_world else ()
+    out = tmp_path / "o"
+    code, _, _ = run(capsys, command, *SMALL_ARGS[command], *config,
+                     "--format", "json", "--out", str(out))
+    assert code in (0, 1)
+    _strict_json((out / "report.json").read_text())
+
+
+def test_a_non_finite_report_number_is_null():
+    # a paired margin is +/-inf with no spread, and a calibration gap NaN
+    # when no bin qualifies
+    doc = {"b": [math.inf, -math.inf, np.float64("nan")], "a": {"c": math.nan},
+           "d": (1.5, 2), "e": None}
+    assert _strict_json(cli._json_dumps(doc)) == {
+        "a": {"c": None}, "b": [None, None, None], "d": [1.5, 2], "e": None}
+
+
 # ---------------------------------------------------------------------------
 # deterministic output
 
@@ -1202,14 +1259,12 @@ def test_few_cases_warn_in_one_line(tmp_path):
 
 
 @pytest.mark.parametrize("doc,judged", [
-    ({"world": dict(DEFAULT_WORLD_DOC, prior_h1=1e-300)}, 11),
-    ({"world": DEFAULT_WORLD_DOC, "systems": ["PriorOnly", "CSFLR"]}, 0),
-    ({"world": DEFAULT_WORLD_DOC}, None),
-], ids=["tiny-prior", "no-claim", "default-world"])
+    (dict(DEFAULT_WORLD_DOC, prior_h1=1e-300), 11),
+    (DEFAULT_WORLD_DOC, None),
+], ids=["tiny-prior", "default-world"])
 def test_a_vacuous_ranking_warns_in_one_line(tmp_path, capsys, doc, judged):
-    # a prior of 1e-300 leaves every claim a Tie, and two systems that no
-    # claim compares leave none to judge: the run passes, and says why.
-    # The default world at 10^4 cases confirms claims and does not warn.
+    # a prior of 1e-300 leaves every claim a Tie: the run passes, and says
+    # why. The default world at 10^4 cases confirms claims and does not warn.
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("default")  # a command's filters, not this module's
@@ -1224,30 +1279,6 @@ def test_a_vacuous_ranking_warns_in_one_line(tmp_path, capsys, doc, judged):
         assert counts == {"Confirmed": 0, "Tie": judged, "Violated": 0}
         assert err == (f"warning: the ranking passes vacuously: {judged} "
                        f"claims judged, none Confirmed or Violated\n")
-
-
-def test_rank_honors_config_wrapper(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC,
-                                  "n_cases": 2000, "rule": "brier",
-                                  "systems": ["CSFLR", "CSYASLR"]})
-    out = tmp_path / "o"
-    code, _, _ = run(capsys, "rank", "--config", cfg, "--out", str(out))
-    assert code == 0
-    doc = json.loads((out / "report.json").read_text())
-    assert doc["n_cases"] == 2000
-    assert doc["rule"] == "Brier"
-    assert sorted(doc["per_system"]) == ["CSFLR", "CSYASLR"]
-    assert [v["claim"] for v in doc["verdicts"]] == ["CSFLR>=CSYASLR"]
-
-
-def test_rank_cli_cases_overrides_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"world": DEFAULT_WORLD_DOC, "n_cases": 5000})
-    out = tmp_path / "o"
-    code, _, _ = run(capsys, "rank", "--config", cfg, "--cases", "2000",
-                     "--out", str(out))
-    assert code == 0
-    doc = json.loads((out / "report.json").read_text())
-    assert doc["n_cases"] == 2000
 
 
 def test_illcond_command(tmp_path, capsys):
@@ -1287,15 +1318,15 @@ def test_illcond_fails_a_nan_identity(tmp_path, capsys):
     # popT at 1e160 overflows when squared: every LR is +/-inf and every
     # residual of the identity NaN. The max over chunks once dropped the NaN
     # and read "identity max rel err 0.00e+00 (ok)" with exit 0
-    doc = dict(DEFAULT_WORLD_DOC, popT={"mu": 1e160, "tau": 1.0})
     out = tmp_path / "o"
-    code, stdout, _ = run(capsys, "illcond", "--config", write_config(tmp_path, doc),
+    code, stdout, _ = run(capsys, "illcond", "--config",
+                          write_config(tmp_path, _NAN_WORLD_DOC),
                           "--cases", "2000", "--format", "json", "--out", str(out))
     assert code == 1
     assert "identity max rel err nan (FAIL)" in stdout
     report = json.loads((out / "report.json").read_text())
     assert report["identity_ok"] is False
-    assert math.isnan(report["identity_max_rel_err"])
+    assert report["identity_max_rel_err"] is None  # JSON has no NaN
 
 
 _ILLCOND_DOC = json.loads(resources.files("lrsim.data").joinpath(

@@ -173,6 +173,18 @@ def test_tail_bound_draws_each_hypothesis_once_for_every_system(monkeypatch):
     assert len(rows) == len(INFORMATIVE) * 4 * 2
 
 
+@pytest.mark.parametrize("k", [1, 2], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("n", [20_000, 2**17 + 1])
+def test_tail_bounds_of_some_systems_are_the_full_run_s_rows(monkeypatch, n, k):
+    # every system counts its exceedances on the same cases, so a check of
+    # some systems, in any order, returns the full check's rows for them
+    monkeypatch.setattr(forked, "cpus", lambda: k)
+    full = tail_bound_check(INFORMATIVE, make_world(), n_cases=n, seed=3)
+    subset = (SystemId.CSSLR, SystemId.SSFLR)  # the reverse of their order in full
+    assert tail_bound_check(subset, make_world(), n_cases=n, seed=3) == [
+        r for s in subset for r in full if r.system is s]
+
+
 def test_tail_bound_draws_each_hypothesis_once_on_two_cpus(tmp_path, monkeypatch):
     # over both processes each side's chunks are drawn once, each by the
     # process that counts it: chunks 0 and 2 here, chunk 1 in the case worker

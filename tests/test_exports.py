@@ -92,6 +92,15 @@ def test_one_fork_path():
                                        ("cli", "_write_csv")}
 
 
+def test_one_world_loader():
+    # a config file is a world, read and checked by load_world alone, which
+    # only the command runner calls; the packaged world is built the same way
+    assert _callers("load_world") == {("cli", "_run")}
+    assert _callers("world_from_json_dict") == {("genmodel", "load_world"),
+                                                ("cli", "default_world")}
+    assert _callers("read_json") == {("genmodel", "load_world")}
+
+
 def test_benchmark_probe_runs():
     # perfbench/probe.py imports lrsim.kernels for ACTIVE_BACKEND: the
     # module must stay until the probe stops reading it

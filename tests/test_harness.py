@@ -98,6 +98,41 @@ def test_run_is_deterministic_and_order_invariant():
         assert a.paired_diffs[cid] == c.paired_diffs[cid]
 
 
+def _bits(record) -> tuple:
+    """A record's fields, each float as its exact hex, so -0.0 is not 0.0."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(record))
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("n", [20_000, 2**17 + 1])
+def test_a_subset_of_systems_reports_the_full_run_s_numbers(monkeypatch, n, k):
+    # the paired design: a system's score depends only on the shared cases,
+    # and a claim's paired difference only on its two systems, so a run of
+    # some systems, in any order, reports bit for bit what the full run does
+    monkeypatch.setattr(forked, "cpus", lambda: k)
+    world = make_world()
+    full = run_experiment(_small_cfg(world, n=n, seed=3))
+    for subset in ((SystemId.CSYASLR, SystemId.CSFLR),
+                   (SystemId.SSSLR, SystemId.PriorOnly, SystemId.CSSLR)):
+        part = run_experiment(_small_cfg(world, n=n, seed=3, systems=subset))
+        assert list(part.per_system) == list(part.clamp_counts) == list(subset)
+        for s in subset:
+            assert _bits(part.per_system[s]) == _bits(full.per_system[s]), s
+            assert part.clamp_counts[s] == full.clamp_counts[s], s
+            for a, b in zip(dataclasses.astuple(part.calibration[s]),
+                            dataclasses.astuple(full.calibration[s])):
+                assert same_bits(a, b), s
+        claims = [c for c, better, worse in RANKING_CLAIMS
+                  if better in subset and worse in subset]
+        assert claims and list(part.paired_diffs) == claims
+        assert [_bits(part.paired_diffs[c]) for c in claims] == [
+            _bits(full.paired_diffs[c]) for c in claims]
+        judged = {v.claim: _bits(v) for v in full.ranking_verdicts}
+        assert {v.claim: _bits(v) for v in part.ranking_verdicts} == {
+            c: judged[c] for c in claims}
+
+
 def test_default_world_has_no_violations():
     rep = run_experiment(_small_cfg(make_world(), n=10_000))
     assert rep.n_violated == 0
