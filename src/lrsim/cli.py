@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import itertools
 import json
 import math
@@ -86,38 +84,41 @@ def _json_dumps(obj) -> str:
 
 
 _CSV_BLOCK = 2**10  # rows formatted at a time, so a long table streams
+_QUOTED = re.compile('[,"\r\n]').search  # a cell holding one of these is quoted
 
 
-def _cell(value):
+def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
-    return value  # csv writes None as an empty cell
+    if value is None:
+        return ""
+    text = json.dumps(value, sort_keys=True) if isinstance(value, dict) else str(value)
+    if _QUOTED(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _cells(column) -> list:
-    if isinstance(column, np.ndarray) and column.dtype != np.bool_:
-        return column.tolist()  # numbers and strings: csv writes them as is
-    return [_cell(v) for v in column]
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+def _cells(column) -> Iterator[str]:
+    if isinstance(column, np.ndarray):
+        # a number's text never needs quotes: no Python call per cell
+        return map(str if column.dtype.kind in "iuf" else _cell, column.tolist())
+    return map(_cell, column)
 
 
 def _piece_text(columns: list) -> str:
-    return _csv_text(zip(*map(_cells, columns)))
+    # a row of one empty cell is "", as a blank line would be no row
+    rows = (",".join(row) or '""' for row in zip(*map(_cells, columns), strict=True))
+    return "\r\n".join([*rows, ""])
 
 
 def _write_csv(path: Path, table) -> None:
     """Write a table under a header of its keys, one piece of _CSV_BLOCK rows
     at a time. A table is a dict of equal-length columns (numpy arrays or
     lists), or a stream of such dicts with the same keys, whose rows follow
-    one another. This is the only code that decides the CSV cell format:
-    booleans are true/false, None is empty and a dict is JSON.
+    one another; columns of unequal length fail the write. This is the only
+    code that decides the CSV cell format: a number is Python's str, booleans
+    are true/false, None is empty and a dict is JSON. Text is quoted as csv's
+    QUOTE_MINIMAL does it, and rows end in CRLF.
 
     The pieces of a table are formatted on up to forked.CAP of the CPUs this
     process may run on (see forked.ordered_map), and written in order as
@@ -131,9 +132,9 @@ def _write_csv(path: Path, table) -> None:
     names = list(first)
     pieces = ([block[name][lo:lo + _CSV_BLOCK] for name in names]
               for block in itertools.chain((first,), blocks)
-              for lo in range(0, len(block[names[0]]), _CSV_BLOCK))
+              for lo in range(0, max(len(block[name]) for name in names), _CSV_BLOCK))
     with path.open("w", newline="") as text:
-        text.write(_csv_text([names]))
+        text.write(_piece_text([[name] for name in names]))
         text.flush()  # the pieces go straight to the byte layer
         fh, encoding = text.buffer, text.encoding
         with contextlib.closing(ordered_map(
@@ -383,10 +384,7 @@ def _demand(args, world, n):
 
 def _oracle_check(args, world, n_paths):
     # every point reads the same paths and bootstrap resamples, drawn once
-    try:
-        bank = PathBank(world, args.seed, n_paths)
-    except ConfigError as e:  # the bank names its parameter, not the flag
-        raise ConfigError(str(e).replace("n_paths", "--paths")) from e
+    bank = PathBank(world, args.seed, n_paths)
     try:
         points = [replace(compare_closed_vs_oracle(system, view, bank), grid_index=i)
                   for system in NONTRIVIAL
@@ -476,7 +474,11 @@ def _run(args, out: _Outputs) -> int:
             size = spec.cases
         doc.update({"world": world_to_json_dict(world), spec.size: size,
                     "seed": args.seed})
-    body, tables, summary, ok = spec.run(args, world, size)
+    try:
+        body, tables, summary, ok = spec.run(args, world, size)
+    except ConfigError as e:  # the library names its parameter, not the flag
+        raise ConfigError(str(e).replace("n_cases", "--cases")
+                          .replace("n_paths", "--paths")) from e
     doc.update(body)
     for name in names:
         out.add(name, doc if name == "report.json" else tables[name](doc))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from importlib import resources
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lrsim.cli as cli
 import lrsim.forked as forked
@@ -496,6 +500,106 @@ def test_write_csv_formats_every_cell_in_one_place(tmp_path):
             for k in range(n)]
     assert rows[1:] == want
     assert rows[1][0] == "nan" and rows[2][0] == "inf"
+
+
+def _csv_module_text(table) -> str:
+    """What csv.writer (QUOTE_MINIMAL, CRLF) writes for a table, with the
+    cells lrsim gives it: an array as its tolist(), booleans as true/false
+    and a dict as JSON."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return json.dumps(v, sort_keys=True) if isinstance(v, dict) else v
+
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c
+               for c in table.values()]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(list(table))
+    writer.writerows([cell(v) for v in row] for row in zip(*columns))
+    return buf.getvalue()
+
+
+_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n ab')),
+                          st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters="\x00")),
+                max_size=6)
+_FLOATS = st.one_of(st.floats(width=64),  # nan, inf and subnormals included
+                    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, -1e308,
+                                     1e-308, math.inf, -math.inf, math.nan]))
+_INT64 = st.one_of(st.integers(-2**63, 2**63 - 1),
+                   st.sampled_from([-2**63, 2**63 - 1, 0, -1]))
+_CELLS = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_), _INT64,
+    _INT64.map(np.int64), _FLOATS, _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32), _TEXT,
+    st.dictionaries(_TEXT, st.one_of(st.none(), st.booleans(), _INT64,
+                                     st.floats(allow_nan=False), _TEXT),
+                    max_size=3))
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    kinds = {
+        "int64": lambda: np.array(draw(st.lists(_INT64, min_size=n, max_size=n)),
+                                  dtype=np.int64),
+        "float64": lambda: np.array(draw(st.lists(_FLOATS, min_size=n,
+                                                  max_size=n))),
+        "bool": lambda: np.array(draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n)), dtype=bool),
+        "str": lambda: np.array(draw(st.lists(_TEXT, min_size=n, max_size=n)),
+                                dtype=str),
+        "list": lambda: draw(st.lists(_CELLS, min_size=n, max_size=n)),
+    }
+    return {name: kinds[draw(st.sampled_from(sorted(kinds)))]()
+            for name in names}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tables())
+@example({"": [None, "", None]})  # one column of empty cells, header included
+@example({"x": np.array([], dtype=np.int64)})
+@example({"i": np.array([-2**63, 2**63 - 1, 0]),
+          "u": np.array([0, 2**64 - 1, 1], dtype=np.uint64),
+          "f": np.array([np.nan, -np.inf, -0.0]),
+          "g": np.array([5e-324, 1e308, 1e-308]),
+          "s": [" lead", 'é,"\r\n', "\r"]})
+@example({'a,"b"': [np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(False),
+                    {"k": [1, "x,y"]}]})
+def test_write_csv_quotes_as_the_csv_module_does(table):
+    # the CSV writer joins rows itself; its bytes are those of csv.writer
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        cli._write_csv(path, table)
+        with path.open(newline="") as fh:
+            assert fh.read() == _csv_module_text(table)
+
+
+@pytest.mark.parametrize("table", [
+    {"a": np.arange(5), "b": np.arange(4.0)},  # shorter inside one piece
+    {"a": np.arange(14), "b": np.arange(15)},  # longer past a's last piece
+    {"a": [], "b": [1]},  # the first column is empty
+    {"a": np.arange(3), "b": [1, 2, 3, 4]},
+    lambda: iter([{"a": np.arange(9), "b": np.arange(9)},
+                  {"a": np.arange(2), "b": np.arange(3)}]),  # a later block
+], ids=["shorter", "longer-past-a-piece", "empty-first", "list-longer", "stream"])
+def test_a_ragged_table_fails_and_leaves_out_as_it_was(tmp_path, monkeypatch,
+                                                        table):
+    # unequal columns once lost the longer columns' last rows without a word
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("kept")
+    outputs = cli._Outputs(out_dir, force=False)
+    outputs.add("report.json", {"a": 1})
+    outputs.add("t.csv", table() if callable(table) else table)
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer)"):
+        outputs.flush()
+    assert {p.name: p.read_text() for p in out_dir.iterdir()} == {"keep.txt": "kept"}
+    assert outputs.written == []
+    _assert_no_child_left()
 
 
 def _ragged_stream(sizes):
@@ -1596,6 +1700,19 @@ def test_oracle_check_bytes_are_pinned(tmp_path, capsys, config, paths, seed,
                "--seed", str(seed), "--out", str(out))[0] == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize("argv,line", [
+    # rank once named ExperimentConfig's n_cases, not the flag
+    (("rank", "--cases", "999"),
+     "error: --cases must be >= 1000 for ranking runs, got 999\n"),
+    (("oracle-check", "--paths", "999"),
+     "error: --paths must be >= 1000, got 999\n"),
+], ids=["rank", "oracle-check"])
+def test_a_size_error_names_its_flag(tmp_path, capsys, argv, line):
+    out = tmp_path / "o"
+    assert run(capsys, *argv, "--out", str(out)) == (2, "", line)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("paths,start,end", [
