@@ -107,7 +107,7 @@ def _cells(column) -> Iterator[str]:
 
 def _piece_text(columns: list) -> str:
     # a row of one empty cell is "", as a blank line would be no row
-    rows = (",".join(row) or '""' for row in zip(*map(_cells, columns), strict=True))
+    rows = (",".join(row) or '""' for row in zip(*map(_cells, columns)))
     return "\r\n".join([*rows, ""])
 
 
@@ -115,7 +115,8 @@ def _write_csv(path: Path, table) -> None:
     """Write a table under a header of its keys, one piece of _CSV_BLOCK rows
     at a time. A table is a dict of equal-length columns (numpy arrays or
     lists), or a stream of such dicts with the same keys, whose rows follow
-    one another; columns of unequal length fail the write. This is the only
+    one another; columns of unequal length fail the write with a ValueError
+    that names the file and every column's length. This is the only
     code that decides the CSV cell format: a number is Python's str, booleans
     are true/false, None is empty and a dict is JSON. Text is quoted as csv's
     QUOTE_MINIMAL does it, and rows end in CRLF.
@@ -130,15 +131,22 @@ def _write_csv(path: Path, table) -> None:
     blocks = iter((table,) if isinstance(table, dict) else table)
     first = next(blocks)
     names = list(first)
-    pieces = ([block[name][lo:lo + _CSV_BLOCK] for name in names]
-              for block in itertools.chain((first,), blocks)
-              for lo in range(0, max(len(block[name]) for name in names), _CSV_BLOCK))
+
+    def pieces():
+        for block in itertools.chain((first,), blocks):
+            lengths = [len(block[name]) for name in names]
+            if len(set(lengths)) > 1:
+                raise ValueError(f"{path.name}: columns of unequal length: "
+                                 + ", ".join(map("{} {}".format, names, lengths)))
+            for lo in range(0, lengths[0], _CSV_BLOCK):
+                yield [block[name][lo:lo + _CSV_BLOCK] for name in names]
+
     with path.open("w", newline="") as text:
         text.write(_piece_text([[name] for name in names]))
         text.flush()  # the pieces go straight to the byte layer
         fh, encoding = text.buffer, text.encoding
         with contextlib.closing(ordered_map(
-                lambda piece: _piece_text(piece).encode(encoding), pieces,
+                lambda piece: _piece_text(piece).encode(encoding), pieces(),
                 "CSV formatter", "piece")) as texts:
             fh.writelines(texts)
 
@@ -265,10 +273,10 @@ def _calibration_table(report: EvalReport) -> dict:
 
 def _case_table(report: EvalReport) -> Iterator[dict]:
     """cases.csv as a stream of blocks, one per chunk of cases: each shared
-    case, drawn again from the run's config, and every system's own LR (its
-    log10 clipped to +/-300) and stated posterior on it, rebuilt under the
-    world the run evaluated its LRs in. Nothing is drawn until the stream
-    is read."""
+    case, drawn again from the run's config, and the own LR (its log10
+    clipped to +/-300) and stated posterior of every system of ALL_SYSTEMS
+    on it, rebuilt under the world the run evaluated its LRs in. Nothing is
+    drawn until the stream is read."""
     cfg = report.config
     start = 0
     for batch in case_chunks(cfg.world, cfg.master_seed, cfg.n_cases):
@@ -279,7 +287,7 @@ def _case_table(report: EvalReport) -> Iterator[dict]:
             "x": batch.x,
             "y": batch.y,
         }
-        for system in cfg.systems:
+        for system in ALL_SYSTEMS:
             own, posterior, _ = system_posterior(system, batch, report.believed_world)
             block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
             block[f"{system.value}_posterior"] = posterior
@@ -415,13 +423,14 @@ class _Spec:
     time. tables names the CSV files, in the order they are written, so that
     a clash with --out is refused before the run. size is the report key of
     the run size and the dest of its flag (--cases or --paths); a command
-    without one reads no world, so it takes no --config or --seed."""
+    without one reads no world, so it takes no --config or --seed. cases is
+    the --cases default, where the command takes --cases."""
 
     run: Callable
     flags: tuple[str, ...]  # the command's own flags; see _FLAGS
     tables: tuple[str, ...]
     size: str | None = None
-    cases: int = 0  # default case count, when --cases is not given
+    cases: int = 0
 
 
 _COMMANDS = {
@@ -441,7 +450,7 @@ _COMMANDS = {
 _FLAGS = {
     "--config": dict(help="world JSON (default: the packaged world)"),
     "--seed": dict(type=int, default=0),
-    "--cases": dict(type=int, default=None, dest="n_cases"),
+    "--cases": dict(type=int, dest="n_cases"),  # default: _Spec.cases
     "--rule": dict(choices=sorted(_RULES), default="log"),
     "--lr-min": dict(type=float, default=1.0 / 100.0),
     "--lr-max": dict(type=float, default=1000.0),
@@ -470,8 +479,6 @@ def _run(args, out: _Outputs) -> int:
     if spec.size is not None:
         world = default_world() if args.config is None else load_world(args.config)
         size = getattr(args, spec.size)  # --cases or --paths
-        if size is None:  # no --cases: the command's default
-            size = spec.cases
         doc.update({"world": world_to_json_dict(world), spec.size: size,
                     "seed": args.seed})
     try:
@@ -497,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
         world_flags = ("--config", "--seed") if spec.size is not None else ()
         for flag in (*world_flags, "--out", "--format", "--force", *spec.flags):
             p.add_argument(flag, **_FLAGS[flag])
+        if "--cases" in spec.flags:
+            p.set_defaults(n_cases=spec.cases)
     return parser
 
 
@@ -509,9 +518,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not 0 <= getattr(args, "seed", 0) < 2**64:
         print("error: --seed must lie in [0, 2**64)", file=sys.stderr)
-        return 2
-    if getattr(args, "n_cases", None) is not None and args.n_cases < 1:
-        print("error: --cases must be an integer >= 1", file=sys.stderr)
         return 2
     try:
         # the filters stay as they are; only how a shown warning reads changes

@@ -103,10 +103,10 @@ class Verdict(str, Enum):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One ranking run, checked when it is built, as its world was. Below
-    10000 cases it warns, naming the line that built it."""
+    10000 cases it warns, naming the line that built it. It scores all of
+    ALL_SYSTEMS, since a subset would report no number the full run lacks."""
 
     world: WorldConfig
-    systems: tuple[SystemId, ...] = ALL_SYSTEMS
     rule: ScoringRule = ScoringRule.Logarithmic
     n_cases: int = 20_000
     master_seed: int = 0
@@ -119,8 +119,6 @@ class ExperimentConfig:
             warnings.warn(
                 "ranking verdicts are noisy below 10000 cases; expect "
                 "spurious Ties", UserWarning, stacklevel=3)
-        if len(set(self.systems)) != len(self.systems):
-            raise ConfigError("systems must not repeat")
 
 
 @dataclass(frozen=True)
@@ -158,11 +156,11 @@ class RankingVerdict:
 
 @dataclass
 class EvalReport:
-    """A ranking run's results. It keeps no cases: every result is a sum
-    over the cases, accumulated one chunk at a time, and cases.csv draws
-    the cases again from the config and rebuilds each system's own log10 LR
-    and stated posterior under believed_world (None for the generating
-    world)."""
+    """A ranking run's results, in ALL_SYSTEMS and RANKING_CLAIMS order. It
+    keeps no cases: every result is a sum over the cases, accumulated one
+    chunk at a time, and cases.csv draws the cases again from the config and
+    rebuilds each system's own log10 LR and stated posterior under
+    believed_world (None for the generating world)."""
 
     config: ExperimentConfig
     per_system: dict[SystemId, MeanScore]
@@ -249,10 +247,9 @@ def _verdict(claim: str, better: SystemId, worse: SystemId,
 
 
 def verify_ranking(paired_diffs: dict[str, PairedDiff]) -> list[RankingVerdict]:
-    """Judge each claim whose two systems were both run, from paired differences."""
+    """Judge every claim of RANKING_CLAIMS, in order, from paired differences."""
     return [_verdict(claim, better, worse, paired_diffs[claim])
-            for claim, better, worse in RANKING_CLAIMS
-            if claim in paired_diffs]
+            for claim, better, worse in RANKING_CLAIMS]
 
 
 @dataclass
@@ -299,7 +296,7 @@ def run_experiment(
     cfg: ExperimentConfig,
     believed_world: WorldConfig | None = None,
 ) -> EvalReport:
-    """Score every system on one shared case set and judge the claims.
+    """Score ALL_SYSTEMS on one shared case set and judge RANKING_CLAIMS.
 
     The cases stream in chunks of 2**16, summarised on up to two CPUs (see
     fold_chunks), and the systems run one at a time within a chunk: each
@@ -312,14 +309,10 @@ def run_experiment(
     whole-batch means and standard errors; over more chunks they agree to
     rounding, and the counts exactly.
     """
-    systems = cfg.systems
-    claims = [(claim, better, worse) for claim, better, worse in RANKING_CLAIMS
-              if better in systems and worse in systems]
-
     def summarise(batch: CaseBatch):
         scores: dict[SystemId, np.ndarray] = {}
         per_system = {}
-        for system in systems:
+        for system in ALL_SYSTEMS:
             posterior, n_clamped = system_posterior(system, batch, believed_world)[1:]
             s = scores[system] = _scores(system.value, cfg.rule, posterior,
                                          batch.truth_h1)
@@ -327,7 +320,7 @@ def run_experiment(
                                   calibration_report(posterior, batch.truth_h1))
             del posterior  # before the next system's arrays are built
         paired = {claim: _Moments.of(scores[better] - scores[worse])
-                  for claim, better, worse in claims}
+                  for claim, better, worse in RANKING_CLAIMS}
         return (per_system, paired), scores
 
     per_system, diffs = fold_chunks(summarise, cfg.world, cfg.master_seed,

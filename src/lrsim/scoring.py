@@ -89,21 +89,22 @@ def scores_batch(rule: ScoringRule, stated_p: np.ndarray, is_h1: np.ndarray) -> 
     raise ConfigError(f"unknown scoring rule {rule!r}")
 
 
-def expected_score(rule: ScoringRule, stated_p: float, believed_p: float) -> float:
+def expected_score(rule: ScoringRule, stated_p: float | np.ndarray,
+                   believed_p: float | np.ndarray) -> float | np.ndarray:
     """Expected reward of stating stated_p while believing believed_p.
 
-    A zero-probability branch contributes nothing even when its score is
-    -inf, so degenerate beliefs stay well defined.
+    The two arguments broadcast against each other; for two scalars the
+    result is a float. A zero-probability branch contributes nothing even
+    when its score is -inf, so degenerate beliefs stay well defined.
     """
-    if not (0.0 <= believed_p <= 1.0):
+    b = np.asarray(believed_p, dtype=np.float64)
+    if b.size and not (0.0 <= b.min() and b.max() <= 1.0):
         raise ConfigError(f"believed_p must lie in [0, 1], got {believed_p!r}")
-    if_h1, if_h2 = scores_batch(rule, np.full(2, stated_p), np.array([True, False]))
-    total = 0.0
-    if believed_p > 0.0:
-        total += believed_p * float(if_h1)
-    if believed_p < 1.0:
-        total += (1.0 - believed_p) * float(if_h2)
-    return total
+    if_h1, if_h2 = (scores_batch(rule, stated_p, h1) for h1 in (True, False))
+    with np.errstate(invalid="ignore"):  # 0 * -inf, masked out
+        total = (np.where(b > 0.0, b * if_h1, 0.0)
+                 + np.where(b < 1.0, (1.0 - b) * if_h2, 0.0))
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -119,21 +120,19 @@ def honesty_check(rule: ScoringRule, grid_step: float = 0.01) -> HonestyReport:
 
     For every believed p on the grid the argmax over stated q of the
     expected score must sit at q == p, strictly: any other q whose expected
-    score comes within numerical noise of the honest one is flagged.
+    score comes within numerical noise of the honest one is flagged. One
+    believed x stated matrix holds every expected score; counterexamples
+    are listed by believed p, then by stated q.
     """
     if not (0.0 < grid_step <= 0.1):
         raise ConfigError(f"grid_step must be in (0, 0.1], got {grid_step!r}")
     grid = np.round(np.arange(0.0, 1.0 + grid_step / 2.0, grid_step), 12)
-    counterexamples: list[tuple[float, float]] = []
-    for believed in grid:
-        honest = expected_score(rule, float(believed), float(believed))
-        tol = 1e-12 * max(1.0, abs(honest))
-        for stated in grid:
-            if stated == believed:
-                continue
-            other = expected_score(rule, float(stated), float(believed))
-            if other > honest - tol:
-                counterexamples.append((float(believed), float(stated)))
+    expected = expected_score(rule, grid[None, :], grid[:, None])
+    honest = np.diag(expected)[:, None]
+    tol = 1e-12 * np.maximum(1.0, np.abs(honest))
+    flagged = (expected > honest - tol) & ~np.eye(grid.size, dtype=bool)
+    counterexamples = [(float(grid[i]), float(grid[j]))
+                       for i, j in zip(*np.nonzero(flagged))]
     return HonestyReport(rule=rule, grid_step=grid_step,
                          is_honest=not counterexamples,
                          counterexamples=counterexamples)

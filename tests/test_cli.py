@@ -252,6 +252,28 @@ def test_cases_below_one_rejected(tmp_path, capsys, command):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command,size", [
+    ("rank", 20_000), ("illcond", 20_000), ("csprior", 20_000),
+    ("tailbound", 100_000), ("oracle-check", 300_000),
+])
+def test_each_command_runs_at_its_default_size(tmp_path, capsys, monkeypatch,
+                                               command, size):
+    # without --cases (or --paths) a command runs at its own default size,
+    # and report.json records that size
+    sizes = []
+
+    def stub(args, world, n):
+        sizes.append(n)
+        return {}, {}, [], True
+
+    spec = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, dataclasses.replace(spec, run=stub))
+    out = tmp_path / "o"
+    assert run(capsys, command, "--format", "json", "--out", str(out))[0] == 0
+    assert sizes == [size]
+    assert json.loads((out / "report.json").read_text())[spec.size] == size
+
+
 @pytest.mark.parametrize("n_cases", [True, 2000.0, 0])
 def test_config_n_cases_must_be_a_positive_integer(tmp_path, capsys, n_cases):
     # --cases is the only run size: a config's n_cases, valid or not, is an
@@ -577,16 +599,16 @@ def test_write_csv_quotes_as_the_csv_module_does(table):
             assert fh.read() == _csv_module_text(table)
 
 
-@pytest.mark.parametrize("table", [
-    {"a": np.arange(5), "b": np.arange(4.0)},  # shorter inside one piece
-    {"a": np.arange(14), "b": np.arange(15)},  # longer past a's last piece
-    {"a": [], "b": [1]},  # the first column is empty
-    {"a": np.arange(3), "b": [1, 2, 3, 4]},
-    lambda: iter([{"a": np.arange(9), "b": np.arange(9)},
-                  {"a": np.arange(2), "b": np.arange(3)}]),  # a later block
+@pytest.mark.parametrize("table,lengths", [
+    ({"a": np.arange(5), "b": np.arange(4.0)}, "a 5, b 4"),  # shorter inside one piece
+    ({"a": np.arange(14), "b": np.arange(15)}, "a 14, b 15"),  # longer past a's last piece
+    ({"a": [], "b": [1]}, "a 0, b 1"),  # the first column is empty
+    ({"a": np.arange(3), "b": [1, 2, 3, 4]}, "a 3, b 4"),
+    (lambda: iter([{"a": np.arange(9), "b": np.arange(9)},
+                   {"a": np.arange(2), "b": np.arange(3)}]), "a 2, b 3"),  # a later block
 ], ids=["shorter", "longer-past-a-piece", "empty-first", "list-longer", "stream"])
 def test_a_ragged_table_fails_and_leaves_out_as_it_was(tmp_path, monkeypatch,
-                                                        table):
+                                                        table, lengths):
     # unequal columns once lost the longer columns' last rows without a word
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
     out_dir = tmp_path / "o"
@@ -595,7 +617,8 @@ def test_a_ragged_table_fails_and_leaves_out_as_it_was(tmp_path, monkeypatch,
     outputs = cli._Outputs(out_dir, force=False)
     outputs.add("report.json", {"a": 1})
     outputs.add("t.csv", table() if callable(table) else table)
-    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer)"):
+    # the error names the file and every column's length
+    with pytest.raises(ValueError, match=rf"^t\.csv: columns of unequal length: {lengths}$"):
         outputs.flush()
     assert {p.name: p.read_text() for p in out_dir.iterdir()} == {"keep.txt": "kept"}
     assert outputs.written == []

@@ -46,12 +46,6 @@ def test_moderate_case_count_warns():
         ExperimentConfig(world=make_world(), n_cases=2_000)
 
 
-def test_duplicate_systems_rejected():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(world=make_world(), n_cases=20_000,
-                         systems=(SystemId.CSFLR, SystemId.CSFLR))
-
-
 # ---------------------------------------------------------------------------
 # posterior construction
 
@@ -85,52 +79,20 @@ def test_posteriors_are_probabilities():
 # ---------------------------------------------------------------------------
 # ranking runs
 
-def test_run_is_deterministic_and_order_invariant():
+def test_run_is_deterministic_and_order_invariant(monkeypatch):
+    # every run scores ALL_SYSTEMS, one system at a time: scoring them in
+    # the reverse order changes no number
     world = make_world()
     a = run_experiment(_small_cfg(world))
     b = run_experiment(_small_cfg(world))
-    shuffled = tuple(reversed(ALL_SYSTEMS))
-    c = run_experiment(_small_cfg(world, systems=shuffled))
+    monkeypatch.setattr(harness, "ALL_SYSTEMS", tuple(reversed(ALL_SYSTEMS)))
+    c = run_experiment(_small_cfg(world))
+    assert list(c.per_system) == list(reversed(ALL_SYSTEMS))
     for system in ALL_SYSTEMS:
         assert a.per_system[system].mean == b.per_system[system].mean
         assert a.per_system[system].mean == c.per_system[system].mean
     for cid in a.paired_diffs:
         assert a.paired_diffs[cid] == c.paired_diffs[cid]
-
-
-def _bits(record) -> tuple:
-    """A record's fields, each float as its exact hex, so -0.0 is not 0.0."""
-    return tuple(v.hex() if isinstance(v, float) else v
-                 for v in dataclasses.astuple(record))
-
-
-@pytest.mark.parametrize("k", [1, 2], ids=["one-cpu", "two-cpus"])
-@pytest.mark.parametrize("n", [20_000, 2**17 + 1])
-def test_a_subset_of_systems_reports_the_full_run_s_numbers(monkeypatch, n, k):
-    # the paired design: a system's score depends only on the shared cases,
-    # and a claim's paired difference only on its two systems, so a run of
-    # some systems, in any order, reports bit for bit what the full run does
-    monkeypatch.setattr(forked, "cpus", lambda: k)
-    world = make_world()
-    full = run_experiment(_small_cfg(world, n=n, seed=3))
-    for subset in ((SystemId.CSYASLR, SystemId.CSFLR),
-                   (SystemId.SSSLR, SystemId.PriorOnly, SystemId.CSSLR)):
-        part = run_experiment(_small_cfg(world, n=n, seed=3, systems=subset))
-        assert list(part.per_system) == list(part.clamp_counts) == list(subset)
-        for s in subset:
-            assert _bits(part.per_system[s]) == _bits(full.per_system[s]), s
-            assert part.clamp_counts[s] == full.clamp_counts[s], s
-            for a, b in zip(dataclasses.astuple(part.calibration[s]),
-                            dataclasses.astuple(full.calibration[s])):
-                assert same_bits(a, b), s
-        claims = [c for c, better, worse in RANKING_CLAIMS
-                  if better in subset and worse in subset]
-        assert claims and list(part.paired_diffs) == claims
-        assert [_bits(part.paired_diffs[c]) for c in claims] == [
-            _bits(full.paired_diffs[c]) for c in claims]
-        judged = {v.claim: _bits(v) for v in full.ranking_verdicts}
-        assert {v.claim: _bits(v) for v in part.ranking_verdicts} == {
-            c: judged[c] for c in claims}
 
 
 def test_default_world_has_no_violations():
@@ -153,27 +115,25 @@ def test_brier_rule_agrees_on_verdicts():
 
 def test_case_table_columns():
     # the report keeps no cases: cases.csv draws them again, one chunk at a
-    # time, and rebuilds the LRs and posteriors under the world the run
-    # believed
-    systems = (SystemId.CSFLR, SystemId.SSSLR, SystemId.PriorOnly)
+    # time, and rebuilds every system's LRs and posteriors under the world
+    # the run believed
     world, n = make_world(), 2**16 + 5
     believed = make_world(pop_t=PopulationModel(2.0, 1.0))
-    rep = run_experiment(_small_cfg(world, n=n, seed=3, systems=systems),
-                         believed_world=believed)
+    rep = run_experiment(_small_cfg(world, n=n, seed=3), believed_world=believed)
     assert rep.believed_world is believed
     blocks = list(_case_table(rep))
     assert [len(b["case_id"]) for b in blocks] == [2**16, 5]
     table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     assert list(table) == ["case_id", "truth", "r_theta", "x", "y",
-                           "CSFLR_lr", "CSFLR_posterior",
-                           "SSSLR_lr", "SSSLR_posterior",
-                           "PriorOnly_lr", "PriorOnly_posterior"]
+                           *(f"{s.value}_{c}" for s in ALL_SYSTEMS
+                             for c in ("lr", "posterior"))]
+    assert len(table) == 23
     assert np.array_equal(table["case_id"], np.arange(n))
     batch = generate_cases(world, 3, n)
     assert np.array_equal(table["truth"], np.where(batch.truth_h1, "H1", "H2"))
     for name, column in (("r_theta", batch.theta_r), ("x", batch.x), ("y", batch.y)):
         assert np.array_equal(table[name], column), name
-    for system in systems:
+    for system in ALL_SYSTEMS:
         own, posterior, _ = system_posterior(system, batch, believed)
         assert np.array_equal(table[f"{system.value}_lr"],
                               10.0 ** np.clip(own, -300, 300))
@@ -188,7 +148,7 @@ def _whole_batch(cfg, believed):
     claim the paired score difference."""
     batch = generate_cases(cfg.world, cfg.master_seed, cfg.n_cases)
     scores, per_system, clamps, calibration = {}, {}, {}, {}
-    for system in cfg.systems:
+    for system in ALL_SYSTEMS:
         _, posterior, clamps[system] = system_posterior(system, batch, believed)
         s = scores[system] = scores_batch(cfg.rule, posterior, batch.truth_h1)
         per_system[system] = MeanScore(mean=float(s.mean()),
@@ -265,7 +225,6 @@ def test_run_holds_one_system_in_flight(default_world, monkeypatch, n_trace, n_r
     peaks = []
     for n in (2 * 2**16, 10 * 2**16):
         cfg = ExperimentConfig(world=world, n_cases=n)
-        assert cfg.systems == ALL_SYSTEMS
         peaks.append(traced_peak(lambda: run_experiment(cfg)))
     assert peaks[0] <= 24 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
     assert peaks[1] <= 1.1 * peaks[0], peaks
@@ -376,14 +335,6 @@ def test_merging_chunk_moments_adds_the_chunks(sizes, seed):
         merged = merged + harness._Moments.of(chunk)
     assert merged.n == added.n == sum(sizes)
     assert same_bits(merged.mean, added.mean) and same_bits(merged.m2, added.m2)
-
-
-def test_verify_ranking_skips_claims_of_absent_systems():
-    rep = run_experiment(_small_cfg(make_world(),
-                                    systems=(SystemId.CSFLR, SystemId.CSYASLR)))
-    partial = verify_ranking(rep.paired_diffs)
-    assert [v.claim for v in partial] == ["CSFLR>=CSYASLR"]
-    assert [v.claim for v in rep.ranking_verdicts] == ["CSFLR>=CSYASLR"]
 
 
 def test_ranking_claims_are_the_information_order():
