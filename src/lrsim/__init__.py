@@ -55,7 +55,6 @@ from .harness import (
     ALL_SYSTEMS,
     RANKING_CLAIMS,
     EvalReport,
-    ExperimentConfig,
     Verdict,
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
@@ -81,7 +80,6 @@ __all__ = [
     "ConfigError",
     "DemandProfile",
     "EvalReport",
-    "ExperimentConfig",
     "Hypothesis",
     "InsufficientPathsError",
     "MeanScore",

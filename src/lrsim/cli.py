@@ -47,7 +47,6 @@ from .genmodel import (ConfigError, WorldConfig, case_chunks, load_world, world_
 from .harness import (
     ALL_SYSTEMS,
     EvalReport,
-    ExperimentConfig,
     Verdict,
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
@@ -271,15 +270,14 @@ def _calibration_table(report: EvalReport) -> dict:
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
-def _case_table(report: EvalReport) -> Iterator[dict]:
-    """cases.csv as a stream of blocks, one per chunk of cases: each shared
-    case, drawn again from the run's config, and the own LR (its log10
-    clipped to +/-300) and stated posterior of every system of ALL_SYSTEMS
-    on it, rebuilt under the world the run evaluated its LRs in. Nothing is
-    drawn until the stream is read."""
-    cfg = report.config
+def _case_table(world: WorldConfig, master_seed: int, n_cases: int,
+                believed_world: WorldConfig | None = None) -> Iterator[dict]:
+    """cases.csv as a stream of blocks, one per chunk: each case of the ranking
+    run with these arguments, drawn again, and the own LR (its log10 clipped
+    to +/-300) and stated posterior of every system of ALL_SYSTEMS on it, as
+    the run evaluated them. Nothing is drawn until the stream is read."""
     start = 0
-    for batch in case_chunks(cfg.world, cfg.master_seed, cfg.n_cases):
+    for batch in case_chunks(world, master_seed, n_cases):
         block = {
             "case_id": np.arange(start, start + len(batch), dtype=np.int64),
             "truth": np.where(batch.truth_h1, "H1", "H2"),
@@ -288,7 +286,7 @@ def _case_table(report: EvalReport) -> Iterator[dict]:
             "y": batch.y,
         }
         for system in ALL_SYSTEMS:
-            own, posterior, _ = system_posterior(system, batch, report.believed_world)
+            own, posterior, _ = system_posterior(system, batch, believed_world)
             block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
             block[f"{system.value}_posterior"] = posterior
         start += len(batch)
@@ -296,9 +294,8 @@ def _case_table(report: EvalReport) -> Iterator[dict]:
 
 
 def _rank(args, world, n):
-    report = run_experiment(ExperimentConfig(
-        world=world, rule=_RULES[args.rule], n_cases=n, master_seed=args.seed))
-    rule = report.config.rule.value
+    report = run_experiment(world, n, args.seed, _RULES[args.rule])
+    rule = _RULES[args.rule].value
     counts = {v.value: sum(r.verdict is v for r in report.ranking_verdicts)
               for v in Verdict}
     if counts["Confirmed"] + counts["Violated"] == 0:
@@ -317,7 +314,7 @@ def _rank(args, world, n):
         "calibration": _calibration_summary(report),
     }
     tables = {
-        "cases.csv": lambda doc: _case_table(report),
+        "cases.csv": lambda doc: _case_table(world, args.seed, n),
         "calibration.csv": lambda doc: _calibration_table(report),
         "scores.csv": lambda doc: _columns([
             {"system": s.value, "rule": rule,
@@ -359,7 +356,7 @@ def _csprior(args, world, n):
 
 def _tailbound(args, world, n):
     systems = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
-    rows = tail_bound_check(systems, world, n_cases=n, seed=args.seed)
+    rows = tail_bound_check(systems, world, n_cases=n, master_seed=args.seed)
     n_fail = sum(not r.passed for r in rows)
     summary = [f"tailbound: {len(rows)} checks over {len(systems)} systems, "
                f"{n_fail} failures"]
@@ -398,8 +395,7 @@ def _oracle_check(args, world, n_paths):
                   for system in NONTRIVIAL
                   for i, view in enumerate(default_evidence_grid(system, world))]
     except InsufficientPathsError as e:  # too few paths is bad input, not a failure
-        raise ConfigError(f"--paths {n_paths} is too few: "
-                          f"{str(e).partition(';')[0]}; raise --paths") from e
+        raise ConfigError(f"--paths {n_paths} is too few: {e}") from e
     all_ok = all(p.within_3se for p in points)
     worst = max(points, key=lambda p: p.abs_diff_log10 / p.se_log10
                 if p.se_log10 > 0 else 0.0)

@@ -211,14 +211,14 @@ def tail_bound_check(
     systems: tuple[SystemId, ...],
     world: WorldConfig,
     n_cases: int = 100_000,
-    seed: int = 0,
+    master_seed: int = 0,
     believed_world: WorldConfig | None = None,
 ) -> list[TailBoundRow]:
     """Check P(LR > k | H2) and P(LR < 1/k | H1) against 1/k plus noise, at
     each k of K_VALUES.
 
-    Draws n_cases cases per hypothesis, both from seed, in chunks of 2**16
-    counted on up to two CPUs (see fold_chunks). Each chunk is drawn once
+    Draws n_cases cases per hypothesis, both from master_seed, in chunks of
+    2**16 counted on up to two CPUs (see fold_chunks). Each chunk is drawn once
     for every system and counts each system's exceedances, one LR array at a
     time, into an int64 array that the chunks sum, so memory does not grow
     with n_cases. The counts over n_cases are the exceedances. An exceedance up to 1/k + 3 binomial standard errors
@@ -240,7 +240,7 @@ def tail_bound_check(
         return np.array([beyond(own_log10(s, batch, w), side) for s in systems],
                         dtype=np.int64), ()
 
-    exceedances = ((fold_chunks(functools.partial(summarise, side), world, seed,
+    exceedances = ((fold_chunks(functools.partial(summarise, side), world, master_seed,
                                 n_cases, force_truth=side) / n_cases).tolist()
                    for side in (Hypothesis.H2, Hypothesis.H1))
     rows = []

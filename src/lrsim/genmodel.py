@@ -37,6 +37,7 @@ __all__ = [
     "ScoreKind",
     "WorldConfig",
     "case_chunks",
+    "check_seed",
     "fold_chunks",
     "generate_cases",
     "load_world",
@@ -204,8 +205,18 @@ def _column(seed: int, column: int, first_chunk: int, n: int,
     return out
 
 
-def _size(n_cases: int, force_truth: Hypothesis | None) -> int:
-    """n_cases as an int, once it and force_truth are checked."""
+def check_seed(seed: int, name: str = "master_seed") -> int:
+    """seed, refused unless it is an int (not a bool) in [0, 2**64), the
+    values a Philox key word holds: numpy would alias a float or a larger
+    int to another seed, or refuse a negative one without naming it."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
+def _size(master_seed: int, n_cases: int, force_truth: Hypothesis | None) -> int:
+    """n_cases as an int, once it, master_seed and force_truth are checked."""
+    check_seed(master_seed)
     if n_cases < 1:
         raise ConfigError(f"n_cases must be >= 1, got {n_cases}")
     if force_truth is not None and not isinstance(force_truth, Hypothesis):
@@ -247,7 +258,8 @@ def generate_cases(
     pins every case to one hypothesis; every other value of a case is the
     one it has in a mixed run with the same truth.
     """
-    return _cases(world, master_seed, 0, _size(n_cases, force_truth), force_truth)
+    return _cases(world, master_seed, 0, _size(master_seed, n_cases, force_truth),
+                  force_truth)
 
 
 def case_chunks(
@@ -263,7 +275,7 @@ def case_chunks(
     that keeps no batch past the next one holds at most two, whatever
     n_cases is. The arguments are checked when this is called.
     """
-    n = _size(n_cases, force_truth)
+    n = _size(master_seed, n_cases, force_truth)
     return (_cases(world, master_seed, chunk, min(_CHUNK, n - start), force_truth)
             for chunk, start in enumerate(range(0, n, _CHUNK)))
 
@@ -287,7 +299,7 @@ def fold_chunks(
     heap, their memory would go back to the system and be faulted in again,
     about 8k minor page faults per chunk with glibc.
     """
-    n = _size(n_cases, force_truth)
+    n = _size(master_seed, n_cases, force_truth)
     held = []
 
     def summary(chunk: int):

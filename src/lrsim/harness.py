@@ -57,7 +57,6 @@ __all__ = [
     "ALL_SYSTEMS",
     "CsPriorReport",
     "EvalReport",
-    "ExperimentConfig",
     "IllCondReport",
     "PairedDiff",
     "RANKING_CLAIMS",
@@ -101,27 +100,6 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One ranking run, checked when it is built, as its world was. Below
-    10000 cases it warns, naming the line that built it. It scores all of
-    ALL_SYSTEMS, since a subset would report no number the full run lacks."""
-
-    world: WorldConfig
-    rule: ScoringRule = ScoringRule.Logarithmic
-    n_cases: int = 20_000
-    master_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_cases < 1_000:
-            raise ConfigError(
-                f"n_cases must be >= 1000 for ranking runs, got {self.n_cases}")
-        if self.n_cases < 10_000:
-            warnings.warn(
-                "ranking verdicts are noisy below 10000 cases; expect "
-                "spurious Ties", UserWarning, stacklevel=3)
-
-
-@dataclass(frozen=True)
 class PairedDiff:
     mean_diff: float
     se_diff: float
@@ -158,17 +136,14 @@ class RankingVerdict:
 class EvalReport:
     """A ranking run's results, in ALL_SYSTEMS and RANKING_CLAIMS order. It
     keeps no cases: every result is a sum over the cases, accumulated one
-    chunk at a time, and cases.csv draws the cases again from the config and
-    rebuilds each system's own log10 LR and stated posterior under
-    believed_world (None for the generating world)."""
+    chunk at a time, and cases.csv draws the cases again from the run's
+    arguments."""
 
-    config: ExperimentConfig
     per_system: dict[SystemId, MeanScore]
     paired_diffs: dict[str, PairedDiff]
     calibration: dict[SystemId, CalibrationReport]
     ranking_verdicts: list[RankingVerdict]
     clamp_counts: dict[SystemId, int]
-    believed_world: WorldConfig | None = None
 
     @property
     def n_violated(self) -> int:
@@ -293,10 +268,14 @@ class _Moments:
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
+    world: WorldConfig,
+    n_cases: int = 20_000,
+    master_seed: int = 0,
+    rule: ScoringRule = ScoringRule.Logarithmic,
     believed_world: WorldConfig | None = None,
 ) -> EvalReport:
     """Score ALL_SYSTEMS on one shared case set and judge RANKING_CLAIMS.
+    It refuses fewer than 1000 cases, and below 10000 warns at the caller's line.
 
     The cases stream in chunks of 2**16, summarised on up to two CPUs (see
     fold_chunks), and the systems run one at a time within a chunk: each
@@ -309,12 +288,18 @@ def run_experiment(
     whole-batch means and standard errors; over more chunks they agree to
     rounding, and the counts exactly.
     """
+    if n_cases < 1_000:
+        raise ConfigError(f"n_cases must be >= 1000 for ranking runs, got {n_cases}")
+    if n_cases < 10_000:
+        warnings.warn("ranking verdicts are noisy below 10000 cases; expect "
+                      "spurious Ties", UserWarning, stacklevel=2)
+
     def summarise(batch: CaseBatch):
         scores: dict[SystemId, np.ndarray] = {}
         per_system = {}
         for system in ALL_SYSTEMS:
             posterior, n_clamped = system_posterior(system, batch, believed_world)[1:]
-            s = scores[system] = _scores(system.value, cfg.rule, posterior,
+            s = scores[system] = _scores(system.value, rule, posterior,
                                          batch.truth_h1)
             per_system[system] = (_Moments.of(s), n_clamped,
                                   calibration_report(posterior, batch.truth_h1))
@@ -323,18 +308,15 @@ def run_experiment(
                   for claim, better, worse in RANKING_CLAIMS}
         return (per_system, paired), scores
 
-    per_system, diffs = fold_chunks(summarise, cfg.world, cfg.master_seed,
-                                    cfg.n_cases)
+    per_system, diffs = fold_chunks(summarise, world, master_seed, n_cases)
     paired = {claim: d.paired_diff() for claim, d in diffs.items()}
     return EvalReport(
-        config=cfg,
         per_system={s: MeanScore(mean=m.mean, se=m.se, n=m.n)
                     for s, (m, _, _) in per_system.items()},
         paired_diffs=paired,
         calibration={s: cal for s, (_, _, cal) in per_system.items()},
         ranking_verdicts=verify_ranking(paired),
         clamp_counts={s: n for s, (_, n, _) in per_system.items()},
-        believed_world=believed_world,
     )
 
 
@@ -481,12 +463,12 @@ class TotalExpectationReport:
     gap: float
     gap_se: float
     gap_in_se: float
-    n_samples: int
+    n_cases: int
 
 
 def total_expectation_check(
     world: WorldConfig,
-    n_samples: int = 100_000,
+    n_cases: int = 100_000,
     master_seed: int = 0,
     rule: ScoringRule = ScoringRule.Logarithmic,
 ) -> TotalExpectationReport:
@@ -507,9 +489,9 @@ def total_expectation_check(
                + (1.0 - p_joint) * _scores("CSSLR", rule, p_delta, ~all_h1))
         return (_Moments.of(lhs), _Moments.of(rhs), _Moments.of(lhs - rhs)), (lhs, rhs)
 
-    lhs_m, rhs_m, gap = fold_chunks(summarise, world, master_seed, n_samples)
+    lhs_m, rhs_m, gap = fold_chunks(summarise, world, master_seed, n_cases)
     diff = gap.paired_diff()
     return TotalExpectationReport(
         lhs_mean=lhs_m.mean, rhs_mean=rhs_m.mean,
         gap=diff.mean_diff, gap_se=diff.se_diff, gap_in_se=diff.margin_in_se,
-        n_samples=n_samples)
+        n_cases=n_cases)

@@ -157,6 +157,8 @@ def log_lr_batch(
     common-source ones; passing it the wrong way round is an error, not a
     silently ignored argument.
     """
+    if not isinstance(system, SystemId):  # a str would match a member's value
+        raise ConfigError(f"system must be a SystemId, got {system!r}")
     xb = np.asarray(x_mean, dtype=np.float64)
     yb = np.asarray(y_mean, dtype=np.float64)
     needs_r = system in SPECIFIC_SOURCE
@@ -214,6 +216,8 @@ def anchor_log_lr_batch(values: np.ndarray, kind: AnchorKind, world: WorldConfig
     for an X anchor the trace-mean density ratio popC vs popT. Identically
     zero whenever the two populations coincide (proper conditioning).
     """
+    if not isinstance(kind, AnchorKind):
+        raise ConfigError(f"kind must be an AnchorKind, got {kind!r}")
     a = np.asarray(values, dtype=np.float64)
     if kind is AnchorKind.Y:
         v, other = world.var_ref_mean, world.pop_d

@@ -22,10 +22,10 @@ points; the closed forms dispatch by name, so the check covers the rows.
 A block bootstrap over contiguous path blocks supplies the SE of log10(LR).
 
 A PathBank is the oracle's whole context: the world, the seed, the path
-count and tolerances, the five recipes' paths, the bootstrap blocks, the
-bootstrap resamples and one kernel bandwidth per distinct score sample.
-Each is drawn or computed once per bank, and every system and evidence
-point reads them (common random numbers).
+count, the five recipes' paths, the bootstrap blocks, the bootstrap
+resamples and one kernel bandwidth per distinct score sample. Each is drawn
+or computed once per bank, and every system and evidence point reads them
+(common random numbers).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import ConfigError, ScoreKind, WorldConfig
+from .genmodel import ConfigError, ScoreKind, WorldConfig, check_seed
 from .lrsystems import (
     LOG10_E,
     SYSTEMS,
@@ -51,6 +51,8 @@ __all__ = [
     "OracleComparison",
     "OracleEstimate",
     "PathBank",
+    "ANCHOR_TOLERANCE",
+    "BIN_WIDTH",
     "MIN_ACCEPTED",
     "N_BLOCKS",
     "N_BOOT",
@@ -65,6 +67,8 @@ __all__ = [
 RECIPES = ("ss_num", "cs_num", "trace", "ss_ref", "cs_ref")
 _BOOTSTRAP_STREAM = 0xB007
 MIN_ACCEPTED = 50  # fewest paths a density estimate is made from
+BIN_WIDTH = 0.1  # side of a feature system's square evidence bin
+ANCHOR_TOLERANCE = 0.05  # half-width of an anchored system's anchor window
 N_BLOCKS = 200  # contiguous path blocks the bootstrap resamples
 N_BOOT = 400  # bootstrap replicates
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -122,8 +126,8 @@ class OracleComparison:
 
 
 class PathBank:
-    """The oracle's context: the paths of one (world, seed, n_paths), the
-    tolerances that match them to a case, and the bootstrap blocks and draws.
+    """The oracle's context: the paths of one (world, seed, n_paths) and its
+    bootstrap blocks and draws.
 
     Each recipe is drawn on first use from its own stream,
     Philox(key=stream_key(seed, RECIPES.index(recipe))), source first and
@@ -147,20 +151,12 @@ class PathBank:
     as independent.
     """
 
-    def __init__(self, world: WorldConfig, seed: int, n_paths: int = 10**6,
-                 bin_width: float = 0.1, anchor_tolerance: float = 0.05):
+    def __init__(self, world: WorldConfig, seed: int, n_paths: int = 10**6):
         if n_paths < 10**3:
             raise ConfigError(f"n_paths must be >= 1000, got {n_paths}")
-        if not bin_width > 0:
-            raise ConfigError(f"bin_width must be > 0, got {bin_width}")
-        if not anchor_tolerance > 0:
-            raise ConfigError(
-                f"anchor_tolerance must be > 0, got {anchor_tolerance}")
         self.world = world
-        self.seed = int(seed)
+        self.seed = check_seed(seed, "seed")
         self.n_paths = n = int(n_paths)
-        self.bin_width = bin_width
-        self.anchor_tolerance = anchor_tolerance
         # the first path of each of the N_BLOCKS bootstrap blocks, and sizes
         self.edges = np.arange(N_BLOCKS, dtype=np.int64) * n // N_BLOCKS
         self.block_sizes = np.diff(self.edges, append=n).astype(np.float64)
@@ -257,20 +253,20 @@ def _term_samples(system: SystemId, term: str, view: CaseView, bank: PathBank):
         xb = bank.columns(x_recipe)[0]
         if window:
             accept = _near(bank.columns(y_recipe)[-1], view.y_mean,
-                           bank.anchor_tolerance)
+                           ANCHOR_TOLERANCE)
             xb = xb[accept]
         return "kde", xb + (xs - view.y_mean), accept
     if row.anchor is AnchorKind.X:  # SSXASLR: one recipe, two streams, LR 1
         yb = bank.columns(y_recipe)[-1]
         if window:
             accept = _near(bank.columns(x_recipe)[0], view.x_mean,
-                           bank.anchor_tolerance)
+                           ANCHOR_TOLERANCE)
             yb = yb[accept]
         return "kde", (view.x_mean - ys) - yb, accept
 
     xb, yb = bank.columns(x_recipe)[0], bank.columns(y_recipe)[-1]
     if not {"X", "Y"} & row.averaged_out:  # a feature system keeps x and y
-        half = bank.bin_width / 2.0
+        half = BIN_WIDTH / 2.0
         return "bin", (_near(xb, view.x_mean - xs, half)
                        & _near(yb, view.y_mean - ys, half))
     deltas = xb - yb
@@ -285,7 +281,8 @@ def _silverman(samples: np.ndarray) -> float:
     h = 0.9 * spread * samples.shape[0] ** (-0.2)
     if not h > 0:
         raise InsufficientPathsError(
-            "degenerate sample spread, kernel bandwidth would be zero")
+            "degenerate sample spread, kernel bandwidth would be zero; "
+            "raise n_paths")
     return h
 
 
@@ -333,10 +330,9 @@ def _estimate_term(system, term, view, bank) -> _TermEstimate:
         if count < MIN_ACCEPTED:
             raise InsufficientPathsError(
                 f"{system.value} {term}: only {count} paths inside the "
-                f"evidence bin (need {MIN_ACCEPTED}); widen bin_width or "
-                f"raise n_paths")
+                f"evidence bin (need {MIN_ACCEPTED}); raise n_paths")
         contrib = np.add.reduceat(inside, edges, dtype=np.float64)
-        return _TermEstimate(contrib, block_sizes, bank.bin_width**2, count)
+        return _TermEstimate(contrib, block_sizes, BIN_WIDTH**2, count)
 
     deltas, accept = data
     target = view.x_mean - view.y_mean
@@ -348,8 +344,7 @@ def _estimate_term(system, term, view, bank) -> _TermEstimate:
     if accept is not None and accepted < MIN_ACCEPTED:
         raise InsufficientPathsError(
             f"{system.value} {term}: only {accepted} paths accepted in "
-            f"the anchor window (need {MIN_ACCEPTED}); widen "
-            f"anchor_tolerance or raise n_paths")
+            f"the anchor window (need {MIN_ACCEPTED}); raise n_paths")
     # the key holds all the sample depends on: see _term_samples
     anchor = SYSTEMS[system].anchor
     key = (system, term, view.theta_r, None if anchor is None else
@@ -387,7 +382,7 @@ def path_oracle(system: SystemId, view: CaseView,
     """Monte Carlo estimate of one system's LR on one case, with SE, from
     the bank's paths and bootstrap resamples."""
     if SYSTEMS[system].specific_source and view.theta_r is None:
-        raise ValueError(f"{system.value} oracle requires theta_r in the view")
+        raise ConfigError(f"{system.value} oracle requires theta_r in the view")
     if system is SystemId.PriorOnly:
         return OracleEstimate(system, 1.0, 0.0, 0.0, bank.n_paths, 0, 0)
     num = _estimate_term(system, "num", view, bank)
@@ -424,7 +419,7 @@ def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView
     crossed with scores centred on the numerator's conditional mean.
     """
     if system is SystemId.PriorOnly:
-        raise ValueError(f"no evidence grid for {system!r}")
+        raise ConfigError(f"no evidence grid for {system!r}")
     row = SYSTEMS[system]
     th = world.pop_c.mu + 0.4 * max(world.pop_c.tau, world.noise.sigma)
     theta = th if row.specific_source else None

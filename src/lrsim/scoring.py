@@ -65,6 +65,8 @@ def _probabilities(stated_p) -> np.ndarray:
 
 def scores_batch(rule: ScoringRule, stated_p: np.ndarray, is_h1: np.ndarray) -> np.ndarray:
     """Score arrays of stated P(H1) against realised hypotheses."""
+    if not isinstance(rule, ScoringRule):  # a str would match a member's value
+        raise ConfigError(f"rule must be a ScoringRule, got {rule!r}")
     p = _probabilities(stated_p)
     h1 = np.asarray(is_h1, dtype=bool)
     if rule in (ScoringRule.Logarithmic, ScoringRule.Brier):
@@ -82,11 +84,10 @@ def scores_batch(rule: ScoringRule, stated_p: np.ndarray, is_h1: np.ndarray) -> 
         np.square(q, out=q)
         q *= -2.0
         return q
-    if rule is ScoringRule.ImproperTable3:
-        idx = np.clip(np.rint(p * 10).astype(np.int64), 0, 10)
-        return np.where(h1, IMPROPER_TABLE["if_h1"][idx],
-                        IMPROPER_TABLE["if_h2"][idx])
-    raise ConfigError(f"unknown scoring rule {rule!r}")
+    # ImproperTable3: the payout of the nearest tenth
+    idx = np.clip(np.rint(p * 10).astype(np.int64), 0, 10)
+    return np.where(h1, IMPROPER_TABLE["if_h1"][idx],
+                    IMPROPER_TABLE["if_h2"][idx])
 
 
 def expected_score(rule: ScoringRule, stated_p: float | np.ndarray,

@@ -21,7 +21,6 @@ from lrsim.genmodel import Hypothesis, PopulationModel, generate_cases
 from lrsim.harness import (
     ALL_SYSTEMS,
     RANKING_CLAIMS,
-    ExperimentConfig,
     Verdict,
     ill_conditioning_experiment,
     run_experiment,
@@ -57,8 +56,7 @@ def test_ranking_claims_hold_across_seeds_and_rules():
     worst = np.inf
     for seed in range(10):
         for rule in (ScoringRule.Logarithmic, ScoringRule.Brier):
-            rep = run_experiment(ExperimentConfig(
-                world=world, n_cases=20_000, master_seed=seed, rule=rule))
+            rep = run_experiment(world, 20_000, seed, rule)
             n_violated += rep.n_violated
             worst = min(worst, min(
                 v.margin_in_se for v in rep.ranking_verdicts
@@ -87,8 +85,7 @@ def test_ranking_verdicts_are_exact_in_both_packaged_worlds(name):
     largest_tie = 0.0
     for seed in range(10):
         for rule in (ScoringRule.Logarithmic, ScoringRule.Brier):
-            rep = run_experiment(ExperimentConfig(
-                world=world, n_cases=20_000, master_seed=seed, rule=rule))
+            rep = run_experiment(world, 20_000, seed, rule)
             got = {v.claim: v.verdict for v in rep.ranking_verdicts}
             misses += [f"{c}@{seed}/{rule.value}" for c in expected
                        if got.get(c) is not expected[c]]
@@ -222,8 +219,7 @@ def test_scoring_rule_honesty():
 
 
 def test_every_system_is_calibrated():
-    rep = run_experiment(ExperimentConfig(world=default_world(),
-                                          n_cases=100_000, master_seed=0))
+    rep = run_experiment(default_world(), 100_000, 0)
     fails = [s.value for s, c in rep.calibration.items() if not c.passes()]
     worst = max(c.max_abs_gap for c in rep.calibration.values())
     _line("calibration", not fails,
@@ -234,11 +230,11 @@ def test_every_system_is_calibrated():
 def test_lr_tail_bounds():
     world = default_world()
     systems = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
-    rows = tail_bound_check(systems, world, n_cases=100_000, seed=0)
+    rows = tail_bound_check(systems, world, n_cases=100_000, master_seed=0)
     n_fail = sum(not row.passed for row in rows)
     min_slack = min(row.bound - row.empirical_exceedance for row in rows)
     sab = tail_bound_check(
-        (SystemId.CSFLR,), world, n_cases=100_000, seed=0,
+        (SystemId.CSFLR,), world, n_cases=100_000, master_seed=0,
         believed_world=make_world(pop_t=PopulationModel(4.0, 1.0)))
     sab_breaks = any(not r.passed for r in sab)
     _line("tail-bounds", n_fail == 0 and sab_breaks,

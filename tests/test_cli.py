@@ -28,7 +28,7 @@ import lrsim.oracle as oracle
 from lrsim.cli import main
 from lrsim.costmodel import DemandProfile, TailBoundRow, TradeoffRow
 from lrsim.genmodel import ConfigError, world_from_json_dict
-from lrsim.harness import ExperimentConfig, RankingVerdict, run_experiment
+from lrsim.harness import RankingVerdict, run_experiment
 from lrsim.oracle import RECIPES, OracleComparison, PathBank
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -961,9 +961,9 @@ def test_cases_csv_round_trips_every_float_exactly(tmp_path, capsys):
     code, _, _ = run(capsys, "rank", "--config", write_config(tmp_path, doc),
                      "--cases", "2000", "--out", str(out))
     assert code == 0
-    report = run_experiment(ExperimentConfig(
-        world=world_from_json_dict(doc), n_cases=2000, master_seed=0))
-    blocks = list(cli._case_table(report))
+    world = world_from_json_dict(doc)
+    report = run_experiment(world, 2000, 0)
+    blocks = list(cli._case_table(world, 0, 2000))
     table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     lr = np.concatenate([v for k, v in table.items() if k.endswith("_lr")])
     assert np.isin(lr, (1e-300, 1e300)).sum() > 0
@@ -1726,7 +1726,7 @@ def test_oracle_check_bytes_are_pinned(tmp_path, capsys, config, paths, seed,
 
 
 @pytest.mark.parametrize("argv,line", [
-    # rank once named ExperimentConfig's n_cases, not the flag
+    # rank once named the library's n_cases, not the flag
     (("rank", "--cases", "999"),
      "error: --cases must be >= 1000 for ranking runs, got 999\n"),
     (("oracle-check", "--paths", "999"),

@@ -122,7 +122,7 @@ def test_performance_rank_counts_lost_dimensions():
 def test_tail_bounds_hold_for_every_system():
     world = make_world()
     for system in ALL_SYSTEMS:
-        rows = tail_bound_check((system,), world, n_cases=20_000, seed=0)
+        rows = tail_bound_check((system,), world, n_cases=20_000, master_seed=0)
         assert len(rows) == 8
         assert all(r.passed for r in rows), (system, rows)
 
@@ -130,7 +130,7 @@ def test_tail_bounds_hold_for_every_system():
 def test_wrong_beliefs_break_the_bound():
     world = make_world()
     believed = make_world(pop_t=PopulationModel(4.0, 1.0))
-    rows = tail_bound_check((SystemId.CSFLR,), world, n_cases=20_000, seed=0,
+    rows = tail_bound_check((SystemId.CSFLR,), world, n_cases=20_000, master_seed=0,
                             believed_world=believed)
     h2_rows = [r for r in rows if r.side == "H2"]
     assert any(not r.passed for r in h2_rows)
@@ -157,7 +157,7 @@ def test_tail_bound_draws_both_hypotheses_from_its_seed(monkeypatch, seed):
     # drawing H1 from seed + 1 would reuse the H2 draws of the next seed
     seen = []
     recording_chunks(monkeypatch, seen)
-    tail_bound_check((SystemId.CSSLR,), make_world(), n_cases=2_000, seed=seed)
+    tail_bound_check((SystemId.CSSLR,), make_world(), n_cases=2_000, master_seed=seed)
     assert sorted(seen) == [(seed, "H1", [2_000]), (seed, "H2", [2_000])]
 
 
@@ -168,7 +168,7 @@ def test_tail_bound_draws_each_hypothesis_once_for_every_system(monkeypatch):
     # each side's chunks are drawn once, and every system is scored on each
     seen = []
     recording_chunks(monkeypatch, seen)
-    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, seed=5)
+    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, master_seed=5)
     assert seen == [(5, "H2", [2**16, 2**16, 9]), (5, "H1", [2**16, 2**16, 9])]
     assert len(rows) == len(INFORMATIVE) * 4 * 2
 
@@ -179,9 +179,9 @@ def test_tail_bounds_of_some_systems_are_the_full_run_s_rows(monkeypatch, n, k):
     # every system counts its exceedances on the same cases, so a check of
     # some systems, in any order, returns the full check's rows for them
     monkeypatch.setattr(forked, "cpus", lambda: k)
-    full = tail_bound_check(INFORMATIVE, make_world(), n_cases=n, seed=3)
+    full = tail_bound_check(INFORMATIVE, make_world(), n_cases=n, master_seed=3)
     subset = (SystemId.CSSLR, SystemId.SSFLR)  # the reverse of their order in full
-    assert tail_bound_check(subset, make_world(), n_cases=n, seed=3) == [
+    assert tail_bound_check(subset, make_world(), n_cases=n, master_seed=3) == [
         r for s in subset for r in full if r.system is s]
 
 
@@ -190,7 +190,7 @@ def test_tail_bound_draws_each_hypothesis_once_on_two_cpus(tmp_path, monkeypatch
     # process that counts it: chunks 0 and 2 here, chunk 1 in the case worker
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     draws = record_draws(monkeypatch, tmp_path / "draws")
-    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, seed=5)
+    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, master_seed=5)
     assert sorted((truth, chunk, n, pid == os.getpid())
                   for pid, seed, truth, chunk, n in draws() if seed == 5) == [
         (truth, chunk, n, chunk != 1) for truth in ("H1", "H2")
@@ -268,9 +268,9 @@ def test_tail_bound_memory_does_not_grow_on_two_cpus(monkeypatch):
 def test_many_systems_give_the_one_system_rows(believed):
     world = make_world()
     one_by_one = [row for s in INFORMATIVE
-                  for row in tail_bound_check((s,), world, n_cases=5_000, seed=3,
+                  for row in tail_bound_check((s,), world, n_cases=5_000, master_seed=3,
                                               believed_world=believed)]
-    assert tail_bound_check(INFORMATIVE, world, n_cases=5_000, seed=3,
+    assert tail_bound_check(INFORMATIVE, world, n_cases=5_000, master_seed=3,
                             believed_world=believed) == one_by_one
 
 
@@ -281,6 +281,12 @@ def test_tail_bound_needs_a_tuple_of_systems(systems):
     # a repeated system would be scored twice and give its rows twice
     with pytest.raises(ConfigError, match="systems"):
         tail_bound_check(systems, make_world(), n_cases=2_000)
+
+
+def test_tail_bound_refuses_a_system_s_value():
+    # ("CSSLR",) once reported CSXASLR's exceedances under the label CSSLR
+    with pytest.raises(ConfigError, match="^system must be a SystemId, got 'CSSLR'$"):
+        tail_bound_check(("CSSLR",), make_world(), n_cases=2_000)
 
 
 def test_prior_only_never_exceeds():

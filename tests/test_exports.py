@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -99,6 +101,25 @@ def test_one_world_loader():
     assert _callers("world_from_json_dict") == {("genmodel", "load_world"),
                                                 ("cli", "default_world")}
     assert _callers("read_json") == {("genmodel", "load_world")}
+
+
+def test_every_case_experiment_takes_one_call_shape():
+    # a run's settings are its arguments, named alike in all five
+    import lrsim
+    from lrsim.harness import EvalReport
+
+    for experiment in (lrsim.run_experiment, lrsim.ill_conditioning_experiment,
+                       lrsim.cs_update_ss_prior_experiment,
+                       lrsim.total_expectation_check, lrsim.tail_bound_check):
+        names = [n for n in inspect.signature(experiment).parameters if n != "systems"]
+        assert names[:3] == ["world", "n_cases", "master_seed"], experiment.__name__
+    assert not hasattr(lrsim, "ExperimentConfig")
+    assert "ExperimentConfig" not in lrsim.__all__
+    assert [f.name for f in dataclasses.fields(EvalReport)] == [
+        "per_system", "paired_diffs", "calibration", "ranking_verdicts",
+        "clamp_counts"]
+    assert list(inspect.signature(lrsim.PathBank).parameters) == [
+        "world", "seed", "n_paths"]
 
 
 def test_benchmark_probe_runs():

@@ -13,6 +13,7 @@ from lrsim.genmodel import (
     ScoreKind,
     WorldConfig,
     case_chunks,
+    fold_chunks,
     generate_cases,
     load_world,
     world_from_json_dict,
@@ -165,6 +166,17 @@ def test_force_truth_rejects_raw_ints():
     w = make_world()
     with pytest.raises(ConfigError):
         generate_cases(w, 0, 10, force_truth=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, True, "0", None])
+def test_a_seed_must_be_a_philox_key_word(seed):
+    # numpy once drew seed 1's cases for 1.5 and refused -1 without naming it
+    w = make_world()
+    for draw in (generate_cases, case_chunks,
+                 lambda *args: fold_chunks(lambda batch: (0, ()), *args)):
+        with pytest.raises(ConfigError, match=r"^master_seed must be an integer "
+                           rf"in \[0, 2\*\*64\), got {seed!r}$"):
+            draw(w, seed, 10)
 
 
 def test_n_cases_must_be_positive():

@@ -12,7 +12,6 @@ from lrsim.genmodel import ConfigError, NoiseModel, PopulationModel, ScenarioKin
 from lrsim.harness import (
     ALL_SYSTEMS,
     RANKING_CLAIMS,
-    ExperimentConfig,
     PairedDiff,
     Verdict,
     cs_update_ss_prior_experiment,
@@ -27,23 +26,27 @@ from lrsim.scoring import MeanScore, ScoringRule, calibration_report, scores_bat
 from tests.conftest import make_world, packaged_world, record_draws, same_bits, traced_peak
 
 
-def _small_cfg(world, n=2_000, seed=0, **kw):
+def _run(world, n_cases=2_000, **kw):
+    """run_experiment, at 2000 cases unless told, without its small-run warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return ExperimentConfig(world=world, n_cases=n, master_seed=seed, **kw)
+        return run_experiment(world, n_cases, **kw)
 
 
 # ---------------------------------------------------------------------------
-# configuration guard rails
+# guard rails
 
 def test_too_few_cases_is_an_error():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(world=make_world(), n_cases=500)
+    with pytest.raises(ConfigError, match="^n_cases must be >= 1000 for ranking "
+                       "runs, got 500$"):
+        run_experiment(make_world(), 500)
 
 
 def test_moderate_case_count_warns():
-    with pytest.warns(UserWarning, match="noisy"):
-        ExperimentConfig(world=make_world(), n_cases=2_000)
+    # the warning names the caller's line, not run_experiment's
+    with pytest.warns(UserWarning, match="noisy") as record:
+        run_experiment(make_world(), 2_000)
+    assert [w.filename for w in record] == [__file__]
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +86,10 @@ def test_run_is_deterministic_and_order_invariant(monkeypatch):
     # every run scores ALL_SYSTEMS, one system at a time: scoring them in
     # the reverse order changes no number
     world = make_world()
-    a = run_experiment(_small_cfg(world))
-    b = run_experiment(_small_cfg(world))
+    a = _run(world)
+    b = _run(world)
     monkeypatch.setattr(harness, "ALL_SYSTEMS", tuple(reversed(ALL_SYSTEMS)))
-    c = run_experiment(_small_cfg(world))
+    c = _run(world)
     assert list(c.per_system) == list(reversed(ALL_SYSTEMS))
     for system in ALL_SYSTEMS:
         assert a.per_system[system].mean == b.per_system[system].mean
@@ -96,7 +99,7 @@ def test_run_is_deterministic_and_order_invariant(monkeypatch):
 
 
 def test_default_world_has_no_violations():
-    rep = run_experiment(_small_cfg(make_world(), n=10_000))
+    rep = _run(make_world(), 10_000)
     assert rep.n_violated == 0
     verdicts = {v.claim: v.verdict for v in rep.ranking_verdicts}
     # analytically identical pairs must come out as exact ties
@@ -108,8 +111,7 @@ def test_default_world_has_no_violations():
 
 
 def test_brier_rule_agrees_on_verdicts():
-    rep = run_experiment(_small_cfg(make_world(), n=10_000,
-                                    rule=ScoringRule.Brier))
+    rep = _run(make_world(), 10_000, rule=ScoringRule.Brier)
     assert rep.n_violated == 0
 
 
@@ -119,9 +121,7 @@ def test_case_table_columns():
     # the run believed
     world, n = make_world(), 2**16 + 5
     believed = make_world(pop_t=PopulationModel(2.0, 1.0))
-    rep = run_experiment(_small_cfg(world, n=n, seed=3), believed_world=believed)
-    assert rep.believed_world is believed
-    blocks = list(_case_table(rep))
+    blocks = list(_case_table(world, 3, n, believed))
     assert [len(b["case_id"]) for b in blocks] == [2**16, 5]
     table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     assert list(table) == ["case_id", "truth", "r_theta", "x", "y",
@@ -142,15 +142,16 @@ def test_case_table_columns():
                               system_posterior(SystemId.CSFLR, batch)[1])
 
 
-def _whole_batch(cfg, believed):
+def _whole_batch(world, n_cases, master_seed=0, rule=ScoringRule.Logarithmic,
+                 believed_world=None):
     """run_experiment's results computed on the whole batch at once: per
     system the mean score, the clamp count and the calibration, and per
     claim the paired score difference."""
-    batch = generate_cases(cfg.world, cfg.master_seed, cfg.n_cases)
+    batch = generate_cases(world, master_seed, n_cases)
     scores, per_system, clamps, calibration = {}, {}, {}, {}
     for system in ALL_SYSTEMS:
-        _, posterior, clamps[system] = system_posterior(system, batch, believed)
-        s = scores[system] = scores_batch(cfg.rule, posterior, batch.truth_h1)
+        _, posterior, clamps[system] = system_posterior(system, batch, believed_world)
+        s = scores[system] = scores_batch(rule, posterior, batch.truth_h1)
         per_system[system] = MeanScore(mean=float(s.mean()),
                                        se=float(np.std(s, ddof=1) / np.sqrt(s.size)),
                                        n=s.size)
@@ -171,10 +172,10 @@ def test_run_scores_what_system_posterior_states(believed):
     # system_posterior: in one chunk its means, clamp counts, calibration
     # and paired differences are those of the posteriors system_posterior
     # gives on the whole batch, exactly
-    cfg = _small_cfg(make_world(), n=2_000)
-    rep = run_experiment(cfg, believed_world=believed)
+    run = dict(world=make_world(), n_cases=2_000, believed_world=believed)
+    rep = _run(**run)
     assert tuple(rep.per_system) == ALL_SYSTEMS
-    per_system, clamps, calibration, paired = _whole_batch(cfg, believed)
+    per_system, clamps, calibration, paired = _whole_batch(**run)
     assert rep.per_system == per_system
     assert rep.clamp_counts == clamps
     assert rep.paired_diffs == paired
@@ -193,13 +194,14 @@ def test_run_scores_what_system_posterior_states(believed):
 def test_chunks_merge_to_the_whole_batch(rule, believed):
     # three chunks of 2^16 and one of 17 cases: the pairwise update gives
     # the whole batch's moments up to rounding, and the counts exactly
-    cfg = _small_cfg(make_world(), n=3 * 2**16 + 17, seed=4, rule=rule)
-    rep = run_experiment(cfg, believed_world=believed)
-    per_system, clamps, calibration, paired = _whole_batch(cfg, believed)
+    run = dict(world=make_world(), n_cases=3 * 2**16 + 17, master_seed=4, rule=rule,
+               believed_world=believed)
+    rep = _run(**run)
+    per_system, clamps, calibration, paired = _whole_batch(**run)
     assert rep.clamp_counts == clamps
     for system, want in per_system.items():
         got = rep.per_system[system]
-        assert got.n == want.n == cfg.n_cases
+        assert got.n == want.n == run["n_cases"]
         assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0), system
         assert got.se == pytest.approx(want.se, rel=1e-12, abs=0), system
         got_cal, want_cal = rep.calibration[system], calibration[system]
@@ -209,7 +211,7 @@ def test_chunks_merge_to_the_whole_batch(rule, believed):
                                    rtol=1e-12, atol=0)
     for claim, want in paired.items():
         got = rep.paired_diffs[claim]
-        assert got.n == want.n == cfg.n_cases
+        assert got.n == want.n == run["n_cases"]
         assert got.mean_diff == pytest.approx(want.mean_diff, rel=1e-12, abs=0), claim
         assert got.se_diff == pytest.approx(want.se_diff, rel=1e-12, abs=0), claim
 
@@ -224,8 +226,7 @@ def test_run_holds_one_system_in_flight(default_world, monkeypatch, n_trace, n_r
     world = dataclasses.replace(default_world, n_trace=n_trace, n_ref=n_ref)
     peaks = []
     for n in (2 * 2**16, 10 * 2**16):
-        cfg = ExperimentConfig(world=world, n_cases=n)
-        peaks.append(traced_peak(lambda: run_experiment(cfg)))
+        peaks.append(traced_peak(lambda: run_experiment(world, n)))
     assert peaks[0] <= 24 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
@@ -246,17 +247,17 @@ def test_run_holds_one_system_in_flight_on_two_cpus(default_world, monkeypatch,
                                                     n_trace, n_ref):
     world = dataclasses.replace(default_world, n_trace=n_trace, n_ref=n_ref)
     peaks = _peaks_on_one_and_two_cpus(
-        monkeypatch, lambda n: run_experiment(ExperimentConfig(world=world, n_cases=n)))
+        monkeypatch, lambda n: run_experiment(world, n))
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # every experiment that scores cases, each on a world it accepts
 EXPERIMENTS = {
-    "rank": lambda n: run_experiment(ExperimentConfig(world=make_world(), n_cases=n)),
+    "rank": lambda n: run_experiment(make_world(), n),
     "illcond": lambda n: ill_conditioning_experiment(
         packaged_world("illcond_world.json"), n_cases=n),
     "csprior": lambda n: cs_update_ss_prior_experiment(make_world(), n_cases=n),
-    "total-expectation": lambda n: total_expectation_check(make_world(), n_samples=n),
+    "total-expectation": lambda n: total_expectation_check(make_world(), n_cases=n),
 }
 
 
@@ -372,7 +373,7 @@ def test_genuinely_better_system_is_confirmed():
 def test_sabotaged_beliefs_are_caught():
     world = make_world()
     believed = make_world(pop_t=PopulationModel(4.0, 1.0))
-    rep = run_experiment(_small_cfg(world, n=20_000), believed_world=believed)
+    rep = _run(world, 20_000, believed_world=believed)
     verdicts = {v.claim: v.verdict for v in rep.ranking_verdicts}
     assert verdicts["CSSLR>=PriorOnly"] is Verdict.Violated
     assert rep.n_violated > 0
@@ -384,7 +385,7 @@ def test_uninformative_world_ties_everything():
                       pop_t=PopulationModel(0.0, 0.5),
                       noise=NoiseModel(50.0),
                       scenario=ScenarioKind.DistinctionIrrelevant)
-    rep = run_experiment(_small_cfg(weak, n=5_000))
+    rep = _run(weak, 5_000)
     counts = Counter(v.verdict for v in rep.ranking_verdicts)
     assert counts[Verdict.Tie] == len(RANKING_CLAIMS)
 
@@ -428,8 +429,8 @@ def test_cs_prior_update_descriptive_variant():
 
 
 def test_total_expectation_within_noise():
-    rep = total_expectation_check(make_world(), n_samples=20_000,
+    rep = total_expectation_check(make_world(), n_cases=20_000,
                                   master_seed=0)
     assert abs(rep.gap_in_se) < 3.0
     assert rep.gap_se > 0
-    assert rep.n_samples == 20_000
+    assert rep.n_cases == 20_000

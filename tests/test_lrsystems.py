@@ -285,6 +285,23 @@ def test_cs_refuses_source_parameter():
             log_lr_batch(system, x, y, w, theta_r=th)
 
 
+def test_engines_refuse_a_member_s_value():
+    # a str Enum matches its value under `in` but not under `is`: "CSSLR"
+    # once fell through to the last branch and gave CSXASLR's LRs, and "Y"
+    # gave the X anchor's
+    w = make_world()
+    x, y, th = _views(w, 10)
+    for system in SystemId:
+        with pytest.raises(ConfigError, match=f"^system must be a SystemId, "
+                           f"got '{system.value}'$"):
+            log_lr_batch(system.value, x, y, w,
+                         theta_r=th if system in SPECIFIC_SOURCE else None)
+    for kind in AnchorKind:
+        with pytest.raises(ConfigError, match=f"^kind must be an AnchorKind, "
+                           f"got '{kind.value}'$"):
+            anchor_log_lr_batch(x, kind.value, w)
+
+
 def test_system_table_agrees_with_the_system_names():
     # SS* is specific-source, *YAS*/*XAS* anchor on y/x, and the two
     # systems with LR one have nothing to field

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lrsim import oracle
 from lrsim.genmodel import ConfigError, ScoreKind
 from lrsim.lrsystems import (
     LOG10_E,
@@ -56,7 +57,7 @@ def test_prior_only_has_no_grid_and_an_oracle_lr_of_one():
     # its row averages out x and y without an anchor, as CSSLR's does; the
     # row rules alone would give it CSSLR's grid and score recipes
     world = make_world()
-    with pytest.raises(ValueError, match="no evidence grid"):
+    with pytest.raises(ConfigError, match="no evidence grid"):
         default_evidence_grid(SystemId.PriorOnly, world)
     bank = _RecordingBank(world, 0, 1_000)
     est = path_oracle(SystemId.PriorOnly, CaseView(0.4, 0.1), bank)
@@ -105,24 +106,24 @@ def test_oracle_seed_changes_draws():
     assert a.log10_lr != b.log10_lr
 
 
-def test_feature_bin_width_insensitivity():
+def test_feature_bin_width_insensitivity(monkeypatch):
     world = make_world()
     view = default_evidence_grid(SystemId.CSFLR, world)[4]
-    wide = path_oracle(SystemId.CSFLR, view,
-                       PathBank(world, 3, 400_000, bin_width=0.1))
-    narrow = path_oracle(SystemId.CSFLR, view,
-                         PathBank(world, 3, 400_000, bin_width=0.05))
+    monkeypatch.setattr(oracle, "BIN_WIDTH", 0.1)
+    wide = path_oracle(SystemId.CSFLR, view, PathBank(world, 3, 400_000))
+    monkeypatch.setattr(oracle, "BIN_WIDTH", 0.05)
+    narrow = path_oracle(SystemId.CSFLR, view, PathBank(world, 3, 400_000))
     se = np.hypot(wide.se_log10, narrow.se_log10)
     assert abs(wide.log10_lr - narrow.log10_lr) < max(4.0 * se, 0.05)
 
 
-def test_anchor_tolerance_insensitivity():
+def test_anchor_tolerance_insensitivity(monkeypatch):
     world = make_world()
     view = default_evidence_grid(SystemId.CSYASLR, world)[4]
-    loose = path_oracle(SystemId.CSYASLR, view,
-                        PathBank(world, 4, 400_000, anchor_tolerance=0.05))
-    tight = path_oracle(SystemId.CSYASLR, view,
-                        PathBank(world, 4, 400_000, anchor_tolerance=0.025))
+    monkeypatch.setattr(oracle, "ANCHOR_TOLERANCE", 0.05)
+    loose = path_oracle(SystemId.CSYASLR, view, PathBank(world, 4, 400_000))
+    monkeypatch.setattr(oracle, "ANCHOR_TOLERANCE", 0.025)
+    tight = path_oracle(SystemId.CSYASLR, view, PathBank(world, 4, 400_000))
     se = np.hypot(loose.se_log10, tight.se_log10)
     assert abs(loose.log10_lr - tight.log10_lr) < max(4.0 * se, 0.05)
 
@@ -176,10 +177,20 @@ def test_oracle_config_validation():
     world = make_world()
     with pytest.raises(ConfigError, match="n_paths must be >= 1000, got 10"):
         PathBank(world, 0, n_paths=10)
-    with pytest.raises(ConfigError, match="bin_width must be > 0"):
-        PathBank(world, 0, bin_width=0.0)
-    with pytest.raises(ConfigError, match="anchor_tolerance must be > 0"):
-        PathBank(world, 0, anchor_tolerance=-1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.7, 2**64, True])
+def test_a_bank_seed_must_be_a_philox_key_word(seed):
+    # -1 once drew the paths of seed 2**64 - 1, and 1.7 those of seed 1
+    with pytest.raises(ConfigError, match=r"^seed must be an integer in "
+                       rf"\[0, 2\*\*64\), got {seed!r}$"):
+        PathBank(make_world(), seed, 1_000)
+
+
+def test_a_specific_source_oracle_needs_theta_r():
+    bank = PathBank(make_world(), 0, 1_000)
+    with pytest.raises(ConfigError, match="^SSSLR oracle requires theta_r"):
+        path_oracle(SystemId.SSSLR, CaseView(0.1, 0.2), bank)
 
 
 def test_bank_columns_have_their_recipe_moments():
@@ -286,16 +297,17 @@ def _estimate_bits(est):
 
 
 @pytest.mark.parametrize("name", ["default_world.json", "abs_world.json"])
-def test_shared_bandwidths_give_the_fresh_bank_estimates(name):
+def test_shared_bandwidths_give_the_fresh_bank_estimates(monkeypatch, name):
     # a bank keeps one kernel bandwidth per sample; a key that left out
     # something the sample depends on would hand a point the bandwidth of
     # another sample, and its estimate would differ from a fresh bank's
     world = packaged_world(name)
+    # few paths keep the fresh banks quick; the wide bin keeps abs_world's
+    # CSFLR denominator above MIN_ACCEPTED at that count
+    monkeypatch.setattr(oracle, "BIN_WIDTH", 0.3)
 
     def bank():
-        # few paths keep the fresh banks quick; the wide bin keeps
-        # abs_world's CSFLR denominator above MIN_ACCEPTED at that count
-        return PathBank(world, 0, 60_000, bin_width=0.3)
+        return PathBank(world, 0, 60_000)
 
     visits = []
     for system in NONTRIVIAL:

@@ -94,6 +94,15 @@ def test_scores_batch_rejects_nan(rule):
         scores_batch(rule, np.array([0.5, np.nan]), np.array([True, False]))
 
 
+def test_scores_batch_refuses_a_rule_s_value():
+    # "Logarithmic" once matched a rule under `in` and fell through the
+    # `is` test to Brier scores
+    for rule in ScoringRule:
+        with pytest.raises(ConfigError, match=f"^rule must be a ScoringRule, "
+                           f"got '{rule.value}'$"):
+            scores_batch(rule.value, np.array([0.5]), np.array([True]))
+
+
 def test_scores_batch_takes_no_cases():
     for rule in ScoringRule:
         assert scores_batch(rule, np.array([]), np.array([], dtype=bool)).shape == (0,)
