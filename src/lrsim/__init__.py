@@ -40,7 +40,10 @@ from .oracle import (
     OracleEstimate,
     PathBank,
     compare_closed_vs_oracle,
+    compare_views,
     default_evidence_grid,
+    estimate_views,
+    grid_groups,
     path_oracle,
 )
 from .scoring import (
@@ -100,12 +103,15 @@ __all__ = [
     "case_chunks",
     "clamp_log10_lr",
     "compare_closed_vs_oracle",
+    "compare_views",
     "cs_update_ss_prior_experiment",
     "default_evidence_grid",
     "demand_table",
     "discrete_profile_lr",
+    "estimate_views",
     "feasibility_rank",
     "generate_cases",
+    "grid_groups",
     "honesty_check",
     "ill_conditioning_experiment",
     "load_world",

@@ -53,9 +53,8 @@ from .harness import (
     run_experiment,
     system_posterior,
 )
-from .lrsystems import NONTRIVIAL, SystemId
-from .oracle import (InsufficientPathsError, PathBank, compare_closed_vs_oracle,
-                     default_evidence_grid)
+from .lrsystems import SystemId
+from .oracle import InsufficientPathsError, PathBank, compare_views, grid_groups
 from .scoring import ScoringRule
 
 _RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}
@@ -388,12 +387,19 @@ def _demand(args, world, n):
 
 
 def _oracle_check(args, world, n_paths):
-    # every point reads the same paths and bootstrap resamples, drawn once
+    # every point reads the same paths and bootstrap resamples, drawn once in
+    # each process that reads them; a group's points share its kernel samples
     bank = PathBank(world, args.seed, n_paths)
+
+    def compare_group(group):
+        system, first, views = group
+        return [replace(p, grid_index=first + i)
+                for i, p in enumerate(compare_views(system, views, bank))]
+
     try:
-        points = [replace(compare_closed_vs_oracle(system, view, bank), grid_index=i)
-                  for system in NONTRIVIAL
-                  for i, view in enumerate(default_evidence_grid(system, world))]
+        points = [p for rows in ordered_map(compare_group, grid_groups(world),
+                                            "oracle worker", "group")
+                  for p in rows]
     except InsufficientPathsError as e:  # too few paths is bad input, not a failure
         raise ConfigError(f"--paths {n_paths} is too few: {e}") from e
     all_ok = all(p.within_3se for p in points)

@@ -2,8 +2,9 @@
 forked processes, whose results come back in item order.
 
 Every case experiment sums its chunks of cases through it (see
-genmodel.fold_chunks), and cases.csv formats its pieces through it (see
-cli._write_csv). A result does not depend on the process that computed it,
+genmodel.fold_chunks), cases.csv formats its pieces through it (see
+cli._write_csv), and oracle-check checks its groups of grid points through
+it (see cli._oracle_check and oracle.grid_groups). A result does not depend on the process that computed it,
 so no output byte depends on how many processes there were.
 """
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -37,6 +38,7 @@ __all__ = [
     "ScoreKind",
     "WorldConfig",
     "case_chunks",
+    "check_count",
     "check_seed",
     "fold_chunks",
     "generate_cases",
@@ -214,15 +216,24 @@ def check_seed(seed: int, name: str = "master_seed") -> int:
     return seed
 
 
+def check_count(n: int, name: str) -> int:
+    """n as an int, refused unless it is a Python or numpy integer (not a
+    bool): int() would truncate a float to another count silently."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def _size(master_seed: int, n_cases: int, force_truth: Hypothesis | None) -> int:
     """n_cases as an int, once it, master_seed and force_truth are checked."""
     check_seed(master_seed)
-    if n_cases < 1:
-        raise ConfigError(f"n_cases must be >= 1, got {n_cases}")
+    n = check_count(n_cases, "n_cases")
+    if n < 1:
+        raise ConfigError(f"n_cases must be >= 1, got {n}")
     if force_truth is not None and not isinstance(force_truth, Hypothesis):
         raise ConfigError(
             f"force_truth must be a Hypothesis or None, got {force_truth!r}")
-    return int(n_cases)
+    return n
 
 
 def _cases(world: WorldConfig, seed: int, first_chunk: int, n: int,

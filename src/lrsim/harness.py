@@ -37,6 +37,7 @@ from .genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
+    check_count,
     fold_chunks,
     world_to_json_dict,
 )
@@ -288,7 +289,7 @@ def run_experiment(
     whole-batch means and standard errors; over more chunks they agree to
     rounding, and the counts exactly.
     """
-    if n_cases < 1_000:
+    if check_count(n_cases, "n_cases") < 1_000:
         raise ConfigError(f"n_cases must be >= 1000 for ranking runs, got {n_cases}")
     if n_cases < 10_000:
         warnings.warn("ranking verdicts are noisy below 10000 cases; expect "

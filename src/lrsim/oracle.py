@@ -22,10 +22,13 @@ points; the closed forms dispatch by name, so the check covers the rows.
 A block bootstrap over contiguous path blocks supplies the SE of log10(LR).
 
 A PathBank is the oracle's whole context: the world, the seed, the path
-count, the five recipes' paths, the bootstrap blocks, the bootstrap
-resamples and one kernel bandwidth per distinct score sample. Each is drawn
-or computed once per bank, and every system and evidence point reads them
-(common random numbers).
+count, the five recipes' paths, the bootstrap blocks and the bootstrap
+resamples. Each is drawn once per bank, and every system and evidence point
+reads them (common random numbers).
+
+One estimator, estimate_views, evaluates a system at a list of views and
+builds each distinct kernel sample once per call; grid_groups cuts
+oracle-check's grid into runs of points that share their samples.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import ConfigError, ScoreKind, WorldConfig, check_seed
+from .genmodel import ConfigError, ScoreKind, WorldConfig, check_count, check_seed
 from .lrsystems import (
     LOG10_E,
+    NONTRIVIAL,
     SYSTEMS,
     AnchorKind,
     CaseView,
@@ -58,7 +62,10 @@ __all__ = [
     "N_BOOT",
     "RECIPES",
     "compare_closed_vs_oracle",
+    "compare_views",
     "default_evidence_grid",
+    "estimate_views",
+    "grid_groups",
     "path_oracle",
     "stream_key",
 ]
@@ -71,6 +78,9 @@ BIN_WIDTH = 0.1  # side of a feature system's square evidence bin
 ANCHOR_TOLERANCE = 0.05  # half-width of an anchored system's anchor window
 N_BLOCKS = 200  # contiguous path blocks the bootstrap resamples
 N_BOOT = 400  # bootstrap replicates
+# scores per piece of a folded term's reflected kernel, so that the term
+# holds one kernel-sized buffer besides its sample, as an unfolded one does
+_PIECE = 2**14
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _GOLD = 0x9E3779B97F4A7C15
@@ -139,11 +149,6 @@ class PathBank:
     * ss_ref: sr*z, a reference offset around a known theta_r;
     * cs_ref: (md + td*z) + sr*z, a reference mean from a popD source.
 
-    A score term's kernel sample depends on the system, the term, theta_r
-    and the anchored mean alone, never on the score evaluated, so the bank
-    keeps one Silverman bandwidth per such sample and every grid point that
-    reads the sample reuses it.
-
     Within one system the numerator and the denominator read disjoint
     recipes, so the two terms stay independent. Evidence points that share
     a bank share their paths: each point's estimate and SE are valid alone,
@@ -152,17 +157,17 @@ class PathBank:
     """
 
     def __init__(self, world: WorldConfig, seed: int, n_paths: int = 10**6):
-        if n_paths < 10**3:
-            raise ConfigError(f"n_paths must be >= 1000, got {n_paths}")
+        n = check_count(n_paths, "n_paths")
+        if n < 10**3:
+            raise ConfigError(f"n_paths must be >= 1000, got {n}")
         self.world = world
         self.seed = check_seed(seed, "seed")
-        self.n_paths = n = int(n_paths)
+        self.n_paths = n
         # the first path of each of the N_BLOCKS bootstrap blocks, and sizes
         self.edges = np.arange(N_BLOCKS, dtype=np.int64) * n // N_BLOCKS
         self.block_sizes = np.diff(self.edges, append=n).astype(np.float64)
         self._columns: dict[str, tuple[np.ndarray, ...]] = {}
         self._resamples: np.ndarray | None = None
-        self._bandwidths: dict[tuple, float] = {}
 
     def resamples(self) -> tuple[np.ndarray, np.ndarray]:
         """Intp copies of the bank's one draw of bootstrap block indices:
@@ -220,6 +225,13 @@ class PathBank:
         return (col,)
 
 
+def _keeps_x_and_y(system: SystemId) -> bool:
+    """Whether the system is a feature system: a bin on (x, y), not a kernel
+    density on a score."""
+    row = SYSTEMS[system]
+    return row.anchor is None and not {"X", "Y"} & row.averaged_out
+
+
 def _near(col: np.ndarray, centre: float, half_width: float) -> np.ndarray:
     """Mask of the paths whose value lies within half_width of centre."""
     inside = col >= centre - half_width
@@ -230,9 +242,9 @@ def _near(col: np.ndarray, centre: float, half_width: float) -> np.ndarray:
 def _term_samples(system: SystemId, term: str, view: CaseView, bank: PathBank):
     """Read one term's simulated evidence from the bank, by the system's row.
 
-    Returns ("bin", inside) for feature systems, where inside marks the
-    paths in the evidence bin, or ("kde", deltas, accept) for score systems,
-    where deltas is a fresh array of simulated scores. For anchored
+    Returns inside for feature systems, the mask of the paths in the
+    evidence bin, or (deltas, accept) for score systems, where deltas is a
+    fresh array of simulated scores. For anchored
     recipes accept is the anchor-window mask over all paths and deltas
     holds the scores of the accepted paths only, in path order; otherwise
     accept is None and deltas covers every path.
@@ -255,23 +267,23 @@ def _term_samples(system: SystemId, term: str, view: CaseView, bank: PathBank):
             accept = _near(bank.columns(y_recipe)[-1], view.y_mean,
                            ANCHOR_TOLERANCE)
             xb = xb[accept]
-        return "kde", xb + (xs - view.y_mean), accept
+        return xb + (xs - view.y_mean), accept
     if row.anchor is AnchorKind.X:  # SSXASLR: one recipe, two streams, LR 1
         yb = bank.columns(y_recipe)[-1]
         if window:
             accept = _near(bank.columns(x_recipe)[0], view.x_mean,
                            ANCHOR_TOLERANCE)
             yb = yb[accept]
-        return "kde", (view.x_mean - ys) - yb, accept
+        return (view.x_mean - ys) - yb, accept
 
     xb, yb = bank.columns(x_recipe)[0], bank.columns(y_recipe)[-1]
-    if not {"X", "Y"} & row.averaged_out:  # a feature system keeps x and y
+    if _keeps_x_and_y(system):
         half = BIN_WIDTH / 2.0
-        return "bin", (_near(xb, view.x_mean - xs, half)
-                       & _near(yb, view.y_mean - ys, half))
+        return (_near(xb, view.x_mean - xs, half)
+                & _near(yb, view.y_mean - ys, half))
     deltas = xb - yb
     deltas += xs - ys
-    return "kde", deltas, None
+    return deltas, None
 
 
 def _silverman(samples: np.ndarray) -> float:
@@ -287,9 +299,9 @@ def _silverman(samples: np.ndarray) -> float:
 
 
 def _kernel(target: float, deltas: np.ndarray, h: float,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian kernel of bandwidth h at target for each score in deltas;
-    out may be deltas itself."""
+            out: np.ndarray) -> np.ndarray:
+    """Gaussian kernel of bandwidth h at target for each score in deltas,
+    written into out."""
     k = np.subtract(target, deltas, out=out)
     k /= h
     np.square(k, out=k)
@@ -320,49 +332,75 @@ class _TermEstimate:
                 / (self.block_norm[idx].sum(axis=1) * self.scale))
 
 
-def _estimate_term(system, term, view, bank) -> _TermEstimate:
-    kind, *data = _term_samples(system, term, view, bank)
-    n, edges, block_sizes = bank.n_paths, bank.edges, bank.block_sizes
+def _runs(system: SystemId, views: list[CaseView]) -> list[tuple[int, list[CaseView]]]:
+    """(index of its first view, its views) of each run of consecutive views
+    whose terms read the same kernel samples. Both samples depend on theta_r
+    and the anchored mean alone (see _term_samples), never on the score; a
+    feature system's bin is its view's own, so its view is a run alone."""
+    anchor = SYSTEMS[system].anchor
+    runs, last = [], None
+    for i, view in enumerate(views):
+        key = None if _keeps_x_and_y(system) else (view.theta_r, (
+            None if anchor is None else
+            view.x_mean if anchor is AnchorKind.X else view.y_mean))
+        if key is not None and key == last:
+            runs[-1][1].append(view)
+        else:
+            runs.append((i, [view]))
+        last = key
+    return runs
 
-    if kind == "bin":
-        (inside,) = data
+
+def _term_estimates(system: SystemId, term: str, views: list[CaseView],
+                    bank: PathBank) -> list[_TermEstimate]:
+    """One term at each view of one run of _runs. A score term's kernel
+    sample is built, folded for absolute-difference scores and given a
+    Silverman bandwidth once, each view's kernel is written into one scratch
+    buffer, and both are freed on return."""
+    n, edges, block_sizes = bank.n_paths, bank.edges, bank.block_sizes
+    if _keeps_x_and_y(system):
+        (view,) = views
+        inside = _term_samples(system, term, view, bank)
         count = int(np.count_nonzero(inside))
         if count < MIN_ACCEPTED:
             raise InsufficientPathsError(
                 f"{system.value} {term}: only {count} paths inside the "
                 f"evidence bin (need {MIN_ACCEPTED}); raise n_paths")
         contrib = np.add.reduceat(inside, edges, dtype=np.float64)
-        return _TermEstimate(contrib, block_sizes, BIN_WIDTH**2, count)
+        return [_TermEstimate(contrib, block_sizes, BIN_WIDTH**2, count)]
 
-    deltas, accept = data
-    target = view.x_mean - view.y_mean
+    deltas, accept = _term_samples(system, term, views[0], bank)
     reflect = bank.world.score_kind is ScoreKind.AbsoluteDifference
     if reflect:
         np.abs(deltas, out=deltas)
-        target = abs(target)
-    accepted = deltas.shape[0]
-    if accept is not None and accepted < MIN_ACCEPTED:
+    m = deltas.shape[0]
+    if accept is not None and m < MIN_ACCEPTED:
         raise InsufficientPathsError(
-            f"{system.value} {term}: only {accepted} paths accepted in "
+            f"{system.value} {term}: only {m} paths accepted in "
             f"the anchor window (need {MIN_ACCEPTED}); raise n_paths")
-    # the key holds all the sample depends on: see _term_samples
-    anchor = SYSTEMS[system].anchor
-    key = (system, term, view.theta_r, None if anchor is None else
-           view.x_mean if anchor is AnchorKind.X else view.y_mean)
-    h = bank._bandwidths.get(key)
-    if h is None:
-        h = bank._bandwidths[key] = _silverman(deltas)
-    # deltas is this term's own array, so the last kernel overwrites it
-    k = _kernel(target, deltas, h, out=None if reflect else deltas)
-    if reflect:
-        k += _kernel(-target, deltas, h, out=deltas)
-    if accept is None:
-        return _TermEstimate(np.add.reduceat(k, edges), block_sizes, h, n)
-    # k holds the accepted paths only, in path order
-    counts = np.add.reduceat(accept, edges)
-    blocks = np.repeat(np.arange(N_BLOCKS), counts)
-    contrib = np.bincount(blocks, weights=k, minlength=N_BLOCKS)
-    return _TermEstimate(contrib, counts.astype(np.float64), h, accepted)
+    h = _silverman(deltas)
+    if accept is not None:  # the accepted paths' blocks, in path order
+        counts = np.add.reduceat(accept, edges)
+        blocks = np.repeat(np.arange(N_BLOCKS), counts)
+    scratch = np.empty(m)  # made after _silverman's copies are freed
+    mirror = np.empty(min(m, _PIECE)) if reflect else None
+    estimates = []
+    for view in views:
+        target = view.x_mean - view.y_mean
+        if reflect:
+            target = abs(target)
+        k = _kernel(target, deltas, h, out=scratch)
+        if reflect:  # the reflected kernel, a piece at a time: see _PIECE
+            for lo in range(0, m, _PIECE):
+                piece = deltas[lo:lo + _PIECE]
+                k[lo:lo + _PIECE] += _kernel(-target, piece, h,
+                                             out=mirror[:piece.shape[0]])
+        estimates.append(
+            _TermEstimate(np.add.reduceat(k, edges), block_sizes, h, n)
+            if accept is None else
+            _TermEstimate(np.bincount(blocks, weights=k, minlength=N_BLOCKS),
+                          counts.astype(np.float64), h, m))
+    return estimates
 
 
 def _bootstrap_se(system: SystemId, num: _TermEstimate, den: _TermEstimate,
@@ -377,37 +415,77 @@ def _bootstrap_se(system: SystemId, num: _TermEstimate, den: _TermEstimate,
     return float(np.std(np.log10(dn) - np.log10(dd), ddof=1))
 
 
+def estimate_views(system: SystemId, views: list[CaseView],
+                   bank: PathBank) -> list[OracleEstimate]:
+    """Monte Carlo estimates of one system's LR at each view, with SEs, from
+    the bank's paths and bootstrap resamples.
+
+    Each run of views that share their kernel samples (see _runs) builds
+    each sample once: first the numerator at every view of the run, then
+    the denominator, then the LR and bootstrap of each view in turn. Of a
+    term's estimate only building its sample can fail, and a run's views
+    share it, so this raises the error that estimating the views one by one
+    raises first, and each estimate is, bit for bit, the one its view gets
+    alone.
+    """
+    if system is SystemId.PriorOnly:
+        return [OracleEstimate(system, 1.0, 0.0, 0.0, bank.n_paths, 0, 0)
+                for _ in views]
+    estimates = []
+    for _, run in _runs(system, views):
+        if SYSTEMS[system].specific_source and run[0].theta_r is None:
+            raise ConfigError(f"{system.value} oracle requires theta_r in the view")
+        nums = _term_estimates(system, "num", run, bank)
+        dens = _term_estimates(system, "den", run, bank)
+        for num, den in zip(nums, dens):
+            lr = num.density / den.density
+            se = _bootstrap_se(system, num, den, *bank.resamples())
+            estimates.append(OracleEstimate(
+                system=system, lr=lr, log10_lr=math.log10(lr), se_log10=se,
+                n_paths=bank.n_paths, accepted_num=num.accepted,
+                accepted_den=den.accepted))
+    return estimates
+
+
 def path_oracle(system: SystemId, view: CaseView,
                 bank: PathBank) -> OracleEstimate:
-    """Monte Carlo estimate of one system's LR on one case, with SE, from
-    the bank's paths and bootstrap resamples."""
-    if SYSTEMS[system].specific_source and view.theta_r is None:
-        raise ConfigError(f"{system.value} oracle requires theta_r in the view")
-    if system is SystemId.PriorOnly:
-        return OracleEstimate(system, 1.0, 0.0, 0.0, bank.n_paths, 0, 0)
-    num = _estimate_term(system, "num", view, bank)
-    den = _estimate_term(system, "den", view, bank)
-    lr = num.density / den.density
-    se = _bootstrap_se(system, num, den, *bank.resamples())
-    return OracleEstimate(
-        system=system, lr=lr, log10_lr=math.log10(lr), se_log10=se,
-        n_paths=bank.n_paths, accepted_num=num.accepted,
-        accepted_den=den.accepted)
+    """estimate_views at one view."""
+    return estimate_views(system, [view], bank)[0]
+
+
+def compare_views(system: SystemId, views: list[CaseView],
+                  bank: PathBank) -> list[OracleComparison]:
+    """Closed-form LRs against the oracle at each view (see
+    estimate_views); grid_index is left None."""
+    comparisons = []
+    for view, est in zip(views, estimate_views(system, views, bank)):
+        theta = view.theta_r if SYSTEMS[system].specific_source else None
+        closed = float(log_lr_batch(system, view.x_mean, view.y_mean,
+                                    bank.world, theta_r=theta)) * LOG10_E
+        diff = abs(closed - est.log10_lr)
+        comparisons.append(OracleComparison(
+            system=system, grid_index=None,
+            closed_log10=closed, oracle_log10=est.log10_lr,
+            se_log10=est.se_log10, abs_diff_log10=diff,
+            within_3se=diff < 3.0 * est.se_log10))
+    return comparisons
 
 
 def compare_closed_vs_oracle(system: SystemId, view: CaseView,
                              bank: PathBank) -> OracleComparison:
-    """Closed-form LR against the oracle on one evidence point."""
-    est = path_oracle(system, view, bank)
-    theta = view.theta_r if SYSTEMS[system].specific_source else None
-    closed = float(log_lr_batch(system, view.x_mean, view.y_mean, bank.world,
-                                theta_r=theta)) * LOG10_E
-    diff = abs(closed - est.log10_lr)
-    return OracleComparison(
-        system=system, grid_index=None,
-        closed_log10=closed, oracle_log10=est.log10_lr,
-        se_log10=est.se_log10, abs_diff_log10=diff,
-        within_3se=diff < 3.0 * est.se_log10)
+    """compare_views at one view."""
+    return compare_views(system, [view], bank)[0]
+
+
+def grid_groups(world: WorldConfig) -> list[tuple[SystemId, int, list[CaseView]]]:
+    """oracle-check's grid as estimator calls: every NONTRIVIAL system's
+    default_evidence_grid cut into runs of points that share both terms'
+    kernel samples (see _runs), each as (system, grid index of its first
+    point, its views). A feature system's point is a group of its own, an
+    anchored system's anchor row is one, and an unanchored score system's
+    whole grid is one."""
+    return [(system, first, run) for system in NONTRIVIAL
+            for first, run in _runs(system, default_evidence_grid(system, world))]
 
 
 def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView]:
@@ -424,7 +502,7 @@ def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView
     th = world.pop_c.mu + 0.4 * max(world.pop_c.tau, world.noise.sigma)
     theta = th if row.specific_source else None
     st2, sr2 = world.var_trace_mean, world.var_ref_mean
-    if row.anchor is None and not {"X", "Y"} & row.averaged_out:
+    if _keeps_x_and_y(system):
         vals = th + np.array([-0.6, -0.1, 0.4]) * max(1.0, world.pop_c.tau)
         return [CaseView(float(xv), float(yv), theta) for xv in vals for yv in vals]
     if row.anchor is None:

@@ -1643,19 +1643,21 @@ def test_oracle_check_command(tmp_path, capsys):
 
 def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
     # every grid point reads the same paths, drawn once per recipe, at
-    # --seed itself: no point borrows the streams of another seed
+    # --seed itself: no point borrows the streams of another seed. The
+    # counts are this process's, so the grid runs in it alone
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
     calls, draws = [], []
-    compare, draw = cli.compare_closed_vs_oracle, PathBank._draw
+    compare, draw = cli.compare_views, PathBank._draw
 
-    def recording_compare(system, view, bank):
-        calls.append((bank.seed, bank))
-        return compare(system, view, bank)
+    def recording_compare(system, views, bank):
+        calls.extend((bank.seed, bank) for _ in views)
+        return compare(system, views, bank)
 
     def counting_draw(bank, recipe):
         draws.append(recipe)
         return draw(bank, recipe)
 
-    monkeypatch.setattr(cli, "compare_closed_vs_oracle", recording_compare)
+    monkeypatch.setattr(cli, "compare_views", recording_compare)
     monkeypatch.setattr(PathBank, "_draw", counting_draw)
     seed = 2**64 - 1
     code, _, _ = run(capsys, "oracle-check", "--seed", str(seed),
@@ -1672,7 +1674,9 @@ def test_oracle_check_computes_one_bandwidth_per_kernel_sample(
     # a score term's kernel sample depends on the system, the term, theta_r
     # and the anchored mean, not on the score: 5 score systems x 9 points x
     # 2 terms read 22 distinct samples (SSSLR and CSSLR one per term, each
-    # anchored system one per anchor and term)
+    # anchored system one per anchor and term), each built in one group.
+    # The count is this process's, so the grid runs in it alone
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
     calls = []
     silverman = oracle._silverman
 
@@ -1685,6 +1689,36 @@ def test_oracle_check_computes_one_bandwidth_per_kernel_sample(
                      "--out", str(tmp_path / "o"))
     assert code == 0
     assert len(calls) == 22
+
+
+@pytest.mark.parametrize("argv", [
+    ("--paths", "150000"),
+    ("--config", str(resources.files("lrsim.data") / "abs_world.json"),
+     "--paths", "150000"),
+    # the first group too small for its paths is group 11 (CSFLR point 2),
+    # which the oracle worker owns on two CPUs
+    ("--paths", "80000"),
+], ids=["default", "abs", "worker-fails"])
+def test_oracle_check_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    # 29 groups of grid points: on two CPUs the oracle worker checks the odd
+    # ones and this process the even ones
+    forks = _forks(monkeypatch)
+    runs = []
+    for k in (1, 2):
+        monkeypatch.setattr(forked, "cpus", lambda: k)
+        out = tmp_path / f"k{k}"
+        code, stdout, err = run(capsys, "oracle-check", *argv, "--out", str(out))
+        runs.append((code, stdout.replace(str(out), "OUT"), err,
+                     {p.name: p.read_bytes() for p in out.iterdir()}
+                     if out.exists() else None))
+        assert bool(forks) == (k == 2), k
+        _assert_no_child_left()
+    assert runs[0] == runs[1]
+    if argv[1] == "80000":
+        assert runs[0][:3] == (2, "", "error: --paths 80000 is too few: CSFLR "
+                               "num: only 47 paths inside the evidence bin "
+                               "(need 50); raise --paths\n")
 
 
 @pytest.mark.parametrize("config,paths,seed,digests", [

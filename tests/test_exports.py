@@ -87,11 +87,22 @@ def test_every_experiment_takes_one_route_to_its_scores():
 
 
 def test_one_fork_path():
-    # every fork of the package is ordered_map's, and only the chunk fold
-    # and the CSV writer map through it
+    # every fork of the package is ordered_map's, and only the chunk fold,
+    # the CSV writer and the oracle grid map through it
     assert _callers("fork") == {("forked", "ordered_map")}
     assert _callers("ordered_map") == {("genmodel", "fold_chunks"),
-                                       ("cli", "_write_csv")}
+                                       ("cli", "_write_csv"),
+                                       ("cli", "_oracle_check")}
+
+
+def test_one_oracle_estimator():
+    # a term's estimate comes only from estimate_views, and the one-view
+    # functions are its one-view case, not a second path
+    assert _callers("_term_estimates") == {("oracle", "estimate_views")}
+    assert _callers("estimate_views") == {("oracle", "path_oracle"),
+                                          ("oracle", "compare_views")}
+    assert _callers("compare_views") == {("oracle", "compare_closed_vs_oracle"),
+                                         ("cli", "compare_group")}
 
 
 def test_one_world_loader():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,23 @@ def test_a_seed_must_be_a_philox_key_word(seed):
         with pytest.raises(ConfigError, match=r"^master_seed must be an integer "
                            rf"in \[0, 2\*\*64\), got {seed!r}$"):
             draw(w, seed, 10)
+
+
+@pytest.mark.parametrize("n", [10.7, 10.0, np.float64(10.0), True, np.True_,
+                               "10", None])
+def test_a_case_count_must_be_an_integer(n):
+    # int() once truncated 10.7 to 10 cases and True to 1, silently
+    w = make_world()
+    for draw in (generate_cases, case_chunks,
+                 lambda *args: fold_chunks(lambda batch: (0, ()), *args)):
+        with pytest.raises(ConfigError,
+                           match=rf"^n_cases must be an integer, got {re.escape(repr(n))}$"):
+            draw(w, 0, n)
+
+
+@pytest.mark.parametrize("n", [10, np.int64(10), np.uint16(10)])
+def test_a_numpy_case_count_is_a_count(n):
+    assert len(generate_cases(make_world(), 0, n)) == 10
 
 
 def test_n_cases_must_be_positive():

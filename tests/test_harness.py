@@ -42,6 +42,16 @@ def test_too_few_cases_is_an_error():
         run_experiment(make_world(), 500)
 
 
+@pytest.mark.parametrize("n_cases", [2000.9, 20_000.0, True])
+def test_a_ranking_case_count_must_be_an_integer(n_cases):
+    # a float once scored int(n_cases) cases, silently, after the warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^n_cases must be an integer, "
+                           rf"got {n_cases!r}$"):
+            run_experiment(make_world(), n_cases)
+
+
 def test_moderate_case_count_warns():
     # the warning names the caller's line, not run_experiment's
     with pytest.warns(UserWarning, match="noisy") as record:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,11 +24,14 @@ from lrsim.oracle import (
     PathBank,
     _TermEstimate,
     _bootstrap_se,
-    _estimate_term,
     _silverman,
+    _term_estimates,
     _term_samples,
     compare_closed_vs_oracle,
+    compare_views,
     default_evidence_grid,
+    estimate_views,
+    grid_groups,
     path_oracle,
     stream_key,
 )
@@ -187,6 +191,15 @@ def test_a_bank_seed_must_be_a_philox_key_word(seed):
         PathBank(make_world(), seed, 1_000)
 
 
+@pytest.mark.parametrize("n_paths", [1500.7, 2000.0, True, "2000"])
+def test_a_bank_path_count_must_be_an_integer(n_paths):
+    # int() once truncated 1500.7 to a bank of 1500 paths, silently
+    with pytest.raises(ConfigError, match=r"^n_paths must be an integer, "
+                       rf"got {re.escape(repr(n_paths))}$"):
+        PathBank(make_world(), 0, n_paths)
+    assert PathBank(make_world(), 0, np.int64(2000)).n_paths == 2000
+
+
 def test_a_specific_source_oracle_needs_theta_r():
     bank = PathBank(make_world(), 0, 1_000)
     with pytest.raises(ConfigError, match="^SSSLR oracle requires theta_r"):
@@ -261,8 +274,8 @@ def test_vectorised_bootstrap_matches_a_loop():
     system = SystemId.CSYASLR
     view = default_evidence_grid(system, world)[4]
     bank = PathBank(world, 3, 20_000)
-    num = _estimate_term(system, "num", view, bank)
-    den = _estimate_term(system, "den", view, bank)
+    (num,) = _term_estimates(system, "num", [view], bank)
+    (den,) = _term_estimates(system, "den", [view], bank)
     rng = np.random.default_rng(1)
     i = rng.integers(0, N_BLOCKS, (100, N_BLOCKS))
     j = rng.integers(0, N_BLOCKS, (100, N_BLOCKS))
@@ -298,9 +311,10 @@ def _estimate_bits(est):
 
 @pytest.mark.parametrize("name", ["default_world.json", "abs_world.json"])
 def test_shared_bandwidths_give_the_fresh_bank_estimates(monkeypatch, name):
-    # a bank keeps one kernel bandwidth per sample; a key that left out
-    # something the sample depends on would hand a point the bandwidth of
-    # another sample, and its estimate would differ from a fresh bank's
+    # views that share a kernel sample share its bandwidth within one call; a
+    # key that left out something the sample depends on would hand a view
+    # the sample of another, and its estimate would differ from the one it
+    # gets alone on a fresh bank
     world = packaged_world(name)
     # few paths keep the fresh banks quick; the wide bin keeps abs_world's
     # CSFLR denominator above MIN_ACCEPTED at that count
@@ -309,31 +323,55 @@ def test_shared_bandwidths_give_the_fresh_bank_estimates(monkeypatch, name):
     def bank():
         return PathBank(world, 0, 60_000)
 
-    visits = []
     for system in NONTRIVIAL:
         grid = default_evidence_grid(system, world)
-        visits += [(system, v) for v in grid]
-        a = grid[4]  # off the grid: point 4's anchor with another score
-        visits.append((system, CaseView(a.x_mean, a.y_mean - 0.05, a.theta_r)
-                       if SYSTEMS[system].anchor is AnchorKind.X else
-                       CaseView(a.x_mean + 0.05, a.y_mean, a.theta_r)))
+        a = grid[4]  # off the grid, next to it: point 4's anchor, another score
+        visits = [CaseView(a.x_mean, a.y_mean - 0.05, a.theta_r)
+                  if SYSTEMS[system].anchor is AnchorKind.X else
+                  CaseView(a.x_mean + 0.05, a.y_mean, a.theta_r)]
         if SYSTEMS[system].specific_source:  # the same point at another theta_r
-            visits.append((system, CaseView(a.x_mean, a.y_mean,
-                                            a.theta_r + 0.1)))
-    fresh = [_estimate_bits(path_oracle(s, v, bank())) for s, v in visits]
-    for order in (1, -1):
-        shared_bank = bank()
-        shared = [_estimate_bits(path_oracle(s, v, shared_bank))
-                  for s, v in visits[::order]]
-        assert shared[::order] == fresh
-    # and term by term: a key without the term would hand a denominator its
-    # numerator's bandwidth on a fresh bank as well as on a shared one
-    reference = bank()
-    for s, v in visits:
-        for term in ("num", "den"):
-            reference._bandwidths.clear()
-            assert (_estimate_term(s, term, v, shared_bank).scale
-                    == _estimate_term(s, term, v, reference).scale)
+            visits.append(CaseView(a.x_mean, a.y_mean, a.theta_r + 0.1))
+        views = [*grid[:5], *visits, *grid[5:]]
+        fresh = [_estimate_bits(path_oracle(system, v, bank())) for v in views]
+        for order in (1, -1):
+            grouped = estimate_views(system, views[::order], bank())
+            assert [_estimate_bits(e) for e in grouped][::order] == fresh, system
+
+
+def test_grid_groups_are_runs_of_shared_samples():
+    # a feature point reads a bin of its own, an anchored system's row reads
+    # one sample per term, and an unanchored score system's grid reads one
+    world = make_world()
+    groups = grid_groups(world)
+    sizes = {s: [len(views) for t, _, views in groups if t is s] for s in NONTRIVIAL}
+    for system, got in sizes.items():
+        anchor = SYSTEMS[system].anchor
+        assert got == ([1] * 9 if system in (SystemId.SSFLR, SystemId.CSFLR) else
+                       [9] if anchor is None else [3, 3, 3]), system
+    assert len(groups) == 29
+    # in order, the groups are every system's grid, and each names its first point
+    assert [(s, v) for s, _, views in groups for v in views] == [
+        (s, v) for s in NONTRIVIAL for v in default_evidence_grid(s, world)]
+    for system, first, views in groups:
+        assert default_evidence_grid(system, world)[first] == views[0]
+
+
+def test_grouped_views_raise_the_first_one_view_error():
+    # the anchor at y_mean 30 lies in the tail, where the window holds too
+    # few paths: the grouped call raises what that view raises alone, and
+    # the views before it are compared as they are one at a time
+    world = make_world()
+    bank = PathBank(world, 0, 2_000)
+    system = SystemId.CSYASLR
+    far = CaseView(x_mean=0.0, y_mean=30.0)
+    with pytest.raises(InsufficientPathsError) as alone:
+        path_oracle(system, far, bank)
+    views = [CaseView(0.1, 0.0), CaseView(0.3, 0.0), far, CaseView(0.2, 30.0)]
+    with pytest.raises(InsufficientPathsError) as grouped:
+        estimate_views(system, views, bank)
+    assert str(grouped.value) == str(alone.value)
+    assert compare_views(system, views[:2], bank) == [
+        compare_closed_vs_oracle(system, v, bank) for v in views[:2]]
 
 
 def test_points_on_one_bank_share_one_resample():
@@ -346,8 +384,8 @@ def test_points_on_one_bank_share_one_resample():
     # every point's SE is the bootstrap over that one draw
     for system in (SystemId.CSSLR, SystemId.CSYASLR, SystemId.SSSLR):
         view = default_evidence_grid(system, world)[4]
-        num = _estimate_term(system, "num", view, bank)
-        den = _estimate_term(system, "den", view, bank)
+        (num,) = _term_estimates(system, "num", [view], bank)
+        (den,) = _term_estimates(system, "den", [view], bank)
         assert path_oracle(system, view, bank).se_log10 == _bootstrap_se(
             system, num, den, i, j)
     assert bank._resamples is held
