@@ -17,7 +17,9 @@ residual factor of the full-data density cancels between numerator and
 denominator. PriorOnly and SSXASLR both have LR identically one; SSXASLR
 because its numerator and denominator describe the same generation path.
 Every other engine is a sum of univariate normal (or folded normal)
-log-density ratios.
+log-density ratios. A folded normal log-density at v >= 0 is taken as
+log phi(v; |m|, s2) + log1p(exp(-2 v |m| / s2)), which is exactly
+log[phi(v; m, s2) + phi(v; -m, s2)] and needs one normal log-density.
 
 Common-source evaluators never receive theta_r; the asymmetry is structural
 in the batch API (a CaseView without theta_r) rather than a convention.
@@ -119,15 +121,28 @@ def _norm_logpdf(x, mean, var):
     return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
 
 
+def _folded_logpdf(v, mean, var):
+    """Log-density at v >= 0 of |Z| for Z of law (mean, var)."""
+    a = np.abs(mean)
+    lp = _norm_logpdf(v, a, var)
+    fold = np.asarray(v * a)  # 0-d for one case, which out= takes too
+    fold *= -2.0 / var
+    lp += np.log1p(np.exp(fold, out=fold), out=fold)
+    return lp
+
+
 def _log_ratio(v, num, den, folded=False):
     """log p_num(v) - log p_den(v) for two (mean, var) normal laws; folded
-    takes the laws of |Z| instead, for v >= 0."""
-    def logpdf(mean, var):
-        if folded:
-            return np.logaddexp(_norm_logpdf(v, mean, var),
-                                _norm_logpdf(v, -mean, var))
-        return _norm_logpdf(v, mean, var)
-    return logpdf(*num) - logpdf(*den)
+    takes the laws of |Z| instead, for v >= 0, through the exact identity
+
+        log[phi(v; m, s2) + phi(v; -m, s2)]
+            = log phi(v; |m|, s2) + log1p(exp(-2 v |m| / s2)),
+
+    whose exp lies in [0, 1]: one log-density, and an exp and a log1p that
+    run as vector loops, where numpy's log-add-exp of the two log-densities
+    costs a scalar exp and log1p per element."""
+    logpdf = _folded_logpdf if folded else _norm_logpdf
+    return logpdf(v, *num) - logpdf(v, *den)
 
 
 def _mean_law(pop: PopulationModel, var_mean: float):

@@ -1439,6 +1439,23 @@ def test_a_vacuous_ranking_warns_in_one_line(tmp_path, capsys, doc, judged):
                        f"claims judged, none Confirmed or Violated\n")
 
 
+@pytest.mark.parametrize("cases,vacuous", [(1, 32), (4, 16), (5, 0)])
+def test_a_vacuous_tail_bound_warns_in_one_line(tmp_path, capsys, cases, vacuous):
+    # a bound 1/k + 3 SE of at least 1 passes any exceedance: at k = 3 for
+    # up to 4 cases and at k = 10 for one, on both sides of 8 systems. The
+    # run still passes with exit 0, and says why
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a command's filters, not this module's
+        code, stdout, err = run(capsys, "tailbound", "--cases", str(cases),
+                                "--format", "json", "--out", str(out))
+    assert code == 0 and "0 failures" in stdout
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert sum(r["bound"] >= 1.0 for r in rows) == vacuous
+    assert err == (f"warning: the tail bounds pass vacuously: {vacuous} of 64 "
+                   f"checks have a bound of at least 1\n" if vacuous else "")
+
+
 def test_illcond_command(tmp_path, capsys):
     text = resources.files("lrsim.data").joinpath(
         "illcond_world.json").read_text()
@@ -1762,11 +1779,12 @@ def test_oracle_check_is_the_same_on_one_and_two_cpus(tmp_path, capsys,
          "report.json":
          "f255dd5d6e9d70cbc2ce64111f50435d5c103e21b74f84f02bc49bfd13a36af8"}),
     # folded scores: the reflected kernel density; CSFLR's denominator bin
-    # needs more than the default 300000 paths in this world
+    # needs more than the default 300000 paths in this world. Its closed
+    # column follows the folded log-density's log1p(exp) form
     ("abs_world.json", 450000, 0, {"oracle.csv":
-         "175b94366b468e57f031a3ab6d52a2c53ab0a4a78641a3291f02739c1a7a1577",
+         "118e861c305dbcc0281a0489edc4d8fd61499e0c1ecfa95f6744f93f453a2f8d",
          "report.json":
-         "a3affc9976347ba27e6189f34f72bc08fd9f8a99df002745a44229b260165611"}),
+         "1befc03cc3cd0c280aad830bce11ea6da1e3a3010eeb4c4130d4e51e7ea4d5f6"}),
     # the argv of perfbench's oracle-grid workload, which times this command
     (None, 300000, 0, {"oracle.csv":
          "7a50191d3c3dbadc6e869b2471c23f711282e75f065153c02a09c851d078a740",

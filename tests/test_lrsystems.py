@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from lrsim.lrsystems import (
     CaseView,
     ProfileMode,
     SystemId,
+    _folded_logpdf,
     anchor_log_lr_batch,
     clamp_log10_lr,
     discrete_profile_lr,
@@ -80,16 +82,35 @@ def test_csflr_matches_bivariate_density():
     assert got == pytest.approx(math.log10(num / den), rel=1e-12)
 
 
+def _folded_pdf(d, mean, var):
+    """Density of |Z| at d >= 0 for Z of law (mean, var), from scipy."""
+    sd = math.sqrt(var)
+    return stats.norm.pdf(d, mean, sd) + stats.norm.pdf(-d, mean, sd)
+
+
 def test_absolute_score_uses_folded_density():
+    # each score system's laws of delta = x - y under both hypotheses,
+    # written out from the world (popC = popD = N(0, 1), popT = N(1, 1),
+    # measurement-mean variances 0.25), folded at |x - y|; at the second
+    # point every mean that depends on the case is negative
     w = make_world(score_kind=ScoreKind.AbsoluteDifference)
-    x, y = np.array([0.9]), np.array([0.1])
-    d = 0.8
-    num = (stats.norm.pdf(d, 0.0, math.sqrt(0.5))
-           + stats.norm.pdf(-d, 0.0, math.sqrt(0.5)))
-    den = (stats.norm.pdf(d, 1.0, math.sqrt(2.5))
-           + stats.norm.pdf(-d, 1.0, math.sqrt(2.5)))
-    got = _log10(SystemId.CSSLR, x, y, w)[0]
-    assert got == pytest.approx(math.log10(num / den), rel=1e-12)
+    shrink = 1.0 / 1.25                        # tau^2 / (tau^2 + 0.25)
+    for x, y, th in [(0.9, 0.1, 0.1), (-0.4, 1.5, 1.2), (2.3, -0.6, 0.4)]:
+        d = abs(x - y)
+        laws = {
+            SystemId.SSSLR: ((0.0, 0.5), (1.0 - th, 1.5)),
+            SystemId.CSSLR: ((0.0, 0.5), (1.0, 2.5)),
+            SystemId.SSYASLR: ((th - y, 0.25), (1.0 - y, 1.25)),
+            SystemId.CSYASLR: ((shrink * y - y, 0.25 + 0.25 * shrink),
+                               (1.0 - y, 1.25)),
+            SystemId.CSXASLR: ((x - shrink * x, 0.25 + 0.25 * shrink),
+                               (x, 1.25)),
+        }
+        for system, (num, den) in laws.items():
+            theta = np.array([th]) if system in SPECIFIC_SOURCE else None
+            got = _log10(system, np.array([x]), np.array([y]), w, theta)[0]
+            want = math.log10(_folded_pdf(d, *num) / _folded_pdf(d, *den))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (system, x)
 
 
 def test_anchor_lr_matches_direct_densities():
@@ -199,6 +220,58 @@ def _csflr_reference(x: float, y: float, w) -> float:
         ex, ey = D(x) - D(w.pop_t.mu), D(y) - D(w.pop_d.mu)
         return float((vt.ln() + ex * ex / vt + vd.ln() + ey * ey / vd
                       - det.ln() - quad) / 2)
+
+
+_PI_50 = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _folded_reference(v: float, m: float, var: float) -> float:
+    """log[phi(v; m, var) + phi(v; -m, var)] in 50 significant digits, the
+    larger exponent taken out so that neither density underflows."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=50)):
+        v_, m_, s2 = D(v), D(m), D(var)
+        e1, e2 = (-(v_ - m_) ** 2 / (2 * s2), -(v_ + m_) ** 2 / (2 * s2))
+        hi, lo = max(e1, e2), min(e1, e2)
+        return float(hi + (1 + (lo - hi).exp()).ln() - (2 * _PI_50 * s2).ln() / 2)
+
+
+def _folded_points():
+    """(v, m, var) with v = 0, m = 0, negative m, var over [1e-6, 1e2] and
+    2 v |m| / var over [1e-12, 1e6]."""
+    rng = np.random.default_rng(30)
+    var = 10.0 ** rng.uniform(-6, 2, 400)
+    m = rng.choice([-1.0, 1.0], 400) * np.sqrt(var) * 10.0 ** rng.uniform(-3, 3, 400)
+    fold = 10.0 ** rng.uniform(-12, 6, 400)        # 2 v |m| / var
+    v = fold * var / (2.0 * np.abs(m))
+    edges = [(0.0, 1.3, 0.5), (0.0, -2.0, 1e-6), (0.7, 0.0, 1.0), (0.0, 0.0, 1e2),
+             (1e3, -1e-3, 2.0), (1e3, -1e-3, 2e-6)]   # the last two: 1 and 1e6
+    return (np.concatenate([v, [e[0] for e in edges]]),
+            np.concatenate([m, [e[1] for e in edges]]),
+            np.concatenate([var, [e[2] for e in edges]]))
+
+
+def _within_2e_15(got, want) -> bool:
+    want = np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want))))
+
+
+def test_folded_logpdf_matches_a_50_digit_reference():
+    # the folded term alone, one point at a time and over arrays of v and
+    # of means; a fold past -745 underflows exp to 0, which must raise no
+    # RuntimeWarning
+    v, m, var = _folded_points()
+    assert (2.0 * v * np.abs(m) / var).max() > 746.0
+    want = np.array([_folded_reference(*p) for p in zip(v, m, var)])
+    assert _within_2e_15([_folded_logpdf(*p) for p in zip(v, m, var)], want)
+    for s2 in (1e-6, 1.0, 1e2):   # the edge points' variances
+        at = var == s2
+        assert _within_2e_15(_folded_logpdf(v[at], m[at], s2), want[at])
+    grid_v = np.array([0.0, 1e-3, 0.5, 2.0, 40.0])
+    for mean in (-3.0, 0.0, np.array([-3.0, -1e-3, 0.0, 0.2, 5.0])):
+        ref = [_folded_reference(a, b, 0.3)
+               for a, b in zip(grid_v, np.broadcast_to(mean, grid_v.shape))]
+        assert _within_2e_15(_folded_logpdf(grid_v, mean, 0.3), ref)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-12])
@@ -330,13 +403,24 @@ def test_prior_only_is_unit_lr():
 
 
 def test_log_lr_batch_on_one_case():
-    # one case as scalars, the way the oracle comparison reads a CaseView
-    w = make_world()
-    batch = generate_cases(w, 8, 3)
+    # one case as Python floats, the way the oracle comparison reads a
+    # CaseView, against the same case as one-element arrays, for every
+    # system and score kind; numpy's scalar and vector loops may round the
+    # last bit apart
+    for kind in ScoreKind:
+        w = make_world(score_kind=kind)
+        batch = generate_cases(w, 8, 16)
+        for system, i in itertools.product(SystemId, range(len(batch))):
+            specific = system in SPECIFIC_SOURCE
+            view = CaseView(x_mean=float(batch.x[i]), y_mean=float(batch.y[i]),
+                            theta_r=float(batch.theta_r[i]) if specific else None)
+            got = log_lr_batch(system, view.x_mean, view.y_mean, w,
+                               theta_r=view.theta_r)
+            want = log_lr_batch(system, batch.x[i:i + 1], batch.y[i:i + 1], w,
+                                theta_r=batch.theta_r[i:i + 1] if specific else None)
+            assert np.shape(got) == () and want.shape == (1,)
+            assert _within_2e_15(float(got), want[0]), (kind, system, i)
     view = CaseView(x_mean=float(batch.x[1]), y_mean=float(batch.y[1]))
-    got = float(_log10(SystemId.CSFLR, view.x_mean, view.y_mean, w))
-    want = _log10(SystemId.CSFLR, batch.x[1:2], batch.y[1:2], w)[0]
-    assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(ConfigError):
         log_lr_batch(SystemId.SSFLR, view.x_mean, view.y_mean, w)
 
