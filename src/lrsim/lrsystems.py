@@ -118,7 +118,7 @@ class CaseView:
 # the engines: every LR is a ratio of univariate normal densities
 
 def _norm_logpdf(x, mean, var):
-    return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
+    return -0.5 * (np.log(2.0 * np.pi * var) + np.square(x - mean) / var)
 
 
 def _folded_logpdf(v, mean, var):

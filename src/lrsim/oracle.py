@@ -286,9 +286,38 @@ def _term_samples(system: SystemId, term: str, view: CaseView, bank: PathBank):
     return deltas, None
 
 
+def _quartiles(samples: np.ndarray) -> tuple[float, float]:
+    """np.percentile(samples, [75.0, 25.0]), bit for bit, from one copy.
+
+    Each quartile interpolates between the order statistics i = floor(v)
+    and i + 1 at v = (n - 1) * q, as numpy's linear method does. A one-kth
+    partition at i75 takes numpy's vectorised selection, where percentile's
+    six kth indices take its generic one; the copy's prefix below i75 is
+    partitioned again at i25, and each upper neighbour is the least value
+    above its partition point. The sign of a zero quartile of samples that
+    hold both 0.0 and -0.0 depends on their order, in numpy as here.
+    """
+    n = samples.shape[0]
+    v75, v25 = (n - 1) * 0.75, (n - 1) * 0.25
+    # numpy reads v >= n - 1, which happens at n = 1 only, as i = -1
+    i75, i25 = min(math.floor(v75), n - 2), min(math.floor(v25), n - 2)
+    c = np.partition(samples, i75)
+    a75 = a25 = float(c[i75])
+    b75 = b25 = float(c[i75 + 1:].min())
+    if i25 < i75:
+        c[:i75].partition(i25)
+        a25, b25 = float(c[i25]), float(c[i25 + 1:i75 + 1].min())
+
+    def lerp(a: float, b: float, g: float) -> float:  # numpy's _lerp
+        d = b - a
+        return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+    return lerp(a75, b75, v75 - i75), lerp(a25, b25, v25 - i25)
+
+
 def _silverman(samples: np.ndarray) -> float:
     sd = float(np.std(samples))
-    q75, q25 = np.percentile(samples, [75.0, 25.0])
+    q75, q25 = _quartiles(samples)
     spread = min(sd, (q75 - q25) / 1.349) or sd
     h = 0.9 * spread * samples.shape[0] ** (-0.2)
     if not h > 0:
@@ -382,7 +411,8 @@ def _term_estimates(system: SystemId, term: str, views: list[CaseView],
     if accept is not None:  # the accepted paths' blocks, in path order
         counts = np.add.reduceat(accept, edges)
         blocks = np.repeat(np.arange(N_BLOCKS), counts)
-    scratch = np.empty(m)  # made after _silverman's copies are freed
+    # made after _silverman has freed the copies its sd and quartiles take
+    scratch = np.empty(m)
     mirror = np.empty(min(m, _PIECE)) if reflect else None
     estimates = []
     for view in views:

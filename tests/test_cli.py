@@ -1717,6 +1717,31 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
     assert sorted(draws) == sorted(RECIPES)
 
 
+def test_oracle_check_draws_its_bank_once_before_forking(tmp_path, capsys,
+                                                        monkeypatch):
+    # on two CPUs every recipe is drawn once, in this process, before the
+    # oracle worker forks: the worker reads this process's columns and
+    # draws none of its own
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    forks = _forks(monkeypatch)
+    log, draw = tmp_path / "draws", PathBank._draw
+
+    def recording_draw(bank, recipe):
+        with open(log, "a") as fh:  # one short append per draw, from any process
+            fh.write(f"{os.getpid()} {recipe}\n")
+        return draw(bank, recipe)
+
+    monkeypatch.setattr(PathBank, "_draw", recording_draw)
+    code, _, _ = run(capsys, "oracle-check", "--paths", "150000", "--format",
+                     "json", "--out", str(tmp_path / "o"))
+    assert code in (0, 1)
+    assert len(forks) == 1
+    draws = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(recipe for _, recipe in draws) == sorted(RECIPES)
+    assert {pid for pid, _ in draws} == {str(os.getpid())}
+    _assert_no_child_left()
+
+
 def test_oracle_check_computes_one_bandwidth_per_kernel_sample(
         tmp_path, capsys, monkeypatch):
     # a score term's kernel sample depends on the system, the term, theta_r

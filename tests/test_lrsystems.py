@@ -1,6 +1,5 @@
 import dataclasses
 import decimal
-import itertools
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from lrsim.lrsystems import (
     log_lr_batch,
     posterior_from_log10_lr,
 )
-from tests.conftest import make_world, same_bits
+from tests.conftest import make_world, packaged_world, same_bits
 
 
 def _views(world, n, seed=0):
@@ -405,21 +404,25 @@ def test_prior_only_is_unit_lr():
 def test_log_lr_batch_on_one_case():
     # one case as Python floats, the way the oracle comparison reads a
     # CaseView, against the same case as one-element arrays, for every
-    # system and score kind; numpy's scalar and vector loops may round the
-    # last bit apart
-    for kind in ScoreKind:
-        w = make_world(score_kind=kind)
-        batch = generate_cases(w, 8, 16)
-        for system, i in itertools.product(SystemId, range(len(batch))):
+    # system in each packaged world: numpy's scalar and vector loops must
+    # give the same bits
+    for name in ("default_world.json", "abs_world.json", "illcond_world.json"):
+        w = packaged_world(name)
+        batch = generate_cases(w, 8, 500)
+        for system in SystemId:
             specific = system in SPECIFIC_SOURCE
-            view = CaseView(x_mean=float(batch.x[i]), y_mean=float(batch.y[i]),
-                            theta_r=float(batch.theta_r[i]) if specific else None)
-            got = log_lr_batch(system, view.x_mean, view.y_mean, w,
-                               theta_r=view.theta_r)
-            want = log_lr_batch(system, batch.x[i:i + 1], batch.y[i:i + 1], w,
-                                theta_r=batch.theta_r[i:i + 1] if specific else None)
-            assert np.shape(got) == () and want.shape == (1,)
-            assert _within_2e_15(float(got), want[0]), (kind, system, i)
+            want = log_lr_batch(system, batch.x, batch.y, w,
+                                theta_r=batch.theta_r if specific else None)
+            for i in range(len(batch)):
+                view = CaseView(x_mean=float(batch.x[i]), y_mean=float(batch.y[i]),
+                                theta_r=float(batch.theta_r[i]) if specific else None)
+                got = log_lr_batch(system, view.x_mean, view.y_mean, w,
+                                   theta_r=view.theta_r)
+                one = log_lr_batch(system, batch.x[i:i + 1], batch.y[i:i + 1], w,
+                                   theta_r=batch.theta_r[i:i + 1] if specific else None)
+                assert np.shape(got) == () and one.shape == (1,)
+                assert same_bits(np.float64(got), one[0]), (name, system, i)
+                assert same_bits(one[0], want[i]), (name, system, i)
     view = CaseView(x_mean=float(batch.x[1]), y_mean=float(batch.y[1]))
     with pytest.raises(ConfigError):
         log_lr_batch(SystemId.SSFLR, view.x_mean, view.y_mean, w)

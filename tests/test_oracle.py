@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrsim import oracle
 from lrsim.genmodel import ConfigError, ScoreKind
@@ -24,6 +26,7 @@ from lrsim.oracle import (
     PathBank,
     _TermEstimate,
     _bootstrap_se,
+    _quartiles,
     _silverman,
     _term_estimates,
     _term_samples,
@@ -35,7 +38,7 @@ from lrsim.oracle import (
     path_oracle,
     stream_key,
 )
-from tests.conftest import make_world, packaged_world
+from tests.conftest import make_world, packaged_world, same_bits
 
 FAST = 200_000  # paths
 
@@ -298,6 +301,55 @@ def test_empty_bootstrap_replicate_raises():
     assert _bootstrap_se(SystemId.CSFLR, term, term, whole, whole) == 0.0
     with pytest.raises(InsufficientPathsError):
         _bootstrap_se(SystemId.CSFLR, term, term, np.zeros((2, 2), int), whole)
+
+
+@st.composite
+def _quartile_samples(draw):
+    """n in [1, 2000] float64 samples: normal, or drawn from a pool of a few
+    values (ties; one value is a constant sample) that is rich in 0.0 and
+    -0.0, then kept as they are, folded to |v| or to -|v|."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        loc, scale = draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-3, 1e3))
+        samples = rng.normal(loc, scale, n)
+    else:
+        value = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+        pool = np.array(draw(st.lists(value, min_size=1, max_size=8)))
+        samples = pool[rng.integers(0, len(pool), n)]
+    fold = draw(st.sampled_from([None, 1.0, -1.0]))
+    return samples if fold is None else fold * np.abs(samples)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_quartile_samples())
+@example(np.full(3, -0.0))  # both quartiles halfway between two -0.0
+@example(np.array([-0.0]))
+@example(np.array([2.0, -1.0]))
+def test_quartiles_are_numpys_percentiles(samples):
+    # bit for bit, sign of zero too, wherever np.percentile's answer is a
+    # function of the values: a sample that holds both 0.0 and -0.0 can put
+    # either at a quartile's neighbour, in numpy by the order of the samples
+    kept = samples.copy()
+    want = np.percentile(samples, [75.0, 25.0])
+    got = np.array(_quartiles(samples))
+    assert same_bits(samples, kept)
+    zeros = np.signbit(samples[samples == 0.0])
+    if zeros.any() and not zeros.all():
+        assert np.array_equal(got, want)
+    else:
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [300_000, 1_000_000])
+def test_quartiles_of_path_sized_samples(n):
+    # the oracle's own sizes: a kernel sample holds up to n_paths scores,
+    # signed, or folded to |score| in an AbsoluteDifference world
+    samples = np.random.default_rng(n).normal(0.3, 1.7, n)
+    for s in (samples, np.abs(samples)):
+        kept = s.copy()
+        assert same_bits(np.array(_quartiles(s)), np.percentile(s, [75.0, 25.0]))
+        assert same_bits(s, kept)
 
 
 def test_zero_spread_has_no_bandwidth():
