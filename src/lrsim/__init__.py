@@ -39,12 +39,10 @@ from .oracle import (
     OracleComparison,
     OracleEstimate,
     PathBank,
-    compare_closed_vs_oracle,
     compare_views,
     default_evidence_grid,
     estimate_views,
     grid_groups,
-    path_oracle,
 )
 from .scoring import (
     CalibrationReport,
@@ -102,7 +100,6 @@ __all__ = [
     "calibration_report",
     "case_chunks",
     "clamp_log10_lr",
-    "compare_closed_vs_oracle",
     "compare_views",
     "cs_update_ss_prior_experiment",
     "default_evidence_grid",
@@ -116,7 +113,6 @@ __all__ = [
     "ill_conditioning_experiment",
     "load_world",
     "log_lr_batch",
-    "path_oracle",
     "posterior_from_log10_lr",
     "run_experiment",
     "scores_batch",

@@ -54,7 +54,7 @@ from .harness import (
     system_posterior,
 )
 from .lrsystems import SystemId
-from .oracle import RECIPES, InsufficientPathsError, PathBank, compare_views, grid_groups
+from .oracle import InsufficientPathsError, PathBank, compare_views, grid_groups
 from .scoring import ScoringRule
 
 _RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}
@@ -421,14 +421,11 @@ def _demand(args, world, n):
 
 
 def _oracle_check(args, world, n_paths):
-    # every point reads the same paths and bootstrap resamples, drawn once
-    # here before the fork, so that an oracle worker reads them copy-on-write
-    # and neither process waits on the other's draw; a group's points share
-    # its kernel samples
+    # every point reads the same paths and bootstrap resamples, drawn when
+    # the bank is built, before the fork, so that an oracle worker reads them
+    # copy-on-write and neither process waits on the other's draw; a group's
+    # points share its kernel samples
     bank = PathBank(world, args.seed, n_paths)
-    bank.resamples()
-    for recipe in RECIPES:
-        bank.columns(recipe)
 
     def compare_group(group):
         system, first, views = group

@@ -23,12 +23,13 @@ A block bootstrap over contiguous path blocks supplies the SE of log10(LR).
 
 A PathBank is the oracle's whole context: the world, the seed, the path
 count, the five recipes' paths, the bootstrap blocks and the bootstrap
-resamples. Each is drawn once per bank, and every system and evidence point
-reads them (common random numbers).
+resamples. All of them are drawn when the bank is built, and every system
+and evidence point reads them (common random numbers).
 
 One estimator, estimate_views, evaluates a system at a list of views and
-builds each distinct kernel sample once per call; grid_groups cuts
-oracle-check's grid into runs of points that share their samples.
+builds each distinct kernel sample once per call; compare_views adds the
+closed forms, and grid_groups cuts oracle-check's grid into runs of points
+that share their samples.
 """
 
 from __future__ import annotations
@@ -61,12 +62,10 @@ __all__ = [
     "N_BLOCKS",
     "N_BOOT",
     "RECIPES",
-    "compare_closed_vs_oracle",
     "compare_views",
     "default_evidence_grid",
     "estimate_views",
     "grid_groups",
-    "path_oracle",
     "stream_key",
 ]
 
@@ -124,7 +123,7 @@ class OracleEstimate:
 class OracleComparison:
     """A closed form against the oracle at one evidence point; the fields, in
     order, are the columns of oracle.csv. grid_index is the point's place in
-    default_evidence_grid; compare_closed_vs_oracle leaves it None."""
+    default_evidence_grid; compare_views leaves it None."""
 
     system: SystemId
     grid_index: int | None
@@ -139,9 +138,10 @@ class PathBank:
     """The oracle's context: the paths of one (world, seed, n_paths) and its
     bootstrap blocks and draws.
 
-    Each recipe is drawn on first use from its own stream,
+    The bank is drawn whole when it is built: the bootstrap resamples from
+    their own stream, then each recipe in RECIPES order from its own stream,
     Philox(key=stream_key(seed, RECIPES.index(recipe))), source first and
-    measurement noise after, and is kept as read-only summed columns:
+    measurement noise after, kept as read-only summed columns:
 
     * ss_num: trace and reference offsets st*z, sr*z around a known theta_r;
     * cs_num: x = r + st*z and y = r + sr*z around one source r = mc + tc*z;
@@ -166,31 +166,30 @@ class PathBank:
         # the first path of each of the N_BLOCKS bootstrap blocks, and sizes
         self.edges = np.arange(N_BLOCKS, dtype=np.int64) * n // N_BLOCKS
         self.block_sizes = np.diff(self.edges, append=n).astype(np.float64)
-        self._columns: dict[str, tuple[np.ndarray, ...]] = {}
-        self._resamples: np.ndarray | None = None
+        gen = np.random.Generator(np.random.Philox(
+            key=int(stream_key(self.seed, _BOOTSTRAP_STREAM))))
+        # uint8, made before the recipes' columns, copied out per call: other
+        # layouts raised oracle-grid's peak RSS by 4% through heap holes
+        self._resamples = np.empty((2, N_BOOT, N_BLOCKS), dtype=np.uint8)
+        for r in self._resamples:  # i, then j
+            r[...] = gen.integers(0, N_BLOCKS, (N_BOOT, N_BLOCKS))
+        self._columns = {recipe: self._draw(recipe) for recipe in RECIPES}
+        for cols in self._columns.values():
+            for c in cols:
+                c.flags.writeable = False
 
     def resamples(self) -> tuple[np.ndarray, np.ndarray]:
         """Intp copies of the bank's one draw of bootstrap block indices:
         replicate b resamples the numerator's i[b], the denominator's j[b]."""
-        if self._resamples is None:
-            gen = np.random.Generator(np.random.Philox(
-                key=int(stream_key(self.seed, _BOOTSTRAP_STREAM))))
-            # uint8, made before the int64 draws, copied out per call: other
-            # layouts raised oracle-grid's peak RSS by 4% through heap holes
-            self._resamples = np.empty((2, N_BOOT, N_BLOCKS), dtype=np.uint8)
-            for r in self._resamples:  # i, then j
-                r[...] = gen.integers(0, N_BLOCKS, (N_BOOT, N_BLOCKS))
         i, j = self._resamples
         return i.astype(np.intp), j.astype(np.intp)
 
     def columns(self, recipe: str) -> tuple[np.ndarray, ...]:
-        """The recipe's columns, drawn the first time they are asked for."""
-        cols = self._columns.get(recipe)
-        if cols is None:
-            cols = self._columns[recipe] = self._draw(recipe)
-            for c in cols:
-                c.flags.writeable = False
-        return cols
+        """The recipe's read-only columns."""
+        if recipe not in self._columns:
+            raise ValueError(f"unknown recipe {recipe!r}; the recipes are "
+                             f"{', '.join(RECIPES)}")
+        return self._columns[recipe]
 
     def _draw(self, recipe: str) -> tuple[np.ndarray, ...]:
         w, n = self.world, self.n_paths
@@ -477,12 +476,6 @@ def estimate_views(system: SystemId, views: list[CaseView],
     return estimates
 
 
-def path_oracle(system: SystemId, view: CaseView,
-                bank: PathBank) -> OracleEstimate:
-    """estimate_views at one view."""
-    return estimate_views(system, [view], bank)[0]
-
-
 def compare_views(system: SystemId, views: list[CaseView],
                   bank: PathBank) -> list[OracleComparison]:
     """Closed-form LRs against the oracle at each view (see
@@ -499,12 +492,6 @@ def compare_views(system: SystemId, views: list[CaseView],
             se_log10=est.se_log10, abs_diff_log10=diff,
             within_3se=diff < 3.0 * est.se_log10))
     return comparisons
-
-
-def compare_closed_vs_oracle(system: SystemId, view: CaseView,
-                             bank: PathBank) -> OracleComparison:
-    """compare_views at one view."""
-    return compare_views(system, [view], bank)[0]
 
 
 def grid_groups(world: WorldConfig) -> list[tuple[SystemId, int, list[CaseView]]]:

@@ -37,9 +37,9 @@ from lrsim.lrsystems import (
 )
 from lrsim.oracle import (
     PathBank,
-    compare_closed_vs_oracle,
+    compare_views,
     default_evidence_grid,
-    path_oracle,
+    estimate_views,
 )
 from lrsim.scoring import IMPROPER_TABLE, ScoringRule, expected_score, honesty_check
 from tests.conftest import make_world, packaged_world
@@ -107,7 +107,7 @@ def test_trace_anchored_ss_system_is_unit():
                          theta_r=batch.theta_r)
     exact = bool(np.all(loglr == 0.0))
     view = default_evidence_grid(SystemId.SSXASLR, world)[4]
-    est = path_oracle(SystemId.SSXASLR, view, PathBank(world, 0, 100_000)).lr
+    est = estimate_views(SystemId.SSXASLR, [view], PathBank(world, 0, 100_000))[0].lr
     _line("unit-lr", exact and 0.8 <= est <= 1.25,
           f"exact on 10^4 cases, oracle estimate {est:.4f} in [0.8, 1.25]")
 
@@ -124,7 +124,7 @@ def test_closed_forms_match_sampling_oracle():
     for i in range(9):  # every grid is 3x3
         bank = PathBank(world, i, 1_000_000)
         for system, grid in grids.items():
-            comp = compare_closed_vs_oracle(system, grid[i], bank)
+            comp = compare_views(system, [grid[i]], bank)[0]
             n_points += 1
             ratio = (comp.abs_diff_log10 / comp.se_log10
                      if comp.se_log10 > 0 else np.inf)

@@ -96,13 +96,12 @@ def test_one_fork_path():
 
 
 def test_one_oracle_estimator():
-    # a term's estimate comes only from estimate_views, and the one-view
-    # functions are its one-view case, not a second path
+    # a term's estimate comes only from estimate_views, which only
+    # compare_views calls, and a bank's paths are drawn only when it is built
     assert _callers("_term_estimates") == {("oracle", "estimate_views")}
-    assert _callers("estimate_views") == {("oracle", "path_oracle"),
-                                          ("oracle", "compare_views")}
-    assert _callers("compare_views") == {("oracle", "compare_closed_vs_oracle"),
-                                         ("cli", "compare_group")}
+    assert _callers("estimate_views") == {("oracle", "compare_views")}
+    assert _callers("compare_views") == {("cli", "compare_group")}
+    assert _callers("_draw") == {("oracle", "__init__")}
 
 
 def test_one_world_loader():

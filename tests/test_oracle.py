@@ -30,12 +30,10 @@ from lrsim.oracle import (
     _silverman,
     _term_estimates,
     _term_samples,
-    compare_closed_vs_oracle,
     compare_views,
     default_evidence_grid,
     estimate_views,
     grid_groups,
-    path_oracle,
     stream_key,
 )
 from tests.conftest import make_world, packaged_world, same_bits
@@ -54,7 +52,7 @@ def _closed_log10(system, view, world):
 def test_oracle_tracks_closed_form(system):
     world = make_world()
     view = default_evidence_grid(system, world)[4]
-    comp = compare_closed_vs_oracle(system, view, PathBank(world, 0, FAST))
+    comp = compare_views(system, [view], PathBank(world, 0, FAST))[0]
     # 4 SE at desk scale keeps the rate of false alarms negligible while
     # still catching any recipe that samples the wrong distribution
     assert comp.abs_diff_log10 < max(4.0 * comp.se_log10, 0.02)
@@ -67,7 +65,7 @@ def test_prior_only_has_no_grid_and_an_oracle_lr_of_one():
     with pytest.raises(ConfigError, match="no evidence grid"):
         default_evidence_grid(SystemId.PriorOnly, world)
     bank = _RecordingBank(world, 0, 1_000)
-    est = path_oracle(SystemId.PriorOnly, CaseView(0.4, 0.1), bank)
+    est = estimate_views(SystemId.PriorOnly, [CaseView(0.4, 0.1)], bank)[0]
     assert (est.lr, est.log10_lr, est.se_log10) == (1.0, 0.0, 0.0)
     assert (est.n_paths, est.accepted_num, est.accepted_den) == (1_000, 0, 0)
     assert not bank.read
@@ -84,7 +82,7 @@ def test_oracle_checks_the_system_table(monkeypatch, system, anchor):
     monkeypatch.setitem(SYSTEMS, system, SYSTEMS[system]._replace(anchor=anchor))
     world = make_world()
     bank = PathBank(world, 0, 300_000)
-    outside = [not compare_closed_vs_oracle(system, view, bank).within_3se
+    outside = [not compare_views(system, [view], bank)[0].within_3se
                for view in default_evidence_grid(system, world)]
     assert outside == [True] * 9
 
@@ -92,15 +90,15 @@ def test_oracle_checks_the_system_table(monkeypatch, system, anchor):
 def test_unit_lr_system_oracle_is_near_one():
     world = make_world()
     view = CaseView(x_mean=0.4, y_mean=0.1, theta_r=0.2)
-    est = path_oracle(SystemId.SSXASLR, view, PathBank(world, 0, 100_000))
+    est = estimate_views(SystemId.SSXASLR, [view], PathBank(world, 0, 100_000))[0]
     assert 0.8 < est.lr < 1.25
 
 
 def test_oracle_is_deterministic():
     world = make_world()
     view = default_evidence_grid(SystemId.CSSLR, world)[3]
-    a = path_oracle(SystemId.CSSLR, view, PathBank(world, 9, FAST))
-    b = path_oracle(SystemId.CSSLR, view, PathBank(world, 9, FAST))
+    a = estimate_views(SystemId.CSSLR, [view], PathBank(world, 9, FAST))[0]
+    b = estimate_views(SystemId.CSSLR, [view], PathBank(world, 9, FAST))[0]
     assert a.log10_lr == b.log10_lr
     assert a.se_log10 == b.se_log10
 
@@ -108,8 +106,8 @@ def test_oracle_is_deterministic():
 def test_oracle_seed_changes_draws():
     world = make_world()
     view = default_evidence_grid(SystemId.CSSLR, world)[3]
-    a = path_oracle(SystemId.CSSLR, view, PathBank(world, 1, FAST))
-    b = path_oracle(SystemId.CSSLR, view, PathBank(world, 2, FAST))
+    a = estimate_views(SystemId.CSSLR, [view], PathBank(world, 1, FAST))[0]
+    b = estimate_views(SystemId.CSSLR, [view], PathBank(world, 2, FAST))[0]
     assert a.log10_lr != b.log10_lr
 
 
@@ -117,9 +115,9 @@ def test_feature_bin_width_insensitivity(monkeypatch):
     world = make_world()
     view = default_evidence_grid(SystemId.CSFLR, world)[4]
     monkeypatch.setattr(oracle, "BIN_WIDTH", 0.1)
-    wide = path_oracle(SystemId.CSFLR, view, PathBank(world, 3, 400_000))
+    wide = estimate_views(SystemId.CSFLR, [view], PathBank(world, 3, 400_000))[0]
     monkeypatch.setattr(oracle, "BIN_WIDTH", 0.05)
-    narrow = path_oracle(SystemId.CSFLR, view, PathBank(world, 3, 400_000))
+    narrow = estimate_views(SystemId.CSFLR, [view], PathBank(world, 3, 400_000))[0]
     se = np.hypot(wide.se_log10, narrow.se_log10)
     assert abs(wide.log10_lr - narrow.log10_lr) < max(4.0 * se, 0.05)
 
@@ -128,9 +126,9 @@ def test_anchor_tolerance_insensitivity(monkeypatch):
     world = make_world()
     view = default_evidence_grid(SystemId.CSYASLR, world)[4]
     monkeypatch.setattr(oracle, "ANCHOR_TOLERANCE", 0.05)
-    loose = path_oracle(SystemId.CSYASLR, view, PathBank(world, 4, 400_000))
+    loose = estimate_views(SystemId.CSYASLR, [view], PathBank(world, 4, 400_000))[0]
     monkeypatch.setattr(oracle, "ANCHOR_TOLERANCE", 0.025)
-    tight = path_oracle(SystemId.CSYASLR, view, PathBank(world, 4, 400_000))
+    tight = estimate_views(SystemId.CSYASLR, [view], PathBank(world, 4, 400_000))[0]
     se = np.hypot(loose.se_log10, tight.se_log10)
     assert abs(loose.log10_lr - tight.log10_lr) < max(4.0 * se, 0.05)
 
@@ -138,7 +136,7 @@ def test_anchor_tolerance_insensitivity(monkeypatch):
 def test_absolute_score_oracle():
     world = make_world(score_kind=ScoreKind.AbsoluteDifference)
     view = CaseView(x_mean=0.9, y_mean=0.2)
-    comp = compare_closed_vs_oracle(SystemId.CSSLR, view, PathBank(world, 5, FAST))
+    comp = compare_views(SystemId.CSSLR, [view], PathBank(world, 5, FAST))[0]
     assert comp.abs_diff_log10 < max(4.0 * comp.se_log10, 0.02)
 
 
@@ -147,13 +145,13 @@ def test_insufficient_accepted_paths_raises():
     # an anchor far in the tail leaves nothing inside the window
     view = CaseView(x_mean=0.0, y_mean=30.0)
     with pytest.raises(InsufficientPathsError):
-        path_oracle(SystemId.CSYASLR, view, PathBank(world, 0, 2_000))
+        estimate_views(SystemId.CSYASLR, [view], PathBank(world, 0, 2_000))[0]
 
 
 def test_path_oracle_lr_matches_closed_form():
     world = make_world()
     view = CaseView(x_mean=0.3, y_mean=0.1)
-    lr = path_oracle(SystemId.CSSLR, view, PathBank(world, 6, FAST)).lr
+    lr = estimate_views(SystemId.CSSLR, [view], PathBank(world, 6, FAST))[0].lr
     closed = 10.0 ** _closed_log10(SystemId.CSSLR, view, world)
     assert lr == pytest.approx(closed, rel=0.15)
 
@@ -161,7 +159,7 @@ def test_path_oracle_lr_matches_closed_form():
 def test_oracle_estimate_fields():
     world = make_world()
     view = default_evidence_grid(SystemId.SSSLR, world)[0]
-    est = path_oracle(SystemId.SSSLR, view, PathBank(world, 7, FAST))
+    est = estimate_views(SystemId.SSSLR, [view], PathBank(world, 7, FAST))[0]
     assert est.n_paths == FAST
     assert est.se_log10 > 0
     assert np.isfinite(est.log10_lr)
@@ -206,7 +204,7 @@ def test_a_bank_path_count_must_be_an_integer(n_paths):
 def test_a_specific_source_oracle_needs_theta_r():
     bank = PathBank(make_world(), 0, 1_000)
     with pytest.raises(ConfigError, match="^SSSLR oracle requires theta_r"):
-        path_oracle(SystemId.SSSLR, CaseView(0.1, 0.2), bank)
+        estimate_views(SystemId.SSSLR, [CaseView(0.1, 0.2)], bank)[0]
 
 
 def test_bank_columns_have_their_recipe_moments():
@@ -241,6 +239,21 @@ def test_bank_draws_each_recipe_once_and_read_only():
         assert not any(c.flags.writeable for c in first)
     with pytest.raises(ValueError):
         bank.columns("nope")
+
+
+def test_a_built_bank_draws_nothing_more(monkeypatch):
+    # the bank is drawn whole when it is built: every group of the grid
+    # reads it, and none draws a recipe again
+    world = make_world()
+    bank = PathBank(world, 0, FAST)
+
+    def no_draw(bank, recipe):
+        raise AssertionError(f"{recipe} drawn after the bank was built")
+
+    monkeypatch.setattr(PathBank, "_draw", no_draw)
+    points = [p for system, _, views in grid_groups(world)
+              for p in compare_views(system, views, bank)]
+    assert len(points) == 63
 
 
 class _RecordingBank(PathBank):
@@ -384,7 +397,7 @@ def test_shared_bandwidths_give_the_fresh_bank_estimates(monkeypatch, name):
         if SYSTEMS[system].specific_source:  # the same point at another theta_r
             visits.append(CaseView(a.x_mean, a.y_mean, a.theta_r + 0.1))
         views = [*grid[:5], *visits, *grid[5:]]
-        fresh = [_estimate_bits(path_oracle(system, v, bank())) for v in views]
+        fresh = [_estimate_bits(estimate_views(system, [v], bank())[0]) for v in views]
         for order in (1, -1):
             grouped = estimate_views(system, views[::order], bank())
             assert [_estimate_bits(e) for e in grouped][::order] == fresh, system
@@ -417,13 +430,13 @@ def test_grouped_views_raise_the_first_one_view_error():
     system = SystemId.CSYASLR
     far = CaseView(x_mean=0.0, y_mean=30.0)
     with pytest.raises(InsufficientPathsError) as alone:
-        path_oracle(system, far, bank)
+        estimate_views(system, [far], bank)[0]
     views = [CaseView(0.1, 0.0), CaseView(0.3, 0.0), far, CaseView(0.2, 30.0)]
     with pytest.raises(InsufficientPathsError) as grouped:
         estimate_views(system, views, bank)
     assert str(grouped.value) == str(alone.value)
     assert compare_views(system, views[:2], bank) == [
-        compare_closed_vs_oracle(system, v, bank) for v in views[:2]]
+        compare_views(system, [v], bank)[0] for v in views[:2]]
 
 
 def test_points_on_one_bank_share_one_resample():
@@ -438,7 +451,7 @@ def test_points_on_one_bank_share_one_resample():
         view = default_evidence_grid(system, world)[4]
         (num,) = _term_estimates(system, "num", [view], bank)
         (den,) = _term_estimates(system, "den", [view], bank)
-        assert path_oracle(system, view, bank).se_log10 == _bootstrap_se(
+        assert estimate_views(system, [view], bank)[0].se_log10 == _bootstrap_se(
             system, num, den, i, j)
     assert bank._resamples is held
     # drawn as int64 from the bootstrap stream, i first, then j
