@@ -60,15 +60,11 @@ from .harness import (
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
     run_experiment,
+    tail_bound_check,
     total_expectation_check,
     verify_ranking,
 )
-from .costmodel import (
-    DemandProfile,
-    demand_table,
-    feasibility_rank,
-    tail_bound_check,
-)
+from .costmodel import DemandProfile, demand_table, feasibility_rank
 
 __version__ = "0.1.0"
 

@@ -40,20 +40,21 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .costmodel import demand_table, feasibility_rank, tail_bound_check
+from .costmodel import demand_table, feasibility_rank
 from .forked import ordered_map
 from .genmodel import (ConfigError, WorldConfig, case_chunks, load_world, world_from_json_dict,
                        world_to_json_dict)
 from .harness import (
     ALL_SYSTEMS,
+    TAIL_SYSTEMS,
     EvalReport,
     Verdict,
     cs_update_ss_prior_experiment,
     ill_conditioning_experiment,
     run_experiment,
     system_posterior,
+    tail_bound_check,
 )
-from .lrsystems import SystemId
 from .oracle import InsufficientPathsError, PathBank, compare_views, grid_groups
 from .scoring import ScoringRule
 
@@ -299,8 +300,7 @@ def _calibration_table(report: EvalReport) -> dict:
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
-def _case_table(world: WorldConfig, master_seed: int, n_cases: int,
-                believed_world: WorldConfig | None = None) -> Iterator[dict]:
+def _case_table(world: WorldConfig, master_seed: int, n_cases: int) -> Iterator[dict]:
     """cases.csv as a stream of blocks, one per chunk: each case of the ranking
     run with these arguments, drawn again, and the own LR (its log10 clipped
     to +/-300) and stated posterior of every system of ALL_SYSTEMS on it, as
@@ -315,7 +315,7 @@ def _case_table(world: WorldConfig, master_seed: int, n_cases: int,
             "y": batch.y,
         }
         for system in ALL_SYSTEMS:
-            own, posterior, _ = system_posterior(system, batch, believed_world)
+            own, posterior, _ = system_posterior(system, batch)
             block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
             block[f"{system.value}_posterior"] = posterior
         start += len(batch)
@@ -384,14 +384,13 @@ def _csprior(args, world, n):
 
 
 def _tailbound(args, world, n):
-    systems = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
-    rows = tail_bound_check(systems, world, n_cases=n, master_seed=args.seed)
+    rows = tail_bound_check(world, n_cases=n, master_seed=args.seed)
     n_fail = sum(not r.passed for r in rows)
     n_vacuous = sum(r.bound >= 1.0 for r in rows)  # no exceedance can fail these
     if n_vacuous:
         warnings.warn(f"the tail bounds pass vacuously: {n_vacuous} of "
                       f"{len(rows)} checks have a bound of at least 1", UserWarning)
-    summary = [f"tailbound: {len(rows)} checks over {len(systems)} systems, "
+    summary = [f"tailbound: {len(rows)} checks over {len(TAIL_SYSTEMS)} systems, "
                f"{n_fail} failures"]
     return ({"rows": [_fields(r) for r in rows], "all_pass": n_fail == 0},
             {"tailbound.csv": lambda doc: _columns(doc["rows"])},

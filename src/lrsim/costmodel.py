@@ -1,6 +1,6 @@
-"""Experimental-demand accounting and LR tail-bound diagnostics.
+"""Experimental-demand accounting: what each class of LR system costs to run.
 
-The demand side is a symbolic calculator, not a simulation: it encodes the
+This is a symbolic calculator, not a simulation: it encodes the
 documented measurement counts each class of LR system typically needs to
 justify a target LR range, together with the scaling rule that a range of
 [lr_min, lr_max] needs about ceil(1/lr_min) scores under H1 and
@@ -9,9 +9,7 @@ that hold for any genuine likelihood ratio:
 
     P(LR > k | H2) <= 1/k    and    P(LR < 1/k | H1) <= 1/k
 
-tail_bound_check verifies both inequalities by simulation for any systems,
-which doubles as a miscalibration detector: feed it densities from the
-wrong world and the bound breaks.
+harness.tail_bound_check verifies both inequalities by simulation.
 
 The numbers in the default table are order-of-magnitude conventions from
 practice (20 background objects, 50 anchor categories, 3 repeats); they
@@ -20,14 +18,10 @@ are stored verbatim as constants rather than re-derived.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .genmodel import ConfigError, Hypothesis, WorldConfig, fold_chunks
-from .harness import own_log10
+from .genmodel import ConfigError
 from .lrsystems import NONTRIVIAL, SYSTEMS, SystemId
 
 __all__ = [
@@ -35,12 +29,9 @@ __all__ = [
     "BACKGROUND_OBJECTS",
     "CSFLR_REPEATS",
     "DemandProfile",
-    "K_VALUES",
-    "TailBoundRow",
     "TradeoffRow",
     "demand_table",
     "feasibility_rank",
-    "tail_bound_check",
 ]
 
 # Conventional sizes carried through the table.
@@ -49,8 +40,6 @@ ANCHOR_CATEGORIES = 50    # resolution of conditioning on the anchor value
 CSFLR_REPEATS = 3         # repeated measurements per case for joint modeling
 SHORTCUT_OBJECTS = 20     # same-source objects in the cross-comparison trick
 SHORTCUT_BACKGROUND = 70  # background traces each is compared against
-
-K_VALUES = (3.0, 10.0, 30.0, 100.0)  # tail_bound_check's LR thresholds
 
 Count = int | str
 
@@ -193,61 +182,3 @@ def feasibility_rank() -> list[TradeoffRow]:
     return [TradeoffRow(s, 1 + len(SYSTEMS[s].averaged_out), SYSTEMS[s].demand_rank,
                         SYSTEMS[s].averaged_out, s is SystemId.SSFLR,
                         s is SystemId.CSFLR, SYSTEMS[s].note) for s in order]
-
-
-@dataclass(frozen=True)
-class TailBoundRow:
-    """One tail check; the fields, in order, are the columns of tailbound.csv."""
-
-    system: SystemId
-    k: float
-    side: str                   # "H2" (large LR) or "H1" (small LR)
-    empirical_exceedance: float
-    bound: float
-    passed: bool
-
-
-def tail_bound_check(
-    systems: tuple[SystemId, ...],
-    world: WorldConfig,
-    n_cases: int = 100_000,
-    master_seed: int = 0,
-    believed_world: WorldConfig | None = None,
-) -> list[TailBoundRow]:
-    """Check P(LR > k | H2) and P(LR < 1/k | H1) against 1/k plus noise, at
-    each k of K_VALUES.
-
-    Draws n_cases cases per hypothesis, both from master_seed, in chunks of
-    2**16 counted on up to two CPUs (see fold_chunks). Each chunk is drawn once
-    for every system and counts each system's exceedances, one LR array at a
-    time, into an int64 array that the chunks sum, so memory does not grow
-    with n_cases. The counts over n_cases are the exceedances. An exceedance up to 1/k + 3 binomial standard errors
-    passes. Passing believed_world makes the evaluator use
-    densities that differ from the generating world; genuine LRs satisfy
-    the bound, mis-believed ones generally break it. Rows run by system, k,
-    then side (H2 first).
-    """
-    if isinstance(systems, str) or not systems or len(set(systems)) < len(systems):
-        raise ConfigError(  # a SystemId is a str, so it is refused too
-            f"systems must be a non-empty tuple without repeats, got {systems!r}")
-    w = believed_world or world
-
-    def beyond(log10_lr: np.ndarray, side: Hypothesis) -> list[int]:
-        return [np.count_nonzero(log10_lr > math.log10(k) if side is Hypothesis.H2
-                                 else log10_lr < -math.log10(k)) for k in K_VALUES]
-
-    def summarise(side: Hypothesis, batch):
-        return np.array([beyond(own_log10(s, batch, w), side) for s in systems],
-                        dtype=np.int64), ()
-
-    exceedances = ((fold_chunks(functools.partial(summarise, side), world, master_seed,
-                                n_cases, force_truth=side) / n_cases).tolist()
-                   for side in (Hypothesis.H2, Hypothesis.H1))
-    rows = []
-    for system, h2, h1 in zip(systems, *exceedances):
-        for k, e2, e1 in zip(K_VALUES, h2, h1):
-            p = 1.0 / k
-            bound = p + 3.0 * math.sqrt(p * (1.0 - p) / n_cases)
-            rows += [TailBoundRow(system, k, side, exc, bound, exc <= bound)
-                     for side, exc in (("H2", e2), ("H1", e1))]
-    return rows

@@ -1,9 +1,10 @@
-"""Paired Monte Carlo experiments over the implemented LR systems.
+"""Monte Carlo experiments over the implemented LR systems.
 
-Every experiment scores stated posteriors with a proper scoring rule on the
-same shared case set, so systems are compared pairwise on identical
-evidence and the paired standard error is small where systems genuinely
-agree.
+Every experiment but tail_bound_check scores stated posteriors with a
+proper scoring rule on the same shared case set, so systems are compared
+pairwise on identical evidence and the paired standard error is small
+where systems genuinely agree; tail_bound_check counts each system's LRs
+beyond k and 1/k against the 1/k bound that any genuine LR obeys.
 
 Stated posteriors are built properly: a system's LR is multiplied by the
 prior odds, and for common-source anchored systems also by the LR carried
@@ -23,6 +24,7 @@ floating point residue with arbitrarily small paired SE.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -34,6 +36,7 @@ import numpy as np
 from .genmodel import (
     CaseBatch,
     ConfigError,
+    Hypothesis,
     ScenarioKind,
     ScoreKind,
     WorldConfig,
@@ -59,17 +62,20 @@ __all__ = [
     "CsPriorReport",
     "EvalReport",
     "IllCondReport",
+    "K_VALUES",
     "PairedDiff",
     "RANKING_CLAIMS",
     "RankingVerdict",
+    "TAIL_SYSTEMS",
     "TIE_ATOL",
+    "TailBoundRow",
     "TotalExpectationReport",
     "Verdict",
     "cs_update_ss_prior_experiment",
     "ill_conditioning_experiment",
-    "own_log10",
     "run_experiment",
     "system_posterior",
+    "tail_bound_check",
     "total_expectation_check",
     "verify_ranking",
 ]
@@ -77,6 +83,10 @@ __all__ = [
 TIE_ATOL = 1e-9
 
 ALL_SYSTEMS: tuple[SystemId, ...] = tuple(SYSTEMS)
+# the systems with an LR to bound, in ALL_SYSTEMS order: PriorOnly states none
+TAIL_SYSTEMS = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
+
+K_VALUES = (3.0, 10.0, 30.0, 100.0)  # tail_bound_check's LR thresholds
 
 # (claim id, expected better, expected worse)
 RANKING_CLAIMS: tuple[tuple[str, SystemId, SystemId], ...] = (
@@ -168,7 +178,7 @@ def _own_ln(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarra
     return own
 
 
-def own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
+def _own_log10(system: SystemId, batch: CaseBatch, world: WorldConfig) -> np.ndarray:
     """A system's own log10 LR on a batch, with densities from world."""
     return _own_ln(system, batch, world) * LOG10_E
 
@@ -187,7 +197,7 @@ def system_posterior(
     miscalibrated evaluator); by default both coincide.
     """
     w = believed_world or batch.world
-    own = own_log10(system, batch, w)
+    own = _own_log10(system, batch, w)
     stated = own
     row = SYSTEMS[system]
     if not row.specific_source and row.anchor is not None:
@@ -438,7 +448,7 @@ def cs_update_ss_prior_experiment(
                          _stated(r_term, prior)[0], truth)
         s_flr, s_slr = (
             _scores(f"the {s.value} update", rule,
-                    _stated(r_term + own_log10(s, batch, world), prior)[0], truth)
+                    _stated(r_term + _own_log10(s, batch, world), prior)[0], truth)
             for s in (SystemId.CSFLR, SystemId.CSSLR))
         return ((_Moments.of(s_base), _Moments.of(s_flr), _Moments.of(s_slr),
                  _Moments.of(s_flr - s_base), _Moments.of(s_slr - s_base)),
@@ -496,3 +506,60 @@ def total_expectation_check(
         lhs_mean=lhs_m.mean, rhs_mean=rhs_m.mean,
         gap=diff.mean_diff, gap_se=diff.se_diff, gap_in_se=diff.margin_in_se,
         n_cases=n_cases)
+
+
+# ---------------------------------------------------------------------------
+# the LR tail bound: exceedances counted per system, not scored
+
+@dataclass(frozen=True)
+class TailBoundRow:
+    """One tail check; the fields, in order, are the columns of tailbound.csv."""
+
+    system: SystemId
+    k: float
+    side: str                   # "H2" (large LR) or "H1" (small LR)
+    empirical_exceedance: float
+    bound: float
+    passed: bool
+
+
+def tail_bound_check(
+    world: WorldConfig,
+    n_cases: int = 100_000,
+    master_seed: int = 0,
+    believed_world: WorldConfig | None = None,
+) -> list[TailBoundRow]:
+    """Check P(LR > k | H2) and P(LR < 1/k | H1) against 1/k plus noise, at
+    each k of K_VALUES, for every system of TAIL_SYSTEMS.
+
+    Draws n_cases cases per hypothesis, both from master_seed, in chunks of
+    2**16 counted on up to two CPUs (see fold_chunks). Each chunk is drawn once
+    for every system and counts each system's exceedances, one LR array at a
+    time, into an int64 array that the chunks sum, so memory does not grow
+    with n_cases. The counts over n_cases are the exceedances. An exceedance
+    up to 1/k + 3 binomial standard errors passes. Passing believed_world
+    makes the evaluator use densities that differ from the generating world;
+    genuine LRs satisfy the bound, mis-believed ones generally break it. Rows
+    run by system, k, then side (H2 first).
+    """
+    w = believed_world or world
+
+    def beyond(log10_lr: np.ndarray, side: Hypothesis) -> list[int]:
+        return [np.count_nonzero(log10_lr > math.log10(k) if side is Hypothesis.H2
+                                 else log10_lr < -math.log10(k)) for k in K_VALUES]
+
+    def summarise(side: Hypothesis, batch: CaseBatch):
+        return np.array([beyond(_own_log10(s, batch, w), side) for s in TAIL_SYSTEMS],
+                        dtype=np.int64), ()
+
+    exceedances = ((fold_chunks(functools.partial(summarise, side), world, master_seed,
+                                n_cases, force_truth=side) / n_cases).tolist()
+                   for side in (Hypothesis.H2, Hypothesis.H1))
+    rows = []
+    for system, h2, h1 in zip(TAIL_SYSTEMS, *exceedances):
+        for k, e2, e1 in zip(K_VALUES, h2, h1):
+            p = 1.0 / k
+            bound = p + 3.0 * math.sqrt(p * (1.0 - p) / n_cases)
+            rows += [TailBoundRow(system, k, side, exc, bound, exc <= bound)
+                     for side, exc in (("H2", e2), ("H1", e1))]
+    return rows

@@ -21,8 +21,10 @@ log-density ratios. A folded normal log-density at v >= 0 is taken as
 log phi(v; |m|, s2) + log1p(exp(-2 v |m| / s2)), which is exactly
 log[phi(v; m, s2) + phi(v; -m, s2)] and needs one normal log-density.
 
-Common-source evaluators never receive theta_r; the asymmetry is structural
-in the batch API (a CaseView without theta_r) rather than a convention.
+Common-source evaluators never receive theta_r: log_lr_batch refuses it for
+a common-source system and requires it for a specific-source one, so the
+asymmetry is enforced rather than a convention. A CaseView is the oracle's
+evidence point, which carries theta_r only for a specific-source system.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "CaseView",
     "LR_CLAMP_LOG10",
     "ProfileLr",
+    "ProfileMode",
     "SYSTEMS",
     "SystemId",
     "anchor_log_lr_batch",
@@ -286,14 +289,15 @@ class ProfileLr:
     lr: float
 
 
-def discrete_profile_lr(gamma: float, mode: ProfileMode | str) -> ProfileLr:
+def discrete_profile_lr(gamma: float, mode: ProfileMode) -> ProfileLr:
     """LR for a matching discrete profile with population frequency gamma.
 
     Both framings give lr = 1/gamma, but they decompose differently: the
     specific-source rarity term is 1/1 while the common-source one is
     gamma/gamma. The match term is 1/gamma in both.
     """
-    mode = ProfileMode(mode)
+    if not isinstance(mode, ProfileMode):  # a str would match a member's value
+        raise ConfigError(f"mode must be a ProfileMode, got {mode!r}")
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"gamma must be in (0, 1], got {gamma!r}")
     term_match = 1.0 / gamma

@@ -24,6 +24,7 @@ from .genmodel import ConfigError
 
 __all__ = [
     "CalibrationReport",
+    "HONESTY_GRID_STEP",
     "HonestyReport",
     "IMPROPER_TABLE",
     "MIN_BIN_COUNT",
@@ -108,16 +109,19 @@ def expected_score(rule: ScoringRule, stated_p: float | np.ndarray,
     return float(total) if total.ndim == 0 else total
 
 
+HONESTY_GRID_STEP = 0.01  # honesty_check's spacing of believed and stated p
+
+
 @dataclass(frozen=True)
 class HonestyReport:
     rule: ScoringRule
-    grid_step: float
     is_honest: bool
     counterexamples: list[tuple[float, float]]  # (believed, better stated)
 
 
-def honesty_check(rule: ScoringRule, grid_step: float = 0.01) -> HonestyReport:
-    """Verify that honest reporting maximises expected reward on a grid.
+def honesty_check(rule: ScoringRule) -> HonestyReport:
+    """Verify that honest reporting maximises expected reward on the grid of
+    step HONESTY_GRID_STEP over [0, 1].
 
     For every believed p on the grid the argmax over stated q of the
     expected score must sit at q == p, strictly: any other q whose expected
@@ -125,17 +129,14 @@ def honesty_check(rule: ScoringRule, grid_step: float = 0.01) -> HonestyReport:
     believed x stated matrix holds every expected score; counterexamples
     are listed by believed p, then by stated q.
     """
-    if not (0.0 < grid_step <= 0.1):
-        raise ConfigError(f"grid_step must be in (0, 0.1], got {grid_step!r}")
-    grid = np.round(np.arange(0.0, 1.0 + grid_step / 2.0, grid_step), 12)
+    grid = np.round(np.arange(0.0, 1.0 + HONESTY_GRID_STEP / 2, HONESTY_GRID_STEP), 12)
     expected = expected_score(rule, grid[None, :], grid[:, None])
     honest = np.diag(expected)[:, None]
     tol = 1e-12 * np.maximum(1.0, np.abs(honest))
     flagged = (expected > honest - tol) & ~np.eye(grid.size, dtype=bool)
     counterexamples = [(float(grid[i]), float(grid[j]))
                        for i, j in zip(*np.nonzero(flagged))]
-    return HonestyReport(rule=rule, grid_step=grid_step,
-                         is_honest=not counterexamples,
+    return HonestyReport(rule=rule, is_honest=not counterexamples,
                          counterexamples=counterexamples)
 
 

@@ -16,14 +16,15 @@ from scipy import integrate
 from scipy.stats import multivariate_normal, norm
 
 from lrsim.cli import default_world, main
-from lrsim.costmodel import demand_table, feasibility_rank, tail_bound_check
+from lrsim.costmodel import demand_table, feasibility_rank
 from lrsim.genmodel import Hypothesis, PopulationModel, generate_cases
 from lrsim.harness import (
-    ALL_SYSTEMS,
     RANKING_CLAIMS,
+    TAIL_SYSTEMS,
     Verdict,
     ill_conditioning_experiment,
     run_experiment,
+    tail_bound_check,
 )
 from lrsim.lrsystems import (
     LOG10_E,
@@ -197,9 +198,9 @@ def test_cs_feature_terms_are_averaged_ss_terms():
 
 
 def test_scoring_rule_honesty():
-    log_rep = honesty_check(ScoringRule.Logarithmic, grid_step=0.01)
-    brier_rep = honesty_check(ScoringRule.Brier, grid_step=0.01)
-    table_rep = honesty_check(ScoringRule.ImproperTable3, grid_step=0.01)
+    log_rep = honesty_check(ScoringRule.Logarithmic)
+    brier_rep = honesty_check(ScoringRule.Brier)
+    table_rep = honesty_check(ScoringRule.ImproperTable3)
 
     honest = expected_score(ScoringRule.ImproperTable3, 0.1, believed_p=0.1)
     dishonest = expected_score(ScoringRule.ImproperTable3, 0.0, believed_p=0.1)
@@ -229,16 +230,16 @@ def test_every_system_is_calibrated():
 
 def test_lr_tail_bounds():
     world = default_world()
-    systems = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
-    rows = tail_bound_check(systems, world, n_cases=100_000, master_seed=0)
+    rows = tail_bound_check(world, n_cases=100_000, master_seed=0)
     n_fail = sum(not row.passed for row in rows)
     min_slack = min(row.bound - row.empirical_exceedance for row in rows)
     sab = tail_bound_check(
-        (SystemId.CSFLR,), world, n_cases=100_000, master_seed=0,
+        world, n_cases=100_000, master_seed=0,
         believed_world=make_world(pop_t=PopulationModel(4.0, 1.0)))
-    sab_breaks = any(not r.passed for r in sab)
+    # judged on CSFLR alone: any other system's failing row would loosen the gate
+    sab_breaks = any(not r.passed for r in sab if r.system is SystemId.CSFLR)
     _line("tail-bounds", n_fail == 0 and sab_breaks,
-          f"{len(systems)} systems x k in (3,10,30,100) at 10^5 cases, "
+          f"{len(TAIL_SYSTEMS)} systems x k in (3,10,30,100) at 10^5 cases, "
           f"{n_fail} failures, min slack {min_slack:+.4f}; miscalibrated "
           f"fixture breaks the bound: {sab_breaks}")
 

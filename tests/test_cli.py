@@ -26,9 +26,9 @@ import lrsim.genmodel as genmodel
 import lrsim.harness as harness
 import lrsim.oracle as oracle
 from lrsim.cli import main
-from lrsim.costmodel import DemandProfile, TailBoundRow, TradeoffRow
+from lrsim.costmodel import DemandProfile, TradeoffRow
 from lrsim.genmodel import ConfigError, world_from_json_dict
-from lrsim.harness import RankingVerdict, run_experiment
+from lrsim.harness import RankingVerdict, TailBoundRow, run_experiment
 from lrsim.oracle import RECIPES, OracleComparison, PathBank
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")

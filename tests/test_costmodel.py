@@ -3,12 +3,12 @@ import weakref
 
 import pytest
 
-import lrsim.costmodel as costmodel
 import lrsim.forked as forked
 import lrsim.genmodel as genmodel
-from lrsim.costmodel import demand_table, feasibility_rank, tail_bound_check
+import lrsim.harness as harness
+from lrsim.costmodel import demand_table, feasibility_rank
 from lrsim.genmodel import ConfigError, PopulationModel
-from lrsim.harness import ALL_SYSTEMS, RANKING_CLAIMS
+from lrsim.harness import ALL_SYSTEMS, RANKING_CLAIMS, TAIL_SYSTEMS, tail_bound_check
 from lrsim.lrsystems import SystemId
 from tests.conftest import make_world, record_draws, traced_peak
 
@@ -120,19 +120,18 @@ def test_performance_rank_counts_lost_dimensions():
 # tail bounds
 
 def test_tail_bounds_hold_for_every_system():
-    world = make_world()
-    for system in ALL_SYSTEMS:
-        rows = tail_bound_check((system,), world, n_cases=20_000, master_seed=0)
-        assert len(rows) == 8
-        assert all(r.passed for r in rows), (system, rows)
+    # every system with an LR, in the order of ALL_SYSTEMS, which is not SystemId's
+    assert TAIL_SYSTEMS == tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
+    rows = tail_bound_check(make_world(), n_cases=20_000, master_seed=0)
+    assert [r.system for r in rows] == [s for s in TAIL_SYSTEMS for _ in range(8)]
+    assert all(r.passed for r in rows), [r for r in rows if not r.passed]
 
 
 def test_wrong_beliefs_break_the_bound():
     world = make_world()
     believed = make_world(pop_t=PopulationModel(4.0, 1.0))
-    rows = tail_bound_check((SystemId.CSFLR,), world, n_cases=20_000, master_seed=0,
-                            believed_world=believed)
-    h2_rows = [r for r in rows if r.side == "H2"]
+    rows = tail_bound_check(world, n_cases=20_000, master_seed=0, believed_world=believed)
+    h2_rows = [r for r in rows if r.system is SystemId.CSFLR and r.side == "H2"]
     assert any(not r.passed for r in h2_rows)
 
 
@@ -157,32 +156,17 @@ def test_tail_bound_draws_both_hypotheses_from_its_seed(monkeypatch, seed):
     # drawing H1 from seed + 1 would reuse the H2 draws of the next seed
     seen = []
     recording_chunks(monkeypatch, seen)
-    tail_bound_check((SystemId.CSSLR,), make_world(), n_cases=2_000, master_seed=seed)
+    tail_bound_check(make_world(), n_cases=2_000, master_seed=seed)
     assert sorted(seen) == [(seed, "H1", [2_000]), (seed, "H2", [2_000])]
-
-
-INFORMATIVE = tuple(s for s in ALL_SYSTEMS if s is not SystemId.PriorOnly)
 
 
 def test_tail_bound_draws_each_hypothesis_once_for_every_system(monkeypatch):
     # each side's chunks are drawn once, and every system is scored on each
     seen = []
     recording_chunks(monkeypatch, seen)
-    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, master_seed=5)
+    rows = tail_bound_check(make_world(), n_cases=2**17 + 9, master_seed=5)
     assert seen == [(5, "H2", [2**16, 2**16, 9]), (5, "H1", [2**16, 2**16, 9])]
-    assert len(rows) == len(INFORMATIVE) * 4 * 2
-
-
-@pytest.mark.parametrize("k", [1, 2], ids=["one-cpu", "two-cpus"])
-@pytest.mark.parametrize("n", [20_000, 2**17 + 1])
-def test_tail_bounds_of_some_systems_are_the_full_run_s_rows(monkeypatch, n, k):
-    # every system counts its exceedances on the same cases, so a check of
-    # some systems, in any order, returns the full check's rows for them
-    monkeypatch.setattr(forked, "cpus", lambda: k)
-    full = tail_bound_check(INFORMATIVE, make_world(), n_cases=n, master_seed=3)
-    subset = (SystemId.CSSLR, SystemId.SSFLR)  # the reverse of their order in full
-    assert tail_bound_check(subset, make_world(), n_cases=n, master_seed=3) == [
-        r for s in subset for r in full if r.system is s]
+    assert len(rows) == len(TAIL_SYSTEMS) * 4 * 2
 
 
 def test_tail_bound_draws_each_hypothesis_once_on_two_cpus(tmp_path, monkeypatch):
@@ -190,12 +174,12 @@ def test_tail_bound_draws_each_hypothesis_once_on_two_cpus(tmp_path, monkeypatch
     # process that counts it: chunks 0 and 2 here, chunk 1 in the case worker
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     draws = record_draws(monkeypatch, tmp_path / "draws")
-    rows = tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9, master_seed=5)
+    rows = tail_bound_check(make_world(), n_cases=2**17 + 9, master_seed=5)
     assert sorted((truth, chunk, n, pid == os.getpid())
                   for pid, seed, truth, chunk, n in draws() if seed == 5) == [
         (truth, chunk, n, chunk != 1) for truth in ("H1", "H2")
         for chunk, n in ((0, 2**16), (1, 2**16), (2, 9))]
-    assert len(draws()) == 6 and len(rows) == len(INFORMATIVE) * 4 * 2
+    assert len(draws()) == 6 and len(rows) == len(TAIL_SYSTEMS) * 4 * 2
 
 
 def _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, k):
@@ -208,7 +192,7 @@ def _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, k):
     monkeypatch.setattr(forked, "cpus", lambda: k)
     draws = record_draws(monkeypatch, tmp_path / "draws")
     batches, arrays = [], []
-    cases, own_log10 = genmodel._cases, costmodel.own_log10
+    cases, own_log10 = genmodel._cases, harness._own_log10
 
     def tracking_cases(*args):
         batch = cases(*args)
@@ -224,21 +208,21 @@ def _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, k):
         return out
 
     monkeypatch.setattr(genmodel, "_cases", tracking_cases)
-    monkeypatch.setattr(costmodel, "own_log10", tracking_own_log10)
-    tail_bound_check(INFORMATIVE, make_world(), n_cases=2**17 + 9)
+    monkeypatch.setattr(harness, "_own_log10", tracking_own_log10)
+    tail_bound_check(make_world(), n_cases=2**17 + 9)
     return draws(), arrays
 
 
 def test_tail_bound_holds_one_batch_and_one_lr_array_at_a_time(tmp_path, monkeypatch):
     # a chunk is scored alone; it is released once the next one is drawn
     draws, arrays = _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, 1)
-    assert len(draws) == 2 * 3 and len(arrays) == 2 * 3 * len(INFORMATIVE)
+    assert len(draws) == 2 * 3 and len(arrays) == 2 * 3 * len(TAIL_SYSTEMS)
 
 
 def test_tail_bound_holds_one_batch_and_one_lr_array_on_two_cpus(tmp_path, monkeypatch):
     # this process scores chunks 0 and 2 of each side, the case worker chunk 1
     draws, arrays = _holds_one_batch_and_one_lr_array(tmp_path, monkeypatch, 2)
-    assert len(draws) == 2 * 3 and len(arrays) == 2 * 2 * len(INFORMATIVE)
+    assert len(draws) == 2 * 3 and len(arrays) == 2 * 2 * len(TAIL_SYSTEMS)
 
 
 def test_tail_bound_memory_does_not_grow_with_n_cases(monkeypatch):
@@ -247,7 +231,7 @@ def test_tail_bound_memory_does_not_grow_with_n_cases(monkeypatch):
     # (on one CPU, which runs every chunk)
     monkeypatch.setattr(forked, "cpus", lambda: 1)
     world = make_world(n_trace=4, n_ref=16)
-    peaks = [traced_peak(lambda: tail_bound_check(INFORMATIVE, world, n_cases=n))
+    peaks = [traced_peak(lambda: tail_bound_check(world, n_cases=n))
              for n in (2 * 2**16, 10 * 2**16)]
     assert peaks[0] <= 14 * 8 * 2**16, f"peak {peaks[0] / (8 * 2**16):.1f} chunk columns"
     assert peaks[1] <= 1.1 * peaks[0], peaks
@@ -260,36 +244,5 @@ def test_tail_bound_memory_does_not_grow_on_two_cpus(monkeypatch):
     for k, chunks in ((1, 2), (2, 10)):
         monkeypatch.setattr(forked, "cpus", lambda: k)
         peaks.append(traced_peak(
-            lambda: tail_bound_check(INFORMATIVE, world, n_cases=chunks * 2**16)))
+            lambda: tail_bound_check(world, n_cases=chunks * 2**16)))
     assert peaks[1] <= 1.1 * peaks[0], peaks
-
-
-@pytest.mark.parametrize("believed", [None, make_world(pop_t=PopulationModel(4.0, 1.0))])
-def test_many_systems_give_the_one_system_rows(believed):
-    world = make_world()
-    one_by_one = [row for s in INFORMATIVE
-                  for row in tail_bound_check((s,), world, n_cases=5_000, master_seed=3,
-                                              believed_world=believed)]
-    assert tail_bound_check(INFORMATIVE, world, n_cases=5_000, master_seed=3,
-                            believed_world=believed) == one_by_one
-
-
-@pytest.mark.parametrize("systems", [SystemId.CSSLR, (),
-                                     (SystemId.CSFLR, SystemId.CSFLR)])
-def test_tail_bound_needs_a_tuple_of_systems(systems):
-    # a SystemId is a str: iterated, it would score the letters "C", "S", ...;
-    # a repeated system would be scored twice and give its rows twice
-    with pytest.raises(ConfigError, match="systems"):
-        tail_bound_check(systems, make_world(), n_cases=2_000)
-
-
-def test_tail_bound_refuses_a_system_s_value():
-    # ("CSSLR",) once reported CSXASLR's exceedances under the label CSSLR
-    with pytest.raises(ConfigError, match="^system must be a SystemId, got 'CSSLR'$"):
-        tail_bound_check(("CSSLR",), make_world(), n_cases=2_000)
-
-
-def test_prior_only_never_exceeds():
-    rows = tail_bound_check((SystemId.PriorOnly,), make_world(), n_cases=2_000)
-    assert all(r.empirical_exceedance == 0.0 for r in rows)
-

@@ -76,7 +76,7 @@ def test_every_experiment_takes_one_route_to_its_scores():
     assert _callers("fold_chunks") == {
         ("harness", "run_experiment"), ("harness", "ill_conditioning_experiment"),
         ("harness", "cs_update_ss_prior_experiment"),
-        ("harness", "total_expectation_check"), ("costmodel", "tail_bound_check")}
+        ("harness", "total_expectation_check"), ("harness", "tail_bound_check")}
     assert _callers("case_chunks") == {("cli", "_case_table")}
     assert {module for module, _ in _callers("_cases")} == {"genmodel"}
     assert {c for c in _callers("scores_batch") if c[0] != "scoring"} == {
@@ -84,6 +84,17 @@ def test_every_experiment_takes_one_route_to_its_scores():
     assert _callers("clamp_log10_lr") == {("harness", "_stated")}
     assert _callers("posterior_from_log10_lr") == {("harness", "_stated")}
     assert _callers("generate_cases") == set()
+
+
+def test_costmodel_is_the_demand_calculator_alone():
+    # it simulates nothing: no array code and no experiment pipeline
+    path = Path(__file__).resolve().parents[1] / "src" / "lrsim" / "costmodel.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {getattr(node, "module", None) or ""} | {a.name for a in node.names}
+    assert not [n for n in names if n.split(".")[0] == "numpy"
+                or n.split(".")[-1] == "harness"], names
 
 
 def test_one_fork_path():
@@ -121,7 +132,7 @@ def test_every_case_experiment_takes_one_call_shape():
     for experiment in (lrsim.run_experiment, lrsim.ill_conditioning_experiment,
                        lrsim.cs_update_ss_prior_experiment,
                        lrsim.total_expectation_check, lrsim.tail_bound_check):
-        names = [n for n in inspect.signature(experiment).parameters if n != "systems"]
+        names = list(inspect.signature(experiment).parameters)
         assert names[:3] == ["world", "n_cases", "master_seed"], experiment.__name__
     assert not hasattr(lrsim, "ExperimentConfig")
     assert "ExperimentConfig" not in lrsim.__all__

@@ -127,11 +127,9 @@ def test_brier_rule_agrees_on_verdicts():
 
 def test_case_table_columns():
     # the report keeps no cases: cases.csv draws them again, one chunk at a
-    # time, and rebuilds every system's LRs and posteriors under the world
-    # the run believed
+    # time, and rebuilds every system's LRs and posteriors
     world, n = make_world(), 2**16 + 5
-    believed = make_world(pop_t=PopulationModel(2.0, 1.0))
-    blocks = list(_case_table(world, 3, n, believed))
+    blocks = list(_case_table(world, 3, n))
     assert [len(b["case_id"]) for b in blocks] == [2**16, 5]
     table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     assert list(table) == ["case_id", "truth", "r_theta", "x", "y",
@@ -144,12 +142,10 @@ def test_case_table_columns():
     for name, column in (("r_theta", batch.theta_r), ("x", batch.x), ("y", batch.y)):
         assert np.array_equal(table[name], column), name
     for system in ALL_SYSTEMS:
-        own, posterior, _ = system_posterior(system, batch, believed)
+        own, posterior, _ = system_posterior(system, batch)
         assert np.array_equal(table[f"{system.value}_lr"],
                               10.0 ** np.clip(own, -300, 300))
         assert np.array_equal(table[f"{system.value}_posterior"], posterior)
-    assert not np.array_equal(table["CSFLR_posterior"],
-                              system_posterior(SystemId.CSFLR, batch)[1])
 
 
 def _whole_batch(world, n_cases, master_seed=0, rule=ScoringRule.Logarithmic,

@@ -519,3 +519,10 @@ def test_discrete_profile_rejects_bad_gamma():
     for gamma in (0.0, -0.5, 1.5):
         with pytest.raises(ConfigError):
             discrete_profile_lr(gamma, ProfileMode.SpecificSource)
+
+
+@pytest.mark.parametrize("mode", [*(m.value for m in ProfileMode), "Specific", None])
+def test_discrete_profile_refuses_anything_but_a_profile_mode(mode):
+    # a member's value was once coerced, and an unknown string raised ValueError
+    with pytest.raises(ConfigError, match=f"^mode must be a ProfileMode, got {mode!r}$"):
+        discrete_profile_lr(0.5, mode)

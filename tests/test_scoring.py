@@ -139,24 +139,17 @@ def test_scores_batch_matches_the_select_form_bit_for_bit(cases, rule):
 
 @pytest.mark.parametrize("rule", [ScoringRule.Logarithmic, ScoringRule.Brier])
 def test_proper_rules_pass_honesty(rule):
-    rep = honesty_check(rule, grid_step=0.01)
+    rep = honesty_check(rule)
     assert rep.is_honest
     assert rep.counterexamples == []
 
 
 def test_table_rule_fails_honesty():
-    rep = honesty_check(ScoringRule.ImproperTable3, grid_step=0.1)
+    rep = honesty_check(ScoringRule.ImproperTable3)
     assert not rep.is_honest
     # exaggerating a weak belief toward certainty is profitable
     assert any(b == pytest.approx(0.1) and s == pytest.approx(0.0)
                for b, s in rep.counterexamples)
-
-
-def test_honesty_grid_step_validated():
-    with pytest.raises(ConfigError):
-        honesty_check(ScoringRule.Brier, grid_step=0.0)
-    with pytest.raises(ConfigError):
-        honesty_check(ScoringRule.Brier, grid_step=0.5)
 
 
 def test_expected_score_masks_impossible_branch():
