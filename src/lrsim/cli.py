@@ -17,6 +17,14 @@ reports carry no timestamps and dict keys are sorted. Exit status: 0 when
 all checks pass, 1 when a verdict or diagnostic fails, 2 for bad input.
 Existing output files are not overwritten unless --force is given, and a
 run that fails leaves --out as it found it.
+
+Start-up imports genmodel and forked alone. Every other library name this
+module reads is listed in _LAZY and bound into its globals by _bind, which
+each function that reads such a name calls first, so a command loads only
+the modules it runs: demand binds costmodel, oracle-check oracle, and the
+others harness and scoring. A name already bound keeps its value, so that a
+name rebound on this module before a command ran, as perfbench/traced.py
+rebinds run_experiment and tail_bound_check, is the one the command calls.
 """
 
 from __future__ import annotations
@@ -34,31 +42,46 @@ import tempfile
 import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .costmodel import demand_table, feasibility_rank
 from .forked import ordered_map
 from .genmodel import (ConfigError, WorldConfig, case_chunks, load_world, world_from_json_dict,
                        world_to_json_dict)
-from .harness import (
-    ALL_SYSTEMS,
-    TAIL_SYSTEMS,
-    EvalReport,
-    Verdict,
-    cs_update_ss_prior_experiment,
-    ill_conditioning_experiment,
-    run_experiment,
-    system_posterior,
-    tail_bound_check,
-)
-from .oracle import InsufficientPathsError, PathBank, compare_views, grid_groups
-from .scoring import ScoringRule
 
-_RULES = {"log": ScoringRule.Logarithmic, "brier": ScoringRule.Brier}
+_LAZY = {  # the names this module reads from each library module it binds
+    "harness": ("ALL_SYSTEMS", "TAIL_SYSTEMS", "EvalReport", "Verdict",
+                "cs_update_ss_prior_experiment", "ill_conditioning_experiment",
+                "run_experiment", "system_posterior", "tail_bound_check"),
+    "oracle": ("InsufficientPathsError", "PathBank", "compare_views", "grid_groups"),
+    "costmodel": ("demand_table", "feasibility_rank"),
+    "scoring": ("ScoringRule",),
+}
+
+_RULES = {"log": "Logarithmic", "brier": "Brier"}  # --rule: ScoringRule member
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind the names _LAZY lists for it, unless bound
+    already (setdefault). The globals are this module's own, not those of
+    sys.modules["lrsim.cli"]: `python -m lrsim.cli` runs it as __main__."""
+    for module in modules:
+        lib = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name):
+    """A name of _LAZY, read on this module before a command bound it (PEP
+    562). A global read inside this module never gets here."""
+    module = next((m for m, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 def default_world() -> WorldConfig:
@@ -227,8 +250,9 @@ class _Outputs:
     """
 
     def __init__(self, out_dir: Path, force: bool):
-        # refused before any work: the nearest existing path must be a directory
-        near = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+        # refused before any work: the nearest existing path must be a
+        # directory; a dangling symlink exists, and is none
+        near = next(d for d in (out_dir, *out_dir.parents) if os.path.lexists(d))
         if not near.is_dir():
             raise ConfigError(f"--out {out_dir}: {near} is not a directory")
         self.out_dir = out_dir
@@ -237,9 +261,15 @@ class _Outputs:
         self.written: list[str] = []
 
     def refuse_clashes(self, names) -> None:
-        """Refuse, unless forced, if any of names already exists in out_dir."""
+        """Refuse if any of names is a directory in out_dir, which no file
+        replaces, and, unless forced, if any of names exists there."""
+        paths = {n: self.out_dir / n for n in names}
+        dirs = [n for n, p in paths.items() if p.is_dir() and not p.is_symlink()]
+        if dirs:
+            raise ConfigError(f"refusing to overwrite directory {', '.join(sorted(dirs))} "
+                              f"in {self.out_dir} (not even with --force)")
         if not self.force:
-            clashes = [n for n in names if (self.out_dir / n).exists()]
+            clashes = [n for n, p in paths.items() if os.path.lexists(p)]
             if clashes:
                 raise ConfigError(
                     f"refusing to overwrite {', '.join(sorted(clashes))} in "
@@ -305,6 +335,7 @@ def _case_table(world: WorldConfig, master_seed: int, n_cases: int) -> Iterator[
     run with these arguments, drawn again, and the own LR (its log10 clipped
     to +/-300) and stated posterior of every system of ALL_SYSTEMS on it, as
     the run evaluated them. Nothing is drawn until the stream is read."""
+    _bind("harness")
     start = 0
     for batch in case_chunks(world, master_seed, n_cases):
         block = {
@@ -323,8 +354,9 @@ def _case_table(world: WorldConfig, master_seed: int, n_cases: int) -> Iterator[
 
 
 def _rank(args, world, n):
-    report = run_experiment(world, n, args.seed, _RULES[args.rule])
-    rule = _RULES[args.rule].value
+    _bind("harness", "scoring")
+    rule = ScoringRule[_RULES[args.rule]]
+    report = run_experiment(world, n, args.seed, rule)
     counts = {v.value: sum(r.verdict is v for r in report.ranking_verdicts)
               for v in Verdict}
     if counts["Confirmed"] + counts["Violated"] == 0:
@@ -332,7 +364,7 @@ def _rank(args, world, n):
                       f"{len(report.ranking_verdicts)} claims judged, none "
                       f"Confirmed or Violated", UserWarning)
     body = {
-        "rule": rule,
+        "rule": rule.value,
         "per_system": {s.value: _fields(ms)
                        for s, ms in report.per_system.items()},
         "clamp_counts": {s.value: c for s, c in report.clamp_counts.items()},
@@ -346,12 +378,12 @@ def _rank(args, world, n):
         "cases.csv": lambda doc: _case_table(world, args.seed, n),
         "calibration.csv": lambda doc: _calibration_table(report),
         "scores.csv": lambda doc: _columns([
-            {"system": s.value, "rule": rule,
+            {"system": s.value, "rule": rule.value,
              "mean_score": ms.mean, "se": ms.se, "n": ms.n,
              "n_clamped": report.clamp_counts[s]}
             for s, ms in report.per_system.items()]),
     }
-    summary = [f"rank: {n} cases, seed {args.seed}, rule {rule}"]
+    summary = [f"rank: {n} cases, seed {args.seed}, rule {rule.value}"]
     summary += [f"  {s.value:10s} {ms.mean:+.4f} +/- {ms.se:.4f}"
                 for s, ms in report.per_system.items()]
     summary.append(f"claims: {counts['Confirmed']} Confirmed, "
@@ -360,8 +392,9 @@ def _rank(args, world, n):
 
 
 def _illcond(args, world, n):
+    _bind("harness", "scoring")
     rep = ill_conditioning_experiment(world, n_cases=n, master_seed=args.seed,
-                                      rule=_RULES[args.rule])
+                                      rule=ScoringRule[_RULES[args.rule]])
     summary = [
         f"illcond: identity max rel err {rep.identity_max_rel_err:.2e} "
         f"({'ok' if rep.identity_ok else 'FAIL'})",
@@ -372,8 +405,9 @@ def _illcond(args, world, n):
 
 
 def _csprior(args, world, n):
+    _bind("harness", "scoring")
     rep = cs_update_ss_prior_experiment(world, n_cases=n, master_seed=args.seed,
-                                        rule=_RULES[args.rule])
+                                        rule=ScoringRule[_RULES[args.rule]])
     verdict = ("descriptive" if rep.ok is None
                else "ok" if rep.ok else "FAIL")
     summary = [f"csprior: baseline {rep.mean_baseline:+.4f}  "
@@ -384,6 +418,7 @@ def _csprior(args, world, n):
 
 
 def _tailbound(args, world, n):
+    _bind("harness")
     rows = tail_bound_check(world, n_cases=n, master_seed=args.seed)
     n_fail = sum(not r.passed for r in rows)
     n_vacuous = sum(r.bound >= 1.0 for r in rows)  # no exceedance can fail these
@@ -398,6 +433,7 @@ def _tailbound(args, world, n):
 
 
 def _demand(args, world, n):
+    _bind("costmodel")
     profiles = demand_table(args.lr_min, args.lr_max)
     tradeoff = feasibility_rank()
     body = {
@@ -424,6 +460,7 @@ def _oracle_check(args, world, n_paths):
     # the bank is built, before the fork, so that an oracle worker reads them
     # copy-on-write and neither process waits on the other's draw; a group's
     # points share its kernel samples
+    _bind("oracle")
     bank = PathBank(world, args.seed, n_paths)
 
     def compare_group(group):

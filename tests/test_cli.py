@@ -344,6 +344,10 @@ def test_calibrate_is_no_command(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # overwrite policy
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command ran before --out was checked")
+
+
 @pytest.mark.parametrize("argv,out", [
     (("demand",), "file"),
     (("rank", "--cases", "2000"), "file/sub"),
@@ -351,17 +355,63 @@ def test_calibrate_is_no_command(tmp_path, capsys):
 def test_out_under_a_file_is_refused_before_any_work(tmp_path, capsys,
                                                      monkeypatch, argv, out):
     (tmp_path / "file").write_text("kept\n")
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the command ran before --out was checked")
-
-    monkeypatch.setattr(cli, "run_experiment", no_work)
-    monkeypatch.setattr(cli, "demand_table", no_work)
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    monkeypatch.setattr(cli, "demand_table", _no_work)
     code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / out))
     assert code == 2
     assert stdout == "" and "is not a directory" in err
     assert (tmp_path / "file").read_text() == "kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("out", ["link", "link/sub"])
+def test_out_through_a_dangling_link_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, out):
+    # the link exists, and is no directory; following it, mkdir would fail
+    # with FileExistsError after the run
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    code, stdout, err = run(capsys, "rank", "--cases", "2000",
+                            "--out", str(tmp_path / out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out {tmp_path / out}: {tmp_path / 'link'} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+    assert (tmp_path / "link").is_symlink()
+
+
+def test_a_dangling_link_at_an_output_name_is_a_clash(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "demand.csv").symlink_to(tmp_path / "nowhere")
+    monkeypatch.setattr(cli, "demand_table", _no_work)
+    code, stdout, err = run(capsys, "demand", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "refusing to overwrite demand.csv in" in err
+    assert [p.name for p in out.iterdir()] == ["demand.csv"]
+    assert (out / "demand.csv").is_symlink()
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)], ids=["plain", "forced"])
+def test_a_directory_at_an_output_name_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, force):
+    # scores.csv is written last: a forced run used to replace the three
+    # files before it, then fail to replace the directory
+    out = tmp_path / "o"
+    assert run(capsys, "rank", "--cases", "2000", "--seed", "1",
+               "--out", str(out))[0] == 0
+    (out / "scores.csv").unlink()
+    (out / "scores.csv").mkdir()
+    (out / "scores.csv" / "kept.txt").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    code, stdout, err = run(capsys, "rank", "--cases", "2000", "--out", str(out),
+                            *force)
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: refusing to overwrite directory scores.csv in {out} "
+                   f"(not even with --force)\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert sorted(before) == ["calibration.csv", "cases.csv", "report.json"]
+    assert [p.name for p in (out / "scores.csv").iterdir()] == ["kept.txt"]
 
 
 @pytest.mark.parametrize("fmt,existing", [("json", "report.json"),
@@ -977,6 +1027,68 @@ def test_importing_the_cli_loads_no_process_pool():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+LIBRARY = {"costmodel", "harness", "lrsystems", "oracle", "scoring"}
+
+
+def _library_loaded(script: str, *argv: str) -> set[str]:
+    """The modules of LIBRARY that a fresh interpreter holds after the
+    script has run with these arguments."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script += "; import json; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    return {name.removeprefix("lrsim.") for name in
+            json.loads(proc.stdout.splitlines()[-1])} & LIBRARY
+
+
+def test_importing_the_package_and_the_cli_loads_no_library_module():
+    # start-up compiles genmodel and forked only: every other module is
+    # imported when a command or an attribute read first needs it
+    assert _library_loaded("import sys, lrsim, lrsim.cli") == set()
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ("rank", {"harness", "lrsystems", "scoring"}),
+    ("illcond", {"harness", "lrsystems", "scoring"}),
+    ("csprior", {"harness", "lrsystems", "scoring"}),
+    ("tailbound", {"harness", "lrsystems", "scoring"}),
+    ("demand", {"costmodel", "lrsystems"}),
+    ("oracle-check", {"lrsystems", "oracle"}),
+])
+def test_each_command_loads_only_the_library_modules_it_runs(tmp_path, command,
+                                                             loaded):
+    script = "import sys, lrsim.cli; lrsim.cli.main(sys.argv[1:])"
+    assert _library_loaded(script, command, *SMALL_ARGS[command], "--format",
+                           "json", "--out", str(tmp_path / "o")) == loaded
+
+
+def test_a_name_rebound_before_the_command_is_the_one_it_calls(tmp_path, capsys,
+                                                               monkeypatch):
+    # the rebinding perfbench/traced.py does, in process: a rebound name
+    # wins over the command's own binding, and undo restores the library's
+    calls = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(forked, "cpus", lambda: 1)  # every group in this process
+    monkeypatch.setattr(cli, "tail_bound_check", recorded(cli.tail_bound_check))
+    monkeypatch.setattr(cli, "compare_views", recorded(cli.compare_views))
+    for command in ("tailbound", "oracle-check"):
+        assert run(capsys, command, *SMALL_ARGS[command], "--format", "json",
+                   "--out", str(tmp_path / command))[0] in (0, 1)
+    assert calls[0] == "tail_bound_check"
+    assert set(calls[1:]) == {"compare_views"}
+    monkeypatch.undo()
+    assert cli.tail_bound_check is harness.tail_bound_check
+    assert cli.compare_views is oracle.compare_views
 
 
 @pytest.mark.parametrize("doc", [

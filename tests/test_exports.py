@@ -153,3 +153,52 @@ def test_benchmark_probe_runs():
         cwd=root, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "backend" in json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_the_package_lists_and_binds_every_exported_name():
+    import lrsim
+
+    assert len(lrsim.__all__) == 49
+    assert set(lrsim.__all__) <= set(dir(lrsim))
+    namespace = {}
+    exec("from lrsim import *", namespace)
+    assert sorted(n for n in namespace if n != "__builtins__") == sorted(lrsim.__all__)
+    assert namespace["run_experiment"] is importlib.import_module(
+        "lrsim.harness").run_experiment
+    with pytest.raises(AttributeError, match="no attribute 'harness_'"):
+        lrsim.harness_
+
+
+def test_the_case_table_runs_in_an_interpreter_that_ran_no_command():
+    # _case_table binds the library names it reads itself: tests call it
+    # without a command, and a fresh interpreter has bound none
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import lrsim.cli as cli; "
+              "blocks = list(cli._case_table(cli.default_world(), 0, 1000)); "
+              "print(len(blocks), len(blocks[0]), len(blocks[0]['case_id']))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 23 1000\n"
+
+
+@pytest.mark.parametrize("argv,span", [
+    (("tailbound", "--cases", "2000"), "costmodel.tail_bound_check"),
+    (("rank", "--cases", "2000", "--format", "json"), "harness.run_experiment"),
+])
+def test_benchmark_tracer_hooks_the_cli_s_library_calls(tmp_path, argv, span):
+    # perfbench/traced.py rebinds lrsim.cli's library names before the
+    # command runs; a name the CLI binds late must still be found and kept
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/traced.py", str(spans), "0", "--", *argv,
+         "--out", str(tmp_path / "o")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    trace = json.loads(spans.read_text())
+    assert span in {name for name, *_ in trace["spans"]}
+    assert not {"lrsim.cli.tail_bound_check",
+                "lrsim.cli.run_experiment"} & set(trace["missing_hooks"])
