@@ -28,8 +28,8 @@ _EXPORTS = {
                   "clamp_log10_lr", "discrete_profile_lr", "log_lr_batch",
                   "posterior_from_log10_lr"),
     "oracle": ("InsufficientPathsError", "OracleComparison", "OracleEstimate",
-               "PathBank", "compare_views", "default_evidence_grid",
-               "estimate_views", "grid_groups"),
+               "PathBank", "compare_grid", "compare_views", "default_evidence_grid",
+               "estimate_views"),
     "scoring": ("CalibrationReport", "MeanScore", "ScoringRule",
                 "calibration_report", "honesty_check", "scores_batch"),
     "harness": ("ALL_SYSTEMS", "RANKING_CLAIMS", "EvalReport", "Verdict",

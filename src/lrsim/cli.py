@@ -40,23 +40,22 @@ import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import import_module, resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .forked import ordered_map
-from .genmodel import (ConfigError, WorldConfig, case_chunks, load_world, world_from_json_dict,
+from .genmodel import (ConfigError, WorldConfig, load_world, world_from_json_dict,
                        world_to_json_dict)
 
 _LAZY = {  # the names this module reads from each library module it binds
-    "harness": ("ALL_SYSTEMS", "TAIL_SYSTEMS", "EvalReport", "Verdict",
-                "cs_update_ss_prior_experiment", "ill_conditioning_experiment",
-                "run_experiment", "system_posterior", "tail_bound_check"),
-    "oracle": ("InsufficientPathsError", "PathBank", "compare_views", "grid_groups"),
+    "harness": ("TAIL_SYSTEMS", "Verdict", "case_table", "cs_update_ss_prior_experiment",
+                "ill_conditioning_experiment", "run_experiment", "tail_bound_check"),
+    "oracle": ("InsufficientPathsError", "PathBank", "compare_grid"),
     "costmodel": ("demand_table", "feasibility_rank"),
     "scoring": ("ScoringRule",),
 }
@@ -177,9 +176,9 @@ def _write_csv(path: Path, table) -> None:
     process may run on (see forked.ordered_map), and written in order as
     they come back: this process holds one formatted piece at a time, about
     0.36 MB for 2^10 rows of cases.csv. Every forked formatter walks the
-    whole table stream, so a stream must yield the same blocks each time it
-    is walked from the same state. The bytes depend on neither the number
-    of formatters nor the piece size."""
+    whole table stream (cases.csv's is harness.case_table), so a stream must
+    yield the same blocks each time it is walked from the same state. The
+    bytes depend on neither the number of formatters nor the piece size."""
     blocks = iter((table,) if isinstance(table, dict) else table)
     first = next(blocks)
     names = list(first)
@@ -307,7 +306,7 @@ class _Outputs:
 # ---------------------------------------------------------------------------
 # commands: each computes (report body, CSV tables, summary lines, pass flag)
 
-def _calibration_summary(report: EvalReport) -> dict:
+def _calibration_summary(report) -> dict:
     return {
         s.value: {"max_abs_gap": rep.max_abs_gap,
                   "qualifying_bins": int(np.sum(rep.qualifying)),
@@ -315,7 +314,7 @@ def _calibration_summary(report: EvalReport) -> dict:
         for s, rep in report.calibration.items()}
 
 
-def _calibration_table(report: EvalReport) -> dict:
+def _calibration_table(report) -> dict:
     parts = [{
         "system": np.full(len(rep.bin_counts), system.value),
         "bin_lo": rep.bin_edges[:-1],
@@ -328,29 +327,6 @@ def _calibration_table(report: EvalReport) -> dict:
         "qualifying": rep.qualifying,
     } for system, rep in report.calibration.items()]
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
-
-
-def _case_table(world: WorldConfig, master_seed: int, n_cases: int) -> Iterator[dict]:
-    """cases.csv as a stream of blocks, one per chunk: each case of the ranking
-    run with these arguments, drawn again, and the own LR (its log10 clipped
-    to +/-300) and stated posterior of every system of ALL_SYSTEMS on it, as
-    the run evaluated them. Nothing is drawn until the stream is read."""
-    _bind("harness")
-    start = 0
-    for batch in case_chunks(world, master_seed, n_cases):
-        block = {
-            "case_id": np.arange(start, start + len(batch), dtype=np.int64),
-            "truth": np.where(batch.truth_h1, "H1", "H2"),
-            "r_theta": batch.theta_r,
-            "x": batch.x,
-            "y": batch.y,
-        }
-        for system in ALL_SYSTEMS:
-            own, posterior, _ = system_posterior(system, batch)
-            block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
-            block[f"{system.value}_posterior"] = posterior
-        start += len(batch)
-        yield block
 
 
 def _rank(args, world, n):
@@ -375,7 +351,7 @@ def _rank(args, world, n):
         "calibration": _calibration_summary(report),
     }
     tables = {
-        "cases.csv": lambda doc: _case_table(world, args.seed, n),
+        "cases.csv": lambda doc: case_table(world, n, args.seed),
         "calibration.csv": lambda doc: _calibration_table(report),
         "scores.csv": lambda doc: _columns([
             {"system": s.value, "rule": rule.value,
@@ -456,22 +432,9 @@ def _demand(args, world, n):
 
 
 def _oracle_check(args, world, n_paths):
-    # every point reads the same paths and bootstrap resamples, drawn when
-    # the bank is built, before the fork, so that an oracle worker reads them
-    # copy-on-write and neither process waits on the other's draw; a group's
-    # points share its kernel samples
     _bind("oracle")
-    bank = PathBank(world, args.seed, n_paths)
-
-    def compare_group(group):
-        system, first, views = group
-        return [replace(p, grid_index=first + i)
-                for i, p in enumerate(compare_views(system, views, bank))]
-
     try:
-        points = [p for rows in ordered_map(compare_group, grid_groups(world),
-                                            "oracle worker", "group")
-                  for p in rows]
+        points = compare_grid(PathBank(world, args.seed, n_paths))
     except InsufficientPathsError as e:  # too few paths is bad input, not a failure
         raise ConfigError(f"--paths {n_paths} is too few: {e}") from e
     all_ok = all(p.within_3se for p in points)
@@ -492,13 +455,14 @@ class _Spec:
     tables by file name, the summary lines and the pass flag. A table is a
     function from the finished report to its columns, or to a stream of
     column blocks that is read while the file is written, _CSV_BLOCK rows at
-    a time (see _write_csv), called only when CSV is written. Every forked
-    formatter walks a stream again, so it must yield the same blocks every
-    time. tables names the CSV files, in the order they are written, so that
-    a clash with --out is refused before the run. size is the report key of
-    the run size and the dest of its flag (--cases or --paths); a command
-    without one reads no world, so it takes no --config or --seed. cases is
-    the --cases default, where the command takes --cases."""
+    a time (see _write_csv), called only when CSV is written; rank's
+    cases.csv is the stream harness.case_table. Every forked formatter walks
+    a stream again, so it must yield the same blocks every time. tables
+    names the CSV files, in the order they are written, so that a clash
+    with --out is refused before the run. size is the report key of the run
+    size and the dest of its flag (--cases or --paths); a command without
+    one reads no world, so it takes no --config or --seed. cases is the
+    --cases default, where the command takes --cases."""
 
     run: Callable
     flags: tuple[str, ...]  # the command's own flags; see _FLAGS

@@ -2,10 +2,10 @@
 forked processes, whose results come back in item order.
 
 Every case experiment sums its chunks of cases through it (see
-genmodel.fold_chunks), cases.csv formats its pieces through it (see
+genmodel.fold_chunks), the CSV writer formats its pieces through it (see
 cli._write_csv), and oracle-check checks its groups of grid points through
-it (see cli._oracle_check and oracle.grid_groups). A result does not depend on the process that computed it,
-so no output byte depends on how many processes there were.
+it (see oracle.compare_grid). A result does not depend on the process that
+computed it, so no output byte depends on how many processes there were.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .genmodel import (
     ScenarioKind,
     ScoreKind,
     WorldConfig,
+    case_chunks,
     check_count,
     fold_chunks,
     world_to_json_dict,
@@ -71,6 +73,7 @@ __all__ = [
     "TailBoundRow",
     "TotalExpectationReport",
     "Verdict",
+    "case_table",
     "cs_update_ss_prior_experiment",
     "ill_conditioning_experiment",
     "run_experiment",
@@ -147,7 +150,7 @@ class RankingVerdict:
 class EvalReport:
     """A ranking run's results, in ALL_SYSTEMS and RANKING_CLAIMS order. It
     keeps no cases: every result is a sum over the cases, accumulated one
-    chunk at a time, and cases.csv draws the cases again from the run's
+    chunk at a time, and case_table draws the cases again from the run's
     arguments."""
 
     per_system: dict[SystemId, MeanScore]
@@ -329,6 +332,28 @@ def run_experiment(
         ranking_verdicts=verify_ranking(paired),
         clamp_counts={s: n for s, (_, n, _) in per_system.items()},
     )
+
+
+def case_table(world: WorldConfig, n_cases: int, master_seed: int) -> Iterator[dict]:
+    """cases.csv as a stream of blocks, one per chunk: each case of
+    run_experiment(world, n_cases, master_seed), drawn again, and the own LR
+    (its log10 clipped to +/-300) and stated posterior of every system of
+    ALL_SYSTEMS on it, as the run evaluated them. Nothing is drawn until the
+    stream is read, and a stream walked again from one state yields the same
+    blocks, as a forked CSV formatter needs."""
+    for batch in case_chunks(world, master_seed, n_cases):
+        block = {
+            "case_id": np.arange(batch.first, batch.first + len(batch), dtype=np.int64),
+            "truth": np.where(batch.truth_h1, "H1", "H2"),
+            "r_theta": batch.theta_r,
+            "x": batch.x,
+            "y": batch.y,
+        }
+        for system in ALL_SYSTEMS:
+            own, posterior, _ = system_posterior(system, batch)
+            block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
+            block[f"{system.value}_posterior"] = posterior
+        yield block
 
 
 # ---------------------------------------------------------------------------

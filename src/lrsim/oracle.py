@@ -28,17 +28,18 @@ and evidence point reads them (common random numbers).
 
 One estimator, estimate_views, evaluates a system at a list of views and
 builds each distinct kernel sample once per call; compare_views adds the
-closed forms, and grid_groups cuts oracle-check's grid into runs of points
-that share their samples.
+closed forms, and compare_grid compares oracle-check's whole grid, mapped
+over forked.ordered_map in runs of points that share their samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .forked import ordered_map
 from .genmodel import ConfigError, ScoreKind, WorldConfig, check_count, check_seed
 from .lrsystems import (
     LOG10_E,
@@ -62,10 +63,10 @@ __all__ = [
     "N_BLOCKS",
     "N_BOOT",
     "RECIPES",
+    "compare_grid",
     "compare_views",
     "default_evidence_grid",
     "estimate_views",
-    "grid_groups",
     "stream_key",
 ]
 
@@ -77,6 +78,7 @@ BIN_WIDTH = 0.1  # side of a feature system's square evidence bin
 ANCHOR_TOLERANCE = 0.05  # half-width of an anchored system's anchor window
 N_BLOCKS = 200  # contiguous path blocks the bootstrap resamples
 N_BOOT = 400  # bootstrap replicates
+_MAX_PATHS = (2**63 - 1) // 8  # float64s in the largest array numpy can index
 # scores per piece of a folded term's reflected kernel, so that the term
 # holds one kernel-sized buffer besides its sample, as an unfolded one does
 _PIECE = 2**14
@@ -123,7 +125,7 @@ class OracleEstimate:
 class OracleComparison:
     """A closed form against the oracle at one evidence point; the fields, in
     order, are the columns of oracle.csv. grid_index is the point's place in
-    default_evidence_grid; compare_views leaves it None."""
+    default_evidence_grid, set by compare_grid; compare_views leaves it None."""
 
     system: SystemId
     grid_index: int | None
@@ -160,11 +162,15 @@ class PathBank:
         n = check_count(n_paths, "n_paths")
         if n < 10**3:
             raise ConfigError(f"n_paths must be >= 1000, got {n}")
+        if n > _MAX_PATHS:  # no float64 column could hold the paths
+            raise ConfigError(f"n_paths must be <= {_MAX_PATHS}, got {n}")
         self.world = world
         self.seed = check_seed(seed, "seed")
         self.n_paths = n
-        # the first path of each of the N_BLOCKS bootstrap blocks, and sizes
-        self.edges = np.arange(N_BLOCKS, dtype=np.int64) * n // N_BLOCKS
+        # the first path b * n // N_BLOCKS of each bootstrap block b, with no
+        # int64 product b * n to wrap, and the blocks' sizes
+        b = np.arange(N_BLOCKS, dtype=np.int64)
+        self.edges = b * (n // N_BLOCKS) + b * (n % N_BLOCKS) // N_BLOCKS
         self.block_sizes = np.diff(self.edges, append=n).astype(np.float64)
         gen = np.random.Generator(np.random.Philox(
             key=int(stream_key(self.seed, _BOOTSTRAP_STREAM))))
@@ -494,15 +500,18 @@ def compare_views(system: SystemId, views: list[CaseView],
     return comparisons
 
 
-def grid_groups(world: WorldConfig) -> list[tuple[SystemId, int, list[CaseView]]]:
-    """oracle-check's grid as estimator calls: every NONTRIVIAL system's
-    default_evidence_grid cut into runs of points that share both terms'
-    kernel samples (see _runs), each as (system, grid index of its first
-    point, its views). A feature system's point is a group of its own, an
-    anchored system's anchor row is one, and an unanchored score system's
-    whole grid is one."""
-    return [(system, first, run) for system in NONTRIVIAL
-            for first, run in _runs(system, default_evidence_grid(system, world))]
+def compare_grid(bank: PathBank) -> list[OracleComparison]:
+    """compare_views at every point of every NONTRIVIAL system's
+    default_evidence_grid, in grid order, each with its grid_index. The
+    groups of points that share both terms' kernel samples (see _runs) are
+    mapped over forked.ordered_map, whose oracle worker reads the bank
+    copy-on-write."""
+    groups = [(system, first, run) for system in NONTRIVIAL
+              for first, run in _runs(system, default_evidence_grid(system, bank.world))]
+    rows = ordered_map(lambda group: compare_views(group[0], group[2], bank), groups,
+                       "oracle worker", "group")
+    return [replace(p, grid_index=first + i)
+            for (_, first, _), points in zip(groups, rows) for i, p in enumerate(points)]
 
 
 def default_evidence_grid(system: SystemId, world: WorldConfig) -> list[CaseView]:

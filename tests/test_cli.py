@@ -883,16 +883,19 @@ def test_nan_refusal_reads_the_same_on_one_and_two_cpus(tmp_path):
         "formatter-after-its-last-piece"])
 def test_a_stream_failing_after_the_fork_leaves_out_and_no_child(
         tmp_path, capsys, monkeypatch, failing, extra, error):
+    # the stream fails, not the posteriors: run_experiment reads those too,
+    # and would fail first, before cases.csv forks
     parent = os.getpid()
-    posterior = cli.system_posterior
+    table = cli.case_table
 
-    def failing_posterior(system, batch, world=None):
-        here = "parent" if os.getpid() == parent else "formatter"
-        if batch.first > 0 and failing in ("all", here):
-            raise RuntimeError("second chunk")
-        return posterior(system, batch, world)
+    def failing_table(world, n_cases, master_seed):
+        for block in table(world, n_cases, master_seed):
+            here = "parent" if os.getpid() == parent else "formatter"
+            if block["case_id"][0] > 0 and failing in ("all", here):
+                raise RuntimeError("second chunk")
+            yield block
 
-    monkeypatch.setattr(cli, "system_posterior", failing_posterior)
+    monkeypatch.setattr(cli, "case_table", failing_table)
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2**12)
     forks = _forks(monkeypatch)
@@ -1080,15 +1083,14 @@ def test_a_name_rebound_before_the_command_is_the_one_it_calls(tmp_path, capsys,
 
     monkeypatch.setattr(forked, "cpus", lambda: 1)  # every group in this process
     monkeypatch.setattr(cli, "tail_bound_check", recorded(cli.tail_bound_check))
-    monkeypatch.setattr(cli, "compare_views", recorded(cli.compare_views))
+    monkeypatch.setattr(cli, "compare_grid", recorded(cli.compare_grid))
     for command in ("tailbound", "oracle-check"):
         assert run(capsys, command, *SMALL_ARGS[command], "--format", "json",
                    "--out", str(tmp_path / command))[0] in (0, 1)
-    assert calls[0] == "tail_bound_check"
-    assert set(calls[1:]) == {"compare_views"}
+    assert calls == ["tail_bound_check", "compare_grid"]
     monkeypatch.undo()
     assert cli.tail_bound_check is harness.tail_bound_check
-    assert cli.compare_views is oracle.compare_views
+    assert cli.compare_grid is oracle.compare_grid
 
 
 @pytest.mark.parametrize("doc", [
@@ -1104,7 +1106,7 @@ def test_cases_csv_round_trips_every_float_exactly(tmp_path, capsys, doc):
                      "--cases", "2000", "--out", str(out))
     assert code == 0
     world = world_from_json_dict(doc)
-    blocks = list(cli._case_table(world, 0, 2000))
+    blocks = list(harness.case_table(world, 2000, 0))
     table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     if doc["noise"]["sigma"] == 0.01:
         report = run_experiment(world, 2000, 0)
@@ -1242,10 +1244,10 @@ def test_rank_json_only_format(tmp_path, capsys):
 
 def test_rank_json_builds_no_case_table(tmp_path, capsys, monkeypatch):
     # cases.csv is built only when CSV is written
-    def refuse(report):
+    def refuse(*args):
         raise AssertionError("case table built for --format json")
 
-    monkeypatch.setattr(cli, "_case_table", refuse)
+    monkeypatch.setattr(cli, "case_table", refuse)
     out = tmp_path / "o"
     assert run(capsys, "rank", "--cases", "2000", "--format", "json",
                "--out", str(out))[0] == 0
@@ -1807,7 +1809,7 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
     # counts are this process's, so the grid runs in it alone
     monkeypatch.setattr(forked, "cpus", lambda: 1)
     calls, draws = [], []
-    compare, draw = cli.compare_views, PathBank._draw
+    compare, draw = oracle.compare_views, PathBank._draw
 
     def recording_compare(system, views, bank):
         calls.extend((bank.seed, bank) for _ in views)
@@ -1817,7 +1819,7 @@ def test_oracle_check_reads_one_bank_at_one_seed(tmp_path, capsys, monkeypatch):
         draws.append(recipe)
         return draw(bank, recipe)
 
-    monkeypatch.setattr(cli, "compare_views", recording_compare)
+    monkeypatch.setattr(oracle, "compare_views", recording_compare)
     monkeypatch.setattr(PathBank, "_draw", counting_draw)
     seed = 2**64 - 1
     code, _, _ = run(capsys, "oracle-check", "--seed", str(seed),
@@ -1980,5 +1982,24 @@ def test_oracle_check_too_few_paths_is_exit_2(tmp_path, capsys, paths, start,
     assert err.startswith(start)
     assert err.endswith(end)
     assert "bin_width" not in err and "n_paths" not in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("paths", [2**63, 2**60])
+def test_oracle_check_paths_no_column_can_hold_is_exit_2(tmp_path, capsys,
+                                                         monkeypatch, paths):
+    # 2**63 paths once overflowed a C long (exit 1) and, above
+    # (2**63 - 1) // 199, the bootstrap block edges wrapped: refused as bad
+    # input before any path is drawn
+    def no_draw(bank, recipe):
+        raise AssertionError(f"{recipe} drawn for --paths {paths}")
+
+    monkeypatch.setattr(PathBank, "_draw", no_draw)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    assert run(capsys, "oracle-check", "--paths", str(paths), "--out", str(out)) == (
+        2, "", f"error: --paths must be <= {(2**63 - 1) // 8}, got {paths}\n")
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
     assert (out / "keep.txt").read_text() == "kept"

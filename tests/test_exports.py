@@ -77,13 +77,27 @@ def test_every_experiment_takes_one_route_to_its_scores():
         ("harness", "run_experiment"), ("harness", "ill_conditioning_experiment"),
         ("harness", "cs_update_ss_prior_experiment"),
         ("harness", "total_expectation_check"), ("harness", "tail_bound_check")}
-    assert _callers("case_chunks") == {("cli", "_case_table")}
+    assert _callers("case_chunks") == {("harness", "case_table")}
     assert {module for module, _ in _callers("_cases")} == {"genmodel"}
     assert {c for c in _callers("scores_batch") if c[0] != "scoring"} == {
         ("harness", "_scores")}
     assert _callers("clamp_log10_lr") == {("harness", "_stated")}
     assert _callers("posterior_from_log10_lr") == {("harness", "_stated")}
     assert _callers("generate_cases") == set()
+
+
+def test_the_cli_computes_no_case_or_oracle_point():
+    # cases.csv is harness.case_table and oracle-check's grid is
+    # oracle.compare_grid: the CLI neither reads nor binds the per-case or
+    # per-point code behind them
+    path = Path(__file__).resolve().parents[1] / "src" / "lrsim" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.value for node in ast.walk(tree)  # the names _LAZY binds
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not read & {"ALL_SYSTEMS", "system_posterior", "case_chunks",
+                       "compare_views", "grid_groups"}
+    assert {"case_table", "compare_grid"} <= read
 
 
 def test_costmodel_is_the_demand_calculator_alone():
@@ -103,15 +117,16 @@ def test_one_fork_path():
     assert _callers("fork") == {("forked", "ordered_map")}
     assert _callers("ordered_map") == {("genmodel", "fold_chunks"),
                                        ("cli", "_write_csv"),
-                                       ("cli", "_oracle_check")}
+                                       ("oracle", "compare_grid")}
 
 
 def test_one_oracle_estimator():
     # a term's estimate comes only from estimate_views, which only
-    # compare_views calls, and a bank's paths are drawn only when it is built
+    # compare_views calls, which only compare_grid calls, and a bank's paths
+    # are drawn only when it is built
     assert _callers("_term_estimates") == {("oracle", "estimate_views")}
     assert _callers("estimate_views") == {("oracle", "compare_views")}
-    assert _callers("compare_views") == {("cli", "compare_group")}
+    assert _callers("compare_views") == {("oracle", "compare_grid")}
     assert _callers("_draw") == {("oracle", "__init__")}
 
 
@@ -127,11 +142,12 @@ def test_one_world_loader():
 def test_every_case_experiment_takes_one_call_shape():
     # a run's settings are its arguments, named alike in all five
     import lrsim
-    from lrsim.harness import EvalReport
+    from lrsim.harness import EvalReport, case_table
 
     for experiment in (lrsim.run_experiment, lrsim.ill_conditioning_experiment,
                        lrsim.cs_update_ss_prior_experiment,
-                       lrsim.total_expectation_check, lrsim.tail_bound_check):
+                       lrsim.total_expectation_check, lrsim.tail_bound_check,
+                       case_table):
         names = list(inspect.signature(experiment).parameters)
         assert names[:3] == ["world", "n_cases", "master_seed"], experiment.__name__
     assert not hasattr(lrsim, "ExperimentConfig")
@@ -167,20 +183,6 @@ def test_the_package_lists_and_binds_every_exported_name():
         "lrsim.harness").run_experiment
     with pytest.raises(AttributeError, match="no attribute 'harness_'"):
         lrsim.harness_
-
-
-def test_the_case_table_runs_in_an_interpreter_that_ran_no_command():
-    # _case_table binds the library names it reads itself: tests call it
-    # without a command, and a fresh interpreter has bound none
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    script = ("import lrsim.cli as cli; "
-              "blocks = list(cli._case_table(cli.default_world(), 0, 1000)); "
-              "print(len(blocks), len(blocks[0]), len(blocks[0]['case_id']))")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 23 1000\n"
 
 
 @pytest.mark.parametrize("argv,span", [

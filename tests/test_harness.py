@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lrsim import forked, harness
-from lrsim.cli import _case_table
 from lrsim.genmodel import ConfigError, NoiseModel, PopulationModel, ScenarioKind, generate_cases
 from lrsim.harness import (
     ALL_SYSTEMS,
@@ -129,7 +128,7 @@ def test_case_table_columns():
     # the report keeps no cases: cases.csv draws them again, one chunk at a
     # time, and rebuilds every system's LRs and posteriors
     world, n = make_world(), 2**16 + 5
-    blocks = list(_case_table(world, 3, n))
+    blocks = list(harness.case_table(world, n, 3))
     assert [len(b["case_id"]) for b in blocks] == [2**16, 5]
     table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
     assert list(table) == ["case_id", "truth", "r_theta", "x", "y",

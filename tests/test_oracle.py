@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lrsim import oracle
+from lrsim import forked, oracle
 from lrsim.genmodel import ConfigError, ScoreKind
 from lrsim.lrsystems import (
     LOG10_E,
@@ -30,10 +32,10 @@ from lrsim.oracle import (
     _silverman,
     _term_estimates,
     _term_samples,
+    compare_grid,
     compare_views,
     default_evidence_grid,
     estimate_views,
-    grid_groups,
     stream_key,
 )
 from tests.conftest import make_world, packaged_world, same_bits
@@ -251,9 +253,36 @@ def test_a_built_bank_draws_nothing_more(monkeypatch):
         raise AssertionError(f"{recipe} drawn after the bank was built")
 
     monkeypatch.setattr(PathBank, "_draw", no_draw)
-    points = [p for system, _, views in grid_groups(world)
-              for p in compare_views(system, views, bank)]
-    assert len(points) == 63
+    assert len(compare_grid(bank)) == 63
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_compare_grid_numbers_each_point_by_its_grid_position(monkeypatch, k):
+    # the grid's rows are compare_views at each system's whole grid, point i
+    # numbered i, on one CPU as on two, where an oracle worker checks every
+    # other group
+    world = make_world()
+    bank = PathBank(world, 0, FAST)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(forked, "cpus", lambda: k)
+    assert compare_grid(bank) == [
+        dataclasses.replace(p, grid_index=i) for system in NONTRIVIAL
+        for i, p in enumerate(compare_views(
+            system, default_evidence_grid(system, world), bank))]
+    assert len(forks) == k - 1
+
+
+@pytest.mark.parametrize("n", [1000, 300_000, 2**59 + 7])
+def test_block_edges_are_exact_at_any_path_count(monkeypatch, n):
+    # b * n // N_BLOCKS in Python ints, which an int64 product b * n would
+    # wrap for n above (2**63 - 1) // 199; no path is drawn
+    monkeypatch.setattr(PathBank, "_draw", lambda bank, recipe: ())
+    bank = PathBank(make_world(), 0, n)
+    assert bank.edges.tolist() == [b * n // N_BLOCKS for b in range(N_BLOCKS)]
+    sizes = np.diff(bank.edges, append=n)
+    assert set(sizes.tolist()) <= {n // N_BLOCKS, n // N_BLOCKS + 1}
+    assert bank.block_sizes.tolist() == sizes.astype(np.float64).tolist()
 
 
 class _RecordingBank(PathBank):
@@ -403,22 +432,32 @@ def test_shared_bandwidths_give_the_fresh_bank_estimates(monkeypatch, name):
             assert [_estimate_bits(e) for e in grouped][::order] == fresh, system
 
 
-def test_grid_groups_are_runs_of_shared_samples():
-    # a feature point reads a bin of its own, an anchored system's row reads
-    # one sample per term, and an unanchored score system's grid reads one
+def test_grid_groups_are_runs_of_shared_samples(monkeypatch):
+    # compare_grid's groups: a feature point reads a bin of its own, an
+    # anchored system's row reads one sample per term, and an unanchored
+    # score system's grid reads one. The groups are this process's calls
     world = make_world()
-    groups = grid_groups(world)
-    sizes = {s: [len(views) for t, _, views in groups if t is s] for s in NONTRIVIAL}
+    groups = []
+
+    def recording_compare(system, views, bank):
+        groups.append((system, views))
+        return [oracle.OracleComparison(system, None, 0.0, 0.0, 0.0, 0.0, True)
+                for _ in views]
+
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    monkeypatch.setattr(oracle, "compare_views", recording_compare)
+    rows = compare_grid(PathBank(world, 0, 1000))
+    sizes = {s: [len(views) for t, views in groups if t is s] for s in NONTRIVIAL}
     for system, got in sizes.items():
         anchor = SYSTEMS[system].anchor
         assert got == ([1] * 9 if system in (SystemId.SSFLR, SystemId.CSFLR) else
                        [9] if anchor is None else [3, 3, 3]), system
     assert len(groups) == 29
-    # in order, the groups are every system's grid, and each names its first point
-    assert [(s, v) for s, _, views in groups for v in views] == [
+    # in order, the groups are every system's grid, and each row names its point
+    assert [(s, v) for s, views in groups for v in views] == [
         (s, v) for s in NONTRIVIAL for v in default_evidence_grid(s, world)]
-    for system, first, views in groups:
-        assert default_evidence_grid(system, world)[first] == views[0]
+    assert [(p.system, p.grid_index) for p in rows] == [
+        (s, i) for s in NONTRIVIAL for i in range(9)]
 
 
 def test_grouped_views_raise_the_first_one_view_error():
