@@ -5,6 +5,8 @@ proper scoring rule on the same shared case set, so systems are compared
 pairwise on identical evidence and the paired standard error is small
 where systems genuinely agree; tail_bound_check counts each system's LRs
 beyond k and 1/k against the 1/k bound that any genuine LR obeys.
+run_experiment, illcond and csprior summarise each chunk in _summarise;
+total_expectation_check, which weighs scores by a posterior, keeps its own.
 
 Stated posteriors are built properly: a system's LR is multiplied by the
 prior odds, and for common-source anchored systems also by the LR carried
@@ -227,18 +229,16 @@ def _scores(label: str, rule: ScoringRule, posterior: np.ndarray,
     return s
 
 
-def _verdict(claim: str, better: SystemId, worse: SystemId,
-             diff: PairedDiff) -> RankingVerdict:
-    verdict = {1: Verdict.Confirmed, -1: Verdict.Violated}.get(diff.sign, Verdict.Tie)
-    return RankingVerdict(claim=claim, better=better, worse=worse,
-                          mean_diff=diff.mean_diff, se_diff=diff.se_diff,
-                          margin_in_se=diff.margin_in_se, verdict=verdict)
-
-
 def verify_ranking(paired_diffs: dict[str, PairedDiff]) -> list[RankingVerdict]:
     """Judge every claim of RANKING_CLAIMS, in order, from paired differences."""
-    return [_verdict(claim, better, worse, paired_diffs[claim])
-            for claim, better, worse in RANKING_CLAIMS]
+    verdicts = []
+    for claim, better, worse in RANKING_CLAIMS:
+        d = paired_diffs[claim]
+        verdict = {1: Verdict.Confirmed, -1: Verdict.Violated}.get(d.sign, Verdict.Tie)
+        verdicts.append(RankingVerdict(claim=claim, better=better, worse=worse,
+                                       mean_diff=d.mean_diff, se_diff=d.se_diff,
+                                       margin_in_se=d.margin_in_se, verdict=verdict))
+    return verdicts
 
 
 @dataclass
@@ -281,6 +281,55 @@ class _Moments:
         return PairedDiff(mean_diff=self.mean, se_diff=self.se, n=self.n)
 
 
+def _source_prior(batch: CaseBatch, world: WorldConfig) -> np.ndarray:
+    """The log10 LR of theta_r, popC against popD, that updates the prior to
+    P(H1 | suspect source): zero when popC == popD."""
+    if world.pop_c == world.pop_d:
+        return np.zeros(len(batch))
+    return _log_ratio(batch.theta_r, (world.pop_c.mu, world.pop_c.tau**2),
+                      (world.pop_d.mu, world.pop_d.tau**2)) * LOG10_E
+
+
+# the stated log10 LRs that are no system's own, by label: fn(batch, world)
+_STATED = {
+    "CSXASLR without its anchor term": lambda b, w: _own_log10(SystemId.CSXASLR, b, w),
+    "the source-conditioned prior": _source_prior,
+    "the CSFLR update": lambda b, w: _source_prior(b, w) + _own_log10(SystemId.CSFLR, b, w),
+    "the CSSLR update": lambda b, w: _source_prior(b, w) + _own_log10(SystemId.CSSLR, b, w),
+}
+
+
+def _summarise(labels, pairs, rule: ScoringRule, believed_world, batch: CaseBatch):
+    """One chunk's summary for fold_chunks: each label's score moments,
+    clamp count and calibration bins, and for each (name, a, b) of pairs the
+    moments of a's score minus b's; the scores are the arrays kept. A label
+    is a SystemId, stated by system_posterior, or a key of _STATED, whose
+    log10 LR uses believed_world's densities (by default the generating
+    world's). Each label's posterior is dropped before the next is built."""
+    scores, per_label = {}, {}
+    for label in labels:
+        if isinstance(label, SystemId):
+            posterior, n_clamped = system_posterior(label, batch, believed_world)[1:]
+        else:
+            stated = _STATED[label](batch, believed_world or batch.world)
+            posterior, n_clamped = _stated(stated, batch.world.prior_h1)
+        s = scores[label] = _scores(getattr(label, "value", label), rule, posterior,
+                                    batch.truth_h1)
+        per_label[label] = (_Moments.of(s), n_clamped,
+                            calibration_report(posterior, batch.truth_h1))
+        del posterior  # before the next label's arrays are built
+    paired = {name: _Moments.of(scores[a] - scores[b]) for name, a, b in pairs}
+    return (per_label, paired), scores
+
+
+def _ranking_count(n_cases: int) -> int:
+    """n_cases as an int, refused below the 1000 cases of a ranking run."""
+    n = check_count(n_cases, "n_cases")
+    if n < 1_000:
+        raise ConfigError(f"n_cases must be >= 1000 for ranking runs, got {n_cases}")
+    return n
+
+
 def run_experiment(
     world: WorldConfig,
     n_cases: int = 20_000,
@@ -291,38 +340,18 @@ def run_experiment(
     """Score ALL_SYSTEMS on one shared case set and judge RANKING_CLAIMS.
     It refuses fewer than 1000 cases, and below 10000 warns at the caller's line.
 
-    The cases stream in chunks of 2**16, summarised on up to two CPUs (see
-    fold_chunks), and the systems run one at a time within a chunk: each
-    one's LR and posterior arrays are dropped before the next. A chunk's
-    summary is each system's score moments, clamp count and calibration
-    bins, and each claim's moments of the paired score difference; the
-    summaries add in chunk order, so the results do not depend on the
-    number of CPUs. Its cases and scores are dropped once the next chunk is drawn, so
-    memory does not grow with n_cases. A run of one chunk gives exactly the
-    whole-batch means and standard errors; over more chunks they agree to
-    rounding, and the counts exactly.
+    The cases stream in chunks of 2**16, summarised by _summarise on up to
+    two CPUs (see fold_chunks), the systems as its labels and the claims as
+    its pairs; memory does not grow with n_cases. A run of one chunk gives
+    exactly the whole-batch means and standard errors; over more chunks
+    they agree to rounding, and the counts exactly.
     """
-    if check_count(n_cases, "n_cases") < 1_000:
-        raise ConfigError(f"n_cases must be >= 1000 for ranking runs, got {n_cases}")
-    if n_cases < 10_000:
+    if _ranking_count(n_cases) < 10_000:
         warnings.warn("ranking verdicts are noisy below 10000 cases; expect "
                       "spurious Ties", UserWarning, stacklevel=2)
-
-    def summarise(batch: CaseBatch):
-        scores: dict[SystemId, np.ndarray] = {}
-        per_system = {}
-        for system in ALL_SYSTEMS:
-            posterior, n_clamped = system_posterior(system, batch, believed_world)[1:]
-            s = scores[system] = _scores(system.value, rule, posterior,
-                                         batch.truth_h1)
-            per_system[system] = (_Moments.of(s), n_clamped,
-                                  calibration_report(posterior, batch.truth_h1))
-            del posterior  # before the next system's arrays are built
-        paired = {claim: _Moments.of(scores[better] - scores[worse])
-                  for claim, better, worse in RANKING_CLAIMS}
-        return (per_system, paired), scores
-
-    per_system, diffs = fold_chunks(summarise, world, master_seed, n_cases)
+    per_system, diffs = fold_chunks(
+        functools.partial(_summarise, ALL_SYSTEMS, RANKING_CLAIMS, rule, believed_world),
+        world, master_seed, n_cases)
     paired = {claim: d.paired_diff() for claim, d in diffs.items()}
     return EvalReport(
         per_system={s: MeanScore(mean=m.mean, se=m.se, n=m.n)
@@ -338,22 +367,26 @@ def case_table(world: WorldConfig, n_cases: int, master_seed: int) -> Iterator[d
     """cases.csv as a stream of blocks, one per chunk: each case of
     run_experiment(world, n_cases, master_seed), drawn again, and the own LR
     (its log10 clipped to +/-300) and stated posterior of every system of
-    ALL_SYSTEMS on it, as the run evaluated them. Nothing is drawn until the
-    stream is read, and a stream walked again from one state yields the same
-    blocks, as a forked CSV formatter needs."""
-    for batch in case_chunks(world, master_seed, n_cases):
-        block = {
-            "case_id": np.arange(batch.first, batch.first + len(batch), dtype=np.int64),
-            "truth": np.where(batch.truth_h1, "H1", "H2"),
-            "r_theta": batch.theta_r,
-            "x": batch.x,
-            "y": batch.y,
-        }
-        for system in ALL_SYSTEMS:
-            own, posterior, _ = system_posterior(system, batch)
-            block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
-            block[f"{system.value}_posterior"] = posterior
-        yield block
+    ALL_SYSTEMS on it, as the run evaluated them. It checks its arguments as
+    the run does, when called; nothing is drawn until the stream is read, and
+    a stream walked again from one state yields the same blocks."""
+    _ranking_count(n_cases)
+    return (_case_block(batch) for batch in case_chunks(world, master_seed, n_cases))
+
+
+def _case_block(batch: CaseBatch) -> dict:
+    block = {
+        "case_id": np.arange(batch.first, batch.first + len(batch), dtype=np.int64),
+        "truth": np.where(batch.truth_h1, "H1", "H2"),
+        "r_theta": batch.theta_r,
+        "x": batch.x,
+        "y": batch.y,
+    }
+    for system in ALL_SYSTEMS:
+        own, posterior, _ = system_posterior(system, batch)
+        block[f"{system.value}_lr"] = 10.0 ** np.clip(own, -300, 300)
+        block[f"{system.value}_posterior"] = posterior
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -398,28 +431,25 @@ def ill_conditioning_experiment(
             "popC != popT (else the trace anchor carries no LR) and "
             "SignedDifference scores (else CSXASLR + anchor X is not CSFLR)")
 
-    def summarise(batch: CaseBatch):
+    naive, proper = "CSXASLR without its anchor term", SystemId.CSXASLR
+
+    def with_identity(batch: CaseBatch):
         naive_ln = _own_ln(SystemId.CSXASLR, batch, world)
         anchor_ln = anchor_log_lr_batch(batch.x, AnchorKind.X, world)
         joint_ln = _own_ln(SystemId.CSFLR, batch, world)
         rel_err = float(np.abs(np.expm1(naive_ln + anchor_ln - joint_ln)).max())
-        naive = naive_ln * LOG10_E
-        proper = naive + anchor_ln * LOG10_E
-        s_naive = _scores("CSXASLR without its anchor term", rule,
-                          _stated(naive, world.prior_h1)[0], batch.truth_h1)
-        s_proper = _scores("CSXASLR with its anchor term", rule,
-                           _stated(proper, world.prior_h1)[0], batch.truth_h1)
-        return (([rel_err], _Moments.of(s_naive), _Moments.of(s_proper),
-                 _Moments.of(s_proper - s_naive)), (s_naive, s_proper))
+        del naive_ln, anchor_ln, joint_ln  # _summarise states (b) again
+        summary, scores = _summarise((naive, proper), (("gap", proper, naive),),
+                                     rule, None, batch)
+        return (*summary, [rel_err]), scores
 
-    rel_errs, naive_m, proper_m, gap = fold_chunks(summarise, world, master_seed,
-                                                   n_cases)
+    per_label, diffs, rel_errs = fold_chunks(with_identity, world, master_seed, n_cases)
     max_rel_err = float(np.max(rel_errs))  # a NaN chunk makes it NaN
-    diff = gap.paired_diff()
+    diff = diffs["gap"].paired_diff()
     return IllCondReport(
         n_cases=n_cases, rule=rule, identity_max_rel_err=max_rel_err,
         identity_ok=max_rel_err < 1e-9,
-        mean_naive=naive_m.mean, mean_proper=proper_m.mean,
+        mean_naive=per_label[naive][0].mean, mean_proper=per_label[proper][0].mean,
         gap=diff.mean_diff, gap_se=diff.se_diff, margin_in_se=diff.margin_in_se,
         proper_beats_naive=diff.sign > 0)
 
@@ -462,30 +492,15 @@ def cs_update_ss_prior_experiment(
             "the descriptive variant needs tau > 0 in popC and popD to "
             "evaluate the source-conditioned prior")
 
-    def summarise(batch: CaseBatch):
-        if matched:
-            r_term = np.zeros(len(batch))
-        else:  # the density of the suspect source itself
-            r_term = _log_ratio(batch.theta_r, (world.pop_c.mu, world.pop_c.tau**2),
-                                (world.pop_d.mu, world.pop_d.tau**2)) * LOG10_E
-        prior, truth = world.prior_h1, batch.truth_h1
-        s_base = _scores("the source-conditioned prior", rule,
-                         _stated(r_term, prior)[0], truth)
-        s_flr, s_slr = (
-            _scores(f"the {s.value} update", rule,
-                    _stated(r_term + _own_log10(s, batch, world), prior)[0], truth)
-            for s in (SystemId.CSFLR, SystemId.CSSLR))
-        return ((_Moments.of(s_base), _Moments.of(s_flr), _Moments.of(s_slr),
-                 _Moments.of(s_flr - s_base), _Moments.of(s_slr - s_base)),
-                (s_base, s_flr, s_slr))
-
-    base, flr, slr, gap_flr, gap_slr = fold_chunks(summarise, world, master_seed,
-                                                   n_cases)
-    d_flr, d_slr = gap_flr.paired_diff(), gap_slr.paired_diff()
+    base, flr, slr = "the source-conditioned prior", "the CSFLR update", "the CSSLR update"
+    pairs = ((flr, flr, base), (slr, slr, base))
+    per_label, diffs = fold_chunks(functools.partial(_summarise, (base, flr, slr), pairs,
+                                                     rule, None), world, master_seed, n_cases)
+    d_flr, d_slr = diffs[flr].paired_diff(), diffs[slr].paired_diff()
     return CsPriorReport(
         n_cases=n_cases, rule=rule, populations_match=matched,
-        mean_baseline=base.mean, mean_updated_csflr=flr.mean,
-        mean_updated_csslr=slr.mean,
+        mean_baseline=per_label[base][0].mean, mean_updated_csflr=per_label[flr][0].mean,
+        mean_updated_csslr=per_label[slr][0].mean,
         gap_csflr=d_flr.mean_diff, gap_csflr_se=d_flr.se_diff,
         margin_csflr_in_se=d_flr.margin_in_se,
         gap_csslr=d_slr.mean_diff, gap_csslr_se=d_slr.se_diff,

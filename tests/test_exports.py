@@ -22,10 +22,10 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-# the only private names one module may take from a sibling: harness states
-# csprior's source-conditioned prior with the engines' normal log density
-# ratio, and the oracle places its evidence grid with the engines' law of a
-# source mean given one observed mean
+# the only private names one module may take from a sibling: harness's
+# _source_prior states the source-conditioned prior with the engines' normal
+# log density ratio, and the oracle places its evidence grid with the
+# engines' law of a source mean given one observed mean
 SIBLING_PRIVATE_IMPORTS = {("harness", "lrsystems", "_log_ratio"),
                            ("oracle", "lrsystems", "_source_law")}
 
@@ -44,8 +44,9 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 def _calls(path: Path) -> set[tuple[str, str, str | None]]:
-    """(callee, module, enclosing top-level or nested def) of every call by
-    name or attribute in one module; None outside any def."""
+    """(callee, module, outermost enclosing def) of every call by name or
+    attribute in one module: a closure's calls are its def's, a method's
+    are the method's, and None is outside any def."""
     found = set()
 
     def visit(node, fn):
@@ -54,7 +55,7 @@ def _calls(path: Path) -> set[tuple[str, str, str | None]]:
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 found.add((name, path.stem, fn))
-            visit(child, child.name if isinstance(
+            visit(child, (fn or child.name) if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
@@ -72,7 +73,11 @@ def test_every_experiment_takes_one_route_to_its_scores():
     # an experiment's cases come only from fold_chunks (cases.csv's from
     # case_chunks), a log10 LR becomes a posterior only in harness._stated,
     # and a posterior is scored only in harness._scores, which refuses a
-    # -inf score; scoring's own uses of its rule stay inside
+    # -inf score; scoring's own uses of its rule stay inside. Every scored
+    # experiment but total_expectation_check states, scores and bins its
+    # posteriors in harness._summarise alone: a system's through
+    # system_posterior, any other's from the table whose source-conditioned
+    # prior is _source_prior's
     assert _callers("fold_chunks") == {
         ("harness", "run_experiment"), ("harness", "ill_conditioning_experiment"),
         ("harness", "cs_update_ss_prior_experiment"),
@@ -83,6 +88,14 @@ def test_every_experiment_takes_one_route_to_its_scores():
         ("harness", "_scores")}
     assert _callers("clamp_log10_lr") == {("harness", "_stated")}
     assert _callers("posterior_from_log10_lr") == {("harness", "_stated")}
+    assert _callers("_stated") == {("harness", "system_posterior"),
+                                   ("harness", "_summarise")}
+    assert _callers("_scores") == {("harness", "_summarise"),
+                                   ("harness", "total_expectation_check")}
+    assert {c for c in _callers("calibration_report") if c[0] == "harness"} == {
+        ("harness", "_summarise")}
+    assert {c for c in _callers("_log_ratio") if c[0] != "lrsystems"} == {
+        ("harness", "_source_prior")}
     assert _callers("generate_cases") == set()
 
 

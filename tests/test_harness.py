@@ -147,6 +147,20 @@ def test_case_table_columns():
         assert np.array_equal(table[f"{system.value}_posterior"], posterior)
 
 
+@pytest.mark.parametrize("n_cases", [0, 999, 10.7])
+def test_case_table_refuses_what_the_run_refuses(tmp_path, monkeypatch, n_cases):
+    # the cases of a run that cannot be run are refused when asked for, as
+    # the run refuses them, before any chunk is drawn
+    draws = record_draws(monkeypatch, tmp_path / "draws")
+    with pytest.raises(ConfigError, match=r"^n_cases must be (>= 1000 for ranking "
+                       rf"runs|an integer), got {n_cases!r}$"):
+        harness.case_table(make_world(), n_cases, 0)
+    assert draws() == []
+    blocks = harness.case_table(make_world(), 1000, 0)
+    assert draws() == []
+    assert [len(b["case_id"]) for b in blocks] == [1000]
+
+
 def _whole_batch(world, n_cases, master_seed=0, rule=ScoringRule.Logarithmic,
                  believed_world=None):
     """run_experiment's results computed on the whole batch at once: per
@@ -281,6 +295,22 @@ def test_every_experiment_refuses_a_neg_inf_score(monkeypatch, experiment):
                        r"score, which the \+/-12 log10 LR clamp should "
                        r"prevent; check prior_h1$"):
         EXPERIMENTS[experiment](2_000)
+
+
+@pytest.mark.parametrize("experiment,labels", [("rank", 9), ("illcond", 2), ("csprior", 3)])
+def test_every_scored_label_is_binned_once_per_chunk(monkeypatch, experiment, labels):
+    # rank, illcond and csprior take one per-label step: each label of each
+    # chunk is binned for calibration once, where it is scored
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    calls = []
+
+    def recording(stated_p, is_h1):
+        calls.append(len(stated_p))
+        return calibration_report(stated_p, is_h1)
+
+    monkeypatch.setattr(harness, "calibration_report", recording)
+    EXPERIMENTS[experiment](2 * 2**16 + 5)
+    assert calls == [2**16] * 2 * labels + [5] * labels
 
 
 @pytest.mark.parametrize("experiment", ["illcond", "csprior"])
