@@ -172,13 +172,14 @@ def _write_csv(path: Path, table) -> None:
     80.2% in the AbsoluteDifference world, whose folded score breaks those
     ties), and its truth column two texts.
 
-    The pieces of a table are formatted on up to forked.CAP of the CPUs this
-    process may run on (see forked.ordered_map), and written in order as
-    they come back: this process holds one formatted piece at a time, about
-    0.36 MB for 2^10 rows of cases.csv. Every forked formatter walks the
-    whole table stream (cases.csv's is harness.case_table), so a stream must
-    yield the same blocks each time it is walked from the same state. The
-    bytes depend on neither the number of formatters nor the piece size."""
+    The pieces of a table are formatted by this process and, on two CPUs or
+    more, by one forked formatter that takes every other piece (see
+    forked.ordered_map). They are written in order as they come back: this
+    process holds one formatted piece at a time, about 0.36 MB for 2^10 rows
+    of cases.csv. The forked formatter walks the whole table stream
+    (cases.csv's is harness.case_table), so a stream must yield the same
+    blocks each time it is walked from the same state. The bytes depend on
+    neither the fork nor the piece size."""
     blocks = iter((table,) if isinstance(table, dict) else table)
     first = next(blocks)
     names = list(first)
@@ -456,7 +457,7 @@ class _Spec:
     function from the finished report to its columns, or to a stream of
     column blocks that is read while the file is written, _CSV_BLOCK rows at
     a time (see _write_csv), called only when CSV is written; rank's
-    cases.csv is the stream harness.case_table. Every forked formatter walks
+    cases.csv is the stream harness.case_table. The forked formatter walks
     a stream again, so it must yield the same blocks every time. tables
     names the CSV files, in the order they are written, so that a clash
     with --out is refused before the run. size is the report key of the run

@@ -1,11 +1,13 @@
 """The package's one fork path: a map over items split by index between
-forked processes, whose results come back in item order.
+this process and one forked worker, whose results come back in item order.
 
 Every case experiment sums its chunks of cases through it (see
 genmodel.fold_chunks), the CSV writer formats its pieces through it (see
 cli._write_csv), and oracle-check checks its groups of grid points through
 it (see oracle.compare_grid). A result does not depend on the process that
-computed it, so no output byte depends on how many processes there were.
+computed it, so no output byte depends on whether the worker forked.
+There is one worker on any host, because wall time and summed memory have
+been measured only for two processes.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ import sys
 import warnings
 from typing import Callable, Iterable, Iterator
 
-__all__ = ["CAP", "cpus", "ordered_map"]
-
-# At most this many processes share one map. Each one holds a chunk of its
-# own, so CPU and memory grow with the count; wall time and summed memory
-# have been measured only up to 2.
-CAP = 2
+__all__ = ["cpus", "ordered_map"]
 
 
 def cpus() -> int:
@@ -34,83 +31,71 @@ def cpus() -> int:
 
 
 def ordered_map(fn: Callable, items: Iterable, label: str, noun: str) -> Iterator:
-    """Yield fn(item) for every item, in item order, computed on up to CAP
-    of the CPUs this process may run on. label names a worker and noun an
+    """Yield fn(item) for every item, in item order, computed on up to two of
+    the CPUs this process may run on. label names the worker and noun an
     item in the errors this raises.
 
-    With k processes, process j applies fn to the items whose index is j mod
-    k: this one to items 0, k, 2k, ... and k - 1 forked workers to the rest.
-    Every process walks items itself, so items must yield the same items
-    each time they are walked from the same state. With fewer than two
-    items, one CPU or no os.fork, nothing forks.
+    This process applies fn to the even-indexed items, and one forked worker
+    to the odd-indexed ones. Both processes walk items, so items must yield
+    the same items each time they are walked from the same state. With fewer
+    than two items, one CPU or no os.fork, nothing forks.
 
-    A worker sends one pickle per item down its own pipe: the warnings fn
-    gave, then its result or the exception it raised (a result that cannot
-    be pickled raises too). This process re-issues the warnings through its
-    own filters and raises the exception at that item's position, so that
-    what is shown and raised is what one process would show and raise. A
-    worker that ends before an item it owes, or exits nonzero, raises
-    RuntimeError. Every worker is reaped before this returns or raises.
-    """
+    The worker sends one pickle per item down a pipe: the warnings fn gave,
+    then its result or the exception it raised (a result that cannot be
+    pickled raises too). This process re-issues the warnings through its own
+    filters and raises the exception at that item's position, so that what
+    is shown and raised is what one process would show and raise. A worker
+    that ends before an item it owes, or exits nonzero, raises RuntimeError.
+    The worker is reaped before this returns or raises."""
     items = iter(items)
     head = list(itertools.islice(items, 2))
     items = itertools.chain(head, items)
-    k = min(cpus(), CAP) if hasattr(os, "fork") else 1
-    if len(head) < 2 or k < 2:
+    if len(head) < 2 or not hasattr(os, "fork") or cpus() < 2:
         yield from map(fn, items)
         return
-    pids, readers = [], []
+    r, w = os.pipe()
+    reader = open(r, "rb")
+    pid = None
     try:
-        for j in range(1, k):
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            reads = [reader.fileno() for reader in readers]
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12 warns when a process with threads forks.
-                    # The only threads here are numpy's idle BLAS pool, and
-                    # no worker calls BLAS.
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                    if pid == 0:  # a worker: it never unwinds into the caller
-                        try:
-                            _work(fn, items, j, k, w, reads)
-                            os._exit(0)
-                        finally:
-                            os._exit(1)
-            finally:  # reached only here: a worker leaves by os._exit
-                os.close(w)
-            pids.append(pid)
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns when a process with threads forks. The
+                # only threads here are numpy's idle BLAS pool, and the
+                # worker does not call BLAS.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+                if pid == 0:  # the worker: it never unwinds into the caller
+                    try:
+                        _work(fn, itertools.islice(items, 1, None, 2), r, w)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+        finally:  # reached only here: the worker leaves by os._exit
+            os.close(w)
         for i, item in enumerate(items):
-            if i % k == 0:
+            if i % 2 == 0:
                 yield fn(item)
             else:
-                yield _receive(readers[i % k - 1],
-                               f"{label} {i % k} of {k} ended before {noun} {i}")
+                yield _receive(reader, f"{label} 1 of 2 ended before {noun} {i}")
     finally:
-        # a worker blocked on a full pipe leaves on EPIPE once its read end
+        # a worker blocked on a full pipe leaves on EPIPE once the read end
         # is closed, so closing comes before reaping
-        for reader in readers:
-            reader.close()
-        failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
+        reader.close()
+        failed = pid is not None and os.waitpid(pid, 0)[1] != 0
     if failed:
-        raise RuntimeError(f"{len(failed)} of {k - 1} {label}s failed")
+        raise RuntimeError(f"1 of 1 {label}s failed")
 
 
-def _work(fn: Callable, items: Iterator, j: int, k: int, w: int,
-          reads: list[int]) -> None:
-    """The body of forked worker j of k: send (warnings, result, exception)
-    for every item whose index is j mod k down w, and stop after an
-    exception. Its caller leaves by os._exit, so it never flushes an
-    inherited buffer. The parent walks the same items and shows what
-    walking them warns, so only fn's own warnings are sent."""
-    for fd in reads:
-        os.close(fd)
+def _work(fn: Callable, items: Iterator, r: int, w: int) -> None:
+    """The body of the forked worker: send (warnings, result, exception) for
+    each of items down w, and stop after an exception. Closing its copy of
+    the read end r lets it get EPIPE once the parent closes its own. Its
+    caller leaves by os._exit, so it never flushes an inherited buffer. The
+    parent shows what walking items warns, so only fn's warnings are sent."""
+    os.close(r)
     warnings.simplefilter("ignore")
     with open(w, "wb") as out:
-        for i, item in enumerate(items):
-            if i % k != j:
-                continue
+        for item in items:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")  # the parent's filters decide
                 try:

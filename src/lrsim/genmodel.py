@@ -300,8 +300,8 @@ def fold_chunks(
 ):
     """The chunk-order sum of the summaries of the batches of
     case_chunks(world, master_seed, n_cases, force_truth), computed on up to
-    forked.CAP CPUs (see forked.ordered_map). Each process draws, by index,
-    only the chunks it summarises.
+    two CPUs (see forked.ordered_map). Each process draws, by index, only
+    the chunks it summarises.
 
     summarise(batch) returns (summary, arrays). Summaries add by _plus: a
     tuple or dict adds item by item, and what is below adds by +. The

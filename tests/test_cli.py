@@ -65,9 +65,11 @@ DEFAULT_WORLD_DOC = {
 def test_missing_config_is_exit_2(tmp_path, capsys):
     latin = tmp_path / "latin.json"
     latin.write_bytes(b"\xff\xfe{}")
+    listed = write_config(tmp_path, "[]", "listed.json")
     for path, message in ((tmp_path / "nope.json", "config not found"),
                           (tmp_path, "cannot read config"),  # a directory
-                          (latin, "cannot read config")):  # not UTF-8
+                          (latin, "cannot read config"),  # not UTF-8
+                          (listed, f"{listed} must be a JSON object")):
         code, stdout, err = run(capsys, "rank", "--config", str(path),
                                 "--out", str(tmp_path / "o"))
         assert code == 2
@@ -104,6 +106,20 @@ def test_unknown_wrapper_key_rejected(tmp_path, capsys):
                            f"in {cfg}\n")
             assert {p.name: p.read_text() for p in out.iterdir()} == {
                 "keep.txt": "kept"}
+
+
+def test_a_descriptive_csprior_world_without_spread_is_exit_2(tmp_path, capsys):
+    # popC != popD and popD.tau = 0: the source-conditioned prior has no
+    # density, so the run is refused and --out keeps what it held
+    cfg = write_config(tmp_path, dict(DESCRIPTIVE_WORLD_DOC, popD={"mu": 1.0, "tau": 0.0}))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    code, stdout, err = run(capsys, "csprior", "--config", cfg, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: the descriptive variant needs tau > 0 in popC and popD "
+                   "to evaluate the source-conditioned prior\n")
+    assert {p.name: p.read_text() for p in out.iterdir()} == {"keep.txt": "kept"}
 
 
 def test_unknown_system_name_rejected(tmp_path, capsys):
@@ -728,8 +744,8 @@ def _tied_floats(n):
             "c": np.full(n, 0.5), "i": np.arange(n)}
 
 
-# (table, pieces of 7 rows): one piece; 10 pieces, a multiple of 2 but not
-# of 3; 11 pieces, a multiple of neither; 13 pieces from blocks of 30, 1, 0
+# (table, pieces of 7 rows): one piece; 10 pieces, so the formatter has the
+# last; 11 pieces, so this process has it; 13 pieces from blocks of 30, 1, 0
 # and 44 rows, so that short pieces end blocks; 11 pieces of shared floats
 @pytest.mark.parametrize("table,pieces", [
     (lambda: _mixed_table(6), 1),
@@ -743,10 +759,8 @@ def test_write_csv_bytes_do_not_depend_on_the_formatters(tmp_path, monkeypatch,
     reference = tmp_path / "ref.csv"
     cli._write_csv(reference, table())  # the default piece size
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
-    # the writer takes any number of formatters; the cap is only a policy
-    monkeypatch.setattr(forked, "CAP", 3)
     forks = _forks(monkeypatch)
-    for k in (1, 2, 3):
+    for k in (1, 2):
         monkeypatch.setattr(forked, "cpus", lambda: k)
         path = tmp_path / f"k{k}.csv"
         cli._write_csv(path, table())
@@ -1188,6 +1202,19 @@ def test_a_non_finite_report_number_is_null():
            "d": (1.5, 2), "e": None}
     assert _strict_json(cli._json_dumps(doc)) == {
         "a": {"c": None}, "b": [None, None, None], "d": [1.5, 2], "e": None}
+
+
+def test_an_infinite_margin_is_written_as_null():
+    # a claim whose paired difference has no spread is +/-inf SEs from a
+    # tie, or 0 inside TIE_ATOL; a verdict's margin is written as null for
+    # the infinities and as itself otherwise
+    means = (1e-3, -1e-3, 1e-12)
+    verdicts = harness.verify_ranking({
+        claim: harness.PairedDiff(mean_diff=means[i % 3], se_diff=0.0, n=1000)
+        for i, (claim, _, _) in enumerate(harness.RANKING_CLAIMS)})
+    doc = _strict_json(cli._json_dumps({"verdicts": [cli._fields(v) for v in verdicts]}))
+    assert [v["margin_in_se"] for v in doc["verdicts"]] == [
+        (None, None, 0.0)[i % 3] for i in range(len(verdicts))]
 
 
 # ---------------------------------------------------------------------------

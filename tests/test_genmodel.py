@@ -39,6 +39,10 @@ def test_noise_rejects_zero_sigma():
 @pytest.mark.parametrize("change,message", [
     (dict(prior_h1=1.5), "prior_h1"),
     (dict(noise=NoiseModel(-0.5)), "noise.sigma"),
+    # an enum's value given as a plain string is not the enum
+    (dict(scenario="ReferenceCrimeRelevant"),
+     "^unknown scenario 'ReferenceCrimeRelevant'$"),
+    (dict(score_kind="SignedDifference"), "^unknown score_kind 'SignedDifference'$"),
 ])
 def test_an_invalid_world_cannot_be_built(change, message):
     # the constructor checks, and so dataclasses.replace does too
@@ -222,6 +226,16 @@ def test_missing_key_is_rejected():
     doc = world_to_json_dict(make_world())
     del doc["noise"]
     with pytest.raises(ConfigError, match="noise"):
+        world_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "^world must be a JSON object$"),
+    (dict(world_to_json_dict(make_world()), noise=0.5),
+     "^world.noise must be an object with sigma$"),
+], ids=["list", "bare-noise"])
+def test_a_world_and_its_noise_must_be_objects(doc, message):
+    with pytest.raises(ConfigError, match=message):
         world_from_json_dict(doc)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import warnings
 from collections import Counter
@@ -397,6 +398,17 @@ def test_verdict_noise_floor_forces_tie():
     assert all(v.verdict is Verdict.Tie for v in verdicts)
 
 
+@pytest.mark.parametrize("mean_diff,margin,sign", [
+    (1e-3, math.inf, 1), (-1e-3, -math.inf, -1), (1e-12, 0.0, 0), (-1e-12, 0.0, 0),
+])
+def test_a_paired_diff_with_no_spread_is_infinitely_many_se_or_a_tie(
+        mean_diff, margin, sign):
+    # with se_diff = 0 a difference beyond TIE_ATOL is +/-inf SEs, and one
+    # inside it is no margin at all; the sign agrees with the margin
+    d = PairedDiff(mean_diff=mean_diff, se_diff=0.0, n=1000)
+    assert (d.margin_in_se, d.sign) == (margin, sign)
+
+
 def test_genuinely_better_system_is_confirmed():
     diffs = {cid: PairedDiff(mean_diff=0.05, se_diff=0.003, n=1000)
              for cid, _, _ in RANKING_CLAIMS}
@@ -461,6 +473,19 @@ def test_cs_prior_update_descriptive_variant():
     assert not rep.populations_match
     assert rep.ok is None
     assert np.isfinite(rep.gap_csflr)
+
+
+def test_cs_prior_descriptive_variant_needs_a_spread_in_popd(tmp_path, monkeypatch):
+    # popC != popD, so the baseline is a ratio of the two densities at the
+    # suspect's source, and popD of tau = 0 has none; nothing is drawn
+    world = make_world(scenario=ScenarioKind.TraceCrimeRelevant,
+                       pop_t=PopulationModel(0.0, 1.0),
+                       pop_d=PopulationModel(1.0, 0.0))
+    draws = record_draws(monkeypatch, tmp_path / "draws")
+    with pytest.raises(ConfigError, match="^the descriptive variant needs tau > 0 "
+                       "in popC and popD to evaluate the source-conditioned prior$"):
+        cs_update_ss_prior_experiment(world, n_cases=2_000)
+    assert draws() == []
 
 
 def test_total_expectation_within_noise():

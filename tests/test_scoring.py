@@ -152,6 +152,14 @@ def test_table_rule_fails_honesty():
                for b, s in rep.counterexamples)
 
 
+@pytest.mark.parametrize("believed_p", [1.5, math.nan])
+def test_expected_score_refuses_a_belief_outside_0_1(believed_p):
+    # NaN fails the range check as any value outside [0, 1] does
+    with pytest.raises(ConfigError, match=r"^believed_p must lie in \[0, 1\], "
+                       rf"got {believed_p!r}$"):
+        expected_score(ScoringRule.Logarithmic, 0.5, believed_p)
+
+
 def test_expected_score_masks_impossible_branch():
     # zero belief in H1 times the -inf log score must contribute nothing
     assert expected_score(ScoringRule.Logarithmic, 0.0, 0.0) == 0.0
